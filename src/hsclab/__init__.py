@@ -14,7 +14,7 @@ Quick start::
     import hsclab
     spec = hsclab.catalog("poincare")
     jet, tensor = hsclab.curvature_at(spec, [[0j]])
-    hsclab.hsc(jet, tensor, [1.0])   # -> array([-4.])
+    hsclab.hsc_dirs(jet.g, tensor.R, [[1.0]])   # -> array([[-4.]])
 
 The ``hsc-lab`` console script exposes the same functionality as
 subcommands; ``hsc-lab selftest`` runs the acceptance suite.
@@ -31,7 +31,7 @@ from .certify import (BoundedBlockTensor, ThresholdNotReachedError,
                       product_inequality_slacks, random_block_tensor,
                       split_bound_check, weight_identities)
 from .curvature import (CurvatureTensor, MetricJet, PointOutsideBoxError,
-                        curvature, curvature_at, gaussian_curvature_1d, hsc,
+                        curvature, curvature_at, gaussian_curvature_1d,
                         hsc_dirs, metric_jet, metric_jet_from_fd,
                         pair_symmetry_defect, restrict)
 from .dsl import (CATALOG_NAMES, MetricError, MetricSpec, ParseError, Rect,
@@ -41,8 +41,8 @@ from .positivity import (NegativeWitness, ScanReport, find_negative_witness,
 from .warp import (FibrationSpec, HypothesisViolationError,
                    LambdaSearchResult, assemble, base_growth_check,
                    check_hypotheses, determinant_split_check,
-                   family_negativity_report, fibration_inverse_asymptotics,
-                   inverse_asymptotics, lambda_search, load_fibration,
+                   family_negativity_report, inverse_asymptotics,
+                   lambda_search, load_fibration,
                    mu0_search, save_fibration, submanifold_decreasing_check,
                    warp_demo_fibration)
 from .wirtinger import Jet2, SingularPointError, fd_jet
@@ -56,7 +56,7 @@ __all__ = [
     "validate", "save_spec", "load_spec", "ParseError", "MetricError",
     # curvature
     "MetricJet", "CurvatureTensor", "metric_jet", "metric_jet_from_fd",
-    "curvature", "curvature_at", "hsc", "hsc_dirs", "gaussian_curvature_1d",
+    "curvature", "curvature_at", "hsc_dirs", "gaussian_curvature_1d",
     "restrict",
     "pair_symmetry_defect", "PointOutsideBoxError",
     # positivity scans
@@ -73,7 +73,7 @@ __all__ = [
     "FibrationSpec", "warp_demo_fibration", "assemble", "mu0_search",
     "check_hypotheses", "lambda_search", "LambdaSearchResult",
     "HypothesisViolationError", "inverse_asymptotics",
-    "fibration_inverse_asymptotics", "determinant_split_check",
+    "determinant_split_check",
     "submanifold_decreasing_check", "base_growth_check",
     "family_negativity_report", "save_fibration", "load_fibration",
     # acceptance suite

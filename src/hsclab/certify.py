@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import dsl
-from .curvature import gaussian_curvature_1d
+from .curvature import gaussian_curvature_1d, quartic
 
 BOUND_TOL = 1e-9
 
@@ -236,11 +236,6 @@ def random_block_tensor(fiber_lower: float, mixed_bound: float, base_lower: floa
                               float(mixed_bound), float(base_lower))
 
 
-def _quartic(R: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    xb = np.conjugate(xi)
-    return np.einsum("ijkl,...i,...j,...k,...l->...", R, xi, xb, xi, xb)
-
-
 def check_block_hypotheses(t: BoundedBlockTensor, trials: int = 10000,
                            seed: int = 0) -> dict:
     """Verify the three bounds the certification consumes.
@@ -258,13 +253,13 @@ def check_block_hypotheses(t: BoundedBlockTensor, trials: int = 10000,
     n, s = t.n, t.s
     rng = np.random.default_rng(seed)
     xf = rng.standard_normal((trials, s)) + 1j * rng.standard_normal((trials, s))
-    qf = _quartic(t.R[:s, :s, :s, :s], xf).real
+    qf = quartic(t.R[:s, :s, :s, :s], xf).real
     mf = (np.abs(xf) ** 2).sum(axis=1) ** 2
     fiber_margin = float(((qf - t.fiber_lower * mf)
                           / np.maximum(1.0, np.abs(t.fiber_lower) * mf)).min())
 
     xb = rng.standard_normal((trials, n - s)) + 1j * rng.standard_normal((trials, n - s))
-    qb = _quartic(t.R[s:, s:, s:, s:], xb).real
+    qb = quartic(t.R[s:, s:, s:, s:], xb).real
     mb = (np.abs(xb) ** 2).sum(axis=1) ** 2
     base_margin = float(((qb - t.base_lower * mb)
                          / np.maximum(1.0, np.abs(t.base_lower) * mb)).min())
@@ -298,7 +293,7 @@ def split_bound_check(t: BoundedBlockTensor, w: WeightChoice,
     rng = np.random.default_rng(seed)
     xi = rng.standard_normal((trials, n)) + 1j * rng.standard_normal((trials, n))
     xi /= np.linalg.norm(xi, axis=1, keepdims=True)
-    num = _quartic(t.R, xi)
+    num = quartic(t.R, xi)
     scale = np.maximum(1.0, np.abs(num))
     if (np.abs(num.imag) / scale).max() > 1e-9:
         raise ArithmeticError("quartic of a pair-symmetric tensor must be real")

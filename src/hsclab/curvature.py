@@ -16,7 +16,9 @@ Sectional values are
               / (sum g[i,j] xi_i conj(xi_j))^2,
 
 real by the pair symmetry R[i,j,k,l] = conj(R[j,i,l,k]) and invariant under
-scaling of xi.
+scaling of xi.  The numerator is evaluated once, in `quartic`, as the
+quadratic form vec(X)^T . R.reshape(d^2, d^2) . vec(X) in the rank-one
+matrix X = xi xi^H, and the denominator once, in `metric_norm2`.
 """
 
 from __future__ import annotations
@@ -58,10 +60,6 @@ class MetricJet:
     ddbarg: np.ndarray
     points: np.ndarray
 
-    @property
-    def batch_shape(self):
-        return self.g.shape[:-2]
-
 
 @dataclass(frozen=True)
 class CurvatureTensor:
@@ -81,9 +79,10 @@ def metric_jet(spec: dsl.MetricSpec, points, check_box: bool = True) -> MetricJe
         raise ValueError(f"points must have {spec.n} coordinates")
     if check_box:
         flat = pts.reshape(-1, spec.n)
-        for row in flat:
-            if not dsl.box_contains(spec.box, row):
-                raise PointOutsideBoxError(f"point {row.tolist()} outside box of {spec.name}")
+        outside = np.flatnonzero(~dsl.box_contains(spec.box, flat))
+        if outside.size:
+            row = flat[outside[0]]
+            raise PointOutsideBoxError(f"point {row.tolist()} outside box of {spec.name}")
     n = spec.n
     batch = pts.shape[:-1]
     g = np.empty(batch + (n, n), dtype=complex)
@@ -153,41 +152,38 @@ def curvature(mj: MetricJet, check: bool = True) -> CurvatureTensor:
     return CurvatureTensor(mj.n, R, mj.points)
 
 
-def _metric_norm2(g: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    return np.einsum("...ij,...i,...j->...", g, xi, np.conjugate(xi))
+def quartic(R: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """R(xi, conj xi, xi, conj xi) per direction: R (..., d, d, d, d),
+    dirs (..., m, d) -> complex (..., m); the vec(X) form with X = xi xi^H."""
+    d = dirs.shape[-1]
+    X = (dirs[..., :, None] * np.conjugate(dirs)[..., None, :]).reshape(
+        dirs.shape[:-1] + (d * d,))
+    Rm = R.reshape(R.shape[:-4] + (d * d, d * d))
+    return np.einsum("...ma,...ab,...mb->...m", X, Rm, X)
 
 
-def hsc(mj: MetricJet, R: CurvatureTensor, xi) -> np.ndarray | float:
-    """Sectional value K(xi) at each batch point; xi is (..., n) or (n,)."""
-    xi = np.asarray(xi, dtype=complex)
-    xi = np.broadcast_to(xi, mj.batch_shape + (mj.n,))
-    xibar = np.conjugate(xi)
-    num = np.einsum("...ijkl,...i,...j,...k,...l->...", R.R, xi, xibar, xi, xibar)
-    den = _metric_norm2(mj.g, xi)
+def metric_norm2(g: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """|xi|_g^2 per direction: g (..., d, d), dirs (..., m, d) -> (..., m)."""
+    return (dirs @ g * np.conjugate(dirs)).sum(-1).real
+
+
+def hsc_dirs(g: np.ndarray, R: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Batched K over m directions per point: g (...,d,d), R (...,d,d,d,d),
+    dirs (..., m, d) -> (..., m); a (1, d) dirs broadcasts over points.
+
+    Raises ArithmeticError when a numerator's imaginary part exceeds
+    IMAG_TOL relative, SingularPointError when a direction's metric norm
+    is at most DIV_EPS.
+    """
+    dirs = np.asarray(dirs, dtype=complex)
+    num = quartic(R, dirs)
+    den = metric_norm2(g, dirs)
     scale = np.maximum(1.0, np.abs(num))
     if np.any(np.abs(num.imag) > IMAG_TOL * scale):
         raise ArithmeticError("sectional numerator has a non-negligible imaginary part")
-    if np.any(den.real <= DIV_EPS):
+    if np.any(den <= DIV_EPS):
         raise SingularPointError("direction has vanishing metric norm")
-    out = 2.0 * num.real / den.real ** 2
-    return float(out) if out.ndim == 0 else out
-
-
-def hsc_dirs(g: np.ndarray, R: np.ndarray, dirs: np.ndarray,
-             check_imag: bool = False) -> np.ndarray:
-    """Batched K over m directions per point: g (...,d,d), R (...,d,d,d,d),
-    dirs (..., m, d) -> (..., m).  Staged contractions, O(m d^4)."""
-    dbar = np.conjugate(dirs)
-    t = np.einsum("...ijkl,...mi->...mjkl", R, dirs)
-    t = np.einsum("...mjkl,...mj->...mkl", t, dbar)
-    t = np.einsum("...mkl,...mk->...ml", t, dirs)
-    num = np.einsum("...ml,...ml->...m", t, dbar)
-    den = np.einsum("...ij,...mi,...mj->...m", g, dirs, dbar)
-    if check_imag:
-        scale = np.maximum(1.0, np.abs(num))
-        if np.any(np.abs(num.imag) > IMAG_TOL * scale):
-            raise ArithmeticError("sectional numerator has a non-negligible imaginary part")
-    return 2.0 * num.real / den.real ** 2
+    return 2.0 * num.real / den ** 2
 
 
 def curvature_at(spec: dsl.MetricSpec, points, check_box: bool = True):

@@ -494,17 +494,23 @@ class Rect:
     im_min: float
     im_max: float
 
-    def contains(self, z: complex, tol: float = 1e-9) -> bool:
-        return (self.re_min - tol <= z.real <= self.re_max + tol
-                and self.im_min - tol <= z.imag <= self.im_max + tol)
+    def contains(self, z, tol: float = 1e-9):
+        """Whether z (a complex number or array) lies in the rectangle."""
+        return ((self.re_min - tol <= z.real) & (z.real <= self.re_max + tol)
+                & (self.im_min - tol <= z.imag) & (z.imag <= self.im_max + tol))
 
 
 Box = tuple  # tuple[Rect, ...], one per coordinate
 
 
-def box_contains(box, point, tol: float = 1e-9) -> bool:
-    pt = np.asarray(point, dtype=complex).reshape(-1)
-    return all(r.contains(complex(z), tol) for r, z in zip(box, pt, strict=True))
+def box_contains(box, points, tol: float = 1e-9) -> np.ndarray:
+    """Which of points (..., n) lie in the box, as a bool array (...);
+    non-finite points count as outside."""
+    pts = np.asarray(points, dtype=complex)
+    inside = np.isfinite(pts).all(axis=-1)
+    for r, z in zip(box, np.moveaxis(pts, -1, 0), strict=True):
+        inside &= r.contains(z, tol)
+    return inside
 
 
 def box_sample(box, rng: np.random.Generator, count: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dsl
-from .curvature import curvature, hsc_dirs, metric_jet
+from .curvature import curvature, hsc_dirs, metric_jet, metric_norm2
 
 NEG_THRESHOLD = -1e-8
 DEFAULT_GRID = 9
@@ -37,8 +37,7 @@ def _complex_dirs(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
 
 def _unit(g: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """Normalize dirs (..., m, d) to metric norm 1 under g (..., d, d)."""
-    nrm2 = np.einsum("...ij,...mi,...mj->...m", g, dirs, np.conjugate(dirs)).real
-    return dirs / np.sqrt(np.maximum(nrm2, 1e-300))[..., None]
+    return dirs / np.sqrt(np.maximum(metric_norm2(g, dirs), 1e-300))[..., None]
 
 
 def _descend(g: np.ndarray, R: np.ndarray, dirs0: np.ndarray, iters: int):

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import dsl
 from .curvature import (curvature, gaussian_curvature_1d, hsc_dirs,
-                        metric_jet, restrict)
+                        metric_jet, metric_norm2, quartic, restrict)
 from .positivity import (NEG_THRESHOLD, _c2pair, find_negative_witness,
                          scan_chart)
 
@@ -360,37 +360,6 @@ def inverse_asymptotics(h0, s: int, lam_values=None) -> dict:
     return out
 
 
-def fibration_inverse_asymptotics(f: FibrationSpec, point=None,
-                                  lam_values=None) -> dict:
-    """Inverse asymptotics of the assembled metric value at a point.
-
-    The base block is first orthonormalized (Cholesky of the lam = 1
-    value), after which the family is h0 + lam' * blockdiag(0, I) up to
-    the affine reparametrization absorbed into lam'.
-    """
-    _check_fibration(f)
-    if point is None:
-        point = np.array([(r.re_min + r.re_max) / 2 + 1j * (r.im_min + r.im_max) / 2
-                          for r in f.box]) + 0.1
-        point = np.array([complex(min(max(z.real, r.re_min), r.re_max),
-                                  min(max(z.imag, r.im_min), r.im_max))
-                          for z, r in zip(point, f.box)])
-    pts = np.asarray(point, dtype=complex).reshape(1, f.n)
-    g_fiber = dsl.metric_values(
-        dsl.MetricSpec(f.name, f.n,
-                       tuple(tuple(row) for row in f.fiber_entries), f.box), pts)[0]
-    g_base = dsl.metric_values(f.base_spec(), pts[:, f.s:])[0]
-    L = np.linalg.cholesky(g_base)
-    T = np.linalg.inv(L).conj().T
-    h0 = np.zeros((f.n, f.n), dtype=complex)
-    h0[:f.s, :f.s] = g_fiber
-    h0[f.s:, f.s:] = f.mu0 * np.eye(f.m)
-    out = inverse_asymptotics(h0, f.s, lam_values)
-    out["point"] = [_c2pair(z) for z in np.asarray(point, dtype=complex)]
-    out["base_transform"] = [[_c2pair(z) for z in row] for row in T]
-    return out
-
-
 def determinant_split_check(dim: int = 6, trials: int = 1000, seed: int = 0) -> dict:
     """det(H) = det(P) * det(S - R inv(P) Q) for the 2x2 block partition
     of random Hermitian positive definite matrices; relative error must
@@ -474,17 +443,15 @@ def base_growth_check(f: FibrationSpec, point=None,
     if point is None:
         point = dsl.box_sample(f.box, rng, 1)[0]
     pts = np.asarray(point, dtype=complex).reshape(1, f.n)
-    xi = np.zeros(f.n, dtype=complex)
-    xi[f.s:] = rng.standard_normal(f.m) + 1j * rng.standard_normal(f.m)
+    xi = np.zeros((1, f.n), dtype=complex)
+    xi[0, f.s:] = rng.standard_normal(f.m) + 1j * rng.standard_normal(f.m)
     g1 = metric_jet(assemble(f, 1.0), pts).g[0]
-    xi = xi / np.sqrt(np.einsum("ij,i,j->", g1, xi, xi.conj()).real)
+    xi = xi / np.sqrt(metric_norm2(g1, xi))[:, None]
     lams = [float(l) for l in lam_values]
     nums = []
     for lam in lams:
-        mj = metric_jet(assemble(f, lam), pts)
-        R = curvature(mj).R[0]
-        nums.append(float(np.einsum("ijkl,i,j,k,l->", R, xi, xi.conj(),
-                                    xi, xi.conj()).real))
+        R = curvature(metric_jet(assemble(f, lam), pts)).R[0]
+        nums.append(float(quartic(R, xi)[0].real))
     if min(nums) <= 0:
         raise ArithmeticError("curvature numerator not positive along the base")
     slope = float(np.polyfit(np.log(lams), np.log(nums), 1)[0])

@@ -145,6 +145,10 @@ def test_version_flag(capsys):
     ("curvature", "--point", "0,0"),
     ("scan", "--catalog", "poincare", "--box", "1:2"),
     ("nosuchcommand",),
+    ("scan", "--catalog", "poincare", "--box", "a:1:0:1"),
+    ("scan", "--catalog", "poincare", "--box", "nan:1:0:1"),
+    ("scan", "--catalog", "poincare", "--box", "1:0:0:1"),
+    ("curvature", "--catalog", "poincare", "--point", "0,0", "--dir", "0,0"),
 ])
 def test_usage_errors_exit_two(capsys, argv):
     with pytest.raises(SystemExit) as err:

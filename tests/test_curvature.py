@@ -10,14 +10,18 @@ K = -(2/g) d2 log g / dz dzbar in one coordinate:
   * g = B/(1+|z|^2)^2        ->  K = 4/B                   (B > 0 constant)
 """
 
+import itertools
+import re
+
 import numpy as np
 import pytest
 
 from hsclab import dsl
 from hsclab.curvature import (IllConditionedError, PointOutsideBoxError,
                               curvature, curvature_at, gaussian_curvature_1d,
-                              hsc, hsc_dirs, metric_jet, metric_jet_from_fd,
+                              hsc_dirs, metric_jet, metric_jet_from_fd,
                               pair_symmetry_defect, restrict)
+from hsclab.wirtinger import SingularPointError
 
 
 def _sample(spec, count, seed):
@@ -65,14 +69,61 @@ def test_hsc_direction_scale_invariance():
     np.testing.assert_allclose(k1, k2, rtol=1e-10)
 
 
-def test_hsc_agrees_with_hsc_dirs():
-    spec = dsl.catalog("warp_demo")
-    pts = _sample(spec, 8, 9)
-    mj, tensor = curvature_at(spec, pts)
-    xi = np.array([0.6 - 0.2j, 0.3 + 0.9j])
-    a = hsc(mj, tensor, xi)
-    b = hsc_dirs(mj.g, tensor.R, np.broadcast_to(xi, (8, 1, 2)))[:, 0]
-    np.testing.assert_allclose(a, b, rtol=1e-12)
+def _reference_hsc(g, R, xi):
+    """K at one point and one direction, summed index by index."""
+    d = len(xi)
+    num = 0j
+    for i, j, k, l in itertools.product(range(d), repeat=4):
+        num += R[i, j, k, l] * xi[i] * np.conj(xi[j]) * xi[k] * np.conj(xi[l])
+    den = sum(g[i, j] * xi[i] * np.conj(xi[j])
+              for i in range(d) for j in range(d))
+    return 2.0 * num.real / den.real ** 2
+
+
+def _random_kernel_inputs(rng, points, d, shared):
+    """Hermitian positive g per point and pair-symmetric, non-diagonal R,
+    either one per point or one shared by all points."""
+    a = rng.standard_normal((points, d, d)) + 1j * rng.standard_normal((points, d, d))
+    g = a @ np.conj(np.swapaxes(a, -1, -2)) + d * np.eye(d)
+    shape = ((d,) if shared else (points, d)) + (d,) * 3
+    t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    R = 0.5 * (t + np.conj(np.swapaxes(np.swapaxes(t, -4, -3), -2, -1)))
+    return g, R
+
+
+@pytest.mark.parametrize("shared", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_hsc_dirs_matches_index_reference(d, shared):
+    rng = np.random.default_rng(100 + d)
+    points, m = 5, 3
+    g, R = _random_kernel_inputs(rng, points, d, shared)
+    assert pair_symmetry_defect(R) < 1e-15
+    dirs = rng.standard_normal((points, m, d)) + 1j * rng.standard_normal((points, m, d))
+    got = hsc_dirs(g, R, dirs)
+    want = np.array([[_reference_hsc(g[p], R if shared else R[p], dirs[p, q])
+                      for q in range(m)] for p in range(points)])
+    np.testing.assert_allclose(got, want, rtol=1e-12,
+                               atol=1e-12 * np.abs(want).max())
+    # a single (1, d) direction broadcasts over the points
+    one = hsc_dirs(g, R, dirs[0, :1])
+    np.testing.assert_allclose(one[:, 0], [
+        _reference_hsc(g[p], R if shared else R[p], dirs[0, 0])
+        for p in range(points)], rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def test_hsc_dirs_guards():
+    rng = np.random.default_rng(110)
+    g, R = _random_kernel_inputs(rng, 4, 2, shared=False)
+    dirs = rng.standard_normal((4, 3, 2)) + 1j * rng.standard_normal((4, 3, 2))
+    zero = dirs.copy()
+    zero[2, 1] = 0.0
+    with pytest.raises(SingularPointError):
+        hsc_dirs(g, R, zero)
+    broken = R.copy()
+    broken[1, 0, 0, 0, 0] += 1e-6j
+    assert pair_symmetry_defect(broken) > 1e-7
+    with pytest.raises(ArithmeticError, match="imaginary"):
+        hsc_dirs(g, broken, dirs)
 
 
 def test_pair_symmetry_of_catalog_tensors():
@@ -139,8 +190,14 @@ def test_family_requires_restriction():
 
 
 def test_point_outside_box_rejected():
+    spec = dsl.catalog("poincare")
     with pytest.raises(PointOutsideBoxError):
-        metric_jet(dsl.catalog("poincare"), np.array([[2.0 + 0j]]))
+        metric_jet(spec, np.array([[2.0 + 0j]]))
+    with pytest.raises(PointOutsideBoxError):
+        metric_jet(spec, np.array([[complex(np.nan, 0.0)]]))
+    batch = np.array([[0.1 + 0j], [0.2 - 0.1j], [0.3 + 0.2j], [2.5 + 0j]])
+    with pytest.raises(PointOutsideBoxError, match=re.escape("(2.5+0j)")):
+        metric_jet(spec, batch)
 
 
 def test_ill_conditioned_metric_rejected():

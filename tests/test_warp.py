@@ -7,9 +7,9 @@ from hsclab import dsl, warp
 from hsclab.curvature import gaussian_curvature_1d, restrict
 from hsclab.warp import (FibrationSpec, HypothesisViolationError, assemble,
                          base_growth_check, check_hypotheses,
-                         determinant_split_check, fibration_inverse_asymptotics,
-                         inverse_asymptotics, lambda_search, load_fibration,
-                         mu0_search, save_fibration, submanifold_decreasing_check,
+                         determinant_split_check, inverse_asymptotics,
+                         lambda_search, load_fibration, mu0_search,
+                         save_fibration, submanifold_decreasing_check,
                          warp_demo_fibration)
 
 
@@ -101,11 +101,6 @@ def test_inverse_block_asymptotics_random_hermitian():
     for series in ("fiber_error", "base_diag_error", "cross_value",
                    "base_offdiag_value"):
         assert rep[series]["within_0.2"]
-
-
-def test_inverse_asymptotics_on_demo_fibration():
-    rep = fibration_inverse_asymptotics(warp_demo_fibration())
-    assert rep["ok"]
 
 
 def test_determinant_splits_into_blocks():
