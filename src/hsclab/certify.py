@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import dsl
-from .curvature import gaussian_curvature_1d, quartic
+from .curvature import gaussian_curvature_1d, pair_symmetry_defect, quartic
 
 BOUND_TOL = 1e-9
 
@@ -271,8 +271,7 @@ def check_block_hypotheses(t: BoundedBlockTensor, trials: int = 10000,
         "trials": trials, "seed": seed, "ok": ok,
         "fiber_margin": fiber_margin, "base_margin": base_margin,
         "mixed_entry_max": mixed_max, "mixed_bound": t.mixed_bound,
-        "pair_symmetry_defect": float(np.abs(
-            t.R - np.conjugate(np.transpose(t.R, (1, 0, 3, 2)))).max()),
+        "pair_symmetry_defect": pair_symmetry_defect(t.R),
     }
 
 

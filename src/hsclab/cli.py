@@ -154,8 +154,11 @@ def cmd_scan(args) -> int:
 
 def cmd_witness(args) -> int:
     spec = _load_metric(args)
-    w = find_negative_witness(spec, budget=args.budget, seed=args.seed,
-                              threshold=args.threshold)
+    try:
+        w = find_negative_witness(spec, budget=args.budget, seed=args.seed,
+                                  threshold=args.threshold)
+    except ValueError as exc:
+        raise SystemExit(_usage(str(exc)))
     _emit(args, "witness", {"metric": spec.name, "found": w is not None,
                             "witness": None if w is None else w.as_dict()})
     return 0
@@ -265,9 +268,13 @@ def cmd_warp(args) -> int:
 
 
 def cmd_example1(args) -> int:
-    rep = warp.family_negativity_report(
-        lam_values=tuple(parse_float_list(args.lambdas)),
-        fiber_samples=args.fibers, seed=args.seed, budget=args.budget)
+    lams = tuple(parse_float_list(args.lambdas))
+    try:
+        rep = warp.family_negativity_report(lam_values=lams,
+                                            fiber_samples=args.fibers,
+                                            seed=args.seed, budget=args.budget)
+    except ValueError as exc:  # a witness budget below the first stage
+        raise SystemExit(_usage(str(exc)))
     ok = (rep["base"]["positive"] and rep["fiber_min"] >= -1e-8
           and rep["fiber_origin_max_abs"] <= 1e-9 and rep["all_negative"])
     _emit(args, "example1", {"report": rep, "ok": bool(ok)})
@@ -320,9 +327,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_metric_source(p)
     _add_seed(p)
     p.add_argument("--grid", type=int, default=9, help="grid points per axis")
-    p.add_argument("--dirs", type=int, default=64, help="probe directions per point")
-    p.add_argument("--starts", type=int, default=8, help="descent starts per point")
-    p.add_argument("--iters", type=int, default=200, help="descent iterations")
+    p.add_argument("--dirs", type=int, default=64, help="probe directions per "
+                   "point (descent minimizer, metrics with d >= 3, only)")
+    p.add_argument("--starts", type=int, default=8, help="descent starts per "
+                   "point (d >= 3 only)")
+    p.add_argument("--iters", type=int, default=200, help="descent iterations "
+                   "(d >= 3 only)")
     p.add_argument("--box", help="override box: re_min:re_max:im_min:im_max "
                    "groups, comma-separated per coordinate")
     p.add_argument("--csv", help="also write per-point minima as CSV "
@@ -334,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_metric_source(p)
     _add_seed(p)
     p.add_argument("--budget", type=int, default=50000,
-                   help="total point evaluations across staged scans")
+                   help="cap on points scanned across the staged scans; a "
+                   "stage runs only if it fits")
     p.add_argument("--threshold", type=float, default=NEG_THRESHOLD,
                    help="negativity threshold (default %(default)g)")
     p.set_defaults(func=cmd_witness)

@@ -716,21 +716,50 @@ def _diag_spec(name: str, sources: list, box) -> MetricSpec:
     return MetricSpec(name, n, entries, box)
 
 
+def _projective_spec(name: str, n: int, sign: int) -> MetricSpec:
+    """(delta_ij (1 + sign*S) - sign*conj(z_i) z_j) / (1 + sign*S)^2 with
+    S = |z|^2: Fubini-Study (sign +1, K = +4) or the unit ball (sign -1,
+    K = -4) in n coordinates, on the square box inscribed in |z| <= 0.95."""
+    norm2 = "+".join(f"z{k}*conj(z{k})" for k in range(1, n + 1))
+    den = f"(1{'+' if sign > 0 else '-'}({norm2}))"
+
+    def entry(i: int, j: int) -> Expr:
+        cross = f"conj(z{i})*z{j}"
+        if i == j:
+            num = f"({den}{'-' if sign > 0 else '+'}{cross})"
+        else:
+            num = f"-{cross}" if sign > 0 else cross
+        return parse(f"{num}/{den}^2", n)
+
+    entries = tuple(tuple(entry(i, j) for j in range(1, n + 1))
+                    for i in range(1, n + 1))
+    return MetricSpec(name, n, entries, _square_box(n, DISK_HALF / np.sqrt(n)))
+
+
+def _dimension_arg(head: str, arg) -> int:
+    try:
+        n = int(arg) if arg is not None else 1
+    except ValueError:
+        raise KeyError(f"{head}(n) needs an integer n >= 1, got {arg!r}") from None
+    if n < 1:
+        raise KeyError(f"{head}(n) needs n >= 1")
+    return n
+
+
 def catalog(name: str) -> MetricSpec:
     """Bundled metric by name.
 
     Names: flat(n), poincare, fs_affine, paper_base, paper_fiber,
-    paper_G(lam), warp_demo.  flat takes an integer dimension; paper_G a
-    positive real warp factor (paper_G alone means paper_G(1)).
+    paper_G(lam), warp_demo, fs(n), ball(n).  flat, fs and ball take an
+    integer dimension; paper_G a positive real warp factor (paper_G alone
+    means paper_G(1)).
     """
     m = _CATALOG_RE.match(name.strip())
     if not m:
         raise KeyError(f"malformed catalog name {name!r}")
     head, arg = m.group(1), m.group(2)
     if head == "flat":
-        n = int(arg) if arg is not None else 1
-        if n < 1:
-            raise KeyError("flat(n) needs n >= 1")
+        n = _dimension_arg(head, arg)
         return _diag_spec(f"flat({n})", ["1"] * n, _square_box(n, 1.0))
     if head == "poincare":
         return _diag_spec("poincare", ["1/(1-z1*conj(z1))^2"], _square_box(1, DISK_HALF))
@@ -755,8 +784,11 @@ def catalog(name: str) -> MetricSpec:
         entries = ((parse(_WARP_FIBER_ENTRY, 2), Lit(0j)),
                    (Lit(0j), shift_vars(parse(_BASE_ENTRY, 1), 1)))
         return MetricSpec("warp_demo", 2, entries, _square_box(2, DISK_HALF))
+    if head in ("fs", "ball"):
+        n = _dimension_arg(head, arg)
+        return _projective_spec(f"{head}({n})", n, 1 if head == "fs" else -1)
     raise KeyError(f"unknown catalog name {name!r}")
 
 
 CATALOG_NAMES = ("flat(n)", "poincare", "fs_affine", "paper_base",
-                 "paper_fiber", "paper_G(lam)", "warp_demo")
+                 "paper_fiber", "paper_G(lam)", "warp_demo", "fs(n)", "ball(n)")

@@ -1,13 +1,30 @@
 """Direction minimization of sectional values, chart scans, and witnesses.
 
-The direction optimizer is a probe-then-descend scheme: a batch of random
-metric-unit directions measures the landscape, then multi-start projected
-coordinate descent (shrinking real/imaginary axis steps, renormalizing to
-metric norm 1 after every move, accepting only improvements) refines the
-minimum.  All randomness derives from per-point generator streams seeded
-as [seed, point_index, purpose], so reports are reproducible and adding
-directions or starts only extends the candidate set: minima are monotone
-non-increasing in dirs, starts, and iterations at a fixed seed.
+The direction minimizer is chosen by the metric dimension d alone:
+
+* d = 1 ("closed_form"): K does not depend on the direction, so it is
+  evaluated at the metric-unit direction 1/sqrt(g_11).
+* d = 2 ("exact"): in a g-orthonormal frame (xi = T eta with T = L^{-H}
+  for conj(g) = L L^H) the rank-one matrix eta eta^H of a unit eta is
+  (I + r.sigma)/2 for a point r of the Bloch sphere S^2 (Pauli matrices
+  sigma), and K becomes the quadratic c + b.r + r^T A r on S^2.  Its
+  global minimum is a trust-region boundary problem (More & Sorensen
+  1983; Gander, Golub & von Matt 1989): one 3x3 eigendecomposition of A
+  and a bisection on the secular equation sum beta_i^2/(lam_i - mu)^2 = 1
+  for mu below the smallest eigenvalue.  No randomness is involved.
+* d >= 3 ("descent"): rank-one matrices no longer fill a sphere.  A batch
+  of random metric-unit directions measures the landscape, then
+  multi-start projected coordinate descent (shrinking real/imaginary
+  axis steps, renormalizing to metric norm 1 after every move, accepting
+  only improvements) refines the minimum.  All randomness derives from
+  per-point generator streams seeded as [seed, point_index, purpose], so
+  reports are reproducible and adding directions or starts only extends
+  the candidate set: minima are monotone non-increasing in dirs, starts,
+  and iterations at a fixed seed.  The result is an upper bound.
+
+On every path the reported per-point value is hsc_dirs at the returned
+direction, so each value is attained by its direction and passes the
+kernel's imaginary-part and vanishing-norm guards.
 """
 
 from __future__ import annotations
@@ -80,11 +97,118 @@ def _descend(g: np.ndarray, R: np.ndarray, dirs0: np.ndarray, iters: int):
     return val, dirs
 
 
-def _min_over_dirs(g, R, dirs, starts, iters, seed, point_indices):
-    """Per-point direction minimum for stacked points.
+def minimizer_for(d: int) -> str:
+    """Name of the direction minimizer that runs for a d x d metric."""
+    return {1: "closed_form", 2: "exact"}.get(d, "descent")
 
-    g (P, d, d), R (P, d⁴); returns (values (P,), dirs (P, d)).
+
+def _orthonormal_frame(g, point_indices):
+    """T (P, d, d) with T = L^{-H} for conj(g) = L L^H, so that xi = T eta
+    has metric norm |eta|.  Raises ArithmeticError naming the first point
+    where g is not positive definite."""
+    cg = np.conjugate(g)
+    try:
+        L = np.linalg.cholesky(cg)
+    except np.linalg.LinAlgError:
+        for row, pidx in enumerate(point_indices):
+            try:
+                np.linalg.cholesky(cg[row])
+            except np.linalg.LinAlgError:
+                raise ArithmeticError(
+                    f"metric is not positive definite at point index {int(pidx)}") from None
+        raise
+    return np.conjugate(np.swapaxes(np.linalg.inv(L), -1, -2))
+
+
+# Columns vec(I), vec(sigma_1), vec(sigma_2), vec(sigma_3) (row-major vec),
+# so that vec((I + r.sigma)/2) = _PAULI @ (1, r) / 2.
+_PAULI = np.array([[1, 0, 0, 1],
+                   [0, 1, -1j, 0],
+                   [0, 1, 1j, 0],
+                   [1, 0, 0, -1]], dtype=complex)
+# Bisection halvings of the secular bracket, whose width starts at |beta|:
+# 64 leave it below 2^-64 |beta|, past double precision at the problem scale.
+SECULAR_BISECTIONS = 64
+
+
+def _sphere_quadratic(T, R):
+    """K over unit eta as (1, r)^T Q (1, r) on the Bloch sphere: Q (P, 4, 4)
+    real symmetric, with c = Q[0, 0], b = 2 Q[0, 1:], A = Q[1:, 1:]."""
+    P = T.shape[0]
+    W = (T[:, :, None, :, None] * np.conjugate(T)[:, None, :, None, :]).reshape(P, 4, 4)
+    B = W @ _PAULI  # vec(xi xi^H) = B @ (1, r) / 2
+    H = np.swapaxes(B, -1, -2) @ R.reshape(P, 4, 4) @ B
+    # K = 2 vec(X)^T M vec(X) = (1, r)^T (H / 2) (1, r); real by pair symmetry
+    return 0.25 * (H + np.swapaxes(H, -1, -2)).real
+
+
+def _sphere_minimizer(Q):
+    """Unit r (P, 3) minimizing c + b.r + r^T A r from Q of _sphere_quadratic.
+
+    With A = V diag(lam) V^T and beta = V^T b / 2, the minimizer is
+    r = V y, y_i = -beta_i / (lam_i - mu), where mu <= lam_1 solves
+    sum y_i^2 = 1.  That root lies in [lam_1 - |beta|, lam_1] and is
+    bisected to double precision.  y_1 is then filled to unit norm with the
+    sign of -beta_1, which is exact in the hard case (beta_1 = 0, mu =
+    lam_1) and avoids dividing by a vanishing lam_1 - mu near it.
     """
+    lam, V = np.linalg.eigh(Q[:, 1:, 1:])
+    beta = np.einsum("pki,pk->pi", V, Q[:, 0, 1:])
+    beta2 = beta ** 2
+    lo = lam[:, 0] - np.sqrt(beta2.sum(-1))
+    hi = lam[:, 0].copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(SECULAR_BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            # NaN (0/0 at mid == lam_1 with beta_1 == 0) counts as "not above"
+            above = (beta2 / (lam - mid[:, None]) ** 2).sum(-1) > 1.0
+            hi = np.where(above, mid, hi)
+            lo = np.where(above, lo, mid)
+    gap = lam[:, 1:] - lo[:, None]
+    y = np.zeros_like(lam)
+    np.divide(-beta[:, 1:], gap, out=y[:, 1:], where=gap > 0)
+    rest = 1.0 - (y[:, 1:] ** 2).sum(-1)
+    y[:, 0] = np.where(beta[:, 0] > 0, -1.0, 1.0) * np.sqrt(np.maximum(rest, 0.0))
+    r = np.einsum("pij,pj->pi", V, y)
+    return r / np.linalg.norm(r, axis=-1, keepdims=True)
+
+
+def _bloch_to_unit(r):
+    """A unit eta (P, 2) with eta eta^H = (I + r.sigma)/2, read off the
+    column of that matrix with the larger diagonal entry."""
+    off = 0.5 * (r[:, 0] + 1j * r[:, 1])
+    top = np.sqrt(0.5 * (1.0 + np.abs(r[:, 2])))
+    eta = np.empty((r.shape[0], 2), dtype=complex)
+    upper = r[:, 2] >= 0
+    eta[:, 0] = np.where(upper, top, np.conjugate(off) / top)
+    eta[:, 1] = np.where(upper, off / top, top)
+    return eta
+
+
+def _exact_min(g, R, point_indices):
+    """Global direction minimum for d <= 2; returns (values, dirs)."""
+    T = _orthonormal_frame(g, point_indices)
+    if g.shape[-1] == 1:
+        xi = T[:, :, 0]
+    else:
+        eta = _bloch_to_unit(_sphere_minimizer(_sphere_quadratic(T, R)))
+        xi = np.einsum("pij,pj->pi", T, eta)
+    return hsc_dirs(g, R, xi[:, None, :])[:, 0], xi
+
+
+def _min_over_dirs(g, R, dirs, starts, iters, seed, point_indices):
+    """Per-point direction minimum for stacked points, by minimizer_for(d).
+
+    g (P, d, d), R (P, d⁴); returns (values (P,), dirs (P, d)).  dirs,
+    starts, iters and seed steer only the d >= 3 descent.
+    """
+    if minimizer_for(g.shape[-1]) == "descent":
+        return _probe_and_descend(g, R, dirs, starts, iters, seed, point_indices)
+    return _exact_min(g, R, point_indices)
+
+
+def _probe_and_descend(g, R, dirs, starts, iters, seed, point_indices):
+    """Best of random probes and multi-start descent (an upper bound)."""
     P, d = g.shape[0], g.shape[-1]
     probe = np.empty((P, dirs, d), dtype=complex)
     start_dirs = np.empty((P, starts, d), dtype=complex)
@@ -129,6 +253,7 @@ class ScanReport:
     grid_per_axis: int
     margin: float
     seed: int
+    minimizer: str
     points: np.ndarray = field(repr=False)
     per_point_min: np.ndarray = field(repr=False)
 
@@ -146,6 +271,7 @@ class ScanReport:
             "grid_per_axis": self.grid_per_axis,
             "margin": self.margin,
             "seed": self.seed,
+            "minimizer": self.minimizer,
         }
         if include_points:
             out["per_point_min"] = [float(v) for v in self.per_point_min]
@@ -186,7 +312,8 @@ def scan_chart(spec: dsl.MetricSpec, box=None, grid_per_axis: int = DEFAULT_GRID
                starts: int = DEFAULT_STARTS, iters: int = DEFAULT_ITERS) -> ScanReport:
     """Direction-minimize on a full grid over all 2n real axes of the box.
 
-    The winner is the lexicographically first point attaining the global
+    dirs, starts, iters and seed steer only the descent minimizer (d >= 3);
+    the report names the minimizer that ran.  The winner is the lexicographically first point attaining the global
     minimum (grid order is lexicographic in (re_1, im_1, re_2, ...)).
     """
     if grid_per_axis < 2:
@@ -203,7 +330,8 @@ def scan_chart(spec: dsl.MetricSpec, box=None, grid_per_axis: int = DEFAULT_GRID
         witness_point=tuple(pts[best]), witness_dir=tuple(wdirs[best]),
         points_scanned=int(pts.shape[0]), dirs_per_point=dirs, starts=starts,
         iters=iters, grid_per_axis=grid_per_axis, margin=abs(float(vals[best])),
-        seed=seed, points=pts, per_point_min=vals)
+        seed=seed, minimizer=minimizer_for(spec.dim), points=pts,
+        per_point_min=vals)
 
 
 @dataclass(frozen=True)
@@ -235,15 +363,19 @@ def find_negative_witness(spec: dsl.MetricSpec, box=None, budget: int = 50000,
                           seed: int = 0, threshold: float = NEG_THRESHOLD):
     """Search scans of increasing resolution for K < threshold.
 
-    Returns a NegativeWitness or None once `budget` points have been
-    examined without one.  None is an absence of evidence, not a
+    A stage runs only if its grid fits in what is left of `budget` points,
+    so at most `budget` points are scanned; a budget below the first
+    stage's size raises ValueError.  Returns a NegativeWitness or None
+    once no further stage fits.  None is an absence of evidence, not a
     positivity proof.
     """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
+    first = _WITNESS_STAGES[0][0] ** (2 * spec.n)
+    if budget < first:
+        raise ValueError(f"budget {budget} is below the {first} points of the "
+                         f"first witness stage for {spec.n} coordinates")
     scanned = 0
     for stage, (grid, dirs, starts, iters) in enumerate(_WITNESS_STAGES):
-        if scanned >= budget:
+        if scanned + grid ** (2 * spec.n) > budget:
             break
         rep = scan_chart(spec, box=box, grid_per_axis=grid, dirs=dirs,
                          seed=seed + stage, starts=starts, iters=iters)

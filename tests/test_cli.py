@@ -101,6 +101,7 @@ def test_scan_writes_csv(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "index,re1,im1,min_hsc"
     assert len(lines) == 1 + rep["scan"]["points_scanned"]
+    assert rep["scan"]["minimizer"] == "closed_form"
 
 
 def test_warp_demo_checks(capsys):
@@ -149,6 +150,9 @@ def test_version_flag(capsys):
     ("scan", "--catalog", "poincare", "--box", "nan:1:0:1"),
     ("scan", "--catalog", "poincare", "--box", "1:0:0:1"),
     ("curvature", "--catalog", "poincare", "--point", "0,0", "--dir", "0,0"),
+    ("witness", "--catalog", "warp_demo", "--budget", "100"),
+    ("example1", "--budget", "600"),
+    ("scan", "--catalog", "fs(x)"),
 ])
 def test_usage_errors_exit_two(capsys, argv):
     with pytest.raises(SystemExit) as err:

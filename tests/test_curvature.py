@@ -21,6 +21,7 @@ from hsclab.curvature import (IllConditionedError, PointOutsideBoxError,
                               curvature, curvature_at, gaussian_curvature_1d,
                               hsc_dirs, metric_jet, metric_jet_from_fd,
                               pair_symmetry_defect, restrict)
+from hsclab.positivity import scan_chart
 from hsclab.wirtinger import SingularPointError
 
 
@@ -41,6 +42,23 @@ def test_constant_curvature(name, value):
     mj, tensor = curvature_at(spec, pts)
     vals = hsc_dirs(mj.g, tensor.R, _random_dirs(np.random.default_rng(4), 50, 1))
     np.testing.assert_allclose(vals[:, 0], value, atol=1e-9)
+
+
+@pytest.mark.parametrize("name,value", [("fs(2)", 4.0), ("fs(3)", 4.0),
+                                        ("ball(2)", -4.0), ("ball(3)", -4.0)])
+def test_constant_curvature_non_diagonal(name, value):
+    # fs(n) and ball(n) have off-diagonal entries and constant K = +4, -4
+    spec = dsl.catalog(name)
+    pts = _sample(spec, 40, 3)
+    mj, tensor = curvature_at(spec, pts)
+    rng = np.random.default_rng(4)
+    dirs = rng.standard_normal((40, 5, spec.n)) + 1j * rng.standard_normal((40, 5, spec.n))
+    np.testing.assert_allclose(hsc_dirs(mj.g, tensor.R, dirs), value, atol=1e-8)
+    # n = 2 scans through the exact minimizer, n = 3 through descent
+    rep = scan_chart(spec, grid_per_axis=3 if spec.n == 2 else 2, dirs=4,
+                     starts=2, iters=40)
+    assert rep.minimizer == ("exact" if spec.n == 2 else "descent")
+    np.testing.assert_allclose(rep.per_point_min, value, atol=1e-8)
 
 
 def test_flat_metric_has_zero_tensor():

@@ -115,7 +115,7 @@ def test_box_grid_covers_corners():
 
 def test_catalog_names_resolve():
     for name in ("flat(2)", "poincare", "fs_affine", "paper_base",
-                 "paper_fiber", "paper_G(2)", "warp_demo"):
+                 "paper_fiber", "paper_G(2)", "warp_demo", "fs(3)", "ball(3)"):
         spec = catalog(name)
         assert isinstance(spec, MetricSpec)
 
@@ -125,6 +125,10 @@ def test_catalog_rejects_unknown():
         catalog("nonsense")
     with pytest.raises(KeyError):
         catalog("paper_G(-1)")
+    with pytest.raises(KeyError):
+        catalog("ball(0)")
+    with pytest.raises(KeyError):
+        catalog("fs(x)")
 
 
 def test_family_flag():
@@ -135,7 +139,7 @@ def test_family_flag():
 
 def test_validate_accepts_bundled_metrics():
     for name in ("poincare", "fs_affine", "paper_base", "paper_G(1)",
-                 "warp_demo"):
+                 "warp_demo", "fs(3)", "ball(3)"):
         rep = validate(catalog(name), samples=200)
         assert rep.min_eigenvalue > 0
         assert rep.hermitian_defect <= dsl.HERMITIAN_TOL

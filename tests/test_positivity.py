@@ -1,7 +1,11 @@
 import numpy as np
+import pytest
 
-from hsclab import dsl
-from hsclab.positivity import (find_negative_witness, min_hsc_at_point,
+from hsclab import dsl, positivity, warp
+from hsclab.acceptance import exact_minimum_specs
+from hsclab.curvature import curvature, hsc_dirs, metric_jet
+from hsclab.positivity import (_min_over_dirs, _probe_and_descend,
+                               find_negative_witness, min_hsc_at_point,
                                scan_chart, scan_to_csv)
 
 # box corner of the bundled disk charts: |z|^2 = 2*(0.95/sqrt(2))^2 = 0.9025
@@ -71,3 +75,115 @@ def test_witness_dict_is_json_clean():
     import json
     w = find_negative_witness(dsl.catalog("poincare"), budget=200)
     json.dumps(w.as_dict())
+
+
+# Pauli matrices: eta eta^H = (I + r.sigma)/2 for unit eta, r_k = eta^H sigma_k eta.
+SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def _sphere_quadratic_tensor(Amap, c, b, A):
+    """(g, R) at one point with K(xi) = c + b.r + r^T A r, where r is the
+    Bloch vector of eta = Amap xi / |Amap xi|.
+
+    Built from the products (eta^H P eta)(eta^H Q eta), whose tensor in
+    R[i,j,k,l] xi_i conj(xi_j) xi_k conj(xi_l) is P^T (x) Q^T.
+    """
+    g = np.conjugate(Amap.conj().T @ Amap)
+    unit = Amap.conj().T @ Amap
+    pulled = [Amap.conj().T @ s @ Amap for s in SIGMA]
+    outer = lambda P, Q: np.einsum("ab,ce->abce", P.T, Q.T)
+    R = c * outer(unit, unit)
+    for k in range(3):
+        R = R + b[k] * outer(pulled[k], unit)
+        for l in range(3):
+            R = R + A[k, l] * outer(pulled[k], pulled[l])
+    return g[None], 0.5 * R[None]
+
+
+def _hard_case(beta1):
+    """A prescribed quadratic with beta = (beta1, 0.6, 0.9) in the eigenbasis
+    of A; at beta1 = 0 the minimum is c + lam_1 - sum_{i>1} beta_i^2 /
+    (lam_i - lam_1) = -1.21, and it moves by at most 2|beta1|."""
+    rng = np.random.default_rng(11)
+    V, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    lam = np.array([-1.0, 0.5, 2.0])
+    beta = np.array([beta1, 0.6, 0.9])
+    Amap = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) + 2 * np.eye(2)
+    g, R = _sphere_quadratic_tensor(Amap, 0.3, 2 * V @ beta, V @ np.diag(lam) @ V.T)
+    return g, R, 0.3 + lam[0] - (beta[1] ** 2 / (lam[1] - lam[0])
+                                 + beta[2] ** 2 / (lam[2] - lam[0]))
+
+
+@pytest.mark.parametrize("beta1", [0.0, 1e-13])
+def test_exact_minimum_hard_and_near_hard_case(beta1):
+    g, R, analytic = _hard_case(beta1)
+    vals, dirs = _min_over_dirs(g, R, 0, 0, 0, 0, [0])
+    assert abs(vals[0] - analytic) <= 1e-12
+    # the value is attained by the returned metric-unit direction
+    assert abs(hsc_dirs(g, R, dirs[:, None])[0, 0] - vals[0]) <= 1e-15
+    assert abs(np.real(dirs[0] @ g[0] @ dirs[0].conj()) - 1.0) <= 1e-12
+
+
+def test_closed_form_path_in_one_dimension():
+    g = np.array([[[2.5 + 0j]], [[0.4 + 0j]]])
+    R = np.array([-1.5, 0.2]).reshape(2, 1, 1, 1, 1) + 0j
+    vals, dirs = _min_over_dirs(g, R, 64, 8, 200, 0, [0, 1])
+    np.testing.assert_allclose(dirs[:, 0], 1 / np.sqrt([2.5, 0.4]), rtol=1e-15)
+    np.testing.assert_allclose(vals, 2 * np.array([-1.5, 0.2]) / np.array([2.5, 0.4]) ** 2,
+                               rtol=1e-14)
+
+
+def test_non_positive_metric_names_the_point():
+    g = np.array([np.eye(2), [[1.0, 2.0], [2.0, 1.0]]], dtype=complex)
+    R = np.zeros((2, 2, 2, 2, 2), dtype=complex)
+    with pytest.raises(ArithmeticError, match="point index 9"):
+        _min_over_dirs(g, R, 4, 1, 10, 0, [7, 9])
+
+
+def _grid_tensor(spec):
+    pts = dsl.box_grid(spec.box, 3)
+    mj = metric_jet(spec, pts)
+    return mj.g, curvature(mj).R, range(len(pts))
+
+
+@pytest.mark.parametrize("spec", exact_minimum_specs(), ids=lambda s: s.name)
+def test_exact_minimum_is_a_true_minimum(spec):
+    g, R, idx = _grid_tensor(spec)
+    exact, _ = _min_over_dirs(g, R, 0, 0, 0, 0, idx)
+    scale = np.maximum(1.0, np.abs(exact))
+    # never above probe plus multi-start descent at scan defaults
+    descent, _ = _probe_and_descend(g, R, 64, 8, 200, 0, idx)
+    assert np.all(exact <= descent + 1e-12 * scale)
+    # no brute-force direction on S^2 (uniform on the unit sphere of C^2)
+    # falls below it
+    rng = np.random.default_rng(5)
+    dirs = rng.standard_normal((len(idx), 4000, 2)) + 1j * rng.standard_normal((len(idx), 4000, 2))
+    assert np.all(hsc_dirs(g, R, dirs).min(axis=1) >= exact - 1e-12 * scale)
+
+
+@pytest.mark.parametrize("name,minimizer", [("poincare", "closed_form"),
+                                            ("warp_demo", "exact"),
+                                            ("ball(3)", "descent")])
+def test_report_names_the_minimizer(name, minimizer):
+    rep = scan_chart(dsl.catalog(name), grid_per_axis=2, dirs=4, starts=1, iters=5)
+    assert rep.minimizer == minimizer
+    assert rep.as_dict()["minimizer"] == minimizer
+
+
+def test_witness_budget_is_a_cap(monkeypatch):
+    sizes = []
+    real_scan = positivity.scan_chart
+
+    def counting_scan(*args, **kwargs):
+        rep = real_scan(*args, **kwargs)
+        sizes.append(rep.points_scanned)
+        return rep
+
+    monkeypatch.setattr(positivity, "scan_chart", counting_scan)
+    # stages of 25, 81 and 169 points: the second would overrun 100
+    assert find_negative_witness(dsl.catalog("fs_affine"), budget=100) is None
+    assert sum(sizes) == 25
+    with pytest.raises(ValueError, match="first witness stage"):
+        find_negative_witness(dsl.catalog("fs_affine"), budget=24)
+    with pytest.raises(ValueError):
+        find_negative_witness(warp.assemble(warp.warp_demo_fibration(), 1.0), budget=624)
