@@ -91,7 +91,9 @@ def _sphere_quadratic_tensor(Amap, c, b, A):
     g = np.conjugate(Amap.conj().T @ Amap)
     unit = Amap.conj().T @ Amap
     pulled = [Amap.conj().T @ s @ Amap for s in SIGMA]
-    outer = lambda P, Q: np.einsum("ab,ce->abce", P.T, Q.T)
+    def outer(P, Q):
+        return np.einsum("ab,ce->abce", P.T, Q.T)
+
     R = c * outer(unit, unit)
     for k in range(3):
         R = R + b[k] * outer(pulled[k], unit)
