@@ -15,8 +15,8 @@ import json
 import numpy as np
 
 from . import __version__, certify, dsl, positivity, warp, wirtinger
-from .curvature import (MetricJet, curvature, gaussian_curvature_1d, hsc_dirs,
-                        metric_jet, metric_jet_from_fd)
+from .curvature import (MetricJet, curvature, entry_jet_1d, gaussian_curvature_1d,
+                        gaussian_from_jet, hsc_dirs, metric_jet, metric_jet_from_fd)
 
 ONE_DIM_CATALOG = ("flat(1)", "poincare", "fs_affine", "paper_base")
 
@@ -255,10 +255,10 @@ def check_pencil_suite(seed: int) -> dict:
                 worst = max(worst, abs(closed - direct) / max(1.0, abs(direct)))
 
     gs, hs = dsl.catalog("poincare"), dsl.catalog("fs_affine")
-    g, gz, gzbar, gzz = certify._entry_jet_scalars(gs, 0j)
-    h, hz, hzbar, hzz = certify._entry_jet_scalars(hs, 0j)
-    kg = gaussian_curvature_1d(gs, 0j)
-    kh = gaussian_curvature_1d(hs, 0j)
+    g, gz, gzbar, gzz = entry_jet_1d(gs, 0j)
+    h, hz, hzbar, hzz = entry_jet_1d(hs, 0j)
+    kg = gaussian_from_jet(g, gz, gzbar, gzz)
+    kh = gaussian_from_jet(h, hz, hzbar, hzz)
     # Pencil numerator as a quadratic in lam; its positive root is the
     # independently computed threshold the search must reproduce.
     a2 = h.real ** 3 * kh

@@ -31,7 +31,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import dsl
-from .curvature import gaussian_curvature_1d, pair_symmetry_defect, quartic
+from .curvature import (entry_jet_1d, gaussian_curvature_1d, gaussian_from_jet,
+                        pair_symmetry_defect, quartic)
 
 BOUND_TOL = 1e-9
 
@@ -123,12 +124,12 @@ def choose_weights(fiber_lower: float, mixed_bound: float, n: int, s: int) -> We
 def weight_identities(fiber_lower, mixed_bound, n: int, s: int) -> dict:
     """Exact-rational facts about the equalized choice: every constraint
     term equals r/8, their sum equals r/2, and the split constant matches
-    its defining formula."""
-    sqs, terms, r, kcal = _exact_weights(fiber_lower, mixed_bound, n, s)
-    a_sq, b_sq, c_sq, d_sq = sqs
+    its closed form in r = K0/K1 and u = n - s, which never reads the
+    weights."""
+    _, terms, r, kcal = _exact_weights(fiber_lower, mixed_bound, n, s)
     u = n - s
-    kcal_ref = (4 / a_sq * s * u ** 2 + 4 * s * u
-                + 6 / b_sq * s ** 2 + 4 / (c_sq * d_sq) * s ** 3)
+    kcal_ref = (128 * s * u ** 5 / r + 4 * s * u + 288 * s ** 2 * u ** 2 / r
+                + 131072 * s ** 7 * u ** 3 / r ** 3)
     return {
         "terms_equalized": all(t == r / 8 for t in terms),
         "constraint_sum_is_half_ratio": sum(terms) == r / 2,
@@ -317,15 +318,6 @@ def split_bound_check(t: BoundedBlockTensor, w: WeightChoice,
 # 1-D pencils g + lam*h
 
 
-def _entry_jet_scalars(spec: dsl.MetricSpec, point):
-    if spec.n != 1 or spec.dim != 1:
-        raise ValueError("pencil operations take one-coordinate metrics")
-    pts = np.asarray(point, dtype=complex).reshape(1, 1)
-    jet = dsl.eval_jet(spec.entries[0][0], 1, pts)
-    return (complex(jet.value[0]), complex(jet.d[0, 0]),
-            complex(jet.dbar[0, 0]), complex(jet.ddbar[0, 0, 0]))
-
-
 def pencil_curvature_from_jets(g, gz, gzbar, gzz, kg,
                                h, hz, hzbar, hzz, kh, lam: float) -> float:
     """The closed-form curvature of g + lam*h from entry jets and the two
@@ -340,12 +332,9 @@ def pencil_curvature_from_jets(g, gz, gzbar, gzz, kg,
 def pencil_curvature(gspec: dsl.MetricSpec, hspec: dsl.MetricSpec,
                      point, lam: float) -> float:
     """Closed-form curvature of the 1-D pencil at `point`."""
-    g, gz, gzbar, gzz = _entry_jet_scalars(gspec, point)
-    h, hz, hzbar, hzz = _entry_jet_scalars(hspec, point)
-    kg = gaussian_curvature_1d(gspec, point)
-    kh = gaussian_curvature_1d(hspec, point)
-    return pencil_curvature_from_jets(g, gz, gzbar, gzz, kg,
-                                      h, hz, hzbar, hzz, kh, lam)
+    gj, hj = entry_jet_1d(gspec, point), entry_jet_1d(hspec, point)
+    return pencil_curvature_from_jets(*gj, gaussian_from_jet(*gj),
+                                      *hj, gaussian_from_jet(*hj), lam)
 
 
 def pencil_spec(gspec: dsl.MetricSpec, hspec: dsl.MetricSpec, lam: float,
@@ -384,16 +373,15 @@ def pencil_positive_threshold(gspec: dsl.MetricSpec, hspec: dsl.MetricSpec,
     Returns the threshold (the positive end of the final bracket), the
     curvature there, and the persistence samples.
     """
-    kh = gaussian_curvature_1d(hspec, point)
+    hj = entry_jet_1d(hspec, point)
+    kh = gaussian_from_jet(*hj)
     if kh <= 0:
         raise ValueError(f"second metric has nonpositive curvature {kh:.6g} at the point")
-    g, gz, gzbar, gzz = _entry_jet_scalars(gspec, point)
-    h, hz, hzbar, hzz = _entry_jet_scalars(hspec, point)
-    kg = gaussian_curvature_1d(gspec, point)
+    gj = entry_jet_1d(gspec, point)
+    kg = gaussian_from_jet(*gj)
 
     def phi(lam: float) -> float:
-        return pencil_curvature_from_jets(g, gz, gzbar, gzz, kg,
-                                          h, hz, hzbar, hzz, kh, lam)
+        return pencil_curvature_from_jets(*gj, kg, *hj, kh, lam)
 
     lam = PENCIL_SCHEDULE_START
     lo = 0.0

@@ -48,8 +48,14 @@ def parse_complex_vector(text: str, n: int, what: str) -> np.ndarray:
         f"got {len(toks)} values"))
 
 
-def parse_float_list(text: str) -> list[float]:
-    return [float(t) for t in text.split(",") if t.strip()]
+def parse_float_list(text: str, what: str) -> list[float]:
+    try:
+        values = [float(t) for t in text.split(",") if t.strip()]
+    except ValueError as exc:
+        raise SystemExit(_usage(f"could not parse {what} {text!r}: {exc}"))
+    if not values:
+        raise SystemExit(_usage(f"{what} needs at least one value"))
+    return values
 
 
 def _usage(message: str) -> int:
@@ -57,17 +63,19 @@ def _usage(message: str) -> int:
     return 2
 
 
+def _metric_arg(text: str, is_file: bool) -> dsl.MetricSpec:
+    """A catalog name or a metric JSON file; bad input is a usage error."""
+    try:
+        return dsl.load_spec(text) if is_file else dsl.catalog(text)
+    except (OSError, dsl.ParseError, KeyError, ValueError) as exc:
+        raise SystemExit(_usage(f"cannot load metric {text!r}: {exc}"))
+
+
 def _load_metric(args) -> dsl.MetricSpec:
     if getattr(args, "catalog", None):
-        try:
-            return dsl.catalog(args.catalog)
-        except KeyError as exc:
-            raise SystemExit(_usage(str(exc)))
+        return _metric_arg(args.catalog, is_file=False)
     if getattr(args, "file", None):
-        try:
-            return dsl.load_spec(args.file)
-        except (OSError, dsl.ParseError, KeyError, ValueError) as exc:
-            raise SystemExit(_usage(f"cannot load metric file: {exc}"))
+        return _metric_arg(args.file, is_file=True)
     raise SystemExit(_usage("one of --catalog or --file is required"))
 
 
@@ -143,8 +151,11 @@ def cmd_curvature(args) -> int:
 def cmd_scan(args) -> int:
     spec = _load_metric(args)
     box = _parse_box(args.box, spec.n) if args.box else None
-    rep = scan_chart(spec, box=box, grid_per_axis=args.grid, dirs=args.dirs,
-                     seed=args.seed, starts=args.starts, iters=args.iters)
+    try:
+        rep = scan_chart(spec, box=box, grid_per_axis=args.grid, dirs=args.dirs,
+                         seed=args.seed, starts=args.starts, iters=args.iters)
+    except ValueError as exc:
+        raise SystemExit(_usage(str(exc)))
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(scan_to_csv(rep))
@@ -165,6 +176,8 @@ def cmd_witness(args) -> int:
 
 
 def cmd_lemma1(args) -> int:
+    if args.trials < 1:
+        raise SystemExit(_usage("--trials needs an integer >= 1"))
     try:
         w = certify.choose_weights(args.k0, args.k1, args.n, args.s)
     except ValueError as exc:
@@ -202,15 +215,16 @@ def cmd_lemma1(args) -> int:
 
 
 def cmd_lemma2(args) -> int:
-    gspec = dsl.catalog(args.g) if not args.g.endswith(".json") \
-        else dsl.load_spec(args.g)
-    hspec = dsl.catalog(args.h) if not args.h.endswith(".json") \
-        else dsl.load_spec(args.h)
+    gspec = _metric_arg(args.g, is_file=args.g.endswith(".json"))
+    hspec = _metric_arg(args.h, is_file=args.h.endswith(".json"))
+    if gspec.n != 1 or hspec.n != 1:
+        raise SystemExit(_usage("--g and --h must be one-coordinate metrics"))
     point = complex(parse_complex_vector(args.point, 1, "--point")[0])
+    lams = parse_float_list(args.lambdas, "--lambdas")
     payload = {"g": gspec.name, "h": hspec.name, "point": _c2pair(point)}
     try:
         worst = 0.0
-        for lam in parse_float_list(args.lambdas):
+        for lam in lams:
             closed = certify.pencil_curvature(gspec, hspec, point, lam)
             direct = gaussian_curvature_1d(
                 certify.pencil_spec(gspec, hspec, lam), point)
@@ -234,7 +248,10 @@ def cmd_warp(args) -> int:
     f = warp.load_fibration(args.file) if args.file else warp.warp_demo_fibration()
     if args.write_demo:
         warp.save_fibration(warp.warp_demo_fibration(), args.write_demo)
-    assembled = warp.assemble(f, args.lam)
+    try:
+        assembled = warp.assemble(f, args.lam)
+    except ValueError as exc:
+        raise SystemExit(_usage(str(exc)))
     try:
         validation = dsl.validate(assembled, seed=args.seed).as_dict()
     except dsl.MetricError as exc:
@@ -268,12 +285,12 @@ def cmd_warp(args) -> int:
 
 
 def cmd_example1(args) -> int:
-    lams = tuple(parse_float_list(args.lambdas))
+    lams = tuple(parse_float_list(args.lambdas, "--lambdas"))
     try:
         rep = warp.family_negativity_report(lam_values=lams,
                                             fiber_samples=args.fibers,
                                             seed=args.seed, budget=args.budget)
-    except ValueError as exc:  # a witness budget below the first stage
+    except (ValueError, KeyError) as exc:  # a budget or a lam it rejects
         raise SystemExit(_usage(str(exc)))
     ok = (rep["base"]["positive"] and rep["fiber_min"] >= -1e-8
           and rep["fiber_origin_max_abs"] <= 1e-9 and rep["all_negative"])

@@ -24,11 +24,12 @@ matrix X = xi xi^H, and the denominator once, in `metric_norm2`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import dsl
-from .wirtinger import DIV_EPS, SingularPointError
+from .wirtinger import DIV_EPS, FD_STEP, SingularPointError, fd_jet
 
 COND_LIMIT = 1e12
 PAIR_SYMMETRY_TOL = 1e-10
@@ -68,21 +69,14 @@ class CurvatureTensor:
     points: np.ndarray
 
 
-def metric_jet(spec: dsl.MetricSpec, points, check_box: bool = True) -> MetricJet:
-    """Evaluate all entry jets of an honest (d == n) metric at points (..., n)."""
+def _metric_jet(spec: dsl.MetricSpec, pts: np.ndarray, entry_jet) -> MetricJet:
+    """Place entry_jet(expr), a Jet2 over the batch of pts, for every entry."""
     if spec.is_family:
         raise ValueError(
             f"{spec.name} is a metric family ({spec.dim} of {spec.n} coordinates "
             "are metric directions); restrict the parameters to constants first")
-    pts = np.asarray(points, dtype=complex)
-    if pts.shape[-1] != spec.n:
+    if pts.shape[-1:] != (spec.n,):
         raise ValueError(f"points must have {spec.n} coordinates")
-    if check_box:
-        flat = pts.reshape(-1, spec.n)
-        outside = np.flatnonzero(~dsl.box_contains(spec.box, flat))
-        if outside.size:
-            row = flat[outside[0]]
-            raise PointOutsideBoxError(f"point {row.tolist()} outside box of {spec.name}")
     n = spec.n
     batch = pts.shape[:-1]
     g = np.empty(batch + (n, n), dtype=complex)
@@ -91,7 +85,7 @@ def metric_jet(spec: dsl.MetricSpec, points, check_box: bool = True) -> MetricJe
     ddbarg = np.empty(batch + (n, n, n, n), dtype=complex)
     for i in range(n):
         for j in range(n):
-            jet = dsl.eval_jet(spec.entries[i][j], n, pts)
+            jet = entry_jet(spec.entries[i][j])
             g[..., i, j] = jet.value
             dg[..., i, j, :] = jet.d
             dbarg[..., i, j, :] = jet.dbar
@@ -99,32 +93,24 @@ def metric_jet(spec: dsl.MetricSpec, points, check_box: bool = True) -> MetricJe
     return MetricJet(n, g, dg, dbarg, ddbarg, pts)
 
 
-def metric_jet_from_fd(spec: dsl.MetricSpec, points, step: float = None) -> MetricJet:
-    """Same arrays as metric_jet but via the finite-difference oracle."""
-    from .wirtinger import FD_STEP, fd_jet
-
-    if spec.is_family:
-        raise ValueError("restrict the parameters to constants first")
+def metric_jet(spec: dsl.MetricSpec, points, check_box: bool = True) -> MetricJet:
+    """Evaluate all entry jets of an honest (d == n) metric at points (..., n)."""
     pts = np.asarray(points, dtype=complex)
-    batch = pts.shape[:-1]
-    n = spec.n
-    h = FD_STEP if step is None else step
-    g = np.empty(batch + (n, n), dtype=complex)
-    dg = np.empty(batch + (n, n, n), dtype=complex)
-    dbarg = np.empty(batch + (n, n, n), dtype=complex)
-    ddbarg = np.empty(batch + (n, n, n, n), dtype=complex)
-    flat = pts.reshape(-1, n)
-    for idx, row in enumerate(flat):
-        where = np.unravel_index(idx, batch) if batch else ()
-        for i in range(n):
-            for j in range(n):
-                f = lambda z, e=spec.entries[i][j]: dsl.eval_value(e, z)
-                jet = fd_jet(f, row, step=h)
-                g[where + (i, j)] = jet.value
-                dg[where + (i, j)] = jet.d
-                dbarg[where + (i, j)] = jet.dbar
-                ddbarg[where + (i, j)] = jet.ddbar
-    return MetricJet(n, g, dg, dbarg, ddbarg, pts)
+    # _metric_jet rejects a family or a wrong coordinate count first.
+    if check_box and not spec.is_family and pts.shape[-1:] == (spec.n,):
+        flat = pts.reshape(-1, spec.n)
+        outside = np.flatnonzero(~dsl.box_contains(spec.box, flat))
+        if outside.size:
+            row = flat[outside[0]]
+            raise PointOutsideBoxError(f"point {row.tolist()} outside box of {spec.name}")
+    return _metric_jet(spec, pts, lambda e: dsl.eval_jet(e, spec.n, pts))
+
+
+def metric_jet_from_fd(spec: dsl.MetricSpec, points, step: float = FD_STEP) -> MetricJet:
+    """Same arrays as metric_jet but via the finite-difference oracle."""
+    pts = np.asarray(points, dtype=complex)
+    return _metric_jet(spec, pts,
+                       lambda e: fd_jet(partial(dsl.eval_value, e), pts, step=step))
 
 
 def pair_symmetry_defect(R: np.ndarray) -> float:
@@ -192,25 +178,32 @@ def curvature_at(spec: dsl.MetricSpec, points, check_box: bool = True):
     return mj, curvature(mj)
 
 
-def gaussian_curvature_1d(spec: dsl.MetricSpec, point) -> float:
-    """-(2/g) * (d2 log g / dz dzbar) for a one-coordinate metric.
+def entry_jet_1d(spec: dsl.MetricSpec, point) -> tuple:
+    """(g, g_z, g_zbar, g_zzbar) of a one-coordinate metric at a point."""
+    if spec.n != 1 or spec.dim != 1:
+        raise ValueError("defined for one-coordinate metrics only")
+    pts = np.asarray(point, dtype=complex).reshape(1, 1)
+    jet = dsl.eval_jet(spec.entries[0][0], 1, pts)
+    return (complex(jet.value[0]), complex(jet.d[0, 0]),
+            complex(jet.dbar[0, 0]), complex(jet.ddbar[0, 0, 0]))
+
+
+def gaussian_from_jet(g, gz, gzbar, gzz) -> float:
+    """-(2/g) * (d2 log g / dz dzbar) from the scalars of entry_jet_1d.
 
     The log derivative expands through the jet slots as
     g_zzbar/g - g_z g_zbar/g^2, so no log primitive is needed.  Equals the
     sectional value of the same metric at the same point.
     """
-    if spec.n != 1 or spec.dim != 1:
-        raise ValueError("defined for one-coordinate metrics only")
-    pts = np.asarray(point, dtype=complex).reshape(1, 1)
-    jet = dsl.eval_jet(spec.entries[0][0], 1, pts)
-    gval = complex(jet.value[0])
-    if abs(gval) <= DIV_EPS:
+    if abs(g) <= DIV_EPS:
         raise SingularPointError("metric value vanishes at the point")
-    gz = complex(jet.d[0, 0])
-    gzbar = complex(jet.dbar[0, 0])
-    gzz = complex(jet.ddbar[0, 0, 0])
-    val = -2.0 * gzz / gval ** 2 + 2.0 * gz * gzbar / gval ** 3
+    val = -2.0 * gzz / g ** 2 + 2.0 * gz * gzbar / g ** 3
     return float(val.real)
+
+
+def gaussian_curvature_1d(spec: dsl.MetricSpec, point) -> float:
+    """Gaussian curvature of a one-coordinate metric at a point."""
+    return gaussian_from_jet(*entry_jet_1d(spec, point))
 
 
 def restrict(spec: dsl.MetricSpec, fixed: dict, name: str | None = None) -> dsl.MetricSpec:

@@ -773,9 +773,12 @@ def catalog(name: str) -> MetricSpec:
         return MetricSpec("paper_fiber", 2, ((parse(_FIBER_ENTRY, 2),),),
                           _square_box(2, DISK_HALF))
     if head == "paper_G":
-        lam = float(arg) if arg else 1.0
-        if not lam > 0:
-            raise KeyError("paper_G(lam) needs lam > 0")
+        try:
+            lam = float(arg) if arg else 1.0
+        except ValueError:
+            raise KeyError(f"paper_G(lam) needs a real lam > 0, got {arg!r}") from None
+        if not 0 < lam < np.inf:
+            raise KeyError("paper_G(lam) needs a finite lam > 0")
         base = scale_expr(lam, shift_vars(parse(_BASE_ENTRY, 1), 1))
         entries = ((parse(_FIBER_ENTRY, 2), Lit(0j)), (Lit(0j), base))
         label = f"paper_G({_fmt_real(lam)})"

@@ -359,6 +359,15 @@ class NegativeWitness:
 _WITNESS_STAGES = ((5, 32, 4, 120), (9, 64, 8, 200), (13, 96, 8, 200))
 
 
+def check_witness_budget(n: int, budget: int) -> None:
+    """Raise ValueError when budget is below the first witness stage's
+    points on an n-coordinate chart."""
+    first = _WITNESS_STAGES[0][0] ** (2 * n)
+    if budget < first:
+        raise ValueError(f"budget {budget} is below the {first} points of the "
+                         f"first witness stage for {n} coordinates")
+
+
 def find_negative_witness(spec: dsl.MetricSpec, box=None, budget: int = 50000,
                           seed: int = 0, threshold: float = NEG_THRESHOLD):
     """Search scans of increasing resolution for K < threshold.
@@ -369,10 +378,7 @@ def find_negative_witness(spec: dsl.MetricSpec, box=None, budget: int = 50000,
     once no further stage fits.  None is an absence of evidence, not a
     positivity proof.
     """
-    first = _WITNESS_STAGES[0][0] ** (2 * spec.n)
-    if budget < first:
-        raise ValueError(f"budget {budget} is below the {first} points of the "
-                         f"first witness stage for {spec.n} coordinates")
+    check_witness_budget(spec.n, budget)
     scanned = 0
     for stage, (grid, dirs, starts, iters) in enumerate(_WITNESS_STAGES):
         if scanned + grid ** (2 * spec.n) > budget:

@@ -28,8 +28,8 @@ import numpy as np
 from . import dsl
 from .curvature import (curvature, gaussian_curvature_1d, hsc_dirs,
                         metric_jet, metric_norm2, quartic, restrict)
-from .positivity import (NEG_THRESHOLD, _c2pair, find_negative_witness,
-                         scan_chart)
+from .positivity import (NEG_THRESHOLD, _c2pair, check_witness_budget,
+                         find_negative_witness, scan_chart)
 
 LAMBDA_MAX = float(2 ** 30)
 MU0_MAX_EXPONENT = 40
@@ -477,12 +477,18 @@ def family_negativity_report(lam_values=(0.5, 1.0, 5.0, 50.0),
         depend on lam).
     (c) Still, for every lam in lam_values the assembled metric admits a
         direction of negative holomorphic sectional curvature.
+
+    A lam the catalog rejects (KeyError) or a budget below the first
+    witness stage (ValueError) is refused before any scan runs.
     """
+    specs = [dsl.catalog(f"paper_G({dsl._fmt_real(float(lam))})")
+             for lam in lam_values]
+    g1 = dsl.catalog("paper_G(1)")
+    check_witness_budget(g1.n, budget)
     base = dsl.catalog("paper_base")
     base_scan = scan_chart(base, grid_per_axis=11, dirs=2, seed=seed,
                            starts=1, iters=1)
     rng = np.random.default_rng([seed, 41])
-    g1 = dsl.catalog("paper_G(1)")
     fiber_box = g1.box[1:]
     fibers = []
     for _ in range(fiber_samples):
@@ -496,8 +502,7 @@ def family_negativity_report(lam_values=(0.5, 1.0, 5.0, 50.0),
             "origin_hsc": gaussian_curvature_1d(sub, 0j),
         })
     witnesses = []
-    for lam in lam_values:
-        spec = dsl.catalog(f"paper_G({dsl._fmt_real(float(lam))})")
+    for lam, spec in zip(lam_values, specs):
         w = find_negative_witness(spec, budget=budget, seed=seed)
         witnesses.append({
             "lam": float(lam),

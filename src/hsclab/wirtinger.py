@@ -20,14 +20,15 @@ object can represent the same function evaluated at many points at once;
 every rule below is written with numpy broadcasting over that batch.
 
 `fd_jet` builds the same data from central finite differences of a plain
-point evaluator.  It is the independent oracle the algebraic rules are
-tested against, so it must never share code with them.
+batch evaluator, which receives the whole stencil at every point in one
+call.  It is the independent oracle the algebraic rules are tested
+against, so it must never share code with them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -198,9 +199,9 @@ def seed(n: int, point, index: int, conjugate: bool = False) -> Jet2:
                 np.zeros(batch + (n, n), dtype=complex))
 
 
-def fd_jet(f: Callable[[np.ndarray], complex], point: Sequence[complex],
+def fd_jet(f: Callable[[np.ndarray], np.ndarray], points,
            step: float = FD_STEP) -> Jet2:
-    """Second-order central-difference jet of a point evaluator.
+    """Second-order central-difference jets of a batch evaluator.
 
     The function is sampled on the 2n real coordinates (x_k, y_k) with
     z_k = x_k + i y_k, and the Wirtinger slots are assembled from the
@@ -211,53 +212,38 @@ def fd_jet(f: Callable[[np.ndarray], complex], point: Sequence[complex],
         d2/dz_k dzbar_l = (H[x_k,x_l] + H[y_k,y_l]
                            + i (H[x_k,y_l] - H[y_k,x_l])) / 4
 
-    Parameters
-    ----------
-    f : maps a length-n complex vector to a complex value.
-    point : length-n complex vector.
-    step : real step h for the central stencils.
-
-    This is the oracle implementation: it never touches the algebraic
-    propagation rules above.
+    `f` maps complex points (..., n) to values (...), or to a scalar that
+    is broadcast; `points` has shape (..., n) and `step` is the real step
+    h.  The whole stencil (the centre, +-h along each real axis, and the
+    four corners of each pair of axes) goes to `f` in one call.  This is
+    the oracle implementation: it touches only `f` and the stencil, never
+    the algebraic propagation rules above.
     """
-    p = np.asarray(point, dtype=complex).reshape(-1)
-    n = p.size
-    x0 = np.concatenate([p.real, p.imag])
-
-    def ev(x: np.ndarray) -> complex:
-        return complex(f(x[:n] + 1j * x[n:]))
-
-    h = float(step)
+    pts = np.asarray(points, dtype=complex)
+    n = pts.shape[-1]
     m = 2 * n
-    f0 = ev(x0)
+    h = float(step)
+    axes = h * np.concatenate([np.eye(n), 1j * np.eye(n)])
+    ia, ib = np.triu_indices(m, 1)
+    offsets = np.concatenate([
+        np.zeros((1, n)), axes, -axes,
+        axes[ia] + axes[ib], axes[ia] - axes[ib],
+        -axes[ia] + axes[ib], -axes[ia] - axes[ib]])
+    vals = np.broadcast_to(np.asarray(f(pts[..., None, :] + offsets), dtype=complex),
+                           pts.shape[:-1] + offsets.shape[:1])
+    f0 = vals[..., 0]
+    fp, fm, fpp, fpm, fmp, fmm = np.split(
+        vals[..., 1:], np.cumsum([m, m, ia.size, ia.size, ia.size]), axis=-1)
 
-    def shifted(a: int, sa: float, b: int | None = None, sb: float = 0.0):
-        x = x0.copy()
-        x[a] += sa
-        if b is not None:
-            x[b] += sb
-        return ev(x)
+    grad = (fp - fm) / (2 * h)
+    hess = np.empty(pts.shape[:-1] + (m, m), dtype=complex)
+    diag = np.arange(m)
+    hess[..., diag, diag] = (fp - 2 * f0[..., None] + fm) / (h * h)
+    hess[..., ia, ib] = hess[..., ib, ia] = (fpp - fpm - fmp + fmm) / (4 * h * h)
 
-    grad = np.empty(m, dtype=complex)
-    hess = np.empty((m, m), dtype=complex)
-    for a in range(m):
-        fp = shifted(a, h)
-        fm = shifted(a, -h)
-        grad[a] = (fp - fm) / (2 * h)
-        hess[a, a] = (fp - 2 * f0 + fm) / (h * h)
-    for a in range(m):
-        for b in range(a + 1, m):
-            val = (shifted(a, h, b, h) - shifted(a, h, b, -h)
-                   - shifted(a, -h, b, h) + shifted(a, -h, b, -h)) / (4 * h * h)
-            hess[a, b] = val
-            hess[b, a] = val
-
-    dx, dy = grad[:n], grad[n:]
+    dx, dy = grad[..., :n], grad[..., n:]
     d = (dx - 1j * dy) / 2.0
     dbar = (dx + 1j * dy) / 2.0
-    hxx = hess[:n, :n]
-    hyy = hess[n:, n:]
-    hxy = hess[:n, n:]
-    hyx = hess[n:, :n]
-    ddbar = (hxx + hyy + 1j * (hxy - hyx)) / 4.0
-    return Jet2(n, np.asarray(f0, dtype=complex), d, dbar, ddbar)
+    ddbar = (hess[..., :n, :n] + hess[..., n:, n:]
+             + 1j * (hess[..., :n, n:] - hess[..., n:, :n])) / 4.0
+    return Jet2(n, f0.copy(), d, dbar, ddbar)

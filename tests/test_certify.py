@@ -29,7 +29,7 @@ def test_reference_weight_tuple():
     assert w.base_required == 312.0  # ratio times a unit mixed bound
 
 
-def test_weight_identities_exact_for_random_inputs():
+def test_weight_identities_exact_for_random_inputs(monkeypatch):
     rng = np.random.default_rng(21)
     for _ in range(25):
         k0 = float(rng.uniform(0.1, 20.0))
@@ -41,6 +41,21 @@ def test_weight_identities_exact_for_random_inputs():
         assert facts["constraint_sum_is_half_ratio"]
         assert facts["ratio_formula_matches"]
         assert facts["required_ratio"] > 0
+
+    # A wrong weight whose split constant is recomputed from it must fail
+    # the closed-form comparison.
+    exact = certify._exact_weights
+
+    def doubled_a(k0, k1, n, s):
+        (a_sq, b_sq, c_sq, d_sq), terms, r, _ = exact(k0, k1, n, s)
+        a_sq *= 2
+        u = n - s
+        kcal = (4 / a_sq * s * u ** 2 + 4 * s * u
+                + 6 / b_sq * s ** 2 + 4 / (c_sq * d_sq) * s ** 3)
+        return (a_sq, b_sq, c_sq, d_sq), terms, r, kcal
+
+    monkeypatch.setattr(certify, "_exact_weights", doubled_a)
+    assert not weight_identities(8.0, 1.0, 2, 1)["ratio_formula_matches"]
 
 
 def test_required_ratio_scale_invariance_on_exact_factors():

@@ -153,6 +153,16 @@ def test_version_flag(capsys):
     ("witness", "--catalog", "warp_demo", "--budget", "100"),
     ("example1", "--budget", "600"),
     ("scan", "--catalog", "fs(x)"),
+    ("scan", "--catalog", "paper_G(x)"),
+    ("scan", "--catalog", "poincare", "--grid", "1"),
+    ("warp", "--lam", "-1"),
+    ("lemma1", "--k0", "8", "--k1", "1", "--n", "2", "--s", "1", "--trials", "0"),
+    ("lemma2", "--g", "nosuch"),
+    ("example1", "--lambdas", "abc"),
+    ("lemma2", "--lambdas", "abc"),
+    ("example1", "--lambdas", "-1"),
+    ("example1", "--lambdas", ","),
+    ("lemma2", "--g", "paper_G(1)"),
 ])
 def test_usage_errors_exit_two(capsys, argv):
     with pytest.raises(SystemExit) as err:

@@ -207,6 +207,12 @@ def test_family_requires_restriction():
         metric_jet(dsl.catalog("paper_fiber"), np.zeros((1, 2)))
 
 
+def test_fd_route_checks_the_coordinate_count():
+    # Four values are not points of a two-coordinate chart.
+    with pytest.raises(ValueError, match="2 coordinates"):
+        metric_jet_from_fd(dsl.catalog("paper_G(1)"), np.full(4, 0.1))
+
+
 def test_point_outside_box_rejected():
     spec = dsl.catalog("poincare")
     with pytest.raises(PointOutsideBoxError):

@@ -129,6 +129,9 @@ def test_catalog_rejects_unknown():
         catalog("ball(0)")
     with pytest.raises(KeyError):
         catalog("fs(x)")
+    for bad in ("paper_G(x)", "paper_G(nan)", "paper_G(inf)"):
+        with pytest.raises(KeyError):
+            catalog(bad)
 
 
 def test_family_flag():

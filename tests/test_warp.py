@@ -144,3 +144,14 @@ def test_family_negativity_report_small():
     vals = [w["witness"]["value"] for w in rep["witnesses"]]
     # negativity shrinks like 1/lam along the family
     assert vals[0] == pytest.approx(4.0 * vals[1], rel=1e-6)
+
+
+def test_family_report_refuses_bad_input_before_scanning(monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned before checking the input")
+
+    monkeypatch.setattr(warp, "scan_chart", no_scan)
+    with pytest.raises(ValueError, match="first witness stage"):
+        warp.family_negativity_report(budget=600)
+    with pytest.raises(KeyError):
+        warp.family_negativity_report(lam_values=(1.0, -1.0))

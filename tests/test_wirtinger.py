@@ -10,7 +10,7 @@ from hsclab.wirtinger import Jet2, SingularPointError, constant, fd_jet, seed
 def test_fd_jet_squared_modulus():
     # f(z) = z*conj(z): d = conj(p), dbar = p, ddbar = 1
     p = 0.4 - 0.25j
-    jet = fd_jet(lambda z: z[0] * np.conjugate(z[0]), [p])
+    jet = fd_jet(lambda z: z[..., 0] * np.conjugate(z[..., 0]), [p])
     assert abs(jet.value - abs(p) ** 2) < 1e-10
     assert abs(jet.d[0] - np.conjugate(p)) < 1e-8
     assert abs(jet.dbar[0] - p) < 1e-8
@@ -20,7 +20,7 @@ def test_fd_jet_squared_modulus():
 def test_fd_jet_two_variables():
     # f(z) = z1^2 * conj(z2): only the (1, 2bar) mixed slot is nonzero
     p = np.array([0.3 + 0.2j, -0.1 + 0.5j])
-    jet = fd_jet(lambda z: z[0] ** 2 * np.conjugate(z[1]), p)
+    jet = fd_jet(lambda z: z[..., 0] ** 2 * np.conjugate(z[..., 1]), p)
     assert abs(jet.d[0] - 2 * p[0] * np.conjugate(p[1])) < 1e-8
     assert abs(jet.d[1]) < 1e-8
     assert abs(jet.dbar[0]) < 1e-8
@@ -64,28 +64,28 @@ def _compare_to_fd(build, f, point, tol=1e-5):
 def test_product_rule_matches_oracle():
     _compare_to_fd(
         lambda z1, z2: z1 * z1.conjugate() * z2,
-        lambda z: z[0] * np.conjugate(z[0]) * z[1],
+        lambda z: z[..., 0] * np.conjugate(z[..., 0]) * z[..., 1],
         [0.3 - 0.2j, 0.5 + 0.4j])
 
 
 def test_quotient_rule_matches_oracle():
     _compare_to_fd(
         lambda z1: 1.0 / (1.0 + z1 * z1.conjugate()),
-        lambda z: 1.0 / (1.0 + z[0] * np.conjugate(z[0])),
+        lambda z: 1.0 / (1.0 + z[..., 0] * np.conjugate(z[..., 0])),
         [0.6 + 0.1j])
 
 
 def test_exp_chain_rule_matches_oracle():
     _compare_to_fd(
         lambda z1, z2: (z1 * z1.conjugate() + 2.0 * z2).exp(),
-        lambda z: np.exp(z[0] * np.conjugate(z[0]) + 2.0 * z[1]),
+        lambda z: np.exp(z[..., 0] * np.conjugate(z[..., 0]) + 2.0 * z[..., 1]),
         [0.2 + 0.3j, -0.1 - 0.2j])
 
 
 def test_negative_power_matches_oracle():
     _compare_to_fd(
         lambda z1: (1.0 + z1 * z1.conjugate()) ** -2,
-        lambda z: (1.0 + z[0] * np.conjugate(z[0])) ** -2.0,
+        lambda z: (1.0 + z[..., 0] * np.conjugate(z[..., 0])) ** -2.0,
         [0.45 - 0.3j])
 
 
@@ -102,7 +102,7 @@ def test_random_rational_jets_match_oracle():
             return (a + b * t) / (c + t * t)
 
         def f(z, a=a, b=b, c=c, w=w):
-            t = (z[0] + w) * np.conjugate(z[0] + w)
+            t = (z[..., 0] + w) * np.conjugate(z[..., 0] + w)
             return (a + b * t) / (c + t * t)
 
         p = complex(*rng.uniform(-0.6, 0.6, 2))
@@ -140,3 +140,39 @@ def test_conjugate_transposes_mixed_block():
     jc = j.conjugate()
     np.testing.assert_allclose(jc.ddbar, np.conjugate(j.ddbar.T))
     np.testing.assert_allclose(jc.d, np.conjugate(j.dbar))
+
+
+def test_fd_jet_batch_matches_per_point_calls():
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(-0.6, 0.6, (2, 3, 2)) + 1j * rng.uniform(-0.6, 0.6, (2, 3, 2))
+    evaluators = (
+        lambda z: (np.exp(z[..., 0] * np.conjugate(z[..., 1]))
+                   / (1.0 + z[..., 1] * np.conjugate(z[..., 1]))),
+        lambda z: 2.5 - 1j,  # a constant comes back as a scalar
+    )
+    for f in evaluators:
+        batch = fd_jet(f, pts, step=1e-3)
+        assert batch.batch_shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            one = fd_jet(f, pts[idx], step=1e-3)
+            for name in ("value", "d", "dbar", "ddbar"):
+                np.testing.assert_array_equal(getattr(batch, name)[idx],
+                                              getattr(one, name), err_msg=name)
+
+
+def test_oracle_never_calls_jet_arithmetic(monkeypatch):
+    from hsclab import dsl
+    from hsclab.curvature import metric_jet_from_fd
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle used Jet2 arithmetic")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
+                 "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+                 "__pow__", "reciprocal", "conjugate", "exp"):
+        monkeypatch.setattr(Jet2, name, refuse)
+    jet = fd_jet(lambda z: z[..., 0] * np.conjugate(z[..., 0]), [0.3 + 0.1j])
+    assert abs(jet.ddbar[0, 0] - 1.0) < 1e-6
+    spec = dsl.catalog("paper_G(1)")
+    mj = metric_jet_from_fd(spec, dsl.box_sample(spec.box, np.random.default_rng(3), 4))
+    assert mj.ddbarg.shape == (4, 2, 2, 2, 2)
