@@ -25,9 +25,9 @@ __version__ = "0.1.0"
 from .acceptance import CHECK_NAMES, canonical_bytes, run_all, run_core
 from .certify import (BoundedBlockTensor, ThresholdNotReachedError,
                       WeightChoice, check_block_hypotheses, choose_weights,
-                      pencil_curvature, pencil_curvature_from_jets,
-                      pencil_decay_check, pencil_positive_threshold,
-                      pencil_spec, product_inequality_check,
+                      pencil_curvature, pencil_decay_check,
+                      pencil_positive_threshold, pencil_spec,
+                      product_inequality_check,
                       product_inequality_slacks, random_block_tensor,
                       split_bound_check, weight_identities)
 from .curvature import (CurvatureTensor, MetricJet, PointOutsideBoxError,
@@ -66,8 +66,8 @@ __all__ = [
     "WeightChoice", "choose_weights", "weight_identities",
     "product_inequality_slacks", "product_inequality_check",
     "BoundedBlockTensor", "random_block_tensor", "check_block_hypotheses",
-    "split_bound_check", "pencil_curvature", "pencil_curvature_from_jets",
-    "pencil_spec", "pencil_positive_threshold", "pencil_decay_check",
+    "split_bound_check", "pencil_curvature", "pencil_spec",
+    "pencil_positive_threshold", "pencil_decay_check",
     "ThresholdNotReachedError",
     # warped products
     "FibrationSpec", "warp_demo_fibration", "assemble", "mu0_search",

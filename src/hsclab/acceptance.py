@@ -61,11 +61,7 @@ def check_counterexample_family(seed: int) -> dict:
     """Positive base, semi-positive fibers vanishing at the fiber origin,
     yet a negative direction exists for every lam in the family."""
     rep = warp.family_negativity_report(seed=seed)
-    ok = (rep["base"]["positive"]
-          and rep["fiber_min"] >= -1e-8
-          and rep["fiber_origin_max_abs"] <= 1e-9
-          and rep["all_negative"])
-    return {"ok": bool(ok), "report": rep}
+    return {"ok": rep["ok"], "report": rep}
 
 
 def _random_jet_case(rng):

@@ -31,10 +31,11 @@ from fractions import Fraction
 import numpy as np
 
 from . import dsl
-from .curvature import (entry_jet_1d, gaussian_curvature_1d, gaussian_from_jet,
-                        pair_symmetry_defect, quartic)
+from .curvature import (entry_jet_1d, gaussian_from_jet, pair_symmetry_defect,
+                        quartic)
 
 BOUND_TOL = 1e-9
+MIXED_FILL = 0.9
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +211,9 @@ def _strictly_mixed_mask(n: int, s: int) -> np.ndarray:
 
 
 def random_block_tensor(fiber_lower: float, mixed_bound: float, base_lower: float,
-                        n: int, s: int, seed: int = 0,
-                        noise: float = 0.9) -> BoundedBlockTensor:
+                        n: int, s: int, seed: int = 0) -> BoundedBlockTensor:
     """Model blocks (quartic bounds attained with equality) plus uniform
-    mixed noise of modulus <= noise * mixed_bound, pair-symmetrized."""
+    mixed noise of modulus <= MIXED_FILL * mixed_bound, pair-symmetrized."""
     if not (0 < s < n):
         raise ValueError("need 0 < s < n")
     rng = np.random.default_rng(seed)
@@ -221,7 +221,7 @@ def random_block_tensor(fiber_lower: float, mixed_bound: float, base_lower: floa
     R[:s, :s, :s, :s] = _model_block(fiber_lower, s)
     R[s:, s:, s:, s:] = _model_block(base_lower, n - s)
     mixed = _strictly_mixed_mask(n, s)
-    cap = noise * mixed_bound
+    cap = MIXED_FILL * mixed_bound
     for ijkl in np.argwhere(mixed):
         i, j, k, l = (int(v) for v in ijkl)
         mirror = (j, i, l, k)
@@ -318,23 +318,24 @@ def split_bound_check(t: BoundedBlockTensor, w: WeightChoice,
 # 1-D pencils g + lam*h
 
 
-def pencil_curvature_from_jets(g, gz, gzbar, gzz, kg,
-                               h, hz, hzbar, hzz, kh, lam: float) -> float:
-    """The closed-form curvature of g + lam*h from entry jets and the two
-    endpoint curvatures; exact as an algebraic identity."""
+def _pencil(gspec: dsl.MetricSpec, hspec: dsl.MetricSpec, point):
+    """(K(h), lam -> K(g + lam*h)) at a point, reading each entry jet once;
+    the closed form is exact as an algebraic identity."""
+    gj, hj = entry_jet_1d(gspec, point), entry_jet_1d(hspec, point)
+    kg, kh = gaussian_from_jet(*gj), gaussian_from_jet(*hj)
+    (g, gz, gzbar, gzz), (h, hz, hzbar, hzz) = gj, hj
     if g.real <= 0 or h.real <= 0:
         raise ValueError("metric values must be positive")
     g, h = g.real, h.real
     cross = (-h * gzz - g * hzz + gz * hzbar + hz * gzbar).real
-    return float((g**3 * kg + lam**2 * h**3 * kh + 2 * lam * cross) / (g + lam * h) ** 3)
+    return kh, lambda lam: float((g**3 * kg + lam**2 * h**3 * kh + 2 * lam * cross)
+                                 / (g + lam * h) ** 3)
 
 
 def pencil_curvature(gspec: dsl.MetricSpec, hspec: dsl.MetricSpec,
                      point, lam: float) -> float:
-    """Closed-form curvature of the 1-D pencil at `point`."""
-    gj, hj = entry_jet_1d(gspec, point), entry_jet_1d(hspec, point)
-    return pencil_curvature_from_jets(*gj, gaussian_from_jet(*gj),
-                                      *hj, gaussian_from_jet(*hj), lam)
+    """Closed-form curvature of the 1-D pencil g + lam*h at `point`."""
+    return _pencil(gspec, hspec, point)[1](lam)
 
 
 def pencil_spec(gspec: dsl.MetricSpec, hspec: dsl.MetricSpec, lam: float,
@@ -357,59 +358,67 @@ def pencil_spec(gspec: dsl.MetricSpec, hspec: dsl.MetricSpec, lam: float,
 
 PENCIL_SCHEDULE_START = 1e-6
 PENCIL_BISECTIONS = 40
+PENCIL_PERSISTENCE_SAMPLES = 10
 
 
 class ThresholdNotReachedError(RuntimeError):
-    pass
+    """No positive value on a doubling schedule up to its cap."""
+
+
+def threshold_search(phi, start: float, cap: float, bisections: int):
+    """Smallest lam with phi(lam) > 0: double lam from start > 0 until phi
+    is positive (ThresholdNotReachedError rather than evaluate a lam above
+    cap), then halve the bracket (lo, hi] `bisections` times, keeping hi
+    positive.  Returns (hi, phi(hi), every (lam, phi(lam)) in evaluation
+    order, positive_at_start); phi(start) > 0 leaves no bracket, and hi =
+    start only bounds the threshold from above."""
+    lam = float(start)
+    val = phi(lam)
+    history = [(lam, val)]
+    lo = 0.0
+    while val <= 0:
+        lo = lam
+        lam *= 2
+        if lam > cap:
+            raise ThresholdNotReachedError(f"no positive value up to lam = {cap:g}")
+        val = phi(lam)
+        history.append((lam, val))
+    hi, hi_val = lam, val
+    for _ in range(bisections if lo > 0.0 else 0):
+        mid = 0.5 * (lo + hi)
+        mval = phi(mid)
+        history.append((mid, mval))
+        if mval > 0:
+            hi, hi_val = mid, mval
+        else:
+            lo = mid
+    return hi, hi_val, history, lo == 0.0
 
 
 def pencil_positive_threshold(gspec: dsl.MetricSpec, hspec: dsl.MetricSpec,
-                              point, lam_max: float = 2.0 ** 30,
-                              persistence_samples: int = 10) -> dict:
-    """Smallest lam (doubling then bisection) with positive pencil
-    curvature at the point; also samples persistence above the threshold.
-
-    Requires the second metric to have positive curvature at the point.
-    Returns the threshold (the positive end of the final bracket), the
-    curvature there, and the persistence samples.
+                              point, lam_max: float = 2.0 ** 30) -> dict:
+    """Smallest lam (threshold_search from PENCIL_SCHEDULE_START) with
+    positive pencil curvature at the point, the curvature there, and
+    persistence samples above it.  Requires K(h) > 0 at the point.  With
+    positive_at_start the threshold is only known to be <= the start.
     """
-    hj = entry_jet_1d(hspec, point)
-    kh = gaussian_from_jet(*hj)
+    kh, phi = _pencil(gspec, hspec, point)
     if kh <= 0:
         raise ValueError(f"second metric has nonpositive curvature {kh:.6g} at the point")
-    gj = entry_jet_1d(gspec, point)
-    kg = gaussian_from_jet(*gj)
-
-    def phi(lam: float) -> float:
-        return pencil_curvature_from_jets(*gj, kg, *hj, kh, lam)
-
-    lam = PENCIL_SCHEDULE_START
-    lo = 0.0
-    while phi(lam) <= 0:
-        lo = lam
-        lam *= 2
-        if lam > lam_max:
-            raise ThresholdNotReachedError(
-                f"no positive pencil curvature up to lam_max={lam_max:g}")
-    hi = lam
-    if lo > 0.0:
-        for _ in range(PENCIL_BISECTIONS):
-            mid = 0.5 * (lo + hi)
-            if phi(mid) > 0:
-                hi = mid
-            else:
-                lo = mid
+    hi, hi_val, _, at_start = threshold_search(phi, PENCIL_SCHEDULE_START,
+                                               lam_max, PENCIL_BISECTIONS)
     samples = np.geomspace(min(hi * (1 + 1e-9), lam_max), lam_max,
-                           persistence_samples)
+                           PENCIL_PERSISTENCE_SAMPLES)
     persist = [(float(l), phi(float(l))) for l in samples]
     bad = [p for p in persist if p[1] <= 0]
     if bad:
         raise ArithmeticError(f"positivity not persistent above threshold: {bad[:3]}")
     return {
         "threshold": float(hi),
-        "curvature_at_threshold": phi(float(hi)),
+        "curvature_at_threshold": hi_val,
         "lam_max": float(lam_max),
         "persistence": persist,
+        "positive_at_start": at_start,
     }
 
 
@@ -423,8 +432,8 @@ def pencil_decay_check(gspec: dsl.MetricSpec, hspec: dsl.MetricSpec,
     lams = [float(l) for l in lam_list]
     if sorted(lams) != lams or lams[-1] < 1e4:
         raise ValueError("lam_list must be increasing with last entry >= 1e4")
-    kh = gaussian_curvature_1d(hspec, point)
-    vals = [pencil_curvature(gspec, hspec, point, l) for l in lams]
+    kh, phi = _pencil(gspec, hspec, point)
+    vals = [phi(l) for l in lams]
     top_ratio = lams[-1] * vals[-1] / kh
     tail = [(l, v) for l, v in zip(lams, vals) if l >= lams[-1] / 100 and v != 0]
     slope = None

@@ -257,8 +257,8 @@ class ScanReport:
     points: np.ndarray = field(repr=False)
     per_point_min: np.ndarray = field(repr=False)
 
-    def as_dict(self, include_points: bool = False) -> dict:
-        out = {
+    def as_dict(self) -> dict:
+        return {
             "name": self.name,
             "n": self.n,
             "min_hsc": self.min_hsc,
@@ -273,10 +273,6 @@ class ScanReport:
             "seed": self.seed,
             "minimizer": self.minimizer,
         }
-        if include_points:
-            out["per_point_min"] = [float(v) for v in self.per_point_min]
-            out["points"] = [_vec_dict(p) for p in self.points]
-        return out
 
 
 def scan_to_csv(report: ScanReport) -> str:
@@ -298,12 +294,12 @@ def scan_to_csv(report: ScanReport) -> str:
 
 def min_hsc_at_point(spec: dsl.MetricSpec, point, starts: int = DEFAULT_STARTS,
                      seed: int = 0, dirs: int = DEFAULT_DIRS,
-                     iters: int = DEFAULT_ITERS, point_index: int = 0):
+                     iters: int = DEFAULT_ITERS):
     """Direction minimum at one point: (value, metric-unit witness direction)."""
     pts = np.asarray(point, dtype=complex).reshape(1, -1)
     mj = metric_jet(spec, pts)
     R = curvature(mj)
-    vals, wdirs = _min_over_dirs(mj.g, R.R, dirs, starts, iters, seed, [point_index])
+    vals, wdirs = _min_over_dirs(mj.g, R.R, dirs, starts, iters, seed, [0])
     return float(vals[0]), wdirs[0]
 
 
@@ -313,8 +309,11 @@ def scan_chart(spec: dsl.MetricSpec, box=None, grid_per_axis: int = DEFAULT_GRID
     """Direction-minimize on a full grid over all 2n real axes of the box.
 
     dirs, starts, iters and seed steer only the descent minimizer (d >= 3);
-    the report names the minimizer that ran.  The winner is the lexicographically first point attaining the global
-    minimum (grid order is lexicographic in (re_1, im_1, re_2, ...)).
+    the report names the minimizer that ran.  The winner is the first index
+    of np.argmin over the computed per-point values, in grid order
+    (lexicographic in (re_1, im_1, re_2, ...)).  Points that are tied
+    mathematically, such as symmetric grid corners, usually differ in the
+    last ulp, so which of them wins follows rounding, not grid order.
     """
     if grid_per_axis < 2:
         raise ValueError("grid_per_axis must be at least 2")
@@ -368,7 +367,7 @@ def check_witness_budget(n: int, budget: int) -> None:
                          f"first witness stage for {n} coordinates")
 
 
-def find_negative_witness(spec: dsl.MetricSpec, box=None, budget: int = 50000,
+def find_negative_witness(spec: dsl.MetricSpec, budget: int = 50000,
                           seed: int = 0, threshold: float = NEG_THRESHOLD):
     """Search scans of increasing resolution for K < threshold.
 
@@ -383,7 +382,7 @@ def find_negative_witness(spec: dsl.MetricSpec, box=None, budget: int = 50000,
     for stage, (grid, dirs, starts, iters) in enumerate(_WITNESS_STAGES):
         if scanned + grid ** (2 * spec.n) > budget:
             break
-        rep = scan_chart(spec, box=box, grid_per_axis=grid, dirs=dirs,
+        rep = scan_chart(spec, grid_per_axis=grid, dirs=dirs,
                          seed=seed + stage, starts=starts, iters=iters)
         scanned += rep.points_scanned
         if rep.min_hsc < threshold:

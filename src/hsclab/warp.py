@@ -8,8 +8,8 @@ the base coordinates: the warp) and a base metric, the assembled family
 
 is studied as lam grows: inverse block asymptotics, growth of the
 curvature numerator along base directions, curvature decrease on
-coordinate submanifolds, and a bisection search for the smallest lam
-making the holomorphic sectional curvature positive on the chart.
+coordinate submanifolds, and a search (certify.threshold_search) for the
+smallest lam making the holomorphic sectional curvature positive on the chart.
 
 The search refuses charts that fail its standing hypotheses (positive
 base curvature, positive fiber curvature on sampled fibers); the bundled
@@ -26,11 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dsl
+from .certify import threshold_search
 from .curvature import (curvature, gaussian_curvature_1d, hsc_dirs,
                         metric_jet, metric_norm2, quartic, restrict)
 from .positivity import (NEG_THRESHOLD, _c2pair, check_witness_budget,
                          find_negative_witness, scan_chart)
 
+LAMBDA_START = 1e-3
 LAMBDA_MAX = float(2 ** 30)
 MU0_MAX_EXPONENT = 40
 HYPOTHESIS_MARGIN = 1e-8
@@ -148,17 +150,18 @@ def assemble(f: FibrationSpec, lam: float, name: str | None = None) -> dsl.Metri
 
 
 def mu0_search(f: FibrationSpec, samples: int = 300, seed: int = 0) -> float:
-    """Smallest mu0 on the power-of-two schedule 2^0, 2^1, ... such that
-    the assembled metric at lam = 0 validates on sampled points."""
-    for k in range(MU0_MAX_EXPONENT + 1):
-        mu0 = float(2.0 ** k)
-        candidate = dataclasses.replace(f, mu0=mu0)
+    """Smallest mu0 in 2^0, 2^1, ..., 2^MU0_MAX_EXPONENT (threshold_search
+    with no bisection) such that the assembled metric at lam = 0 validates
+    on sampled points."""
+    def validates(mu0: float) -> float:
         try:
-            dsl.validate(assemble(candidate, 0.0), samples=samples, seed=seed)
-            return mu0
+            dsl.validate(assemble(dataclasses.replace(f, mu0=mu0), 0.0),
+                         samples=samples, seed=seed)
+            return 1.0
         except dsl.MetricError:
-            continue
-    raise RuntimeError(f"no valid mu0 up to 2^{MU0_MAX_EXPONENT}")
+            return -1.0
+
+    return threshold_search(validates, 1.0, 2.0 ** MU0_MAX_EXPONENT, 0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +189,7 @@ class LambdaSearchResult:
     history: tuple
     persistence: tuple
     seed: int
+    positive_at_start: bool
 
     def as_dict(self) -> dict:
         return {
@@ -194,6 +198,7 @@ class LambdaSearchResult:
             "history": [[l, v] for l, v in self.history],
             "persistence": [[l, v] for l, v in self.persistence],
             "seed": self.seed,
+            "positive_at_start": self.positive_at_start,
         }
 
 
@@ -245,54 +250,33 @@ def check_hypotheses(f: FibrationSpec, fiber_samples: int = 5, seed: int = 0,
     }
 
 
-def lambda_search(f: FibrationSpec, lam_start: float = 1e-3,
-                  lam_max: float = LAMBDA_MAX, bisections: int = 6,
+def lambda_search(f: FibrationSpec, bisections: int = 6,
                   grid_per_axis: int = 5, dirs: int = 24, starts: int = 4,
                   iters: int = 120, seed: int = 0,
                   skip_hypotheses: bool = False) -> LambdaSearchResult:
-    """Smallest lam (doubling from lam_start, then bisection) with
-    strictly positive scanned minimal curvature of the assembled metric.
+    """Smallest lam (threshold_search from LAMBDA_START up to LAMBDA_MAX)
+    with strictly positive scanned minimal curvature of the assembled metric.
 
     Every lam is scanned with the same seed and budget, so the recorded
     history is comparable across lam.  The returned lambda_star is the
-    positive end of the final bracket; persistence holds the re-scanned
+    positive end of the final bracket, or only an upper bound on the
+    threshold when positive_at_start; persistence holds the re-scanned
     minima at 2*lambda_star and 4*lambda_star.
     """
     if not skip_hypotheses:
         check_hypotheses(f, seed=seed)
 
     def scan_min(lam: float) -> float:
-        spec = assemble(f, lam)
-        rep = scan_chart(spec, grid_per_axis=grid_per_axis, dirs=dirs,
-                         seed=seed, starts=starts, iters=iters)
-        return rep.min_hsc
+        return scan_chart(assemble(f, lam), grid_per_axis=grid_per_axis,
+                          dirs=dirs, seed=seed, starts=starts, iters=iters).min_hsc
 
-    history = []
-    lam = float(lam_start)
-    val = scan_min(lam)
-    history.append((lam, val))
-    lo = 0.0
-    while val <= 0:
-        lo = lam
-        lam *= 2
-        if lam > lam_max:
-            raise RuntimeError(f"no positive scan minimum up to lam_max={lam_max:g}")
-        val = scan_min(lam)
-        history.append((lam, val))
-    hi, hi_val = lam, val
-    if lo > 0.0:
-        for _ in range(bisections):
-            mid = 0.5 * (lo + hi)
-            mval = scan_min(mid)
-            history.append((mid, mval))
-            if mval > 0:
-                hi, hi_val = mid, mval
-            else:
-                lo = mid
+    hi, hi_val, history, at_start = threshold_search(
+        scan_min, LAMBDA_START, LAMBDA_MAX, bisections)
     persistence = tuple((m * hi, scan_min(m * hi)) for m in (2.0, 4.0))
     return LambdaSearchResult(lambda_star=hi, min_hsc_at_star=hi_val,
                               history=tuple(history),
-                              persistence=persistence, seed=seed)
+                              persistence=persistence, seed=seed,
+                              positive_at_start=at_start)
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +462,8 @@ def family_negativity_report(lam_values=(0.5, 1.0, 5.0, 50.0),
     (c) Still, for every lam in lam_values the assembled metric admits a
         direction of negative holomorphic sectional curvature.
 
+    "ok" is the verdict on all three (fiber minima >= -1e-8, |K| <= 1e-9 at origins).
+
     A lam the catalog rejects (KeyError) or a budget below the first
     witness stage (ValueError) is refused before any scan runs.
     """
@@ -508,15 +494,19 @@ def family_negativity_report(lam_values=(0.5, 1.0, 5.0, 50.0),
             "lam": float(lam),
             "witness": None if w is None else w.as_dict(),
         })
+    fiber_min = min(f["min_hsc"] for f in fibers)
+    origin_max = max(abs(f["origin_hsc"]) for f in fibers)
+    all_negative = all(w["witness"] is not None
+                       and w["witness"]["value"] < NEG_THRESHOLD for w in witnesses)
     return {
         "base": {"min_hsc": base_scan.min_hsc,
                  "positive": base_scan.min_hsc > 0},
         "fibers": fibers,
-        "fiber_min": min(f["min_hsc"] for f in fibers),
-        "fiber_origin_max_abs": max(abs(f["origin_hsc"]) for f in fibers),
+        "fiber_min": fiber_min,
+        "fiber_origin_max_abs": origin_max,
         "witnesses": witnesses,
-        "all_negative": all(w["witness"] is not None
-                            and w["witness"]["value"] < NEG_THRESHOLD
-                            for w in witnesses),
+        "all_negative": all_negative,
         "seed": seed,
+        "ok": bool(base_scan.min_hsc > 0 and fiber_min >= -1e-8
+                   and origin_max <= 1e-9 and all_negative),
     }

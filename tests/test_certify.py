@@ -11,7 +11,8 @@ from hsclab.certify import (ThresholdNotReachedError, check_block_hypotheses,
                             pencil_decay_check, pencil_positive_threshold,
                             pencil_spec, product_inequality_check,
                             product_inequality_slacks, random_block_tensor,
-                            split_bound_check, weight_identities)
+                            split_bound_check, threshold_search,
+                            weight_identities)
 
 
 # -- weight constants -------------------------------------------------------
@@ -194,6 +195,71 @@ def test_pencil_threshold_unreachable_within_cap_raises():
     out = pencil_positive_threshold(dsl.catalog("poincare"),
                                     dsl.catalog("paper_base"), 0j)
     assert out["threshold"] == pytest.approx(2.0, abs=1e-6)
+
+
+def test_pencil_threshold_positive_at_schedule_start():
+    """fs_affine + lam*fs_affine has curvature 4/(1+lam) > 0 for every lam,
+    so the threshold is not the schedule start but only at most it."""
+    fs = dsl.catalog("fs_affine")
+    out = pencil_positive_threshold(fs, fs, 0j)
+    assert out["positive_at_start"] is True
+    assert out["threshold"] == certify.PENCIL_SCHEDULE_START
+    assert out["curvature_at_threshold"] == pytest.approx(
+        4.0 / (1.0 + certify.PENCIL_SCHEDULE_START))
+    ref = pencil_positive_threshold(dsl.catalog("poincare"), fs, 0j)
+    assert ref["positive_at_start"] is False
+
+
+def test_pencil_reads_each_entry_jet_once(monkeypatch):
+    calls = []
+    eval_jet = dsl.eval_jet
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return eval_jet(*args, **kwargs)
+
+    monkeypatch.setattr(dsl, "eval_jet", counting)
+    g, h = dsl.catalog("poincare"), dsl.catalog("fs_affine")
+    pencil_decay_check(g, h, 0.1j)
+    assert len(calls) == 2
+    calls.clear()
+    pencil_positive_threshold(g, h, 0.1j)
+    assert len(calls) == 2
+
+
+def test_threshold_search_exact_bracket():
+    """phi(lam) = lam - 0.75 from 0.25: doublings 0.25, 0.5, 1.0, then the
+    first midpoint lands on the root (phi = 0 is not positive), so every
+    later bracket is (0.75, 0.75 + 0.5 * 2^-k] exactly."""
+    seen = []
+
+    def phi(lam):
+        seen.append(lam)
+        return lam - 0.75
+
+    hi, hi_val, history, at_start = threshold_search(phi, 0.25, 8.0, 10)
+    assert hi == 0.75 + 0.5 * 2.0 ** -10
+    assert hi_val == hi - 0.75 and not at_start
+    assert [l for l, _ in history] == seen
+    assert seen[:5] == [0.25, 0.5, 1.0, 0.75, 0.875]
+    assert len(seen) == 3 + 10
+    assert all(v == l - 0.75 for l, v in history)
+
+    hi, hi_val, history, at_start = threshold_search(lambda lam: 1.0, 0.25, 8.0, 10)
+    assert (hi, hi_val, history, at_start) == (0.25, 1.0, [(0.25, 1.0)], True)
+
+
+def test_threshold_search_cap_raises_before_evaluating():
+    seen = []
+
+    def never_positive(lam):
+        seen.append(lam)
+        return -1.0
+
+    with pytest.raises(ThresholdNotReachedError):
+        threshold_search(never_positive, 1.0, 8.0, 5)
+    assert seen == [1.0, 2.0, 4.0, 8.0]
+    assert issubclass(ThresholdNotReachedError, RuntimeError)
 
 
 def test_pencil_decay_toward_rescaled_limit():

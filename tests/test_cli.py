@@ -139,6 +139,27 @@ def test_version_flag(capsys):
     assert err.value.code == 0
 
 
+def _write_bad_fibrations(directory) -> None:
+    """Malformed fibration files named by the warp usage-error cases."""
+    good = warp.fibration_to_dict(warp.warp_demo_fibration())
+    (directory / "not-json.json").write_text("{")
+    (directory / "no-s.json").write_text(
+        json.dumps({k: v for k, v in good.items() if k != "s"}))
+    (directory / "short-box.json").write_text(
+        json.dumps(dict(good, box=good["box"][:1])))
+
+
+def test_warp_usage_error_writes_no_demo_file(tmp_path, capsys):
+    _write_bad_fibrations(tmp_path)
+    out = tmp_path / "demo.json"
+    for extra in (("--lam", "-1"), ("--file", str(tmp_path / "no-s.json"))):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["warp", "--write-demo", str(out), *extra])
+        assert err.value.code == 2
+        assert not out.exists()
+    assert not capsys.readouterr().out.strip()
+
+
 @pytest.mark.parametrize("argv", [
     ("curvature", "--catalog", "poincare", "--point", "0,0,0"),
     ("curvature", "--catalog", "nosuch", "--point", "0,0"),
@@ -163,10 +184,17 @@ def test_version_flag(capsys):
     ("example1", "--lambdas", "-1"),
     ("example1", "--lambdas", ","),
     ("lemma2", "--g", "paper_G(1)"),
+    ("warp", "--file", "{tmp}/not-json.json"),
+    ("warp", "--file", "{tmp}/no-s.json"),
+    ("warp", "--file", "{tmp}/short-box.json"),
+    ("warp", "--file", "{tmp}/missing.json"),
+    ("warp", "--write-demo", "{tmp}/demo.json", "--lam", "-1"),
 ])
-def test_usage_errors_exit_two(capsys, argv):
+def test_usage_errors_exit_two(capsys, tmp_path, argv):
+    _write_bad_fibrations(tmp_path)
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     with pytest.raises(SystemExit) as err:
-        cli.main(list(argv))
+        cli.main(argv)
     assert err.value.code == 2
     assert not capsys.readouterr().out.strip()  # diagnostics go to stderr
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hsclab import dsl, warp
+from hsclab.certify import ThresholdNotReachedError
 from hsclab.curvature import gaussian_curvature_1d, restrict
 from hsclab.warp import (FibrationSpec, HypothesisViolationError, assemble,
                          base_growth_check, check_hypotheses,
@@ -130,8 +131,36 @@ def test_lambda_search_finds_positive_threshold():
     lam0, val0 = res.history[0]
     assert lam0 == 1e-3 and val0 < -1e-8
     assert all(v > 0 for _, v in res.persistence)
+    assert res.positive_at_start is False
     d = res.as_dict()
     assert d["lambda_star"] == res.lambda_star
+
+
+def test_lambda_search_reports_positive_at_start():
+    """A product of two sphere charts is positive for every lam > 0, so
+    the search can only say the threshold is at most its start."""
+    fs = "1/(1+z1*conj(z1))^2"
+    box = (dsl.Rect(-0.5, 0.5, -0.5, 0.5),) * 2
+    f = FibrationSpec("fs_x_fs", 1, 1, ((dsl.parse(fs, 2),),),
+                      ((dsl.parse(fs, 1),),), 0.0, box)
+    res = lambda_search(f, grid_per_axis=3, skip_hypotheses=True)
+    assert res.positive_at_start is True
+    assert res.lambda_star == warp.LAMBDA_START
+    assert len(res.history) == 1 and res.min_hsc_at_star > 0
+    assert res.as_dict()["positive_at_start"] is True
+
+
+def test_lambda_search_cap_is_threshold_not_reached():
+    with pytest.raises(ThresholdNotReachedError):
+        lambda_search(_flat_flat(), grid_per_axis=2, skip_hypotheses=True)
+
+
+def test_mu0_search_cap_is_threshold_not_reached():
+    box = (dsl.Rect(-0.5, 0.5, -0.5, 0.5),) * 2
+    f = FibrationSpec("negative_base", 1, 1, ((dsl.parse("1", 2),),),
+                      ((dsl.parse("-1", 1),),), 0.0, box)
+    with pytest.raises(ThresholdNotReachedError):
+        mu0_search(f, samples=4)
 
 
 def test_family_negativity_report_small():
@@ -141,6 +170,7 @@ def test_family_negativity_report_small():
     assert rep["base"]["positive"]
     assert rep["fiber_min"] >= -1e-8
     assert rep["fiber_origin_max_abs"] <= 1e-9
+    assert rep["ok"] is True
     vals = [w["witness"]["value"] for w in rep["witnesses"]]
     # negativity shrinks like 1/lam along the family
     assert vals[0] == pytest.approx(4.0 * vals[1], rel=1e-6)
