@@ -21,8 +21,9 @@ z = 0.25 - 0.15j
 
 print("closed form vs direct tensor route, random lams:")
 rng = np.random.default_rng(3)
+phi = hsclab.pencil_at(g, h, z)[1]   # lam -> K(g + lam*h) at z
 for lam in sorted(rng.uniform(0.05, 30.0, 4)):
-    closed = hsclab.pencil_curvature(g, h, z, lam)
+    closed = phi(lam)
     direct = hsclab.gaussian_curvature_1d(hsclab.pencil_spec(g, h, lam), z)
     print(f"  lam {lam:8.4f}: closed {closed:+.12f}  direct {direct:+.12f}"
           f"  gap {abs(closed - direct):.2e}")

@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 from .acceptance import CHECK_NAMES, canonical_bytes, run_all, run_core
 from .certify import (BoundedBlockTensor, ThresholdNotReachedError,
                       WeightChoice, check_block_hypotheses, choose_weights,
-                      pencil_curvature, pencil_decay_check,
+                      pencil_at, pencil_decay_check,
                       pencil_positive_threshold, pencil_spec,
                       product_inequality_check,
                       product_inequality_slacks, random_block_tensor,
@@ -66,7 +66,7 @@ __all__ = [
     "WeightChoice", "choose_weights", "weight_identities",
     "product_inequality_slacks", "product_inequality_check",
     "BoundedBlockTensor", "random_block_tensor", "check_block_hypotheses",
-    "split_bound_check", "pencil_curvature", "pencil_spec",
+    "split_bound_check", "pencil_at", "pencil_spec",
     "pencil_positive_threshold", "pencil_decay_check",
     "ThresholdNotReachedError",
     # warped products

@@ -245,8 +245,9 @@ def check_pencil_suite(seed: int) -> dict:
         for _ in range(5):
             p = complex(rng.uniform(box.re_min, box.re_max),
                         rng.uniform(box.im_min, box.im_max))
+            phi = certify.pencil_at(gs, hs, p)[1]
             for lam in (1e-3, 0.1, 1.0, 17.0):
-                closed = certify.pencil_curvature(gs, hs, p, lam)
+                closed = phi(lam)
                 direct = gaussian_curvature_1d(certify.pencil_spec(gs, hs, lam), p)
                 worst = max(worst, abs(closed - direct) / max(1.0, abs(direct)))
 

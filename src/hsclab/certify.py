@@ -196,18 +196,18 @@ class BoundedBlockTensor:
 
 
 def _model_block(bound: float, size: int) -> np.ndarray:
+    """0.5*bound*(delta_ij delta_kl + delta_il delta_kj), indexed [i, j, k, l]."""
     eye = np.eye(size)
-    block = 0.5 * bound * (np.einsum("ij,kl->ijkl", eye, eye)
-                           + np.einsum("il,kj->ijkl", eye, eye))
+    block = 0.5 * bound * (eye[:, :, None, None] * eye
+                           + eye[:, None, None, :] * eye[:, :, None])
     return block.astype(complex)
 
 
 def _strictly_mixed_mask(n: int, s: int) -> np.ndarray:
-    idx = np.arange(n)
-    fiber = idx < s
-    allf = np.einsum("i,j,k,l->ijkl", fiber, fiber, fiber, fiber)
-    allb = np.einsum("i,j,k,l->ijkl", ~fiber, ~fiber, ~fiber, ~fiber)
-    return ~(allf | allb)
+    """Index tuples with one to three of their four indices below s."""
+    fiber = (np.arange(n) < s).astype(int)
+    count = fiber[:, None, None, None] + fiber[:, None, None] + fiber[:, None] + fiber
+    return count % 4 != 0
 
 
 def random_block_tensor(fiber_lower: float, mixed_bound: float, base_lower: float,
@@ -220,19 +220,24 @@ def random_block_tensor(fiber_lower: float, mixed_bound: float, base_lower: floa
     R = np.zeros((n, n, n, n), dtype=complex)
     R[:s, :s, :s, :s] = _model_block(fiber_lower, s)
     R[s:, s:, s:, s:] = _model_block(base_lower, n - s)
-    mixed = _strictly_mixed_mask(n, s)
     cap = MIXED_FILL * mixed_bound
-    for ijkl in np.argwhere(mixed):
-        i, j, k, l = (int(v) for v in ijkl)
-        mirror = (j, i, l, k)
-        if (i, j, k, l) > mirror:
-            continue
-        if (i, j, k, l) == mirror:
-            R[i, j, k, l] = rng.uniform(-cap, cap)
-            continue
-        w = cap * rng.uniform(0, 1) * np.exp(2j * np.pi * rng.uniform(0, 1))
-        R[i, j, k, l] = w
-        R[mirror] = np.conjugate(w)
+    # Strictly mixed entries in C order, each with its mirror (j, i, l, k);
+    # the canonical one of a pair is the first in that order.
+    flat = np.flatnonzero(_strictly_mixed_mask(n, s))
+    i, j, k, l = np.unravel_index(flat, R.shape)
+    mirror = np.ravel_multi_index((j, i, l, k), R.shape)
+    canonical = flat <= mirror
+    flat, mirror = flat[canonical], mirror[canonical]
+    # One draw per self-mirror entry and two (modulus, phase) per pair, in
+    # the order of the canonical entries.
+    pair = flat != mirror
+    width = 1 + pair
+    first = np.cumsum(width) - width
+    u = rng.random(int(width.sum()))
+    R.flat[flat[~pair]] = -cap + 2 * cap * u[first[~pair]]
+    w = cap * u[first[pair]] * np.exp(2j * np.pi * u[first[pair] + 1])
+    R.flat[flat[pair]] = w
+    R.flat[mirror[pair]] = np.conjugate(w)
     return BoundedBlockTensor(n, s, R, float(fiber_lower),
                               float(mixed_bound), float(base_lower))
 
@@ -318,9 +323,10 @@ def split_bound_check(t: BoundedBlockTensor, w: WeightChoice,
 # 1-D pencils g + lam*h
 
 
-def _pencil(gspec: dsl.MetricSpec, hspec: dsl.MetricSpec, point):
-    """(K(h), lam -> K(g + lam*h)) at a point, reading each entry jet once;
-    the closed form is exact as an algebraic identity."""
+def pencil_at(gspec: dsl.MetricSpec, hspec: dsl.MetricSpec, point):
+    """(K(h), phi) at a point, where phi(lam) = K(g + lam*h) in closed form
+    (exact as an algebraic identity).  Each entry jet is read once here,
+    so callers that need several lams at one point call this once."""
     gj, hj = entry_jet_1d(gspec, point), entry_jet_1d(hspec, point)
     kg, kh = gaussian_from_jet(*gj), gaussian_from_jet(*hj)
     (g, gz, gzbar, gzz), (h, hz, hzbar, hzz) = gj, hj
@@ -330,12 +336,6 @@ def _pencil(gspec: dsl.MetricSpec, hspec: dsl.MetricSpec, point):
     cross = (-h * gzz - g * hzz + gz * hzbar + hz * gzbar).real
     return kh, lambda lam: float((g**3 * kg + lam**2 * h**3 * kh + 2 * lam * cross)
                                  / (g + lam * h) ** 3)
-
-
-def pencil_curvature(gspec: dsl.MetricSpec, hspec: dsl.MetricSpec,
-                     point, lam: float) -> float:
-    """Closed-form curvature of the 1-D pencil g + lam*h at `point`."""
-    return _pencil(gspec, hspec, point)[1](lam)
 
 
 def pencil_spec(gspec: dsl.MetricSpec, hspec: dsl.MetricSpec, lam: float,
@@ -402,7 +402,7 @@ def pencil_positive_threshold(gspec: dsl.MetricSpec, hspec: dsl.MetricSpec,
     persistence samples above it.  Requires K(h) > 0 at the point.  With
     positive_at_start the threshold is only known to be <= the start.
     """
-    kh, phi = _pencil(gspec, hspec, point)
+    kh, phi = pencil_at(gspec, hspec, point)
     if kh <= 0:
         raise ValueError(f"second metric has nonpositive curvature {kh:.6g} at the point")
     hi, hi_val, _, at_start = threshold_search(phi, PENCIL_SCHEDULE_START,
@@ -432,7 +432,7 @@ def pencil_decay_check(gspec: dsl.MetricSpec, hspec: dsl.MetricSpec,
     lams = [float(l) for l in lam_list]
     if sorted(lams) != lams or lams[-1] < 1e4:
         raise ValueError("lam_list must be increasing with last entry >= 1e4")
-    kh, phi = _pencil(gspec, hspec, point)
+    kh, phi = pencil_at(gspec, hspec, point)
     vals = [phi(l) for l in lams]
     top_ratio = lams[-1] * vals[-1] / kh
     tail = [(l, v) for l, v in zip(lams, vals) if l >= lams[-1] / 100 and v != 0]

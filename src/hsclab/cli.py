@@ -229,8 +229,9 @@ def cmd_lemma2(args) -> int:
     payload = {"g": gspec.name, "h": hspec.name, "point": _c2pair(point)}
     try:
         worst = 0.0
+        phi = certify.pencil_at(gspec, hspec, point)[1]
         for lam in lams:
-            closed = certify.pencil_curvature(gspec, hspec, point, lam)
+            closed = phi(lam)
             direct = gaussian_curvature_1d(
                 certify.pencil_spec(gspec, hspec, lam), point)
             worst = max(worst, abs(closed - direct) / max(1.0, abs(direct)))

@@ -19,6 +19,11 @@ real by the pair symmetry R[i,j,k,l] = conj(R[j,i,l,k]) and invariant under
 scaling of xi.  The numerator is evaluated once, in `quartic`, as the
 quadratic form vec(X)^T . R.reshape(d^2, d^2) . vec(X) in the rank-one
 matrix X = xi xi^H, and the denominator once, in `metric_norm2`.
+`quartic` forms it as a BLAS matrix product, the row sums of (X @ R) * X,
+over blocks of QUARTIC_BLOCK directions.  The block is fixed for memory,
+not speed: one unblocked product over 1e4 directions holds two 1e4 x d^2
+temporaries plus per-thread BLAS buffers, and raised the peak memory of
+the minimizer-free acceptance checks from 50.9 to 54.4 MiB.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from .wirtinger import DIV_EPS, FD_STEP, SingularPointError, fd_jet
 COND_LIMIT = 1e12
 PAIR_SYMMETRY_TOL = 1e-10
 IMAG_TOL = 1e-10
+QUARTIC_BLOCK = 1024
 
 
 class IllConditionedError(ArithmeticError):
@@ -140,12 +146,28 @@ def curvature(mj: MetricJet, check: bool = True) -> CurvatureTensor:
 
 def quartic(R: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """R(xi, conj xi, xi, conj xi) per direction: R (..., d, d, d, d),
-    dirs (..., m, d) -> complex (..., m); the vec(X) form with X = xi xi^H."""
+    dirs (..., m, d) -> (..., m), batch shapes broadcast.
+
+    Each block of at most QUARTIC_BLOCK directions gives X = vec(xi xi^H)
+    of shape (..., block, d^2), and the block's values are the row sums of
+    (X @ R.reshape(d^2, d^2)) * X, written into one preallocated output.
+    The block bounds the two (..., block, d^2) temporaries and the BLAS
+    work buffers, so the peak memory of a long direction list stays that
+    of one block; m <= QUARTIC_BLOCK runs the loop once.
+    """
     d = dirs.shape[-1]
-    X = (dirs[..., :, None] * np.conjugate(dirs)[..., None, :]).reshape(
-        dirs.shape[:-1] + (d * d,))
+    m = dirs.shape[-2]
     Rm = R.reshape(R.shape[:-4] + (d * d, d * d))
-    return np.einsum("...ma,...ab,...mb->...m", X, Rm, X)
+    out = np.empty(np.broadcast_shapes(R.shape[:-4], dirs.shape[:-2]) + (m,),
+                   dtype=np.result_type(R, dirs))
+    for lo in range(0, m, QUARTIC_BLOCK):
+        block = dirs[..., lo:lo + QUARTIC_BLOCK, :]
+        X = (block[..., :, None] * np.conjugate(block)[..., None, :]).reshape(
+            block.shape[:-1] + (d * d,))
+        Y = X @ Rm
+        Y *= X
+        out[..., lo:lo + QUARTIC_BLOCK] = Y.sum(-1)
+    return out
 
 
 def metric_norm2(g: np.ndarray, dirs: np.ndarray) -> np.ndarray:
@@ -158,13 +180,18 @@ def hsc_dirs(g: np.ndarray, R: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     dirs (..., m, d) -> (..., m); a (1, d) dirs broadcasts over points.
 
     Raises ArithmeticError when a numerator's imaginary part exceeds
-    IMAG_TOL relative, SingularPointError when a direction's metric norm
-    is at most DIV_EPS.
+    IMAG_TOL times max(1, |R|_F * |xi|_2^4), the Cauchy-Schwarz bound on
+    the sum of the moduli of its summands, so the rounding of a large sum
+    that cancels stays far below it; SingularPointError when a
+    direction's metric norm is at most DIV_EPS.
     """
     dirs = np.asarray(dirs, dtype=complex)
     num = quartic(R, dirs)
     den = metric_norm2(g, dirs)
-    scale = np.maximum(1.0, np.abs(num))
+    d = R.shape[-1]
+    r_norm = np.linalg.norm(R.reshape(R.shape[:-4] + (d ** 4,)), axis=-1)
+    xi_sq = (dirs.real ** 2 + dirs.imag ** 2).sum(-1)
+    scale = np.maximum(1.0, r_norm[..., None] * xi_sq ** 2)
     if np.any(np.abs(num.imag) > IMAG_TOL * scale):
         raise ArithmeticError("sectional numerator has a non-negligible imaginary part")
     if np.any(den <= DIV_EPS):

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from hsclab import certify, dsl
+from hsclab import acceptance, certify, dsl
 from hsclab.certify import (ThresholdNotReachedError, check_block_hypotheses,
-                            choose_weights, pencil_curvature,
+                            choose_weights, pencil_at,
                             pencil_decay_check, pencil_positive_threshold,
                             pencil_spec, product_inequality_check,
                             product_inequality_slacks, random_block_tensor,
@@ -118,6 +118,48 @@ def test_random_block_tensor_honors_hypotheses():
     assert rep["ok"]
 
 
+def _random_block_tensor_loop(fiber_lower, mixed_bound, base_lower, n, s, seed):
+    """The entry-by-entry construction random_block_tensor replaced: einsum
+    model blocks and mixed mask, then a walk over the strictly mixed
+    entries in C order that draws for each canonical one (the first of it
+    and its mirror (j, i, l, k)) a real value, or a modulus and a phase
+    for a pair."""
+    def model_block(bound, size):
+        eye = np.eye(size)
+        return (0.5 * bound * (np.einsum("ij,kl->ijkl", eye, eye)
+                               + np.einsum("il,kj->ijkl", eye, eye))).astype(complex)
+
+    fiber = np.arange(n) < s
+    allf = np.einsum("i,j,k,l->ijkl", fiber, fiber, fiber, fiber)
+    allb = np.einsum("i,j,k,l->ijkl", ~fiber, ~fiber, ~fiber, ~fiber)
+    rng = np.random.default_rng(seed)
+    R = np.zeros((n, n, n, n), dtype=complex)
+    R[:s, :s, :s, :s] = model_block(fiber_lower, s)
+    R[s:, s:, s:, s:] = model_block(base_lower, n - s)
+    cap = certify.MIXED_FILL * mixed_bound
+    for ijkl in np.argwhere(~(allf | allb)):
+        i, j, k, l = (int(v) for v in ijkl)
+        mirror = (j, i, l, k)
+        if (i, j, k, l) > mirror:
+            continue
+        if (i, j, k, l) == mirror:
+            R[i, j, k, l] = rng.uniform(-cap, cap)
+            continue
+        w = cap * rng.uniform(0, 1) * np.exp(2j * np.pi * rng.uniform(0, 1))
+        R[i, j, k, l] = w
+        R[mirror] = np.conjugate(w)
+    return R
+
+
+def test_random_block_tensor_matches_entry_loop():
+    for n in range(2, 7):
+        for s in range(1, n):
+            for seed in (0, 1, 17, 2**31 - 1):
+                args = (0.5 + seed % 5, 0.3 + n, 50.0 * s, n, s)
+                t = random_block_tensor(*args, seed=seed)
+                assert np.array_equal(t.R, _random_block_tensor_loop(*args, seed))
+
+
 def test_split_bound_at_required_base_level():
     rng = np.random.default_rng(31)
     for trial in range(4):
@@ -155,7 +197,7 @@ def test_pencil_formula_matches_direct_curvature():
     for _ in range(20):
         z = complex(*rng.uniform(-0.5, 0.5, 2))
         lam = float(rng.uniform(0.01, 20.0))
-        closed = pencil_curvature(g, h, z, lam)
+        closed = pencil_at(g, h, z)[1](lam)
         direct = gaussian_curvature_1d(pencil_spec(g, h, lam), z)
         assert closed == pytest.approx(direct, rel=1e-11, abs=1e-11)
 
@@ -225,6 +267,21 @@ def test_pencil_reads_each_entry_jet_once(monkeypatch):
     calls.clear()
     pencil_positive_threshold(g, h, 0.1j)
     assert len(calls) == 2
+
+
+def test_pencil_suite_reads_each_point_once(monkeypatch):
+    calls = []
+    eval_jet = dsl.eval_jet
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return eval_jet(*args, **kwargs)
+
+    monkeypatch.setattr(dsl, "eval_jet", counting)
+    assert acceptance.check_pencil_suite(0)["ok"]
+    # 50 pairs x 5 points: both entry jets once, plus the summed metric
+    # at each of 4 lams; then 2 + 2 + 2 for the root, threshold and decay
+    assert len(calls) == 50 * 5 * (2 + 4) + 6
 
 
 def test_threshold_search_exact_bracket():

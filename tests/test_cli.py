@@ -67,6 +67,23 @@ def test_lemma2_defaults(capsys):
     assert rep["decay"]["limit_curvature"] == pytest.approx(4.0)
 
 
+def test_lemma2_reads_pencil_jets_once_per_route(capsys, monkeypatch):
+    calls = []
+    eval_jet = dsl.eval_jet
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return eval_jet(*args, **kwargs)
+
+    monkeypatch.setattr(dsl, "eval_jet", counting)
+    code, _ = run_cli(capsys, "lemma2", "--g", "poincare", "--h", "fs_affine",
+                      "--point", "0.1")
+    assert code == 0
+    # closed form 2, summed metric at the 4 default lams 4, threshold 2,
+    # decay 2
+    assert len(calls) == 10
+
+
 def test_example1_reference_invocation(capsys):
     code, rep = run_cli(capsys, "example1", "--lambdas", "0.5,1,5,50",
                         "--seed", "0")

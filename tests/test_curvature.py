@@ -17,10 +17,11 @@ import numpy as np
 import pytest
 
 from hsclab import dsl
-from hsclab.curvature import (IllConditionedError, PointOutsideBoxError,
-                              curvature, curvature_at, gaussian_curvature_1d,
-                              hsc_dirs, metric_jet, metric_jet_from_fd,
-                              pair_symmetry_defect, restrict)
+from hsclab.curvature import (QUARTIC_BLOCK, IllConditionedError,
+                              PointOutsideBoxError, curvature, curvature_at,
+                              gaussian_curvature_1d, hsc_dirs, metric_jet,
+                              metric_jet_from_fd, pair_symmetry_defect,
+                              restrict)
 from hsclab.positivity import scan_chart
 from hsclab.wirtinger import SingularPointError
 
@@ -88,13 +89,14 @@ def test_hsc_direction_scale_invariance():
 
 
 def _reference_hsc(g, R, xi):
-    """K at one point and one direction, summed index by index."""
-    d = len(xi)
+    """K at one point, summed index by index; xi is one direction (d,) or
+    an array of them (..., d)."""
+    d = xi.shape[-1]
+    c = np.conj(xi)
     num = 0j
     for i, j, k, l in itertools.product(range(d), repeat=4):
-        num += R[i, j, k, l] * xi[i] * np.conj(xi[j]) * xi[k] * np.conj(xi[l])
-    den = sum(g[i, j] * xi[i] * np.conj(xi[j])
-              for i in range(d) for j in range(d))
+        num = num + R[i, j, k, l] * xi[..., i] * c[..., j] * xi[..., k] * c[..., l]
+    den = sum(g[i, j] * xi[..., i] * c[..., j] for i in range(d) for j in range(d))
     return 2.0 * num.real / den.real ** 2
 
 
@@ -129,6 +131,33 @@ def test_hsc_dirs_matches_index_reference(d, shared):
         for p in range(points)], rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_hsc_dirs_blocked_direction_axis(d):
+    # more directions than two kernel blocks, with a partial last block
+    rng = np.random.default_rng(120 + d)
+    points, m = 3, 2 * QUARTIC_BLOCK + 3
+    g, R = _random_kernel_inputs(rng, points, d, shared=True)
+    _, Rs = _random_kernel_inputs(rng, points, d, shared=False)
+    dirs = rng.standard_normal((points, m, d)) + 1j * rng.standard_normal((points, m, d))
+
+    def close(got, want):
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+
+    # a shared R with batched directions
+    got = hsc_dirs(g, R, dirs)
+    assert got.shape == (points, m)
+    close(got, np.stack([_reference_hsc(g[p], R, dirs[p]) for p in range(points)]))
+    # a batched R with one (1, m, d) direction list for every point
+    got = hsc_dirs(g, Rs, dirs[:1])
+    assert got.shape == (points, m)
+    close(got, np.stack([_reference_hsc(g[p], Rs[p], dirs[0]) for p in range(points)]))
+    # a shared R with a plain (m, d) array
+    got = hsc_dirs(g[0], R, dirs[1])
+    assert got.shape == (m,)
+    close(got, _reference_hsc(g[0], R, dirs[1]))
+
+
 def test_hsc_dirs_guards():
     rng = np.random.default_rng(110)
     g, R = _random_kernel_inputs(rng, 4, 2, shared=False)
@@ -142,6 +171,31 @@ def test_hsc_dirs_guards():
     assert pair_symmetry_defect(broken) > 1e-7
     with pytest.raises(ArithmeticError, match="imaginary"):
         hsc_dirs(g, broken, dirs)
+
+
+def test_hsc_dirs_imaginary_guard_scales_with_summands():
+    # Pair-symmetric tensors with entries of order 1e7 whose quartic vanishes
+    # at the chosen unit direction: the numerator is a near-total
+    # cancellation, so its rounding is large against |num| but tiny
+    # against |R|_F * |xi|^4, the size of the summands.
+    rng = np.random.default_rng(130)
+    points, d = 8, 3
+    shape = (points,) + (d,) * 4
+    t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    R = 1e7 * 0.5 * (t + np.conj(np.swapaxes(np.swapaxes(t, -4, -3), -2, -1)))
+    xi = rng.standard_normal((points, 1, d)) + 1j * rng.standard_normal((points, 1, d))
+    xi /= np.linalg.norm(xi, axis=-1, keepdims=True)
+    eye = np.eye(d)
+    unit = 0.5 * (np.einsum("ij,kl->ijkl", eye, eye) + np.einsum("il,kj->ijkl", eye, eye))
+    for p in range(points):
+        # unit(xi) = |xi|^4 = 1, so R - q*unit has a zero quartic at xi
+        q = np.einsum("ijkl,i,j,k,l->", R[p], xi[p, 0], np.conj(xi[p, 0]),
+                      xi[p, 0], np.conj(xi[p, 0])).real
+        R[p] -= q * unit
+    assert pair_symmetry_defect(R) == 0.0
+    g = np.broadcast_to(np.eye(d, dtype=complex), (points, d, d))
+    vals = hsc_dirs(g, R, xi)
+    assert np.abs(vals).max() <= 1e-12 * np.abs(R).max()
 
 
 def test_pair_symmetry_of_catalog_tensors():
