@@ -50,14 +50,9 @@ for lam, val in res.persistence:
     print(f"  persistence at lam = {lam:.3f}: minimum {val:+.6f}")
 
 print("\nthe bundled counterexample family is refused on hypotheses:")
-fiber = ((hsclab.parse(
-    "exp(2*z2*conj(z2))/(1+(z1*conj(z1))^2*exp(4*z2*conj(z2)))", 2),),)
-base = ((hsclab.parse("1/(1+z1*conj(z1))", 1),),)
-half = float(np.real(0.95 / np.sqrt(2)))
-box = (hsclab.Rect(-half, half, -half, half),) * 2
-bad = hsclab.FibrationSpec("degenerate", 1, 1, fiber, base, 0.0, box)
 try:
-    hsclab.lambda_search(bad, grid_per_axis=3, dirs=8, starts=1, iters=40)
+    hsclab.lambda_search(hsclab.paper_G_fibration(), grid_per_axis=3, dirs=8,
+                         starts=1, iters=40)
 except hsclab.HypothesisViolationError as exc:
     print(f"  refused: {exc.side} minimum {exc.value:+.3e} "
           "(vanishes at the center of every fiber; no lam rescues it)")

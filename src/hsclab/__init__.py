@@ -43,8 +43,8 @@ from .warp import (FibrationSpec, HypothesisViolationError,
                    check_hypotheses, determinant_split_check,
                    family_negativity_report, inverse_asymptotics,
                    lambda_search, load_fibration,
-                   mu0_search, save_fibration, submanifold_decreasing_check,
-                   warp_demo_fibration)
+                   mu0_search, paper_G_fibration, save_fibration,
+                   submanifold_decreasing_check, warp_demo_fibration)
 from .wirtinger import Jet2, SingularPointError, fd_jet
 
 __all__ = [
@@ -73,7 +73,7 @@ __all__ = [
     "FibrationSpec", "warp_demo_fibration", "assemble", "mu0_search",
     "check_hypotheses", "lambda_search", "LambdaSearchResult",
     "HypothesisViolationError", "inverse_asymptotics",
-    "determinant_split_check",
+    "determinant_split_check", "paper_G_fibration",
     "submanifold_decreasing_check", "base_growth_check",
     "family_negativity_report", "save_fibration", "load_fibration",
     # acceptance suite

@@ -359,6 +359,7 @@ def pencil_spec(gspec: dsl.MetricSpec, hspec: dsl.MetricSpec, lam: float,
 PENCIL_SCHEDULE_START = 1e-6
 PENCIL_BISECTIONS = 40
 PENCIL_PERSISTENCE_SAMPLES = 10
+PENCIL_DECAY_LAMBDAS = (1.0, 10.0, 100.0, 1e3, 1e4)
 
 
 class ThresholdNotReachedError(RuntimeError):
@@ -422,16 +423,11 @@ def pencil_positive_threshold(gspec: dsl.MetricSpec, hspec: dsl.MetricSpec,
     }
 
 
-def pencil_decay_check(gspec: dsl.MetricSpec, hspec: dsl.MetricSpec,
-                       point, lam_list=None) -> dict:
-    """Large-lam behavior: lam*K approaches the curvature of the second
-    metric (within 1% at the top), and |K| decays like 1/lam (log-log
-    slope -1 +- 0.2 over the last two decades)."""
-    if lam_list is None:
-        lam_list = [1.0, 10.0, 100.0, 1e3, 1e4]
-    lams = [float(l) for l in lam_list]
-    if sorted(lams) != lams or lams[-1] < 1e4:
-        raise ValueError("lam_list must be increasing with last entry >= 1e4")
+def pencil_decay_check(gspec: dsl.MetricSpec, hspec: dsl.MetricSpec, point) -> dict:
+    """Large-lam behavior over PENCIL_DECAY_LAMBDAS: lam*K approaches the
+    curvature of the second metric (within 1% at the top), and |K| decays
+    like 1/lam (log-log slope -1 +- 0.2 over the last two decades)."""
+    lams = list(PENCIL_DECAY_LAMBDAS)
     kh, phi = pencil_at(gspec, hspec, point)
     vals = [phi(l) for l in lams]
     top_ratio = lams[-1] * vals[-1] / kh

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -37,15 +38,19 @@ def parse_complex_vector(text: str, n: int, what: str) -> np.ndarray:
     try:
         if not has_literal and len(toks) == 2 * n:
             vals = [float(t) for t in toks]
-            return np.array([complex(vals[2 * k], vals[2 * k + 1])
-                             for k in range(n)])
-        if len(toks) == n:
-            return np.array([complex(t.replace("i", "j")) for t in toks])
+            vec = np.array([complex(vals[2 * k], vals[2 * k + 1])
+                            for k in range(n)])
+        elif len(toks) == n:
+            vec = np.array([complex(t.replace("i", "j")) for t in toks])
+        else:
+            raise SystemExit(_usage(
+                f"{what} needs {n} complex entries ({2 * n} reals or {n} "
+                f"literals), got {len(toks)} values"))
     except ValueError as exc:
         raise SystemExit(_usage(f"could not parse {what} {text!r}: {exc}"))
-    raise SystemExit(_usage(
-        f"{what} needs {n} complex entries ({2 * n} reals or {n} literals), "
-        f"got {len(toks)} values"))
+    if not np.isfinite(vec).all():
+        raise SystemExit(_usage(f"{what} {text!r} has a non-finite entry"))
+    return vec
 
 
 def parse_float_list(text: str, what: str) -> list[float]:
@@ -55,7 +60,18 @@ def parse_float_list(text: str, what: str) -> list[float]:
         raise SystemExit(_usage(f"could not parse {what} {text!r}: {exc}"))
     if not values:
         raise SystemExit(_usage(f"{what} needs at least one value"))
+    if not all(map(math.isfinite, values)):
+        raise SystemExit(_usage(f"{what} {text!r} has a non-finite value"))
     return values
+
+
+def finite_float(text: str) -> float:
+    """argparse type of every float option: infinities and NaN are usage
+    errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _usage(message: str) -> int:
@@ -286,6 +302,9 @@ def cmd_warp(args) -> int:
                 "hypothesis_violation": {"side": exc.side, "value": exc.value,
                                          "witness": exc.witness}}
             ok = False
+        except certify.ThresholdNotReachedError as exc:
+            payload["lambda_search"] = {"threshold_not_reached": str(exc)}
+            ok = False
     payload["ok"] = bool(ok)
     _emit(args, "warp", payload)
     return 0 if ok else 1
@@ -368,18 +387,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=50000,
                    help="cap on points scanned across the staged scans; a "
                    "stage runs only if it fits")
-    p.add_argument("--threshold", type=float, default=NEG_THRESHOLD,
+    p.add_argument("--threshold", type=finite_float, default=NEG_THRESHOLD,
                    help="negativity threshold (default %(default)g)")
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("lemma1", help="weight constants, product "
                        "inequalities, and the certified split bound")
     _add_seed(p)
-    p.add_argument("--k0", type=float, required=True, help="fiber quartic lower bound")
-    p.add_argument("--k1", type=float, required=True, help="mixed entry bound")
+    p.add_argument("--k0", type=finite_float, required=True,
+                   help="fiber quartic lower bound")
+    p.add_argument("--k1", type=finite_float, required=True,
+                   help="mixed entry bound")
     p.add_argument("--n", type=int, required=True, help="total dimension")
     p.add_argument("--s", type=int, required=True, help="fiber dimension")
-    p.add_argument("--k2", type=float, help="base quartic bound "
+    p.add_argument("--k2", type=finite_float, help="base quartic bound "
                    "(default: the certified requirement)")
     p.add_argument("--trials", type=int, default=10000)
     p.set_defaults(func=cmd_lemma1)
@@ -393,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", default="0,0", help="chart point")
     p.add_argument("--lambdas", default="0.001,0.1,1,17",
                    help="lams for the formula cross-check")
-    p.add_argument("--lam-max", type=float, default=warp.LAMBDA_MAX,
+    p.add_argument("--lam-max", type=finite_float, default=warp.LAMBDA_MAX,
                    dest="lam_max")
     p.set_defaults(func=cmd_lemma2)
 
@@ -401,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "checks; --search finds the positivity threshold")
     _add_seed(p)
     p.add_argument("--file", help="fibration JSON (default: bundled demo)")
-    p.add_argument("--lam", type=float, default=1.0)
+    p.add_argument("--lam", type=finite_float, default=1.0)
     p.add_argument("--trials", type=int, default=1000,
                    help="determinant identity trials")
     p.add_argument("--search", action="store_true",
@@ -435,7 +456,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit:
         raise
-    except dsl.MetricError as exc:
+    except (dsl.MetricError, ArithmeticError) as exc:
+        # ArithmeticError covers SingularPointError and IllConditionedError.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (dsl.ParseError, PointOutsideBoxError, OSError) as exc:

@@ -17,12 +17,17 @@ negative ("^-2").
 
 Expressions evaluate either to plain complex values or to second-order
 Wirtinger jets; both evaluators accept a batch of points.
+
+Also here: chart boxes, metric specs, fibrations (FibrationSpec owns the
+warped block layout) and the bundled catalog, whose fibration metrics
+derive from the bundled PAPER_G_FIBRATION and WARP_DEMO_FIBRATION.
 """
 
 from __future__ import annotations
 
 import json
 import re as _re
+import dataclasses
 from dataclasses import dataclass
 from typing import Union
 
@@ -485,6 +490,10 @@ def random_expr(rng: np.random.Generator, n: int, depth: int = 3) -> Expr:
 # ---------------------------------------------------------------------------
 # Chart boxes
 
+# Slack of every box membership test, so that points computed on a box
+# edge (grid endpoints, restricted coordinates) count as inside.
+BOX_TOL = 1e-9
+
 @dataclass(frozen=True)
 class Rect:
     """Closed rectangle for one complex coordinate: re and im intervals."""
@@ -494,8 +503,10 @@ class Rect:
     im_min: float
     im_max: float
 
-    def contains(self, z, tol: float = 1e-9):
-        """Whether z (a complex number or array) lies in the rectangle."""
+    def contains(self, z):
+        """Whether z (a complex number or array) lies in the rectangle,
+        up to BOX_TOL."""
+        tol = BOX_TOL
         return ((self.re_min - tol <= z.real) & (z.real <= self.re_max + tol)
                 & (self.im_min - tol <= z.imag) & (z.imag <= self.im_max + tol))
 
@@ -503,13 +514,13 @@ class Rect:
 Box = tuple  # tuple[Rect, ...], one per coordinate
 
 
-def box_contains(box, points, tol: float = 1e-9) -> np.ndarray:
+def box_contains(box, points) -> np.ndarray:
     """Which of points (..., n) lie in the box, as a bool array (...);
     non-finite points count as outside."""
     pts = np.asarray(points, dtype=complex)
     inside = np.isfinite(pts).all(axis=-1)
     for r, z in zip(box, np.moveaxis(pts, -1, 0), strict=True):
-        inside &= r.contains(z, tol)
+        inside &= r.contains(z)
     return inside
 
 
@@ -582,6 +593,56 @@ class MetricSpec:
     @property
     def is_family(self) -> bool:
         return self.dim < self.n
+
+
+@dataclass(frozen=True)
+class FibrationSpec:
+    """A chart with s fiber coordinates, m base coordinates, a fiber
+    metric block over all n = s + m coordinates, and a base metric over
+    its own m coordinates (z1..zm in the base's numbering)."""
+
+    name: str
+    s: int
+    m: int
+    fiber_entries: tuple
+    base_entries: tuple
+    mu0: float
+    box: tuple
+
+    def __post_init__(self):
+        s, m = self.s, self.m
+        if s < 1 or m < 1:
+            raise ValueError("need at least one fiber and one base coordinate")
+        if len(self.fiber_entries) != s or any(len(r) != s for r in self.fiber_entries):
+            raise ValueError("fiber_entries must be s x s")
+        if len(self.base_entries) != m or any(len(r) != m for r in self.base_entries):
+            raise ValueError("base_entries must be m x m")
+        if len(self.box) != self.n:
+            raise ValueError("box must cover all s + m coordinates")
+        if not self.mu0 >= 0:
+            raise ValueError("mu0 must be nonnegative")
+
+    @property
+    def n(self) -> int:
+        return self.s + self.m
+
+    def base_spec(self) -> MetricSpec:
+        return MetricSpec(f"{self.name}.base", self.m, self.base_entries,
+                          self.box[self.s:])
+
+    def fiber_spec(self) -> MetricSpec:
+        """The fiber metrics as a family over the base coordinates."""
+        return MetricSpec(f"{self.name}.fiber", self.n, self.fiber_entries,
+                          self.box)
+
+    def warped_entries(self, scale: float) -> tuple:
+        """Entries of blockdiag(fiber, scale * base): the base block is
+        shifted onto z_{s+1}..z_n and the off-diagonal blocks are zero."""
+        zero = Lit(0j)
+        base = [tuple(scale_expr(scale, shift_vars(e, self.s)) for e in row)
+                for row in self.base_entries]
+        return (tuple(tuple(row) + (zero,) * self.m for row in self.fiber_entries)
+                + tuple((zero,) * self.s + row for row in base))
 
 
 def metric_values(spec: MetricSpec, points) -> np.ndarray:
@@ -701,9 +762,14 @@ def _square_box(n: int, half: float) -> tuple:
     return tuple(Rect(-half, half, -half, half) for _ in range(n))
 
 
-_FIBER_ENTRY = "exp(2*z2*conj(z2))/(1+(z1*conj(z1))^2*exp(4*z2*conj(z2)))"
-_BASE_ENTRY = "1/(1+z1*conj(z1))"
-_WARP_FIBER_ENTRY = "exp(z2*conj(z2))/(1+z1*conj(z1))^2"
+_DISK_BASE = ((parse("1/(1+z1*conj(z1))", 1),),)
+PAPER_G_FIBRATION = FibrationSpec(
+    "paper_G", 1, 1,
+    ((parse("exp(2*z2*conj(z2))/(1+(z1*conj(z1))^2*exp(4*z2*conj(z2)))", 2),),),
+    _DISK_BASE, 0.0, _square_box(2, DISK_HALF))
+WARP_DEMO_FIBRATION = FibrationSpec(
+    "warp_demo", 1, 1, ((parse("exp(z2*conj(z2))/(1+z1*conj(z1))^2", 2),),),
+    _DISK_BASE, 0.0, _square_box(2, DISK_HALF))
 
 _CATALOG_RE = _re.compile(r"^([a-zA-Z_][a-zA-Z_0-9]*)(?:\((.*)\))?$")
 
@@ -766,12 +832,11 @@ def catalog(name: str) -> MetricSpec:
     if head == "fs_affine":
         return _diag_spec("fs_affine", ["1/(1+z1*conj(z1))^2"], _square_box(1, DISK_HALF))
     if head == "paper_base":
-        return _diag_spec("paper_base", [_BASE_ENTRY], _square_box(1, DISK_HALF))
+        return dataclasses.replace(PAPER_G_FIBRATION.base_spec(), name="paper_base")
     if head == "paper_fiber":
         # One fiber direction z1, one base parameter z2: a 1x1 family on a
         # two-coordinate box.
-        return MetricSpec("paper_fiber", 2, ((parse(_FIBER_ENTRY, 2),),),
-                          _square_box(2, DISK_HALF))
+        return dataclasses.replace(PAPER_G_FIBRATION.fiber_spec(), name="paper_fiber")
     if head == "paper_G":
         try:
             lam = float(arg) if arg else 1.0
@@ -779,14 +844,11 @@ def catalog(name: str) -> MetricSpec:
             raise KeyError(f"paper_G(lam) needs a real lam > 0, got {arg!r}") from None
         if not 0 < lam < np.inf:
             raise KeyError("paper_G(lam) needs a finite lam > 0")
-        base = scale_expr(lam, shift_vars(parse(_BASE_ENTRY, 1), 1))
-        entries = ((parse(_FIBER_ENTRY, 2), Lit(0j)), (Lit(0j), base))
-        label = f"paper_G({_fmt_real(lam)})"
-        return MetricSpec(label, 2, entries, _square_box(2, DISK_HALF))
+        return MetricSpec(f"paper_G({_fmt_real(lam)})", 2,
+                          PAPER_G_FIBRATION.warped_entries(lam), PAPER_G_FIBRATION.box)
     if head == "warp_demo":
-        entries = ((parse(_WARP_FIBER_ENTRY, 2), Lit(0j)),
-                   (Lit(0j), shift_vars(parse(_BASE_ENTRY, 1), 1)))
-        return MetricSpec("warp_demo", 2, entries, _square_box(2, DISK_HALF))
+        return MetricSpec("warp_demo", 2, WARP_DEMO_FIBRATION.warped_entries(1.0),
+                          WARP_DEMO_FIBRATION.box)
     if head in ("fs", "ball"):
         n = _dimension_arg(head, arg)
         return _projective_spec(f"{head}({n})", n, 1 if head == "fs" else -1)

@@ -1,8 +1,9 @@
 """Warped product metrics on holomorphic fibrations.
 
-A fibration here is a coordinate chart with s fiber coordinates followed
-by m base coordinates.  Given a fiber metric block (which may depend on
-the base coordinates: the warp) and a base metric, the assembled family
+A fibration (dsl.FibrationSpec) is a coordinate chart with s fiber
+coordinates followed by m base coordinates.  Given a fiber metric block
+(which may depend on the base coordinates: the warp) and a base metric,
+the assembled family
 
     g(lam) = blockdiag(fiber, (mu0 + lam) * base)
 
@@ -13,8 +14,9 @@ smallest lam making the holomorphic sectional curvature positive on the chart.
 
 The search refuses charts that fail its standing hypotheses (positive
 base curvature, positive fiber curvature on sampled fibers); the bundled
-counterexample family shows why: its fiber curvature vanishes at one
-point of every fiber, and no lam rescues positivity there.
+counterexample family paper_G_fibration() shows why: its fiber curvature
+vanishes at one point of every fiber, and no lam rescues positivity there.
+Both bundled fibrations are defined once, in dsl.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from . import dsl
 from .certify import threshold_search
 from .curvature import (curvature, gaussian_curvature_1d, hsc_dirs,
                         metric_jet, metric_norm2, quartic, restrict)
+from .dsl import FibrationSpec
 from .positivity import (NEG_THRESHOLD, _c2pair, check_witness_budget,
                          find_negative_witness, scan_chart)
 
@@ -36,46 +39,13 @@ LAMBDA_START = 1e-3
 LAMBDA_MAX = float(2 ** 30)
 MU0_MAX_EXPONENT = 40
 HYPOTHESIS_MARGIN = 1e-8
+# The lams of inverse_asymptotics and base_growth_check.
+ASYMPTOTICS_LAMBDAS = tuple(np.geomspace(1e2, 1e6, 5))
+GROWTH_LAMBDAS = (1e2, 1e3, 1e4)
 
 
 # ---------------------------------------------------------------------------
 # Fibration charts
-
-
-@dataclass(frozen=True)
-class FibrationSpec:
-    """A chart with s fiber coordinates, m base coordinates, a fiber
-    metric block over all n = s + m coordinates, and a base metric over
-    its own m coordinates (z1..zm in the base's numbering)."""
-
-    name: str
-    s: int
-    m: int
-    fiber_entries: tuple
-    base_entries: tuple
-    mu0: float
-    box: tuple
-
-    @property
-    def n(self) -> int:
-        return self.s + self.m
-
-    def base_spec(self) -> dsl.MetricSpec:
-        return dsl.MetricSpec(f"{self.name}.base", self.m, self.base_entries,
-                              self.box[self.s:])
-
-
-def _check_fibration(f: FibrationSpec) -> None:
-    if f.s < 1 or f.m < 1:
-        raise ValueError("need at least one fiber and one base coordinate")
-    if len(f.fiber_entries) != f.s or any(len(r) != f.s for r in f.fiber_entries):
-        raise ValueError("fiber_entries must be s x s")
-    if len(f.base_entries) != f.m or any(len(r) != f.m for r in f.base_entries):
-        raise ValueError("base_entries must be m x m")
-    if len(f.box) != f.n:
-        raise ValueError("box must cover all s + m coordinates")
-    if f.mu0 < 0:
-        raise ValueError("mu0 must be nonnegative")
 
 
 def fibration_to_dict(f: FibrationSpec) -> dict:
@@ -95,9 +65,7 @@ def fibration_from_dict(d: dict) -> FibrationSpec:
     base = tuple(tuple(dsl.parse(src, m) for src in row)
                  for row in d["base_entries"])
     box = tuple(dsl.Rect(*map(float, r)) for r in d["box"])
-    f = FibrationSpec(str(d["name"]), s, m, fiber, base, float(d["mu0"]), box)
-    _check_fibration(f)
-    return f
+    return FibrationSpec(str(d["name"]), s, m, fiber, base, float(d["mu0"]), box)
 
 
 def save_fibration(f: FibrationSpec, path) -> None:
@@ -115,38 +83,25 @@ def warp_demo_fibration() -> FibrationSpec:
     """Bundled example: one warped fiber coordinate over a positively
     curved one-dimensional base; assembling it at mu0=0, lam=1 reproduces
     the catalog metric warp_demo."""
-    fiber = ((dsl.parse("exp(z2*conj(z2))/(1+z1*conj(z1))^2", 2),),)
-    base = ((dsl.parse("1/(1+z1*conj(z1))", 1),),)
-    box = (dsl.Rect(-dsl.DISK_HALF, dsl.DISK_HALF, -dsl.DISK_HALF, dsl.DISK_HALF),) * 2
-    return FibrationSpec("warp_demo", 1, 1, fiber, base, 0.0, box)
+    return dsl.WARP_DEMO_FIBRATION
+
+
+def paper_G_fibration() -> FibrationSpec:
+    """Bundled counterexample: the catalog's paper_G(lam) assembled at lam,
+    with base paper_base and fiber family paper_fiber."""
+    return dsl.PAPER_G_FIBRATION
 
 
 def assemble(f: FibrationSpec, lam: float, name: str | None = None) -> dsl.MetricSpec:
-    """The warped product metric at parameter lam: fiber block unchanged,
-    base block scaled by (mu0 + lam) and shifted onto coordinates
-    z_{s+1}..z_n, zero off-diagonal blocks."""
-    _check_fibration(f)
+    """The warped product metric at parameter lam:
+    blockdiag(fiber, (mu0 + lam) * base), see FibrationSpec.warped_entries."""
     scale = f.mu0 + float(lam)
     if not scale > 0:
         raise ValueError("mu0 + lam must be positive")
-    n, s = f.n, f.s
-    zero = dsl.Lit(0j)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i < s and j < s:
-                row.append(f.fiber_entries[i][j])
-            elif i >= s and j >= s:
-                row.append(dsl.scale_expr(
-                    scale, dsl.shift_vars(f.base_entries[i - s][j - s], s)))
-            else:
-                row.append(zero)
-        rows.append(tuple(row))
     if name is None:
         name = f.name if (scale == 1.0 and f.mu0 == 0.0) else \
             f"{f.name}@{dsl._fmt_real(float(lam))}"
-    return dsl.MetricSpec(name, n, tuple(rows), f.box)
+    return dsl.MetricSpec(name, f.n, f.warped_entries(scale), f.box)
 
 
 def mu0_search(f: FibrationSpec, samples: int = 300, seed: int = 0) -> float:
@@ -202,14 +157,15 @@ class LambdaSearchResult:
         }
 
 
-def _fiber_restriction(f: FibrationSpec, base_point) -> dsl.MetricSpec:
-    """Induced metric on the fiber through a fixed base point.
-
-    Restriction keeps only the fiber block, so the base scale is
-    irrelevant here; lam = 1 is as good as any.
-    """
-    fixed = {f.s + 1 + a: complex(base_point[a]) for a in range(f.m)}
-    return restrict(assemble(f, 1.0), fixed)
+def _sampled_fiber_scans(f: FibrationSpec, count: int, rng, **scan_options):
+    """Yield (base point, fiber metric, its scan) for count base points
+    drawn one at a time from the base box; lazily, so an early stop draws
+    no more."""
+    family = f.fiber_spec()
+    for _ in range(count):
+        c = dsl.box_sample(f.box[f.s:], rng, 1)[0]
+        sub = restrict(family, {f.s + 1 + a: complex(z) for a, z in enumerate(c)})
+        yield c, sub, scan_chart(sub, **scan_options)
 
 
 def check_hypotheses(f: FibrationSpec, fiber_samples: int = 5, seed: int = 0,
@@ -222,20 +178,15 @@ def check_hypotheses(f: FibrationSpec, fiber_samples: int = 5, seed: int = 0,
     point must too.  Raises HypothesisViolationError naming the failing
     side with a witness point.
     """
-    _check_fibration(f)
-    base_scan = scan_chart(f.base_spec(), grid_per_axis=grid_per_axis,
-                           dirs=dirs, seed=seed, starts=starts, iters=iters)
+    scan_options = dict(grid_per_axis=grid_per_axis, dirs=dirs, seed=seed,
+                        starts=starts, iters=iters)
+    base_scan = scan_chart(f.base_spec(), **scan_options)
     if base_scan.min_hsc <= HYPOTHESIS_MARGIN:
         raise HypothesisViolationError("base", base_scan.min_hsc,
                                        [_c2pair(z) for z in base_scan.witness_point])
-    rng = np.random.default_rng([seed, 17])
-    base_boxes = f.box[f.s:]
     fiber_mins = []
-    for k in range(fiber_samples):
-        c = dsl.box_sample(base_boxes, rng, 1)[0]
-        sub = _fiber_restriction(f, c)
-        sub_scan = scan_chart(sub, grid_per_axis=grid_per_axis, dirs=dirs,
-                              seed=seed, starts=starts, iters=iters)
+    for c, _, sub_scan in _sampled_fiber_scans(
+            f, fiber_samples, np.random.default_rng([seed, 17]), **scan_options):
         if sub_scan.min_hsc <= HYPOTHESIS_MARGIN:
             raise HypothesisViolationError(
                 "fiber", sub_scan.min_hsc,
@@ -294,7 +245,7 @@ def _fit_or_zero(lams, vals):
     return float(np.polyfit(np.log(np.asarray(lams, dtype=float)), np.log(v), 1)[0])
 
 
-def inverse_asymptotics(h0, s: int, lam_values=None) -> dict:
+def inverse_asymptotics(h0, s: int) -> dict:
     """Large-lam block structure of inv(h0 + lam * blockdiag(0, I)).
 
     The fiber block of the inverse tends to inv(fiber block of h0) with
@@ -302,7 +253,8 @@ def inverse_asymptotics(h0, s: int, lam_values=None) -> dict:
     with error O(1/lam); mixed entries are O(1/lam) and base off-diagonal
     entries O(1/lam^2).  Reports the fitted log-log slopes (None for
     identically zero series, which occur when the blocks decouple) and
-    whether each is within 0.2 of its expected order.
+    whether each is within 0.2 of its expected order, over
+    ASYMPTOTICS_LAMBDAS.
     """
     h0 = np.asarray(h0, dtype=complex)
     n = h0.shape[0]
@@ -310,9 +262,7 @@ def inverse_asymptotics(h0, s: int, lam_values=None) -> dict:
         raise ValueError("need 0 < s < n")
     if np.abs(h0 - h0.conj().T).max() > 1e-12 * max(1.0, np.abs(h0).max()):
         raise ValueError("h0 must be Hermitian")
-    if lam_values is None:
-        lam_values = np.geomspace(1e2, 1e6, 5)
-    lams = [float(l) for l in lam_values]
+    lams = [float(l) for l in ASYMPTOTICS_LAMBDAS]
     bump = np.zeros((n, n))
     bump[s:, s:] = np.eye(n - s)
     fiber_inv = np.linalg.inv(h0[:s, :s])
@@ -412,26 +362,23 @@ def submanifold_decreasing_check(spec: dsl.MetricSpec, fixed: dict,
 # Growth of the curvature numerator along base directions
 
 
-def base_growth_check(f: FibrationSpec, point=None,
-                      lam_values=(1e2, 1e3, 1e4), seed: int = 0) -> dict:
+def base_growth_check(f: FibrationSpec, seed: int = 0) -> dict:
     """The curvature numerator along a fixed base direction grows at
-    least linearly in lam (log-log slope >= 0.8).
+    least linearly in lam (log-log slope >= 0.8 over GROWTH_LAMBDAS).
 
-    The direction has zero fiber components, random base components, and
-    is normalized once against the lam = 1 metric; it is deliberately not
-    renormalized per lam, so the statement is about the raw numerator of
-    the assembled family.
+    The point is drawn from the box.  The direction has zero fiber
+    components, random base components, and is normalized once against
+    the lam = 1 metric; it is deliberately not renormalized per lam, so
+    the statement is about the raw numerator of the assembled family.
     """
-    _check_fibration(f)
     rng = np.random.default_rng([seed, 31])
-    if point is None:
-        point = dsl.box_sample(f.box, rng, 1)[0]
-    pts = np.asarray(point, dtype=complex).reshape(1, f.n)
+    point = dsl.box_sample(f.box, rng, 1)[0]
+    pts = point.reshape(1, f.n)
     xi = np.zeros((1, f.n), dtype=complex)
     xi[0, f.s:] = rng.standard_normal(f.m) + 1j * rng.standard_normal(f.m)
     g1 = metric_jet(assemble(f, 1.0), pts).g[0]
     xi = xi / np.sqrt(metric_norm2(g1, xi))[:, None]
-    lams = [float(l) for l in lam_values]
+    lams = list(GROWTH_LAMBDAS)
     nums = []
     for lam in lams:
         R = curvature(metric_jet(assemble(f, lam), pts)).R[0]
@@ -440,7 +387,7 @@ def base_growth_check(f: FibrationSpec, point=None,
         raise ArithmeticError("curvature numerator not positive along the base")
     slope = float(np.polyfit(np.log(lams), np.log(nums), 1)[0])
     return {
-        "point": [_c2pair(z) for z in np.asarray(point, dtype=complex)],
+        "point": [_c2pair(z) for z in point],
         "lam_values": lams, "numerators": nums,
         "slope": slope, "ok": slope >= 0.8, "seed": seed,
     }
@@ -453,7 +400,8 @@ def base_growth_check(f: FibrationSpec, point=None,
 def family_negativity_report(lam_values=(0.5, 1.0, 5.0, 50.0),
                              fiber_samples: int = 20, seed: int = 0,
                              budget: int = 20000) -> dict:
-    """Full numerical story of the counterexample family paper_G(lam).
+    """Full numerical story of the counterexample family paper_G(lam),
+    assembled from paper_G_fibration().
 
     (a) The base metric has strictly positive curvature on its chart.
     (b) Induced fiber metrics have nonnegative curvature, vanishing at
@@ -469,24 +417,16 @@ def family_negativity_report(lam_values=(0.5, 1.0, 5.0, 50.0),
     """
     specs = [dsl.catalog(f"paper_G({dsl._fmt_real(float(lam))})")
              for lam in lam_values]
-    g1 = dsl.catalog("paper_G(1)")
-    check_witness_budget(g1.n, budget)
-    base = dsl.catalog("paper_base")
-    base_scan = scan_chart(base, grid_per_axis=11, dirs=2, seed=seed,
-                           starts=1, iters=1)
-    rng = np.random.default_rng([seed, 41])
-    fiber_box = g1.box[1:]
-    fibers = []
-    for _ in range(fiber_samples):
-        c = complex(dsl.box_sample(fiber_box, rng, 1)[0, 0])
-        sub = restrict(g1, {2: c})
-        rep = scan_chart(sub, grid_per_axis=11, dirs=2, seed=seed,
-                         starts=1, iters=1)
-        fibers.append({
-            "base_point": _c2pair(c),
-            "min_hsc": rep.min_hsc,
-            "origin_hsc": gaussian_curvature_1d(sub, 0j),
-        })
+    f = paper_G_fibration()
+    check_witness_budget(f.n, budget)
+    scan_options = dict(grid_per_axis=11, dirs=2, seed=seed, starts=1, iters=1)
+    base_scan = scan_chart(f.base_spec(), **scan_options)
+    fibers = [{"base_point": _c2pair(c[0]),
+               "min_hsc": rep.min_hsc,
+               "origin_hsc": gaussian_curvature_1d(sub, 0j)}
+              for c, sub, rep in _sampled_fiber_scans(
+                  f, fiber_samples, np.random.default_rng([seed, 41]),
+                  **scan_options)]
     witnesses = []
     for lam, spec in zip(lam_values, specs):
         w = find_negative_witness(spec, budget=budget, seed=seed)
@@ -494,8 +434,8 @@ def family_negativity_report(lam_values=(0.5, 1.0, 5.0, 50.0),
             "lam": float(lam),
             "witness": None if w is None else w.as_dict(),
         })
-    fiber_min = min(f["min_hsc"] for f in fibers)
-    origin_max = max(abs(f["origin_hsc"]) for f in fibers)
+    fiber_min = min(fib["min_hsc"] for fib in fibers)
+    origin_max = max(abs(fib["origin_hsc"]) for fib in fibers)
     all_negative = all(w["witness"] is not None
                        and w["witness"]["value"] < NEG_THRESHOLD for w in witnesses)
     return {

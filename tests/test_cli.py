@@ -206,6 +206,12 @@ def test_warp_usage_error_writes_no_demo_file(tmp_path, capsys):
     ("warp", "--file", "{tmp}/short-box.json"),
     ("warp", "--file", "{tmp}/missing.json"),
     ("warp", "--write-demo", "{tmp}/demo.json", "--lam", "-1"),
+    ("lemma1", "--k0", "inf", "--k1", "1", "--n", "2", "--s", "1"),
+    ("warp", "--lam", "inf"),
+    ("curvature", "--catalog", "poincare", "--point", "0,0", "--dir", "nan,0"),
+    ("witness", "--catalog", "poincare", "--threshold", "nan"),
+    ("lemma2", "--lam-max", "nan"),
+    ("lemma2", "--lambdas", "1,nan"),
 ])
 def test_usage_errors_exit_two(capsys, tmp_path, argv):
     _write_bad_fibrations(tmp_path)
@@ -214,6 +220,38 @@ def test_usage_errors_exit_two(capsys, tmp_path, argv):
         cli.main(argv)
     assert err.value.code == 2
     assert not capsys.readouterr().out.strip()  # diagnostics go to stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("scan", "--file", "{tmp}/neg.json"),
+    ("witness", "--file", "{tmp}/neg.json"),
+    ("scan", "--catalog", "poincare", "--box=-1:1:-1:1"),  # reaches |z| = 1
+])
+def test_numerical_failures_exit_one(capsys, tmp_path, argv):
+    neg = dsl.MetricSpec("neg", 1, ((dsl.parse("-1", 1),),),
+                         (dsl.Rect(-0.5, 0.5, -0.5, 0.5),))
+    dsl.save_spec(neg, tmp_path / "neg.json")
+    code = cli.main([a.replace("{tmp}", str(tmp_path)) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert not captured.out.strip()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_warp_search_records_unreached_threshold(tmp_path, capsys):
+    """The sampled fiber hypotheses pass, but the fiber curvature is
+    negative at the fiber corners over Re z2 >~ 0.61 for every lam, so the
+    search reaches its cap."""
+    fiber = "exp(0.00124*z1*conj(z1)*exp(5*(z2+conj(z2))))/(1+z1*conj(z1))^2"
+    box = (dsl.Rect(-0.67, 0.67, -0.67, 0.67),) * 2
+    f = warp.FibrationSpec("cornered", 1, 1, ((dsl.parse(fiber, 2),),),
+                           ((dsl.parse("1/(1+z1*conj(z1))", 1),),), 0.0, box)
+    path = tmp_path / "cornered.json"
+    warp.save_fibration(f, path)
+    code, rep = run_cli(capsys, "warp", "--search", "--file", str(path))
+    assert code == 1 and rep["ok"] is False
+    assert "up to lam" in rep["lambda_search"]["threshold_not_reached"]
 
 
 def test_point_parser_pairs_and_literals():

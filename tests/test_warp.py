@@ -1,5 +1,7 @@
 """Fibration assembly, hypothesis gating, and the lam positivity search."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,8 @@ from hsclab.warp import (FibrationSpec, HypothesisViolationError, assemble,
                          base_growth_check, check_hypotheses,
                          determinant_split_check, inverse_asymptotics,
                          lambda_search, load_fibration, mu0_search,
-                         save_fibration, submanifold_decreasing_check,
-                         warp_demo_fibration)
+                         paper_G_fibration, save_fibration,
+                         submanifold_decreasing_check, warp_demo_fibration)
 
 
 def _flat_flat() -> FibrationSpec:
@@ -42,6 +44,21 @@ def test_assemble_at_unit_scale_matches_catalog():
     assert got == want
 
 
+@pytest.mark.parametrize("lam", [0.5, 1, 5, 50])
+def test_catalog_paper_G_is_the_assembled_fibration(lam):
+    spec = dsl.catalog(f"paper_G({lam:g})")
+    ref = assemble(paper_G_fibration(), lam)
+    assert spec.entries == ref.entries
+    assert spec.box == ref.box
+
+
+def test_catalog_paper_base_and_fiber_come_from_the_fibration():
+    f = paper_G_fibration()
+    base, fiber = dsl.catalog("paper_base"), dsl.catalog("paper_fiber")
+    assert (base.n, base.entries, base.box) == (f.m, f.base_entries, f.box[f.s:])
+    assert (fiber.n, fiber.entries, fiber.box) == (f.n, f.fiber_entries, f.box)
+
+
 def test_fibration_round_trip(tmp_path):
     f = warp_demo_fibration()
     path = tmp_path / "fib.json"
@@ -62,9 +79,9 @@ def test_fibration_shape_validation():
                                   "mu0": 0.0,
                                   "box": [[-0.5, 0.5, -0.5, 0.5]] * 2})
     with pytest.raises(ValueError):
-        FibrationSpec("bad", 0, 1, (), ((dsl.parse("1", 1),),), 0.0, box), \
-            warp._check_fibration(FibrationSpec(
-                "bad", 0, 1, (), ((dsl.parse("1", 1),),), 0.0, box))
+        FibrationSpec("bad", 0, 1, (), ((dsl.parse("1", 1),),), 0.0, box)
+    with pytest.raises(ValueError, match="mu0"):
+        dataclasses.replace(_flat_flat(), mu0=-1)
 
 
 def test_mu0_search_on_demo():
@@ -81,14 +98,9 @@ def test_hypotheses_pass_on_demo():
 def test_hypotheses_refuse_degenerate_fiber():
     """The bundled counterexample family: its fiber curvature vanishes at
     the center of every fiber, so the search must refuse the chart."""
-    fiber = ((dsl.parse(dsl._FIBER_ENTRY, 2),),)
-    base = ((dsl.parse(dsl._BASE_ENTRY, 1),),)
-    box = (dsl.Rect(-dsl.DISK_HALF, dsl.DISK_HALF,
-                    -dsl.DISK_HALF, dsl.DISK_HALF),) * 2
-    bad = FibrationSpec("degenerate", 1, 1, fiber, base, 0.0, box)
     with pytest.raises(HypothesisViolationError) as err:
-        check_hypotheses(bad, fiber_samples=2, grid_per_axis=5, dirs=8,
-                         starts=1, iters=40)
+        check_hypotheses(paper_G_fibration(), fiber_samples=2,
+                         grid_per_axis=5, dirs=8, starts=1, iters=40)
     assert err.value.side == "fiber"
     assert err.value.value <= warp.HYPOTHESIS_MARGIN
 
