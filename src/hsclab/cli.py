@@ -74,6 +74,24 @@ def finite_float(text: str) -> float:
     return value
 
 
+def nonnegative_int(text: str) -> int:
+    """argparse type of seeds and of the descent budgets --dirs, --starts
+    and --iters."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"needs an integer >= 0, got {text!r}")
+    return value
+
+
+def positive_int(text: str) -> int:
+    """argparse type of trial and sample counts, which a 0 would turn into
+    a vacuous pass."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"needs an integer >= 1, got {text!r}")
+    return value
+
+
 def _usage(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
@@ -197,8 +215,6 @@ def cmd_witness(args) -> int:
 
 
 def cmd_lemma1(args) -> int:
-    if args.trials < 1:
-        raise SystemExit(_usage("--trials needs an integer >= 1"))
     try:
         w = certify.choose_weights(args.k0, args.k1, args.n, args.s)
     except ValueError as exc:
@@ -341,7 +357,7 @@ def _add_metric_source(p: argparse.ArgumentParser) -> None:
 
 
 def _add_seed(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=nonnegative_int, default=0,
                    help="random seed recorded in the report (default 0)")
 
 
@@ -368,11 +384,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_metric_source(p)
     _add_seed(p)
     p.add_argument("--grid", type=int, default=9, help="grid points per axis")
-    p.add_argument("--dirs", type=int, default=64, help="probe directions per "
+    p.add_argument("--dirs", type=nonnegative_int, default=64, help="probe directions per "
                    "point (descent minimizer, metrics with d >= 3, only)")
-    p.add_argument("--starts", type=int, default=8, help="descent starts per "
+    p.add_argument("--starts", type=nonnegative_int, default=8, help="descent starts per "
                    "point (d >= 3 only)")
-    p.add_argument("--iters", type=int, default=200, help="descent iterations "
+    p.add_argument("--iters", type=nonnegative_int, default=200, help="descent iterations "
                    "(d >= 3 only)")
     p.add_argument("--box", help="override box: re_min:re_max:im_min:im_max "
                    "groups, comma-separated per coordinate")
@@ -402,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True, help="fiber dimension")
     p.add_argument("--k2", type=finite_float, help="base quartic bound "
                    "(default: the certified requirement)")
-    p.add_argument("--trials", type=int, default=10000)
+    p.add_argument("--trials", type=positive_int, default=10000)
     p.set_defaults(func=cmd_lemma1)
 
     p = sub.add_parser("lemma2", help="pencil curvature formula, positivity "
@@ -423,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed(p)
     p.add_argument("--file", help="fibration JSON (default: bundled demo)")
     p.add_argument("--lam", type=finite_float, default=1.0)
-    p.add_argument("--trials", type=int, default=1000,
+    p.add_argument("--trials", type=positive_int, default=1000,
                    help="determinant identity trials")
     p.add_argument("--search", action="store_true",
                    help="run the lam positivity search (slow)")
@@ -436,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "directions at every lam")
     _add_seed(p)
     p.add_argument("--lambdas", default="0.5,1,5,50")
-    p.add_argument("--fibers", type=int, default=20,
+    p.add_argument("--fibers", type=positive_int, default=20,
                    help="sampled fibers for the semi-positivity check")
     p.add_argument("--budget", type=int, default=20000,
                    help="witness search budget per lam")

@@ -125,22 +125,36 @@ def pair_symmetry_defect(R: np.ndarray) -> float:
     return float(np.abs(R - mirror).max())
 
 
+def check_tensor(g: np.ndarray, R: np.ndarray) -> None:
+    """The checks of curvature() on a metric g (..., n, n) and its tensor
+    R (..., n, n, n, n): IllConditionedError when a condition number of g
+    exceeds COND_LIMIT, ArithmeticError when the pair-symmetry defect of R
+    exceeds PAIR_SYMMETRY_TOL times max(1, max |R|)."""
+    worst = float(np.max(np.linalg.cond(g)))
+    if not np.isfinite(worst) or worst > COND_LIMIT:
+        raise IllConditionedError(f"metric condition number {worst:.3e} exceeds {COND_LIMIT:.0e}")
+    scale = max(1.0, float(np.abs(R).max())) if R.size else 1.0
+    defect = pair_symmetry_defect(R)
+    if defect > PAIR_SYMMETRY_TOL * scale:
+        raise ArithmeticError(f"curvature pair-symmetry defect {defect:.3e} at scale {scale:.3e}")
+
+
 def curvature(mj: MetricJet, check: bool = True) -> CurvatureTensor:
-    """Curvature components from a MetricJet; see the module docstring."""
+    """Curvature components from a MetricJet; see the module docstring.
+    With check, check_tensor runs on the result."""
     g = mj.g
-    if check:
-        cond = np.linalg.cond(g)
-        worst = float(np.max(cond))
-        if not np.isfinite(worst) or worst > COND_LIMIT:
-            raise IllConditionedError(f"metric condition number {worst:.3e} exceeds {COND_LIMIT:.0e}")
     eye = np.broadcast_to(np.eye(mj.n, dtype=complex), g.shape)
-    ginv = np.linalg.solve(g, eye)
+    try:
+        ginv = np.linalg.solve(g, eye)
+    except np.linalg.LinAlgError:
+        # g is exactly singular somewhere, so its condition number there is
+        # infinite and check_tensor names it
+        if not check:
+            raise
+        ginv = np.full(g.shape, np.nan, dtype=complex)
     R = -mj.ddbarg + np.einsum("...pq,...ipk,...qjl->...ijkl", ginv, mj.dg, mj.dbarg)
     if check:
-        scale = max(1.0, float(np.abs(R).max())) if R.size else 1.0
-        defect = pair_symmetry_defect(R)
-        if defect > PAIR_SYMMETRY_TOL * scale:
-            raise ArithmeticError(f"curvature pair-symmetry defect {defect:.3e} at scale {scale:.3e}")
+        check_tensor(g, R)
     return CurvatureTensor(mj.n, R, mj.points)
 
 

@@ -539,8 +539,10 @@ def box_grid(box, per_axis: int) -> np.ndarray:
 
     Points come out in lexicographic order over
     (re_1, im_1, re_2, im_2, ...), which doubles as the tie-break order
-    for scan winners.
+    for scan winners.  Fewer than 2 points per axis raise ValueError.
     """
+    if per_axis < 2:
+        raise ValueError("grid_per_axis must be at least 2")
     axes = []
     for r in box:
         axes.append(np.linspace(r.re_min, r.re_max, per_axis))

@@ -29,7 +29,6 @@ kernel's imaginary-part and vanishing-norm guards.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -200,9 +199,12 @@ def _min_over_dirs(g, R, dirs, starts, iters, seed, point_indices):
     """Per-point direction minimum for stacked points, by minimizer_for(d).
 
     g (P, d, d), R (P, d⁴); returns (values (P,), dirs (P, d)).  dirs,
-    starts, iters and seed steer only the d >= 3 descent.
+    starts, iters and seed steer only the d >= 3 descent, which needs
+    dirs + starts >= 1 (else ValueError).
     """
     if minimizer_for(g.shape[-1]) == "descent":
+        if dirs + starts == 0:
+            raise ValueError("descent needs at least one probe direction or start")
         return _probe_and_descend(g, R, dirs, starts, iters, seed, point_indices)
     return _exact_min(g, R, point_indices)
 
@@ -277,19 +279,20 @@ class ScanReport:
 
 def scan_to_csv(report: ScanReport) -> str:
     """One row per scanned point: index, re/im of each coordinate, min K."""
-    buf = io.StringIO()
+    n = report.n
     cols = ["index"]
-    for k in range(1, report.n + 1):
+    for k in range(1, n + 1):
         cols += [f"re{k}", f"im{k}"]
     cols.append("min_hsc")
-    buf.write(",".join(cols) + "\n")
-    for idx, (pt, val) in enumerate(zip(report.points, report.per_point_min)):
-        cells = [str(idx)]
-        for z in pt:
-            cells += [repr(float(z.real)), repr(float(z.imag))]
-        cells.append(repr(float(val)))
-        buf.write(",".join(cells) + "\n")
-    return buf.getvalue()
+    # one float table and one tolist(), so each cell is repr of a Python float
+    table = np.empty((report.points.shape[0], 2 * n + 1))
+    table[:, 0:2 * n:2] = report.points.real
+    table[:, 1:2 * n:2] = report.points.imag
+    table[:, -1] = report.per_point_min
+    lines = [",".join(cols)]
+    lines += [f"{idx}," + ",".join(map(repr, row))
+              for idx, row in enumerate(table.tolist())]
+    return "\n".join(lines) + "\n"
 
 
 def min_hsc_at_point(spec: dsl.MetricSpec, point, starts: int = DEFAULT_STARTS,
@@ -308,15 +311,14 @@ def scan_chart(spec: dsl.MetricSpec, box=None, grid_per_axis: int = DEFAULT_GRID
                starts: int = DEFAULT_STARTS, iters: int = DEFAULT_ITERS) -> ScanReport:
     """Direction-minimize on a full grid over all 2n real axes of the box.
 
-    dirs, starts, iters and seed steer only the descent minimizer (d >= 3);
-    the report names the minimizer that ran.  The winner is the first index
-    of np.argmin over the computed per-point values, in grid order
-    (lexicographic in (re_1, im_1, re_2, ...)).  Points that are tied
+    dirs, starts, iters and seed steer only the descent minimizer (d >= 3),
+    which needs dirs + starts >= 1 (else ValueError); the report names the
+    minimizer that ran.  The winner is the first index of np.argmin over
+    the computed per-point values, in grid order (lexicographic in
+    (re_1, im_1, re_2, ...)).  Points that are tied
     mathematically, such as symmetric grid corners, usually differ in the
     last ulp, so which of them wins follows rounding, not grid order.
     """
-    if grid_per_axis < 2:
-        raise ValueError("grid_per_axis must be at least 2")
     use_box = spec.box if box is None else box
     pts = dsl.box_grid(use_box, grid_per_axis)
     mj = metric_jet(spec, pts, check_box=box is None)

@@ -12,6 +12,22 @@ curvature numerator along base directions, curvature decrease on
 coordinate submanifolds, and a search (certify.threshold_search) for the
 smallest lam making the holomorphic sectional curvature positive on the chart.
 
+The family is affine in its scale c = mu0 + lam, and so is its curvature
+tensor R[i,j,k,l] (curvature module docstring).  The off-diagonal blocks
+are zero and the base block c * base depends on the base coordinates only,
+so g^{-1} = blockdiag(fiber^{-1}, base^{-1} / c) and every entry jet of a
+mixed (fiber, base) pair vanishes.  Hence, exactly:
+
+    R[fiber, fiber, k, l]  does not depend on c,
+    R[base, base, k, l]    = c * (its value at c = 1),
+    R[i, j, k, l]          = 0 for a mixed pair (i, j).
+
+In the base block both -d2g and dg . g^{-1} . dbarg carry one factor c.
+warped_curvature evaluates the jets and the tensor once, at c = 1, and
+rescales them per lam; lambda_search runs on it, while assemble,
+scan_chart and base_growth_check keep the assembled route, so
+base_growth_check checks the same linear growth independently.
+
 The search refuses charts that fail its standing hypotheses (positive
 base curvature, positive fiber curvature on sampled fibers); the bundled
 counterexample family paper_G_fibration() shows why: its fiber curvature
@@ -29,11 +45,12 @@ import numpy as np
 
 from . import dsl
 from .certify import threshold_search
-from .curvature import (curvature, gaussian_curvature_1d, hsc_dirs,
-                        metric_jet, metric_norm2, quartic, restrict)
+from .curvature import (check_tensor, curvature, gaussian_curvature_1d,
+                        hsc_dirs, metric_jet, metric_norm2, quartic, restrict)
 from .dsl import FibrationSpec
-from .positivity import (NEG_THRESHOLD, _c2pair, check_witness_budget,
-                         find_negative_witness, scan_chart)
+from .positivity import (NEG_THRESHOLD, _c2pair, _min_over_dirs,
+                         check_witness_budget, find_negative_witness,
+                         scan_chart)
 
 LAMBDA_START = 1e-3
 LAMBDA_MAX = float(2 ** 30)
@@ -92,12 +109,18 @@ def paper_G_fibration() -> FibrationSpec:
     return dsl.PAPER_G_FIBRATION
 
 
-def assemble(f: FibrationSpec, lam: float, name: str | None = None) -> dsl.MetricSpec:
-    """The warped product metric at parameter lam:
-    blockdiag(fiber, (mu0 + lam) * base), see FibrationSpec.warped_entries."""
+def _scale(f: FibrationSpec, lam: float) -> float:
+    """The base block's factor mu0 + lam; ValueError unless positive."""
     scale = f.mu0 + float(lam)
     if not scale > 0:
         raise ValueError("mu0 + lam must be positive")
+    return scale
+
+
+def assemble(f: FibrationSpec, lam: float, name: str | None = None) -> dsl.MetricSpec:
+    """The warped product metric at parameter lam:
+    blockdiag(fiber, (mu0 + lam) * base), see FibrationSpec.warped_entries."""
+    scale = _scale(f, lam)
     if name is None:
         name = f.name if (scale == 1.0 and f.mu0 == 0.0) else \
             f"{f.name}@{dsl._fmt_real(float(lam))}"
@@ -117,6 +140,32 @@ def mu0_search(f: FibrationSpec, samples: int = 300, seed: int = 0) -> float:
             return -1.0
 
     return threshold_search(validates, 1.0, 2.0 ** MU0_MAX_EXPONENT, 0)[0]
+
+
+def warped_curvature(f: FibrationSpec, points):
+    """lam -> (g, R), the metric and curvature tensor of assemble(f, lam)
+    at points (P, n), from one jet pass and one curvature pass.
+
+    Both are evaluated once, at scale mu0 + lam = 1, and rescaled per lam
+    by the identity of the module docstring: g[..., s:, s:] and
+    R[..., s:, s:, :, :] are multiplied by the scale, every other entry
+    stays.  Each call runs the checks of curvature() (check_tensor) on the
+    rescaled pair and refuses a non-positive mu0 + lam like assemble.
+    """
+    mj = metric_jet(dsl.MetricSpec(f.name, f.n, f.warped_entries(1.0), f.box),
+                    points)
+    R1 = curvature(mj).R
+    s = f.s
+
+    def at(lam: float):
+        scale = _scale(f, lam)
+        g, R = mj.g.copy(), R1.copy()
+        g[..., s:, s:] *= scale
+        R[..., s:, s:, :, :] *= scale
+        check_tensor(g, R)
+        return g, R
+
+    return at
 
 
 # ---------------------------------------------------------------------------
@@ -208,18 +257,29 @@ def lambda_search(f: FibrationSpec, bisections: int = 6,
     """Smallest lam (threshold_search from LAMBDA_START up to LAMBDA_MAX)
     with strictly positive scanned minimal curvature of the assembled metric.
 
-    Every lam is scanned with the same seed and budget, so the recorded
-    history is comparable across lam.  The returned lambda_star is the
-    positive end of the final bracket, or only an upper bound on the
-    threshold when positive_at_start; persistence holds the re-scanned
-    minima at 2*lambda_star and 4*lambda_star.
+    Every lam is scanned on the same grid with the same seed and budget, so
+    the recorded history is comparable across lam.  The returned
+    lambda_star is the positive end of the final bracket, or only an upper
+    bound on the threshold when positive_at_start; persistence holds the
+    re-scanned minima at 2*lambda_star and 4*lambda_star.
+
+    The grid's jets and curvature are evaluated once (warped_curvature):
+    the assembled metric is block diagonal with a base block that depends
+    on the base coordinates only, so each lam's tensor is the scale-1
+    tensor with its base rows multiplied by mu0 + lam.  Per lam, the
+    rescaled pair passes the checks of curvature() and then the direction
+    minimizer of scan_chart, with the same options and point indices.
     """
     if not skip_hypotheses:
         check_hypotheses(f, seed=seed)
+    pts = dsl.box_grid(f.box, grid_per_axis)
+    tensors = warped_curvature(f, pts)
 
     def scan_min(lam: float) -> float:
-        return scan_chart(assemble(f, lam), grid_per_axis=grid_per_axis,
-                          dirs=dirs, seed=seed, starts=starts, iters=iters).min_hsc
+        g, R = tensors(lam)
+        vals, _ = _min_over_dirs(g, R, dirs, starts, iters, seed,
+                                 range(pts.shape[0]))
+        return float(vals.min())
 
     hi, hi_val, history, at_start = threshold_search(
         scan_min, LAMBDA_START, LAMBDA_MAX, bisections)

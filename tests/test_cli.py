@@ -212,6 +212,17 @@ def test_warp_usage_error_writes_no_demo_file(tmp_path, capsys):
     ("witness", "--catalog", "poincare", "--threshold", "nan"),
     ("lemma2", "--lam-max", "nan"),
     ("lemma2", "--lambdas", "1,nan"),
+    ("warp", "--seed", "-1"),
+    ("lemma1", "--k0", "8", "--k1", "1", "--n", "2", "--s", "1", "--seed", "-1"),
+    ("selftest", "--seed", "-1"),
+    ("scan", "--catalog", "ball(3)", "--seed", "-1"),
+    ("example1", "--seed", "-1"),
+    ("warp", "--trials", "0"),
+    ("example1", "--fibers", "0"),
+    ("scan", "--catalog", "poincare", "--dirs", "-2"),
+    ("scan", "--catalog", "poincare", "--starts", "-1"),
+    ("scan", "--catalog", "poincare", "--iters", "-9"),
+    ("scan", "--catalog", "ball(3)", "--grid", "2", "--dirs", "0", "--starts", "0"),
 ])
 def test_usage_errors_exit_two(capsys, tmp_path, argv):
     _write_bad_fibrations(tmp_path)

@@ -286,6 +286,11 @@ def test_ill_conditioned_metric_rejected():
         dsl._square_box(2, 0.5))
     with pytest.raises(IllConditionedError):
         curvature(metric_jet(tiny, np.zeros((1, 2))))
+    # exactly singular at the origin: the solve fails, the check names it
+    cone = dsl.MetricSpec("cone", 1, ((dsl.parse("z1*conj(z1)", 1),),),
+                          dsl._square_box(1, 0.5))
+    with pytest.raises(IllConditionedError, match="inf"):
+        curvature(metric_jet(cone, np.array([[0.25 + 0j], [0j]])))
 
 
 def test_warp_family_minimum_at_origin():

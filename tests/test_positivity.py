@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,26 @@ def test_scan_report_dict_and_csv():
     lines = csv.strip().splitlines()
     assert lines[0] == "index,re1,im1,min_hsc"
     assert len(lines) == 1 + rep.points_scanned
+
+
+@pytest.mark.parametrize("name", ["poincare", "warp_demo", "ball(3)"])
+def test_csv_cells_are_float_reprs(name):
+    rep = scan_chart(dsl.catalog(name), grid_per_axis=2, dirs=4, starts=1, iters=5)
+    vals = rep.per_point_min.copy()
+    vals[:2] = (-0.0, 1.0 / 3.0)
+    rep = dataclasses.replace(rep, per_point_min=vals)
+    rows = scan_to_csv(rep).splitlines()[1:]
+    assert len(rows) == rep.points_scanned
+    for idx, (row, pt, val) in enumerate(zip(rows, rep.points, vals)):
+        cells = [str(idx)]
+        for z in pt:
+            cells += [repr(float(z.real)), repr(float(z.imag))]
+        assert row == ",".join(cells + [repr(float(val))])
+
+
+def test_descent_needs_a_direction_or_a_start():
+    with pytest.raises(ValueError, match="probe direction or start"):
+        scan_chart(dsl.catalog("ball(3)"), grid_per_axis=2, dirs=0, starts=0)
 
 
 def test_witness_found_on_negative_chart():

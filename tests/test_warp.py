@@ -7,13 +7,15 @@ import pytest
 
 from hsclab import dsl, warp
 from hsclab.certify import ThresholdNotReachedError
-from hsclab.curvature import gaussian_curvature_1d, restrict
+from hsclab.curvature import (IllConditionedError, curvature,
+                              gaussian_curvature_1d, metric_jet, restrict)
 from hsclab.warp import (FibrationSpec, HypothesisViolationError, assemble,
                          base_growth_check, check_hypotheses,
                          determinant_split_check, inverse_asymptotics,
                          lambda_search, load_fibration, mu0_search,
                          paper_G_fibration, save_fibration,
-                         submanifold_decreasing_check, warp_demo_fibration)
+                         submanifold_decreasing_check, warp_demo_fibration,
+                         warped_curvature)
 
 
 def _flat_flat() -> FibrationSpec:
@@ -132,6 +134,73 @@ def test_base_direction_numerator_grows_linearly():
     rep = base_growth_check(warp_demo_fibration())
     assert rep["ok"]
     assert rep["slope"] == pytest.approx(1.0, abs=0.2)
+
+
+def _fs2_base_fibration() -> FibrationSpec:
+    """One warped fiber coordinate over the non-diagonal fs(2) base, at
+    mu0 = 0.5 so that the scale mu0 + lam is not lam."""
+    fs2 = dsl.catalog("fs(2)")
+    fiber = dsl.parse("exp(z2*conj(z2) + z3*conj(z3)/2)/(1+z1*conj(z1))^2", 3)
+    return FibrationSpec("fs2_base", 1, 2, ((fiber,),), fs2.entries, 0.5,
+                         (dsl.Rect(-0.5, 0.5, -0.5, 0.5),) + fs2.box)
+
+
+def _block_rel_error(got, want, s):
+    """Worst error in the fiber and in the base block of the first two
+    indices after the point axis, relative to that block's largest
+    reference entry."""
+    worst = 0.0
+    for blk in (slice(0, s), slice(s, None)):
+        ref = want[:, blk, blk]
+        worst = max(worst, np.abs(got[:, blk, blk] - ref).max() / np.abs(ref).max())
+    return worst
+
+
+@pytest.mark.parametrize("lam", [1e-3, 0.3, 2.144, 100.0, 2.0 ** 20])
+@pytest.mark.parametrize("make", [warp_demo_fibration, paper_G_fibration,
+                                  _fs2_base_fibration])
+def test_warped_curvature_matches_assembled_route(make, lam):
+    f = make()
+    pts = dsl.box_grid(f.box, 3)
+    g, R = warped_curvature(f, pts)(lam)
+    mj = metric_jet(assemble(f, lam), pts)
+    R_ref = curvature(mj).R
+    assert _block_rel_error(g, mj.g, f.s) <= 1e-12
+    assert _block_rel_error(R, R_ref, f.s) <= 1e-12
+    s = f.s
+    assert not np.any(g[..., :s, s:]) and not np.any(g[..., s:, :s])
+    assert not np.any(R[..., :s, s:, :, :]) and not np.any(R[..., s:, :s, :, :])
+
+
+def test_warped_curvature_keeps_the_checks_of_the_assembled_route():
+    f = warp_demo_fibration()
+    pts = dsl.box_grid(f.box, 5)
+    tensors = warped_curvature(f, pts)
+    with pytest.raises(IllConditionedError, match="3.620e"):
+        tensors(1e12)
+    with pytest.raises(IllConditionedError, match="3.620e"):
+        curvature(metric_jet(assemble(f, 1e12), pts))
+    with pytest.raises(ValueError, match="mu0 \\+ lam"):
+        tensors(0.0)
+    with pytest.raises(ValueError, match="grid_per_axis"):
+        lambda_search(f, grid_per_axis=1, skip_hypotheses=True)
+
+
+def test_lambda_search_evaluates_jets_once(monkeypatch):
+    """The search reads each entry jet of the scale-1 metric once, not
+    once per lam."""
+    calls = []
+    eval_jet = dsl.eval_jet
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return eval_jet(*args, **kwargs)
+
+    monkeypatch.setattr(dsl, "eval_jet", counting)
+    f = warp_demo_fibration()
+    res = lambda_search(f, skip_hypotheses=True)
+    assert len(calls) == f.n ** 2
+    assert res.lambda_star == 2.144
 
 
 def test_lambda_search_finds_positive_threshold():
