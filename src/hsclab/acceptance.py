@@ -16,7 +16,8 @@ import numpy as np
 
 from . import __version__, certify, dsl, positivity, warp, wirtinger
 from .curvature import (MetricJet, curvature, entry_jet_1d, gaussian_curvature_1d,
-                        gaussian_from_jet, hsc_dirs, metric_jet, metric_jet_from_fd)
+                        gaussian_from_jet, hsc_dirs, metric_jet, metric_jet_from_fd,
+                        restrict)
 
 ONE_DIM_CATALOG = ("flat(1)", "poincare", "fs_affine", "paper_base")
 
@@ -24,8 +25,8 @@ ONE_DIM_CATALOG = ("flat(1)", "poincare", "fs_affine", "paper_base")
 def _hsc_at(spec, rng, count):
     pts = dsl.box_sample(spec.box, rng, count)
     mj = metric_jet(spec, pts)
-    dirs = rng.standard_normal((count, 1, spec.dim)) \
-        + 1j * rng.standard_normal((count, 1, spec.dim))
+    dirs = rng.standard_normal((count, 1, spec.n)) \
+        + 1j * rng.standard_normal((count, 1, spec.n))
     return hsc_dirs(mj.g, curvature(mj).R, dirs)[:, 0]
 
 
@@ -125,36 +126,27 @@ def check_jet_vs_divided_differences(seed: int) -> dict:
             worst_ratio = max(worst_ratio,
                               float((np.abs(a - refined) / allowed).max()))
 
+    # fs(n) and ball(n), closed-form fixtures (K = +4, -4) with their own
+    # tests, are left out; the fiber of paper_G is its slice z2 = 0.3+0.1i
+    specs = [*map(dsl.catalog, ("flat(1)", "flat(2)", "poincare", "fs_affine",
+                                "paper_base")),
+             restrict(dsl.catalog("paper_G(1)"), {2: 0.3 + 0.1j}),
+             *map(dsl.catalog, ("paper_G(1)", "paper_G(5)", "warp_demo"))]
     worst_curv = 0.0
-    for name in dsl.CATALOG_NAMES:
-        specs = []
-        if name == "flat(n)":
-            specs = [dsl.catalog("flat(1)"), dsl.catalog("flat(2)")]
-        elif name == "paper_G(lam)":
-            specs = [dsl.catalog("paper_G(1)"), dsl.catalog("paper_G(5)")]
-        elif name == "paper_fiber":
-            # A family: pin the parameter coordinate to get a metric.
-            from .curvature import restrict
-            specs = [restrict(dsl.catalog("paper_fiber"), {2: 0.3 + 0.1j})]
-        elif name in ("fs(n)", "ball(n)"):
-            # Closed-form fixtures (K = +4, -4) with their own tests; left
-            # out so this check's draws, report and cost stay as they were.
-            continue
-        else:
-            specs = [dsl.catalog(name)]
-        for spec in specs:
-            pts = dsl.box_sample(spec.box, rng, 100)
-            r_arith = curvature(metric_jet(spec, pts)).R
-            m1 = metric_jet_from_fd(spec, pts, step=1e-3)
-            m2 = metric_jet_from_fd(spec, pts, step=5e-4)
-            refined = MetricJet(m1.n, (4 * m2.g - m1.g) / 3,
-                                (4 * m2.dg - m1.dg) / 3,
-                                (4 * m2.dbarg - m1.dbarg) / 3,
-                                (4 * m2.ddbarg - m1.ddbarg) / 3, m1.points)
-            r_fd = curvature(refined, check=False).R
-            scale = max(1.0, float(np.abs(r_arith).max()))
-            worst_curv = max(worst_curv,
-                             float(np.abs(r_arith - r_fd).max()) / scale)
+    for spec in specs:
+        pts = dsl.box_sample(spec.box, rng, 100)
+        r_arith = curvature(metric_jet(spec, pts)).R
+        m1 = metric_jet_from_fd(spec, pts, step=1e-3)
+        m2 = metric_jet_from_fd(spec, pts, step=5e-4)
+        refined = MetricJet(m1.n, (4 * m2.g - m1.g) / 3,
+                            (4 * m2.dg - m1.dg) / 3,
+                            (4 * m2.dbarg - m1.dbarg) / 3,
+                            (4 * m2.ddbarg - m1.ddbarg) / 3, m1.points)
+        # finite-difference error alone breaks the 1e-10 pair symmetry here
+        r_fd = curvature(refined, check=False).R
+        scale = max(1.0, float(np.abs(r_arith).max()))
+        worst_curv = max(worst_curv,
+                         float(np.abs(r_arith - r_fd).max()) / scale)
     ok = worst_ratio <= 1.0 and worst_curv <= 1e-6
     return {"ok": bool(ok), "worst_jet_tolerance_ratio": worst_ratio,
             "worst_curvature_rel_error": worst_curv,

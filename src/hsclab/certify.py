@@ -347,10 +347,9 @@ def pencil_spec(gspec: dsl.MetricSpec, hspec: dsl.MetricSpec, lam: float,
     entry = dsl.Add(gspec.entries[0][0],
                     dsl.scale_expr(lam, hspec.entries[0][0]))
     ga, ha = gspec.box[0], hspec.box[0]
+    # Rect refuses an empty intersection
     box = (dsl.Rect(max(ga.re_min, ha.re_min), min(ga.re_max, ha.re_max),
                     max(ga.im_min, ha.im_min), min(ga.im_max, ha.im_max)),)
-    if box[0].re_min > box[0].re_max or box[0].im_min > box[0].im_max:
-        raise ValueError("operand boxes do not overlap")
     if name is None:
         name = f"{gspec.name}+{dsl._fmt_real(float(lam))}*{hspec.name}"
     return dsl.MetricSpec(name, 1, ((entry,),), box)

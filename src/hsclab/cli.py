@@ -125,17 +125,13 @@ def _parse_box(text: str, n: int):
                                 "re_min:re_max:im_min:im_max"))
     rects = []
     for g in groups:
-        try:
-            parts = [float(p) for p in g.split(":")]
-        except ValueError as exc:
-            raise SystemExit(_usage(f"--box group {g!r}: {exc}"))
+        parts = g.split(":")
         if len(parts) != 4:
             raise SystemExit(_usage("each --box group is re_min:re_max:im_min:im_max"))
-        if not np.all(np.isfinite(parts)):
-            raise SystemExit(_usage(f"--box group {g!r} has a non-finite bound"))
-        if parts[0] > parts[1] or parts[2] > parts[3]:
-            raise SystemExit(_usage(f"--box group {g!r} has a minimum above its maximum"))
-        rects.append(dsl.Rect(*parts))
+        try:
+            rects.append(dsl.Rect(*map(float, parts)))
+        except ValueError as exc:
+            raise SystemExit(_usage(f"--box group {g!r}: {exc}"))
     return tuple(rects)
 
 
@@ -163,10 +159,7 @@ def _emit(args, command: str, payload: dict) -> None:
 def cmd_curvature(args) -> int:
     spec = _load_metric(args)
     point = parse_complex_vector(args.point, spec.n, "--point")
-    try:
-        mj = metric_jet(spec, point.reshape(1, spec.n))
-    except PointOutsideBoxError as exc:
-        raise SystemExit(_usage(str(exc)))
+    mj = metric_jet(spec, point.reshape(1, spec.n))
     tensor = curvature(mj)
     payload = {
         "metric": spec.name,
@@ -176,9 +169,9 @@ def cmd_curvature(args) -> int:
         "pair_symmetry_defect": pair_symmetry_defect(tensor.R),
     }
     if args.dir:
-        d = parse_complex_vector(args.dir, spec.dim, "--dir")
+        d = parse_complex_vector(args.dir, spec.n, "--dir")
         try:
-            val = hsc_dirs(mj.g, tensor.R, d.reshape(1, 1, spec.dim))[0, 0]
+            val = hsc_dirs(mj.g, tensor.R, d.reshape(1, 1, spec.n))[0, 0]
         except SingularPointError as exc:
             raise SystemExit(_usage(f"--dir {args.dir!r}: {exc}"))
         payload["direction"] = [_c2pair(z) for z in d]
@@ -270,6 +263,8 @@ def cmd_lemma2(args) -> int:
         thr = certify.pencil_positive_threshold(gspec, hspec, point,
                                                 lam_max=args.lam_max)
         decay = certify.pencil_decay_check(gspec, hspec, point)
+    except PointOutsideBoxError:
+        raise  # a usage error: main exits 2
     except (ValueError, ArithmeticError, certify.ThresholdNotReachedError) as exc:
         payload["error"] = str(exc)
         payload["ok"] = False
@@ -477,7 +472,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (dsl.ParseError, PointOutsideBoxError, OSError) as exc:
-        return _usage(str(exc))
+        raise SystemExit(_usage(str(exc)))
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ derive from the bundled PAPER_G_FIBRATION and WARP_DEMO_FIBRATION.
 from __future__ import annotations
 
 import json
+import math
 import re as _re
 import dataclasses
 from dataclasses import dataclass
@@ -503,15 +504,19 @@ class Rect:
     im_min: float
     im_max: float
 
+    def __post_init__(self):
+        bounds = (self.re_min, self.re_max, self.im_min, self.im_max)
+        if not all(map(math.isfinite, bounds)):
+            raise ValueError(f"{self} has a non-finite bound")
+        if self.re_min > self.re_max or self.im_min > self.im_max:
+            raise ValueError(f"{self} has a minimum above its maximum")
+
     def contains(self, z):
         """Whether z (a complex number or array) lies in the rectangle,
         up to BOX_TOL."""
         tol = BOX_TOL
         return ((self.re_min - tol <= z.real) & (z.real <= self.re_max + tol)
                 & (self.im_min - tol <= z.imag) & (z.imag <= self.im_max + tol))
-
-
-Box = tuple  # tuple[Rect, ...], one per coordinate
 
 
 def box_contains(box, points) -> np.ndarray:
@@ -574,13 +579,10 @@ class NotPositiveDefiniteError(MetricError):
 
 @dataclass(frozen=True)
 class MetricSpec:
-    """A metric (or metric family) given by entry expressions on a box.
-
-    `entries` is a d x d matrix of Expr in the coordinates z1..zn with
-    d <= n.  For an honest metric d == n.  d < n marks a fiber family:
-    the metric directions are the first d coordinates and the remaining
-    ones enter as parameters (restrict() to fixed parameter values to get
-    honest metrics).  `box` has one Rect per coordinate.
+    """A metric given by entry expressions on a box: `entries` is an
+    n x n matrix of Expr in the coordinates z1..zn and `box` has one Rect
+    per coordinate, both checked on construction.  A fiber of a fibration
+    is a coordinate slice of the assembled metric (curvature.restrict).
     """
 
     name: str
@@ -588,13 +590,13 @@ class MetricSpec:
     entries: tuple
     box: tuple
 
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    @property
-    def is_family(self) -> bool:
-        return self.dim < self.n
+    def __post_init__(self):
+        n = self.n
+        if len(self.entries) != n or any(len(row) != n for row in self.entries):
+            raise ValueError(f"{self.name}: entries must be {n} x {n}")
+        if len(self.box) != n:
+            raise ValueError(f"{self.name}: box must have {n} rectangles, "
+                             f"got {len(self.box)}")
 
 
 @dataclass(frozen=True)
@@ -632,11 +634,6 @@ class FibrationSpec:
         return MetricSpec(f"{self.name}.base", self.m, self.base_entries,
                           self.box[self.s:])
 
-    def fiber_spec(self) -> MetricSpec:
-        """The fiber metrics as a family over the base coordinates."""
-        return MetricSpec(f"{self.name}.fiber", self.n, self.fiber_entries,
-                          self.box)
-
     def warped_entries(self, scale: float) -> tuple:
         """Entries of blockdiag(fiber, scale * base): the base block is
         shifted onto z_{s+1}..z_n and the off-diagonal blocks are zero."""
@@ -648,13 +645,13 @@ class FibrationSpec:
 
 
 def metric_values(spec: MetricSpec, points) -> np.ndarray:
-    """Entry matrix at points (..., n) -> (..., d, d)."""
+    """Entry matrix at points (..., n) -> (..., n, n)."""
     pts = np.asarray(points, dtype=complex)
     batch = pts.shape[:-1]
-    d = spec.dim
-    out = np.empty(batch + (d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
+    n = spec.n
+    out = np.empty(batch + (n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
             out[..., i, j] = eval_value(spec.entries[i][j], pts)
     return out
 
@@ -729,15 +726,8 @@ def spec_to_dict(spec: MetricSpec) -> dict:
 def spec_from_dict(data: dict) -> MetricSpec:
     n = int(data["n"])
     entries = tuple(tuple(parse(src, n) for src in row) for row in data["entries"])
-    d = len(entries)
-    if any(len(row) != d for row in entries):
-        raise ValueError("entries must form a square matrix")
-    if d > n:
-        raise ValueError(f"entry matrix is {d}x{d} but only {n} coordinates declared")
     box = tuple(Rect(float(b["re"][0]), float(b["re"][1]),
                      float(b["im"][0]), float(b["im"][1])) for b in data["box"])
-    if len(box) != n:
-        raise ValueError(f"box must have {n} rectangles, got {len(box)}")
     return MetricSpec(str(data["name"]), n, entries, box)
 
 
@@ -817,8 +807,8 @@ def _dimension_arg(head: str, arg) -> int:
 def catalog(name: str) -> MetricSpec:
     """Bundled metric by name.
 
-    Names: flat(n), poincare, fs_affine, paper_base, paper_fiber,
-    paper_G(lam), warp_demo, fs(n), ball(n).  flat, fs and ball take an
+    Names: flat(n), poincare, fs_affine, paper_base, paper_G(lam),
+    warp_demo, fs(n), ball(n).  flat, fs and ball take an
     integer dimension; paper_G a positive real warp factor (paper_G alone
     means paper_G(1)).
     """
@@ -835,10 +825,6 @@ def catalog(name: str) -> MetricSpec:
         return _diag_spec("fs_affine", ["1/(1+z1*conj(z1))^2"], _square_box(1, DISK_HALF))
     if head == "paper_base":
         return dataclasses.replace(PAPER_G_FIBRATION.base_spec(), name="paper_base")
-    if head == "paper_fiber":
-        # One fiber direction z1, one base parameter z2: a 1x1 family on a
-        # two-coordinate box.
-        return dataclasses.replace(PAPER_G_FIBRATION.fiber_spec(), name="paper_fiber")
     if head == "paper_G":
         try:
             lam = float(arg) if arg else 1.0
@@ -858,4 +844,4 @@ def catalog(name: str) -> MetricSpec:
 
 
 CATALOG_NAMES = ("flat(n)", "poincare", "fs_affine", "paper_base",
-                 "paper_fiber", "paper_G(lam)", "warp_demo", "fs(n)", "ball(n)")
+                 "paper_G(lam)", "warp_demo", "fs(n)", "ball(n)")

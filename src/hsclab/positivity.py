@@ -29,6 +29,7 @@ kernel's imaginary-part and vanishing-norm guards.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -309,7 +310,8 @@ def min_hsc_at_point(spec: dsl.MetricSpec, point, starts: int = DEFAULT_STARTS,
 def scan_chart(spec: dsl.MetricSpec, box=None, grid_per_axis: int = DEFAULT_GRID,
                dirs: int = DEFAULT_DIRS, seed: int = 0,
                starts: int = DEFAULT_STARTS, iters: int = DEFAULT_ITERS) -> ScanReport:
-    """Direction-minimize on a full grid over all 2n real axes of the box.
+    """Direction-minimize on a full grid over all 2n real axes of the box:
+    spec.box, or `box` in its place.
 
     dirs, starts, iters and seed steer only the descent minimizer (d >= 3),
     which needs dirs + starts >= 1 (else ValueError); the report names the
@@ -319,9 +321,10 @@ def scan_chart(spec: dsl.MetricSpec, box=None, grid_per_axis: int = DEFAULT_GRID
     mathematically, such as symmetric grid corners, usually differ in the
     last ulp, so which of them wins follows rounding, not grid order.
     """
-    use_box = spec.box if box is None else box
-    pts = dsl.box_grid(use_box, grid_per_axis)
-    mj = metric_jet(spec, pts, check_box=box is None)
+    if box is not None:
+        spec = dataclasses.replace(spec, box=box)
+    pts = dsl.box_grid(spec.box, grid_per_axis)
+    mj = metric_jet(spec, pts)
     R = curvature(mj)
     vals, wdirs = _min_over_dirs(mj.g, R.R, dirs, starts, iters, seed,
                                  range(pts.shape[0]))
@@ -331,7 +334,7 @@ def scan_chart(spec: dsl.MetricSpec, box=None, grid_per_axis: int = DEFAULT_GRID
         witness_point=tuple(pts[best]), witness_dir=tuple(wdirs[best]),
         points_scanned=int(pts.shape[0]), dirs_per_point=dirs, starts=starts,
         iters=iters, grid_per_axis=grid_per_axis, margin=abs(float(vals[best])),
-        seed=seed, minimizer=minimizer_for(spec.dim), points=pts,
+        seed=seed, minimizer=minimizer_for(spec.n), points=pts,
         per_point_min=vals)
 
 

@@ -105,8 +105,17 @@ def warp_demo_fibration() -> FibrationSpec:
 
 def paper_G_fibration() -> FibrationSpec:
     """Bundled counterexample: the catalog's paper_G(lam) assembled at lam,
-    with base paper_base and fiber family paper_fiber."""
+    with base paper_base; its fiber over a base point c is
+    restrict(catalog("paper_G(1)"), {2: c})."""
     return dsl.PAPER_G_FIBRATION
+
+
+def _require_positive(**counts) -> None:
+    """ValueError naming the first count below 1: no trials or samples
+    would make a check pass vacuously or leave nothing to take a minimum of."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 def _scale(f: FibrationSpec, lam: float) -> float:
@@ -142,6 +151,11 @@ def mu0_search(f: FibrationSpec, samples: int = 300, seed: int = 0) -> float:
     return threshold_search(validates, 1.0, 2.0 ** MU0_MAX_EXPONENT, 0)[0]
 
 
+def _unit_scale(f: FibrationSpec) -> dsl.MetricSpec:
+    """blockdiag(fiber, base): the assembled metric at scale mu0 + lam = 1."""
+    return dsl.MetricSpec(f.name, f.n, f.warped_entries(1.0), f.box)
+
+
 def warped_curvature(f: FibrationSpec, points):
     """lam -> (g, R), the metric and curvature tensor of assemble(f, lam)
     at points (P, n), from one jet pass and one curvature pass.
@@ -152,8 +166,7 @@ def warped_curvature(f: FibrationSpec, points):
     stays.  Each call runs the checks of curvature() (check_tensor) on the
     rescaled pair and refuses a non-positive mu0 + lam like assemble.
     """
-    mj = metric_jet(dsl.MetricSpec(f.name, f.n, f.warped_entries(1.0), f.box),
-                    points)
+    mj = metric_jet(_unit_scale(f), points)
     R1 = curvature(mj).R
     s = f.s
 
@@ -209,11 +222,13 @@ class LambdaSearchResult:
 def _sampled_fiber_scans(f: FibrationSpec, count: int, rng, **scan_options):
     """Yield (base point, fiber metric, its scan) for count base points
     drawn one at a time from the base box; lazily, so an early stop draws
-    no more."""
-    family = f.fiber_spec()
+    no more.  The fiber metric is the slice of the assembled metric over
+    the base point; its block does not depend on the scale, so the scale-1
+    metric serves."""
+    total = _unit_scale(f)
     for _ in range(count):
         c = dsl.box_sample(f.box[f.s:], rng, 1)[0]
-        sub = restrict(family, {f.s + 1 + a: complex(z) for a, z in enumerate(c)})
+        sub = restrict(total, {f.s + 1 + a: complex(z) for a, z in enumerate(c)})
         yield c, sub, scan_chart(sub, **scan_options)
 
 
@@ -227,6 +242,7 @@ def check_hypotheses(f: FibrationSpec, fiber_samples: int = 5, seed: int = 0,
     point must too.  Raises HypothesisViolationError naming the failing
     side with a witness point.
     """
+    _require_positive(fiber_samples=fiber_samples)
     scan_options = dict(grid_per_axis=grid_per_axis, dirs=dirs, seed=seed,
                         starts=starts, iters=iters)
     base_scan = scan_chart(f.base_spec(), **scan_options)
@@ -358,6 +374,7 @@ def determinant_split_check(dim: int = 6, trials: int = 1000, seed: int = 0) -> 
     """det(H) = det(P) * det(S - R inv(P) Q) for the 2x2 block partition
     of random Hermitian positive definite matrices; relative error must
     stay below 1e-9."""
+    _require_positive(trials=trials)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
@@ -384,28 +401,25 @@ def submanifold_decreasing_check(spec: dsl.MetricSpec, fixed: dict,
     to a coordinate slice: for tangent directions of the slice, the
     restricted curvature is at most the ambient one (slack 1e-9 relative).
     """
+    _require_positive(trials=trials)
     sub = restrict(spec, fixed)
     kept = [k for k in range(1, spec.n + 1) if k not in fixed]
-    kept_dirs = [k for k in kept if k <= spec.dim]
-    if sub.dim == 0:
-        raise ValueError("slice has no tangent directions")
     rng = np.random.default_rng([seed, 23])
     pts_sub = dsl.box_sample(sub.box, rng, trials)
-    dirs_sub = rng.standard_normal((trials, sub.dim)) \
-        + 1j * rng.standard_normal((trials, sub.dim))
+    dirs_sub = rng.standard_normal((trials, sub.n)) \
+        + 1j * rng.standard_normal((trials, sub.n))
 
     pts_amb = np.zeros((trials, spec.n), dtype=complex)
+    dirs_amb = np.zeros((trials, spec.n), dtype=complex)
     for col, k in enumerate(kept):
         pts_amb[:, k - 1] = pts_sub[:, col]
+        dirs_amb[:, k - 1] = dirs_sub[:, col]
     for k, v in fixed.items():
         pts_amb[:, k - 1] = complex(v)
-    dirs_amb = np.zeros((trials, spec.dim), dtype=complex)
-    for col, k in enumerate(kept_dirs):
-        dirs_amb[:, k - 1] = dirs_sub[:, col]
 
     mj_sub = metric_jet(sub, pts_sub)
     k_sub = hsc_dirs(mj_sub.g, curvature(mj_sub).R, dirs_sub[:, None, :])[:, 0]
-    mj_amb = metric_jet(spec, pts_amb, check_box=False)
+    mj_amb = metric_jet(spec, pts_amb)
     k_amb = hsc_dirs(mj_amb.g, curvature(mj_amb).R, dirs_amb[:, None, :])[:, 0]
 
     scale = np.maximum(1.0, np.abs(k_amb))
@@ -472,9 +486,11 @@ def family_negativity_report(lam_values=(0.5, 1.0, 5.0, 50.0),
 
     "ok" is the verdict on all three (fiber minima >= -1e-8, |K| <= 1e-9 at origins).
 
-    A lam the catalog rejects (KeyError) or a budget below the first
-    witness stage (ValueError) is refused before any scan runs.
+    A fiber_samples below 1, a lam the catalog rejects (KeyError) or a
+    budget below the first witness stage (ValueError) is refused before
+    any scan runs.
     """
+    _require_positive(fiber_samples=fiber_samples)
     specs = [dsl.catalog(f"paper_G({dsl._fmt_real(float(lam))})")
              for lam in lam_values]
     f = paper_G_fibration()

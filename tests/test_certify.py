@@ -202,6 +202,13 @@ def test_pencil_formula_matches_direct_curvature():
         assert closed == pytest.approx(direct, rel=1e-11, abs=1e-11)
 
 
+def test_pencil_spec_refuses_disjoint_boxes():
+    g = dsl.catalog("poincare")
+    far = dsl.MetricSpec("far", 1, g.entries, (dsl.Rect(2.0, 3.0, 2.0, 3.0),))
+    with pytest.raises(ValueError, match="minimum above its maximum"):
+        pencil_spec(g, far, 1.0)
+
+
 def test_pencil_threshold_reference_pair():
     """At the origin the mixed term vanishes and the numerator is
     4*lam^2 - 4, so positivity starts exactly at lam = 1."""

@@ -156,18 +156,37 @@ def test_version_flag(capsys):
     assert err.value.code == 0
 
 
-def _write_bad_fibrations(directory) -> None:
-    """Malformed fibration files named by the warp usage-error cases."""
+def _write_bad_files(directory) -> None:
+    """Malformed fibration and metric files named by the usage-error cases."""
     good = warp.fibration_to_dict(warp.warp_demo_fibration())
     (directory / "not-json.json").write_text("{")
     (directory / "no-s.json").write_text(
         json.dumps({k: v for k, v in good.items() if k != "s"}))
     (directory / "short-box.json").write_text(
         json.dumps(dict(good, box=good["box"][:1])))
+    (directory / "inverted-box.json").write_text(
+        json.dumps(dict(good, box=[[0.5, -0.5, -0.5, 0.5]] * 2)))
+    metric = dsl.spec_to_dict(dsl.catalog("poincare"))
+    for name, rect in (("inverted", {"re": [0.5, -0.5], "im": [-0.5, 0.5]}),
+                       ("nan", {"re": [float("nan"), 0.5], "im": [-0.5, 0.5]})):
+        (directory / f"metric-{name}-box.json").write_text(
+            json.dumps(dict(metric, box=[rect])))
+    # a 1x1 fiber block over both coordinates of paper_G: not a metric on them
+    family = dict(dsl.spec_to_dict(dsl.catalog("paper_G(1)")),
+                  entries=[[dsl.to_source(dsl.PAPER_G_FIBRATION.fiber_entries[0][0])]])
+    (directory / "family.json").write_text(json.dumps(family))
+
+
+BAD_SPEC_FILES = [
+    ("scan", "--file", "{tmp}/metric-inverted-box.json"),
+    ("scan", "--file", "{tmp}/metric-nan-box.json"),
+    ("warp", "--file", "{tmp}/inverted-box.json"),
+    ("curvature", "--file", "{tmp}/family.json", "--point", "0,0,0,0"),
+]
 
 
 def test_warp_usage_error_writes_no_demo_file(tmp_path, capsys):
-    _write_bad_fibrations(tmp_path)
+    _write_bad_files(tmp_path)
     out = tmp_path / "demo.json"
     for extra in (("--lam", "-1"), ("--file", str(tmp_path / "no-s.json"))):
         with pytest.raises(SystemExit) as err:
@@ -223,14 +242,26 @@ def test_warp_usage_error_writes_no_demo_file(tmp_path, capsys):
     ("scan", "--catalog", "poincare", "--starts", "-1"),
     ("scan", "--catalog", "poincare", "--iters", "-9"),
     ("scan", "--catalog", "ball(3)", "--grid", "2", "--dirs", "0", "--starts", "0"),
+    ("lemma2", "--point", "5,0"),
+    *BAD_SPEC_FILES,
 ])
 def test_usage_errors_exit_two(capsys, tmp_path, argv):
-    _write_bad_fibrations(tmp_path)
+    _write_bad_files(tmp_path)
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     with pytest.raises(SystemExit) as err:
         cli.main(argv)
     assert err.value.code == 2
     assert not capsys.readouterr().out.strip()  # diagnostics go to stderr
+
+
+@pytest.mark.parametrize("argv", BAD_SPEC_FILES)
+def test_bad_spec_files_fail_at_load(capsys, tmp_path, argv):
+    _write_bad_files(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        cli.main([a.replace("{tmp}", str(tmp_path)) for a in argv])
+    assert err.value.code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot load ")
 
 
 @pytest.mark.parametrize("argv", [

@@ -19,9 +19,9 @@ import pytest
 from hsclab import dsl
 from hsclab.curvature import (QUARTIC_BLOCK, IllConditionedError,
                               PointOutsideBoxError, curvature, curvature_at,
-                              gaussian_curvature_1d, hsc_dirs, metric_jet,
-                              metric_jet_from_fd, pair_symmetry_defect,
-                              restrict)
+                              entry_jet_1d, gaussian_curvature_1d, hsc_dirs,
+                              metric_jet, metric_jet_from_fd,
+                              pair_symmetry_defect, restrict)
 from hsclab.positivity import scan_chart
 from hsclab.wirtinger import SingularPointError
 
@@ -229,11 +229,11 @@ def test_gaussian_equals_sectional_in_one_dim():
 
 
 def test_restricted_fiber_family_formula():
-    # fixing the parameter coordinate turns the bundled family into a
-    # one-coordinate metric with curvature 8A|z|^2/(1+A^2|z|^4)
-    family = dsl.catalog("paper_fiber")
+    # the fiber over a base point c, the slice z2 = c of the assembled
+    # metric, is a one-coordinate metric with curvature 8A|z|^2/(1+A^2|z|^4)
+    total = dsl.catalog("paper_G(1)")
     for c in (0j, 0.3 + 0.1j, -0.5 + 0.4j):
-        sub = restrict(family, {2: c})
+        sub = restrict(total, {2: c})
         amp = np.exp(2.0 * abs(c) ** 2)
         for z in (0.2 + 0j, 0.4 - 0.3j, 0.05 + 0.6j):
             t = abs(z) ** 2
@@ -242,7 +242,7 @@ def test_restricted_fiber_family_formula():
 
 
 def test_fiber_curvature_vanishes_at_origin_only():
-    sub = restrict(dsl.catalog("paper_fiber"), {2: 0.2 - 0.3j})
+    sub = restrict(dsl.catalog("paper_G(1)"), {2: 0.2 - 0.3j})
     assert abs(gaussian_curvature_1d(sub, 0j)) < 1e-12
     assert gaussian_curvature_1d(sub, 0.3 + 0j) > 0.1
 
@@ -257,8 +257,19 @@ def test_warp_demo_fiber_is_rescaled_round_sphere():
 
 
 def test_family_requires_restriction():
-    with pytest.raises(ValueError):
-        metric_jet(dsl.catalog("paper_fiber"), np.zeros((1, 2)))
+    # a 1x1 fiber block over two coordinates is not a metric on them
+    f = dsl.PAPER_G_FIBRATION
+    with pytest.raises(ValueError, match="entries must be 2 x 2"):
+        dsl.MetricSpec("fiber", f.n, f.fiber_entries, f.box)
+
+
+def test_every_catalog_name_is_a_metric_with_curvature():
+    for pattern in dsl.CATALOG_NAMES:
+        spec = dsl.catalog(pattern.replace("(n)", "(2)").replace("(lam)", "(1)"))
+        centre = [[complex(0.5 * (r.re_min + r.re_max), 0.5 * (r.im_min + r.im_max))
+                   for r in spec.box]]
+        tensor = curvature(metric_jet(spec, centre))
+        assert tensor.R.shape == (1,) + (spec.n,) * 4, pattern
 
 
 def test_fd_route_checks_the_coordinate_count():
@@ -276,6 +287,16 @@ def test_point_outside_box_rejected():
     batch = np.array([[0.1 + 0j], [0.2 - 0.1j], [0.3 + 0.2j], [2.5 + 0j]])
     with pytest.raises(PointOutsideBoxError, match=re.escape("(2.5+0j)")):
         metric_jet(spec, batch)
+
+
+def test_one_coordinate_jet_checks_the_box():
+    spec = dsl.catalog("poincare")
+    for z in (5 + 0j, complex(np.nan, 0.0)):
+        with pytest.raises(PointOutsideBoxError, match="outside box of poincare"):
+            entry_jet_1d(spec, z)
+        with pytest.raises(PointOutsideBoxError):
+            gaussian_curvature_1d(spec, z)
+    assert gaussian_curvature_1d(spec, 0.3 + 0j) == pytest.approx(-4.0, abs=1e-9)
 
 
 def test_ill_conditioned_metric_rejected():

@@ -115,14 +115,36 @@ def test_box_grid_covers_corners():
 
 def test_catalog_names_resolve():
     for name in ("flat(2)", "poincare", "fs_affine", "paper_base",
-                 "paper_fiber", "paper_G(2)", "warp_demo", "fs(3)", "ball(3)"):
+                 "paper_G(2)", "warp_demo", "fs(3)", "ball(3)"):
         spec = catalog(name)
         assert isinstance(spec, MetricSpec)
+
+
+def test_rect_refuses_bad_bounds():
+    for bounds, message in (((1, 0, 0, 1), "minimum above its maximum"),
+                            ((0, 1, 1, 0), "minimum above its maximum"),
+                            ((np.nan, 1, 0, 1), "non-finite bound"),
+                            ((0, 1, -np.inf, 1), "non-finite bound")):
+        with pytest.raises(ValueError, match=message):
+            Rect(*bounds)
+    assert Rect(0.5, 0.5, -1, -1).contains(0.5 - 1j)  # a point is a rectangle
+
+
+def test_metric_spec_is_n_by_n_on_n_rectangles():
+    one, zero = parse("1", 2), parse("0", 2)
+    box = (Rect(-1, 1, -1, 1),) * 2
+    for entries in (((one, zero), (one,)), ((one, zero),) * 3):
+        with pytest.raises(ValueError, match="entries must be 2 x 2"):
+            MetricSpec("bad", 2, entries, box)
+    with pytest.raises(ValueError, match="box must have 2 rectangles, got 1"):
+        MetricSpec("bad", 2, ((one, zero), (zero, one)), box[:1])
 
 
 def test_catalog_rejects_unknown():
     with pytest.raises(KeyError):
         catalog("nonsense")
+    with pytest.raises(KeyError):
+        catalog("paper_fiber")
     with pytest.raises(KeyError):
         catalog("paper_G(-1)")
     with pytest.raises(KeyError):
@@ -132,12 +154,6 @@ def test_catalog_rejects_unknown():
     for bad in ("paper_G(x)", "paper_G(nan)", "paper_G(inf)"):
         with pytest.raises(KeyError):
             catalog(bad)
-
-
-def test_family_flag():
-    assert catalog("paper_fiber").is_family
-    assert not catalog("paper_G(1)").is_family
-    assert not catalog("poincare").is_family
 
 
 def test_validate_accepts_bundled_metrics():

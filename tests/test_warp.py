@@ -56,9 +56,15 @@ def test_catalog_paper_G_is_the_assembled_fibration(lam):
 
 def test_catalog_paper_base_and_fiber_come_from_the_fibration():
     f = paper_G_fibration()
-    base, fiber = dsl.catalog("paper_base"), dsl.catalog("paper_fiber")
+    base = dsl.catalog("paper_base")
     assert (base.n, base.entries, base.box) == (f.m, f.base_entries, f.box[f.s:])
-    assert (fiber.n, fiber.entries, fiber.box) == (f.n, f.fiber_entries, f.box)
+    # the fiber over c is the slice z2 = c of the assembled metric at any lam
+    for lam in (1, 5):
+        fiber = restrict(dsl.catalog(f"paper_G({lam})"), {2: 0.3 + 0.1j})
+        want = tuple(tuple(dsl.map_vars(e, lambda k: dsl.Lit(0.3 + 0.1j) if k == 2
+                                        else dsl.Var(k)) for e in row)
+                     for row in f.fiber_entries)
+        assert (fiber.n, fiber.entries, fiber.box) == (f.s, want, f.box[:f.s])
 
 
 def test_fibration_round_trip(tmp_path):
@@ -266,3 +272,19 @@ def test_family_report_refuses_bad_input_before_scanning(monkeypatch):
         warp.family_negativity_report(budget=600)
     with pytest.raises(KeyError):
         warp.family_negativity_report(lam_values=(1.0, -1.0))
+
+
+def test_zero_counts_are_refused_before_any_work(monkeypatch):
+    # no trials would pass vacuously, no fiber samples leave no minimum
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned before checking the count")
+
+    monkeypatch.setattr(warp, "scan_chart", no_scan)
+    with pytest.raises(ValueError, match="trials must be at least 1, got 0"):
+        determinant_split_check(trials=0)
+    with pytest.raises(ValueError, match="fiber_samples must be at least 1, got 0"):
+        warp.family_negativity_report(fiber_samples=0)
+    with pytest.raises(ValueError, match="fiber_samples must be at least 1, got 0"):
+        check_hypotheses(warp_demo_fibration(), fiber_samples=0)
+    with pytest.raises(ValueError, match="trials must be at least 1, got 0"):
+        submanifold_decreasing_check(dsl.catalog("paper_G(1)"), {2: 0j}, trials=0)
