@@ -29,6 +29,7 @@ the minimizer-free acceptance checks from 50.9 to 54.4 MiB.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 from dataclasses import dataclass
 from functools import partial
 
@@ -258,7 +259,7 @@ def restrict(spec: dsl.MetricSpec, fixed: dict, name: str | None = None) -> dsl.
     1-based coordinate indices; values must lie in the box slice.
     """
     if not fixed:
-        return spec
+        return spec if name is None else dataclasses.replace(spec, name=name)
     for k, v in fixed.items():
         if not 1 <= k <= spec.n:
             raise ValueError(f"coordinate index z{k} out of range 1..{spec.n}")

@@ -623,8 +623,8 @@ class FibrationSpec:
             raise ValueError("base_entries must be m x m")
         if len(self.box) != self.n:
             raise ValueError("box must cover all s + m coordinates")
-        if not self.mu0 >= 0:
-            raise ValueError("mu0 must be nonnegative")
+        if not 0 <= self.mu0 < math.inf:
+            raise ValueError("mu0 must be finite and nonnegative")
 
     @property
     def n(self) -> int:

@@ -9,9 +9,10 @@ The direction minimizer is chosen by the metric dimension d alone:
   (I + r.sigma)/2 for a point r of the Bloch sphere S^2 (Pauli matrices
   sigma), and K becomes the quadratic c + b.r + r^T A r on S^2.  Its
   global minimum is a trust-region boundary problem (More & Sorensen
-  1983; Gander, Golub & von Matt 1989): one 3x3 eigendecomposition of A
-  and a bisection on the secular equation sum beta_i^2/(lam_i - mu)^2 = 1
-  for mu below the smallest eigenvalue.  No randomness is involved.
+  1983; Gander, Golub & von Matt 1989): one 3x3 eigendecomposition of A,
+  then the secular equation sum beta_i^2/(lam_i - mu)^2 = 1 for mu below
+  the smallest eigenvalue, in closed form in the hard case and by a few
+  monotone Newton passes elsewhere.  No randomness is involved.
 * d >= 3 ("descent"): rank-one matrices no longer fill a sphere.  A batch
   of random metric-unit directions measures the landscape, then
   multi-start projected coordinate descent (shrinking real/imaginary
@@ -126,9 +127,13 @@ _PAULI = np.array([[1, 0, 0, 1],
                    [0, 1, -1j, 0],
                    [0, 1, 1j, 0],
                    [1, 0, 0, -1]], dtype=complex)
-# Bisection halvings of the secular bracket, whose width starts at |beta|:
-# 64 leave it below 2^-64 |beta|, past double precision at the problem scale.
-SECULAR_BISECTIONS = 64
+# Eigenvalues within SECULAR_ULPS ulps of lam_1 (at the scale max(|lam|,
+# |beta|)) form one cluster.  A point's Newton solve ends once its step is
+# below SECULAR_ULPS ulps of lam_1 - mu or its residual |y| - 1 is below
+# SECULAR_ULPS ulps.
+SECULAR_ULPS = 8
+# A cap on Newton passes; monotone quadratic convergence needs far fewer.
+SECULAR_NEWTON_PASSES = 64
 
 
 def _sphere_quadratic(T, R):
@@ -142,31 +147,68 @@ def _sphere_quadratic(T, R):
     return 0.25 * (H + np.swapaxes(H, -1, -2)).real
 
 
+def _secular_step(beta, gap, t):
+    """One Newton pass on 1/|y| - 1 in the shift t = lam_1 - mu.
+
+    y_i = -beta_i / (gap_i + t) with gap = lam - lam_1; a zero gap at t = 0
+    (the cluster at lam_1 with vanishing beta) contributes no term.  With
+    s = |y|^2 >= 1 the step s (sqrt(s) - 1) / sum_i y_i^2 / (gap_i + t) is
+    >= 0 and stays at or below the root (More & Sorensen 1983).  Returns
+    (new t, sqrt(s) - 1 at the old t).
+    """
+    d = gap + t[:, None]
+    y2 = np.zeros_like(d)
+    np.divide(beta, d, out=y2, where=d > 0)
+    y2 **= 2
+    s = y2.sum(-1)
+    ds = np.divide(y2, d, out=np.zeros_like(d), where=d > 0).sum(-1)
+    residual = np.sqrt(s) - 1.0
+    return t + s * residual / ds, residual
+
+
 def _sphere_minimizer(Q):
     """Unit r (P, 3) minimizing c + b.r + r^T A r from Q of _sphere_quadratic.
 
     With A = V diag(lam) V^T and beta = V^T b / 2, the minimizer is
-    r = V y, y_i = -beta_i / (lam_i - mu), where mu <= lam_1 solves
-    sum y_i^2 = 1.  That root lies in [lam_1 - |beta|, lam_1] and is
-    bisected to double precision.  y_1 is then filled to unit norm with the
-    sign of -beta_1, which is exact in the hard case (beta_1 = 0, mu =
-    lam_1) and avoids dividing by a vanishing lam_1 - mu near it.
+    r = V y, y_i = -beta_i / (lam_i - mu), where mu <= lam_1 solves the
+    secular equation s(mu) = sum beta_i^2 / (lam_i - mu)^2 = 1.
+    Eigenvalues within a few ulps of lam_1 are one cluster at lam_1.  In
+    the (near-)hard case, where beta vanishes on that cluster to rounding
+    and the far terms give s(lam_1) <= 1, the root is mu = lam_1 in closed
+    form and the cluster components of y are 0.  Every other point starts
+    at mu = lam_1 - |beta_cluster| / 2, where s >= 1, and runs Newton on the
+    concave 1/|y(mu)| - 1 (_secular_step), which falls monotonically to
+    the root from there, clamped at lam_1 - |beta|, until its step is below
+    a few ulps of lam_1 - mu or |y| - 1 is at rounding level, where the
+    step only follows the rounding of s.  y_1 is then filled to unit norm
+    with the sign of -beta_1, which is exact in the hard case (beta_1 = 0,
+    mu = lam_1) and avoids dividing by a vanishing lam_1 - mu near it.
     """
     lam, V = np.linalg.eigh(Q[:, 1:, 1:])
     beta = np.einsum("pki,pk->pi", V, Q[:, 0, 1:])
-    beta2 = beta ** 2
-    lo = lam[:, 0] - np.sqrt(beta2.sum(-1))
-    hi = lam[:, 0].copy()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(SECULAR_BISECTIONS):
-            mid = 0.5 * (lo + hi)
-            # NaN (0/0 at mid == lam_1 with beta_1 == 0) counts as "not above"
-            above = (beta2 / (lam - mid[:, None]) ** 2).sum(-1) > 1.0
-            hi = np.where(above, mid, hi)
-            lo = np.where(above, lo, mid)
-    gap = lam[:, 1:] - lo[:, None]
+    bnorm = np.linalg.norm(beta, axis=-1)
+    ulps = SECULAR_ULPS * np.finfo(float).eps
+    tol = ulps * np.maximum(np.abs(lam).max(-1), bnorm)
+    gap = lam - lam[:, :1]
+    cluster = gap <= tol[:, None]
+    gap[cluster] = 0.0
+    bc = np.linalg.norm(np.where(cluster, beta, 0.0), axis=-1)
+    far = np.divide(beta, gap, out=np.zeros_like(gap), where=~cluster)
+    hard = (bc <= tol) & ((far ** 2).sum(-1) <= 1.0)
+    # t = lam_1 - mu: 0 in the hard case, else the Newton start
+    t = np.where(hard, 0.0, 0.5 * bc)
+    active = np.flatnonzero(~hard)
+    for _ in range(SECULAR_NEWTON_PASSES):
+        if active.size == 0:
+            break
+        old = t[active]
+        new, residual = _secular_step(beta[active], gap[active], old)
+        new = np.minimum(new, bnorm[active])
+        t[active] = new
+        active = active[(np.abs(new - old) > ulps * new) & (np.abs(residual) > ulps)]
+    d = gap + t[:, None]
     y = np.zeros_like(lam)
-    np.divide(-beta[:, 1:], gap, out=y[:, 1:], where=gap > 0)
+    np.divide(-beta[:, 1:], d[:, 1:], out=y[:, 1:], where=d[:, 1:] > 0)
     rest = 1.0 - (y[:, 1:] ** 2).sum(-1)
     y[:, 0] = np.where(beta[:, 0] > 0, -1.0, 1.0) * np.sqrt(np.maximum(rest, 0.0))
     r = np.einsum("pij,pj->pi", V, y)

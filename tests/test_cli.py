@@ -166,6 +166,8 @@ def _write_bad_files(directory) -> None:
         json.dumps(dict(good, box=good["box"][:1])))
     (directory / "inverted-box.json").write_text(
         json.dumps(dict(good, box=[[0.5, -0.5, -0.5, 0.5]] * 2)))
+    (directory / "infinite-mu0.json").write_text(
+        json.dumps(dict(good, mu0=float("inf"))))
     metric = dsl.spec_to_dict(dsl.catalog("poincare"))
     for name, rect in (("inverted", {"re": [0.5, -0.5], "im": [-0.5, 0.5]}),
                        ("nan", {"re": [float("nan"), 0.5], "im": [-0.5, 0.5]})):
@@ -182,6 +184,7 @@ BAD_SPEC_FILES = [
     ("scan", "--file", "{tmp}/metric-nan-box.json"),
     ("warp", "--file", "{tmp}/inverted-box.json"),
     ("curvature", "--file", "{tmp}/family.json", "--point", "0,0,0,0"),
+    ("warp", "--file", "{tmp}/infinite-mu0.json"),
 ]
 
 

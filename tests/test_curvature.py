@@ -247,6 +247,14 @@ def test_fiber_curvature_vanishes_at_origin_only():
     assert gaussian_curvature_1d(sub, 0.3 + 0j) > 0.1
 
 
+def test_restrict_with_nothing_fixed_renames_only():
+    spec = dsl.catalog("paper_G(1)")
+    assert restrict(spec, {}) is spec
+    renamed = restrict(spec, {}, name="slice")
+    assert renamed.name == "slice"
+    assert (renamed.n, renamed.entries, renamed.box) == (spec.n, spec.entries, spec.box)
+
+
 def test_warp_demo_fiber_is_rescaled_round_sphere():
     family = dsl.catalog("warp_demo")
     for c in (0j, 0.4 + 0.2j):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -146,6 +147,92 @@ def test_exact_minimum_hard_and_near_hard_case(beta1):
     # the value is attained by the returned metric-unit direction
     assert abs(hsc_dirs(g, R, dirs[:, None])[0, 0] - vals[0]) <= 1e-15
     assert abs(np.real(dirs[0] @ g[0] @ dirs[0].conj()) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("lam2,beta12", [(0.0, 0.0), (1e-17, 0.0), (0.0, 3e-16),
+                                         (1e-17, 3e-16)])
+def test_exact_minimum_degenerate_hard_case(lam2, beta12):
+    """A double eigenvalue at 0 on which beta vanishes, exactly or to
+    rounding as on the warp demo: the minimum is c + lam_1 - sum over the
+    far eigenvalue of beta_i^2 / (lam_i - lam_1) = 0.3 - 40^2 / 100."""
+    rng = np.random.default_rng(3)
+    V, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    lam = np.array([0.0, lam2, 100.0])
+    beta = np.array([beta12, -beta12, 40.0])
+    Amap = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) + 2 * np.eye(2)
+    g, R = _sphere_quadratic_tensor(Amap, 0.3, 2 * V @ beta, V @ np.diag(lam) @ V.T)
+    vals, dirs = _min_over_dirs(g, R, 0, 0, 0, 0, [0])
+    assert abs(vals[0] - (0.3 + lam[0] - beta[2] ** 2 / (lam[2] - lam[0]))) <= 1e-12
+    assert abs(hsc_dirs(g, R, dirs[:, None])[0, 0] - vals[0]) <= 1e-15
+
+
+def _bisection_sphere_minimizer(Q):
+    """The d = 2 sphere minimizer as a 64-step secular bisection, kept as
+    the reference for the Newton solve."""
+    lam, V = np.linalg.eigh(Q[:, 1:, 1:])
+    beta = np.einsum("pki,pk->pi", V, Q[:, 0, 1:])
+    beta2 = beta ** 2
+    lo = lam[:, 0] - np.sqrt(beta2.sum(-1))
+    hi = lam[:, 0].copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            # NaN (0/0 at mid == lam_1 with beta_1 == 0) counts as "not above"
+            above = (beta2 / (lam - mid[:, None]) ** 2).sum(-1) > 1.0
+            hi = np.where(above, mid, hi)
+            lo = np.where(above, lo, mid)
+    gap = lam[:, 1:] - lo[:, None]
+    y = np.zeros_like(lam)
+    np.divide(-beta[:, 1:], gap, out=y[:, 1:], where=gap > 0)
+    rest = 1.0 - (y[:, 1:] ** 2).sum(-1)
+    y[:, 0] = np.where(beta[:, 0] > 0, -1.0, 1.0) * np.sqrt(np.maximum(rest, 0.0))
+    r = np.einsum("pij,pj->pi", V, y)
+    return r / np.linalg.norm(r, axis=-1, keepdims=True)
+
+
+EXACT_GRIDS = ("paper_G(1)", "paper_G(50)", "warp_demo@0.001", "warp_demo@2.144",
+               "warp_demo@100")
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_grid(label):
+    """(g, R) on the grid-9 paper_G charts, or on the lam search's 625-point
+    warp_demo grid at the lam after the @."""
+    name, _, lam = label.partition("@")
+    if lam:
+        f = warp.warp_demo_fibration()
+        return warp.warped_curvature(f, dsl.box_grid(f.box, 5))(float(lam))
+    spec = dsl.catalog(name)
+    mj = metric_jet(spec, dsl.box_grid(spec.box, 9))
+    return mj.g, curvature(mj).R
+
+
+@pytest.mark.parametrize("label", EXACT_GRIDS)
+def test_newton_minimum_never_above_bisection(label):
+    g, R = _exact_grid(label)
+    idx = range(len(g))
+    newton, _ = positivity._exact_min(g, R, idx)
+    T = positivity._orthonormal_frame(g, idx)
+    eta = positivity._bloch_to_unit(
+        _bisection_sphere_minimizer(positivity._sphere_quadratic(T, R)))
+    ref = hsc_dirs(g, R, np.einsum("pij,pj->pi", T, eta)[:, None])[:, 0]
+    assert np.all(newton <= ref + 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("label", EXACT_GRIDS)
+def test_newton_passes_per_call(monkeypatch, label):
+    passes = []
+    real_step = positivity._secular_step
+
+    def counting_step(*args):
+        passes.append(1)
+        return real_step(*args)
+
+    monkeypatch.setattr(positivity, "_secular_step", counting_step)
+    g, R = _exact_grid(label)
+    positivity._exact_min(g, R, range(len(g)))
+    # every warp_demo point is the closed-form hard case
+    assert len(passes) <= (0 if label.startswith("warp_demo") else 12)
 
 
 def test_closed_form_path_in_one_dimension():

@@ -88,8 +88,9 @@ def test_fibration_shape_validation():
                                   "box": [[-0.5, 0.5, -0.5, 0.5]] * 2})
     with pytest.raises(ValueError):
         FibrationSpec("bad", 0, 1, (), ((dsl.parse("1", 1),),), 0.0, box)
-    with pytest.raises(ValueError, match="mu0"):
-        dataclasses.replace(_flat_flat(), mu0=-1)
+    for mu0 in (-1, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="mu0"):
+            dataclasses.replace(_flat_flat(), mu0=mu0)
 
 
 def test_mu0_search_on_demo():
