@@ -277,7 +277,12 @@ def check_warp_suite(seed: int) -> dict:
     family and on the assembled warp product); curvature numerator grows
     along base directions; the positivity search returns a finite lam
     with a positive scanned minimum, negative at lam = 1e-3, persisting
-    at twice and four times the threshold."""
+    at twice and four times the threshold.  The assembled route
+    (scan_chart of assemble(f, lam)) confirms the threshold: its grid
+    minimum is negative at lambda_star * (1 - 1e-6) and positive at
+    lambda_star.  The proof of persistence holds: the base rows of the
+    tensor have no fiber entries and the base curvature is >= 0 on the
+    grid, so no larger lam loses positivity."""
     det = warp.determinant_split_check(trials=1000, seed=seed)
 
     rng = np.random.default_rng([seed, 7])
@@ -309,14 +314,30 @@ def check_warp_suite(seed: int) -> dict:
         growth = {"error": str(exc)}
         growth_ok = False
 
-    search = warp.lambda_search(f, seed=seed)
-    search_ok = (np.isfinite(search.lambda_star)
+    grid = 5  # lambda_search's default
+    search = warp.lambda_search(f, grid_per_axis=grid, seed=seed)
+    star = search.lambda_star
+    # the threshold on the independent assembled route: negative just
+    # below lambda_star, positive at it
+    below, at_star = (positivity.scan_chart(warp.assemble(f, lam),
+                                            grid_per_axis=grid).min_hsc
+                      for lam in (star * (1 - 1e-6), star))
+    # the proof of persistence: the base rows of the tensor have no fiber
+    # k or l entries, so B is the base block's own numerator, which is
+    # >= 0 wherever the base metric's curvature is
+    s = f.s
+    R1 = curvature(metric_jet(warp.assemble(f, 1.0), search.points)).R
+    base_rows_pure = not (np.any(R1[:, s:, s:, :s]) or np.any(R1[:, s:, s:, :, :s]))
+    base_min = positivity.scan_chart(f.base_spec(), grid_per_axis=grid).min_hsc
+    search_ok = (np.isfinite(star)
                  and search.min_hsc_at_star > 0
                  and search.history[0][0] == 1e-3
                  and search.history[0][1] < -1e-8
                  and all(v > 0 for _, v in search.persistence)
                  and all(v <= 0 for l, v in search.history
-                         if l < search.lambda_star / 2))
+                         if l < star / 2)
+                 and below < 0 < at_star
+                 and base_rows_pure and base_min >= 0)
     ok = (det["ok"] and asym_ok and dec_violations == 0
           and growth_ok and search_ok)
     return {"ok": bool(ok), "determinant": det,
@@ -324,6 +345,10 @@ def check_warp_suite(seed: int) -> dict:
             "decreasing_violations": int(dec_violations),
             "decreasing_worst_margin": float(dec_worst),
             "growth": growth, "search": search.as_dict(),
+            "assembled_min_below_star": below,
+            "assembled_min_at_star": at_star,
+            "base_rows_pure": bool(base_rows_pure),
+            "base_min_hsc": base_min,
             "search_ok": bool(search_ok)}
 
 

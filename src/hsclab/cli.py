@@ -11,7 +11,9 @@ read as (re, im) pairs ("0.5,0.1" is 0.5+0.1i for a one-coordinate
 metric) or n complex literals in a+bi form ("0.5+0.1i,2i").
 
 CSV output (scan --csv) has columns: index, re1, im1, ..., re_n, im_n,
-min_hsc -- one row per grid point with the scanned minimum there.
+min_hsc -- one row per grid point with the scanned minimum there;
+warp --search --csv writes the same columns with lambda_star, each grid
+point's own lam threshold, in place of min_hsc.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from . import __version__, acceptance, certify, dsl, warp
 from .curvature import (PointOutsideBoxError, curvature, gaussian_curvature_1d,
                         hsc_dirs, metric_jet, pair_symmetry_defect)
 from .positivity import (NEG_THRESHOLD, _c2pair, find_negative_witness,
-                         scan_chart, scan_to_csv)
+                         points_to_csv, scan_chart, scan_to_csv)
 from .wirtinger import SingularPointError
 
 
@@ -278,6 +280,8 @@ def cmd_lemma2(args) -> int:
 
 
 def cmd_warp(args) -> int:
+    if args.csv and not args.search:
+        raise SystemExit(_usage("--csv needs --search"))
     f = (_loaded(warp.load_fibration, args.file, "fibration") if args.file
          else warp.warp_demo_fibration())
     try:
@@ -306,6 +310,10 @@ def cmd_warp(args) -> int:
         try:
             res = warp.lambda_search(f, seed=args.seed)
             payload["lambda_search"] = res.as_dict()
+            if args.csv:
+                with open(args.csv, "w", encoding="utf-8") as fh:
+                    fh.write(points_to_csv(res.points, res.thresholds,
+                                           "lambda_star"))
             ok = ok and res.min_hsc_at_star > 0 \
                 and all(v > 0 for _, v in res.persistence)
         except warp.HypothesisViolationError as exc:
@@ -437,7 +445,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=positive_int, default=1000,
                    help="determinant identity trials")
     p.add_argument("--search", action="store_true",
-                   help="run the lam positivity search (slow)")
+                   help="run the lam positivity search")
+    p.add_argument("--csv", help="with --search, also write each grid "
+                   "point's lam threshold as CSV (columns: index, re/im per "
+                   "coordinate, lambda_star)")
     p.add_argument("--write-demo", dest="write_demo",
                    help="write the bundled demo fibration JSON here")
     p.set_defaults(func=cmd_warp)

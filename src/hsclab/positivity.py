@@ -322,16 +322,22 @@ class ScanReport:
 
 def scan_to_csv(report: ScanReport) -> str:
     """One row per scanned point: index, re/im of each coordinate, min K."""
-    n = report.n
+    return points_to_csv(report.points, report.per_point_min, "min_hsc")
+
+
+def points_to_csv(points, values, column: str) -> str:
+    """One row per point of points (P, n): index, re/im of each
+    coordinate, then values (P,) under the header column."""
+    n = points.shape[1]
     cols = ["index"]
     for k in range(1, n + 1):
         cols += [f"re{k}", f"im{k}"]
-    cols.append("min_hsc")
+    cols.append(column)
     # one float table and one tolist(), so each cell is repr of a Python float
-    table = np.empty((report.points.shape[0], 2 * n + 1))
-    table[:, 0:2 * n:2] = report.points.real
-    table[:, 1:2 * n:2] = report.points.imag
-    table[:, -1] = report.per_point_min
+    table = np.empty((points.shape[0], 2 * n + 1))
+    table[:, 0:2 * n:2] = points.real
+    table[:, 1:2 * n:2] = points.imag
+    table[:, -1] = values
     lines = [",".join(cols)]
     lines += [f"{idx}," + ",".join(map(repr, row))
               for idx, row in enumerate(table.tolist())]

@@ -9,8 +9,9 @@ the assembled family
 
 is studied as lam grows: inverse block asymptotics, growth of the
 curvature numerator along base directions, curvature decrease on
-coordinate submanifolds, and a search (certify.threshold_search) for the
-smallest lam making the holomorphic sectional curvature positive on the chart.
+coordinate submanifolds, and the smallest lam making the holomorphic
+sectional curvature positive at every grid point of the chart
+(lambda_search).
 
 The family is affine in its scale c = mu0 + lam, and so is its curvature
 tensor R[i,j,k,l] (curvature module docstring).  The off-diagonal blocks
@@ -24,36 +25,51 @@ mixed (fiber, base) pair vanishes.  Hence, exactly:
 
 In the base block both -d2g and dg . g^{-1} . dbarg carry one factor c.
 warped_curvature evaluates the jets and the tensor once, at c = 1, and
-rescales them per lam; lambda_search runs on it, while assemble,
-scan_chart and base_growth_check keep the assembled route, so
-base_growth_check checks the same linear growth independently.
+rescales them per lam, while assemble, scan_chart and base_growth_check
+keep the assembled route, so base_growth_check checks the same linear
+growth independently.
+
+So along a direction xi the numerator at scale c is A(xi) + c * B(xi),
+with B from the base rows alone.  lambda_search solves for each grid
+point's threshold by Newton on the concave minimum over xi of that
+numerator, from the scale-1 tensor.  Base rows have no fiber k or l
+entries, so B is the base block's own numerator: where the base
+curvature is positive, B >= 0 and positivity at a point's threshold
+persists for every larger lam; where a fiber direction has a numerator
+<= 0, no lam makes the point positive.
 
 The search refuses charts that fail its standing hypotheses (positive
-base curvature, positive fiber curvature on sampled fibers); the bundled
-counterexample family paper_G_fibration() shows why: its fiber curvature
-vanishes at one point of every fiber, and no lam rescues positivity there.
-Both bundled fibrations are defined once, in dsl.
+base curvature, positive fiber curvature on sampled fibers), and then
+any grid point proved never positive; the bundled counterexample family
+paper_G_fibration() shows why: its fiber curvature vanishes at one point
+of every fiber, and no lam rescues positivity there.  Both bundled
+fibrations are defined once, in dsl.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import dsl
-from .certify import threshold_search
+from .certify import ThresholdNotReachedError, threshold_search
 from .curvature import (check_tensor, curvature, gaussian_curvature_1d,
                         hsc_dirs, metric_jet, metric_norm2, quartic, restrict)
 from .dsl import FibrationSpec
-from .positivity import (NEG_THRESHOLD, _c2pair, _min_over_dirs,
+from .positivity import (NEG_THRESHOLD, _c2pair, _min_over_dirs, _vec_dict,
                          check_witness_budget, find_negative_witness,
                          scan_chart)
 
 LAMBDA_START = 1e-3
 LAMBDA_MAX = float(2 ** 30)
+# A point's Newton solve in lambda_search ends once its step is at most
+# NEWTON_RTOL of its iterate; lambda_star is the largest per-point
+# threshold times 1 + STAR_MARGIN.
+NEWTON_RTOL = 1e-13
+STAR_MARGIN = 1e-9
 MU0_MAX_EXPONENT = 40
 HYPOTHESIS_MARGIN = 1e-8
 # The lams of inverse_asymptotics and base_growth_check.
@@ -166,19 +182,24 @@ def warped_curvature(f: FibrationSpec, points):
     stays.  Each call runs the checks of curvature() (check_tensor) on the
     rescaled pair and refuses a non-positive mu0 + lam like assemble.
     """
+    g1, R1 = _unit_curvature(f, points)
+    return lambda lam: _at_scale(f, g1, R1, lam)
+
+
+def _unit_curvature(f: FibrationSpec, points):
+    """(g, R) of the scale-1 metric _unit_scale(f) at points, checked."""
     mj = metric_jet(_unit_scale(f), points)
-    R1 = curvature(mj).R
-    s = f.s
+    return mj.g, curvature(mj).R
 
-    def at(lam: float):
-        scale = _scale(f, lam)
-        g, R = mj.g.copy(), R1.copy()
-        g[..., s:, s:] *= scale
-        R[..., s:, s:, :, :] *= scale
-        check_tensor(g, R)
-        return g, R
 
-    return at
+def _at_scale(f: FibrationSpec, g1, R1, lam: float):
+    """The scale-1 pair rescaled to lam (warped_curvature), checked."""
+    scale = _scale(f, lam)
+    g, R = g1.copy(), R1.copy()
+    g[..., f.s:, f.s:] *= scale
+    R[..., f.s:, f.s:, :, :] *= scale
+    check_tensor(g, R)
+    return g, R
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +222,28 @@ class HypothesisViolationError(RuntimeError):
 
 @dataclass(frozen=True)
 class LambdaSearchResult:
+    """The exact grid threshold of lambda_search and the checks around it.
+
+    newton_passes counts the passes of the per-point solve, witness_point
+    is the grid point with the largest threshold, and never_positive
+    counts grid points proved never positive, which a returned result has
+    none of (they raise ThresholdNotReachedError).  thresholds holds each
+    grid point's lam threshold, in the order of points; like
+    ScanReport.per_point_min, both arrays stay out of as_dict, and out of
+    == so that results compare by their reported fields.
+    """
+
     lambda_star: float
     min_hsc_at_star: float
     history: tuple
     persistence: tuple
     seed: int
     positive_at_start: bool
+    newton_passes: int
+    witness_point: tuple
+    never_positive: int
+    points: np.ndarray = field(repr=False, compare=False)
+    thresholds: np.ndarray = field(repr=False, compare=False)
 
     def as_dict(self) -> dict:
         return {
@@ -216,6 +253,9 @@ class LambdaSearchResult:
             "persistence": [[l, v] for l, v in self.persistence],
             "seed": self.seed,
             "positive_at_start": self.positive_at_start,
+            "newton_passes": self.newton_passes,
+            "witness_point": _vec_dict(self.witness_point),
+            "never_positive": self.never_positive,
         }
 
 
@@ -270,40 +310,103 @@ def lambda_search(f: FibrationSpec, bisections: int = 6,
                   grid_per_axis: int = 5, dirs: int = 24, starts: int = 4,
                   iters: int = 120, seed: int = 0,
                   skip_hypotheses: bool = False) -> LambdaSearchResult:
-    """Smallest lam (threshold_search from LAMBDA_START up to LAMBDA_MAX)
-    with strictly positive scanned minimal curvature of the assembled metric.
+    """Smallest lam at which every grid point has strictly positive minimal
+    curvature, from one Newton solve per grid point.
 
-    Every lam is scanned on the same grid with the same seed and budget, so
-    the recorded history is comparable across lam.  The returned
-    lambda_star is the positive end of the final bracket, or only an upper
-    bound on the threshold when positive_at_start; persistence holds the
-    re-scanned minima at 2*lambda_star and 4*lambda_star.
+    Fix the scale-1 metric g1 as the normalization.  At scale c = mu0 + lam
+    the numerator along a g1-unit xi is A(xi) + c*B(xi), where B comes from
+    the base rows R[..., s:, s:, :, :] of the scale-1 tensor (module
+    docstring), so a point's value m(c) = min over xi of that numerator is
+    concave in c, with slope B(xi*) at the minimizing xi* (Dinkelbach 1967).
+    m <= 0 with B(xi*) <= 0 proves the point never positive, since a
+    concave m then stays <= 0; the proof is tried first at each point's
+    best fiber direction, where B = 0, which checks the fiber hypothesis
+    at every grid point.  The other points start at LAMBDA_START; each
+    pass computes m and xi* on the points still active (both through
+    hsc_dirs, which carries the factor 2) and steps c <- c - m / B(xi*),
+    so the iterates rise monotonically to the point's threshold.  A point
+    leaves when it is positive, when its step is at most NEWTON_RTOL of
+    its iterate, when it is proved never positive, or when its iterate
+    passes LAMBDA_MAX.  Points of the last two kinds raise
+    ThresholdNotReachedError naming the first of them in grid order and
+    its witness direction.
 
-    The grid's jets and curvature are evaluated once (warped_curvature):
-    the assembled metric is block diagonal with a base block that depends
-    on the base coordinates only, so each lam's tensor is the scale-1
-    tensor with its base rows multiplied by mu0 + lam.  Per lam, the
-    rescaled pair passes the checks of curvature() and then the direction
-    minimizer of scan_chart, with the same options and point indices.
+    lambda_star is the largest per-point threshold times 1 + STAR_MARGIN,
+    or LAMBDA_START when every point is positive there (positive_at_start:
+    then it only bounds the threshold from above).  Only the reported
+    minima are evaluated on the rescaled pairs of warped_curvature, each
+    checked like curvature(): history holds (LAMBDA_START, its grid
+    minimum) and, unless positive_at_start, (lambda_star, min_hsc_at_star);
+    persistence holds the grid minima at 2*lambda_star and 4*lambda_star.
+
+    For d <= 2 every pass is the exact direction minimum.  For d >= 3 it is
+    probe plus descent (dirs, starts, iters, seed), an upper bound, so the
+    thresholds are only as good as descent.  bisections is ignored; it is
+    accepted so that existing callers keep working.
     """
     if not skip_hypotheses:
         check_hypotheses(f, seed=seed)
     pts = dsl.box_grid(f.box, grid_per_axis)
-    tensors = warped_curvature(f, pts)
+    g1, R1 = _unit_curvature(f, pts)
+    s = f.s
+    R_base = np.zeros_like(R1)
+    R_base[:, s:, s:] = R1[:, s:, s:]
+    P = pts.shape[0]
+    # the proof of failure at each point's best fiber direction, where B = 0
+    fiber_min, fiber_dir = _min_over_dirs(g1[:, :s, :s], R1[:, :s, :s, :s, :s],
+                                          dirs, starts, iters, seed, range(P))
+    never = fiber_min <= 0
+    capped = np.zeros(P, dtype=bool)
+    wdir = np.zeros_like(pts)
+    wdir[:, :s] = fiber_dir
+    lam = np.full(P, LAMBDA_START)
+    active = np.flatnonzero(~never)
+    at_start, passes = False, 0
+    while active.size:
+        passes += 1
+        old = lam[active]
+        R = R1[active]  # a copy: integer indexing
+        R[:, s:, s:] *= (f.mu0 + old)[:, None, None, None, None]
+        m, xi = _min_over_dirs(g1[active], R, dirs, starts, iters, seed, active)
+        slope = hsc_dirs(g1[active], R_base[active], xi[:, None])[:, 0]
+        wdir[active] = xi
+        if passes == 1:
+            at_start = not never.any() and bool(np.all(m > 0))
+        rising = (m <= 0) & (slope > 0)
+        with np.errstate(over="ignore"):
+            new = np.where(rising, old - m / np.where(rising, slope, 1.0), old)
+        never[active[(m <= 0) & ~rising]] = True
+        capped[active[new > LAMBDA_MAX]] = True
+        lam[active] = new
+        active = active[rising & (new <= LAMBDA_MAX)
+                        & (new - old > NEWTON_RTOL * new)]
+    if never.any() or capped.any():
+        first = int(np.flatnonzero(never | capped)[0])
+        raise ThresholdNotReachedError(
+            f"{int(never.sum())} grid point(s) never positive and "
+            f"{int(capped.sum())} not positive up to lam = {LAMBDA_MAX:g}; "
+            f"first at point {_vec_dict(pts[first])}, "
+            f"witness direction {_vec_dict(wdir[first])}")
 
     def scan_min(lam: float) -> float:
-        g, R = tensors(lam)
+        g, R = _at_scale(f, g1, R1, lam)
         vals, _ = _min_over_dirs(g, R, dirs, starts, iters, seed,
                                  range(pts.shape[0]))
         return float(vals.min())
 
-    hi, hi_val, history, at_start = threshold_search(
-        scan_min, LAMBDA_START, LAMBDA_MAX, bisections)
-    persistence = tuple((m * hi, scan_min(m * hi)) for m in (2.0, 4.0))
-    return LambdaSearchResult(lambda_star=hi, min_hsc_at_star=hi_val,
-                              history=tuple(history),
-                              persistence=persistence, seed=seed,
-                              positive_at_start=at_start)
+    history = [(LAMBDA_START, scan_min(LAMBDA_START))]
+    if at_start:
+        star = LAMBDA_START
+    else:
+        star = float(lam.max()) * (1.0 + STAR_MARGIN)
+        history.append((star, scan_min(star)))
+    return LambdaSearchResult(
+        lambda_star=star, min_hsc_at_star=history[-1][1],
+        history=tuple(history),
+        persistence=tuple((k * star, scan_min(k * star)) for k in (2.0, 4.0)),
+        seed=seed, positive_at_start=at_start, newton_passes=passes,
+        witness_point=tuple(pts[int(np.argmax(lam))]), never_positive=0,
+        points=pts, thresholds=lam)
 
 
 # ---------------------------------------------------------------------------

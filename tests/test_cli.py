@@ -1,6 +1,7 @@
 """Console entry points: report shape, exit codes, and determinism."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -247,6 +248,7 @@ def test_warp_usage_error_writes_no_demo_file(tmp_path, capsys):
     ("scan", "--catalog", "ball(3)", "--grid", "2", "--dirs", "0", "--starts", "0"),
     ("lemma2", "--point", "5,0"),
     *BAD_SPEC_FILES,
+    ("warp", "--csv", "{tmp}/thresholds.csv"),  # --csv needs --search
 ])
 def test_usage_errors_exit_two(capsys, tmp_path, argv):
     _write_bad_files(tmp_path)
@@ -297,6 +299,24 @@ def test_warp_search_records_unreached_threshold(tmp_path, capsys):
     code, rep = run_cli(capsys, "warp", "--search", "--file", str(path))
     assert code == 1 and rep["ok"] is False
     assert "up to lam" in rep["lambda_search"]["threshold_not_reached"]
+    named = re.search(r"first at point (\[.*?\]\]),",
+                      rep["lambda_search"]["threshold_not_reached"])[1]
+    assert json.loads(named)[1][0] == 0.67  # Re z2
+
+
+def test_warp_search_writes_per_point_thresholds(tmp_path, capsys):
+    path = tmp_path / "thresholds.csv"
+    code, rep = run_cli(capsys, "warp", "--search", "--csv", str(path))
+    assert code == 0
+    lines = path.read_text().splitlines()
+    assert lines[0] == "index,re1,im1,re2,im2,lambda_star"
+    assert len(lines) == 1 + 5 ** 4
+    thresholds = [float(line.split(",")[-1]) for line in lines[1:]]
+    star = rep["lambda_search"]["lambda_star"]
+    assert star == pytest.approx(max(thresholds) * (1 + warp.STAR_MARGIN), rel=1e-15)
+    witness = rep["lambda_search"]["witness_point"]
+    row = lines[1 + int(np.argmax(thresholds))].split(",")
+    assert [float(x) for x in row[1:5]] == [x for pair in witness for x in pair]
 
 
 def test_point_parser_pairs_and_literals():

@@ -1,6 +1,10 @@
 """Fibration assembly, hypothesis gating, and the lam positivity search."""
 
 import dataclasses
+import json
+import re
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hsclab import dsl, warp
 from hsclab.certify import ThresholdNotReachedError
 from hsclab.curvature import (IllConditionedError, curvature,
                               gaussian_curvature_1d, metric_jet, restrict)
+from hsclab.positivity import min_hsc_at_point
 from hsclab.warp import (FibrationSpec, HypothesisViolationError, assemble,
                          base_growth_check, check_hypotheses,
                          determinant_split_check, inverse_asymptotics,
@@ -207,13 +212,81 @@ def test_lambda_search_evaluates_jets_once(monkeypatch):
     f = warp_demo_fibration()
     res = lambda_search(f, skip_hypotheses=True)
     assert len(calls) == f.n ** 2
-    assert res.lambda_star == 2.144
+    assert res.lambda_star == pytest.approx(2.12243686161123, rel=1e-12)
+
+
+@pytest.mark.parametrize("grid", [5, 9])
+def test_lambda_search_newton_solve_is_exact_per_point(monkeypatch, grid):
+    """At most 12 Newton passes whose per-point iterates never decrease;
+    each point's threshold separates negative from positive minima on
+    the assembled route."""
+    f = warp_demo_fibration()
+    pts = dsl.box_grid(f.box, grid)
+    R1 = warped_curvature(f, pts)(1.0)[1]  # mu0 = 0: the scale-1 tensor
+    scales = {}
+    inner = warp._min_over_dirs
+
+    def recording(g, R, *args):
+        idx = args[-1]
+        if isinstance(idx, np.ndarray) and g.shape[-1] == f.n:
+            # a Newton pass: its tensor is R1 with base rows times mu0 + lam
+            for row, p in enumerate(idx):
+                scales.setdefault(int(p), []).append(
+                    (R[row, 1, 1, 1, 1] / R1[p, 1, 1, 1, 1]).real)
+        return inner(g, R, *args)
+
+    monkeypatch.setattr(warp, "_min_over_dirs", recording)
+    res = lambda_search(f, grid_per_axis=grid, skip_hypotheses=True)
+    monkeypatch.undo()
+    assert res.newton_passes <= 12
+    assert max(len(v) for v in scales.values()) == res.newton_passes
+    assert all(np.all(np.diff(v) >= 0) for v in scales.values())
+    assert res.lambda_star == pytest.approx(
+        res.thresholds.max() * (1 + warp.STAR_MARGIN), rel=1e-15)
+    late = np.flatnonzero(res.thresholds > warp.LAMBDA_START)
+    picks = np.random.default_rng(grid).choice(late, 16, replace=False)
+    for p in picks:
+        lam = res.thresholds[p]
+        below = min_hsc_at_point(assemble(f, lam * (1 - 1e-6)), pts[p])[0]
+        above = min_hsc_at_point(assemble(f, lam * (1 + 1e-9)), pts[p])[0]
+        assert below < 0 < above, (p, lam, below, above)
+
+
+def _named_point(message: str):
+    """The grid point a ThresholdNotReachedError names, as complex numbers."""
+    pairs = json.loads(re.search(r"first at point (\[.*?\]\]),", message)[1])
+    return [complex(re_, im) for re_, im in pairs]
+
+
+def test_paper_G_threshold_fails_at_the_fiber_origins():
+    """The 25 grid points on the fiber origins z1 = 0 are proved never
+    positive, at once, with no overflow on the way."""
+    f = paper_G_fibration()
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ThresholdNotReachedError,
+                           match=r"^25 grid point\(s\) never positive and 0 ") as err:
+            lambda_search(f, skip_hypotheses=True)
+    assert time.perf_counter() - start < 1.0
+    assert _named_point(str(err.value))[0] == 0
+
+
+def test_lambda_search_names_points_past_the_cap(monkeypatch):
+    monkeypatch.setattr(warp, "LAMBDA_MAX", 1.0)
+    with pytest.raises(ThresholdNotReachedError,
+                       match=r"0 grid point\(s\) never positive and [1-9]\d* "
+                             r"not positive up to lam = 1;") as err:
+        lambda_search(warp_demo_fibration(), skip_hypotheses=True)
+    assert len(_named_point(str(err.value))) == 2
 
 
 def test_lambda_search_finds_positive_threshold():
-    res = lambda_search(warp_demo_fibration(), grid_per_axis=3, dirs=8,
-                        starts=1, iters=30, bisections=3,
-                        skip_hypotheses=True)
+    options = dict(grid_per_axis=3, dirs=8, starts=1, iters=30, bisections=3,
+                   skip_hypotheses=True)
+    res = lambda_search(warp_demo_fibration(), **options)
+    # reproducible, and comparable although it carries arrays
+    assert lambda_search(warp_demo_fibration(), **options) == res
     assert np.isfinite(res.lambda_star) and res.lambda_star > 0
     assert res.min_hsc_at_star > 0
     lam0, val0 = res.history[0]
