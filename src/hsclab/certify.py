@@ -31,8 +31,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import dsl
-from .curvature import (entry_jet_1d, gaussian_from_jet, pair_symmetry_defect,
-                        quartic)
+from .curvature import (_per_point, _shaped, entry_jet_1d, gaussian_from_jet,
+                        pair_symmetry_defect, quartic)
 
 BOUND_TOL = 1e-9
 MIXED_FILL = 0.9
@@ -323,19 +323,35 @@ def split_bound_check(t: BoundedBlockTensor, w: WeightChoice,
 # 1-D pencils g + lam*h
 
 
-def pencil_at(gspec: dsl.MetricSpec, hspec: dsl.MetricSpec, point):
-    """(K(h), phi) at a point, where phi(lam) = K(g + lam*h) in closed form
-    (exact as an algebraic identity).  Each entry jet is read once here,
-    so callers that need several lams at one point call this once."""
-    gj, hj = entry_jet_1d(gspec, point), entry_jet_1d(hspec, point)
-    kg, kh = gaussian_from_jet(*gj), gaussian_from_jet(*hj)
-    (g, gz, gzbar, gzz), (h, hz, hzbar, hzz) = gj, hj
-    if g.real <= 0 or h.real <= 0:
-        raise ValueError("metric values must be positive")
-    g, h = g.real, h.real
-    cross = (-h * gzz - g * hzz + gz * hzbar + hz * gzbar).real
-    return kh, lambda lam: float((g**3 * kg + lam**2 * h**3 * kh + 2 * lam * cross)
-                                 / (g + lam * h) ** 3)
+def pencil_at(gspec: dsl.MetricSpec, hspec: dsl.MetricSpec, points):
+    """(K(h), phi) at points, where phi(lam) = K(g + lam*h) in closed form
+    (exact as an algebraic identity).
+
+    `points` is a complex scalar or an array of any shape; a scalar is a
+    batch of one.  Each metric's entry jets are read in one batched
+    entry_jet_1d call here, so callers that need several lams at the same
+    points call this once.  K(h) and phi(lam) are floats for a scalar
+    point and float arrays of the points' shape otherwise; the closed form
+    runs per point on Python scalars.
+    """
+    terms = []
+    for gj, hj in zip(_per_point(entry_jet_1d(gspec, points)),
+                      _per_point(entry_jet_1d(hspec, points))):
+        kg, kh = gaussian_from_jet(*gj), gaussian_from_jet(*hj)
+        (g, gz, gzbar, gzz), (h, hz, hzbar, hzz) = gj, hj
+        if g.real <= 0 or h.real <= 0:
+            raise ValueError("metric values must be positive")
+        g, h = g.real, h.real
+        cross = (-h * gzz - g * hzz + gz * hzbar + hz * gzbar).real
+        terms.append((g, h, kg, kh, cross))
+    shape = np.shape(points)
+
+    def phi(lam):
+        return _shaped([float((g**3 * kg + lam**2 * h**3 * kh + 2 * lam * cross)
+                              / (g + lam * h) ** 3)
+                        for g, h, kg, kh, cross in terms], shape)
+
+    return _shaped([t[3] for t in terms], shape), phi
 
 
 def pencil_spec(gspec: dsl.MetricSpec, hspec: dsl.MetricSpec, lam: float,

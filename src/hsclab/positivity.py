@@ -286,6 +286,10 @@ def _vec_dict(v) -> list:
 
 @dataclass(frozen=True)
 class ScanReport:
+    """One chart scan.  == compares the reported fields only: the
+    per-point arrays `points` and `per_point_min` (the CSV rows) stay out
+    of it and out of repr."""
+
     name: str
     n: int
     min_hsc: float
@@ -299,8 +303,8 @@ class ScanReport:
     margin: float
     seed: int
     minimizer: str
-    points: np.ndarray = field(repr=False)
-    per_point_min: np.ndarray = field(repr=False)
+    points: np.ndarray = field(repr=False, compare=False)
+    per_point_min: np.ndarray = field(repr=False, compare=False)
 
     def as_dict(self) -> dict:
         return {
@@ -333,14 +337,20 @@ def points_to_csv(points, values, column: str) -> str:
     for k in range(1, n + 1):
         cols += [f"re{k}", f"im{k}"]
     cols.append(column)
-    # one float table and one tolist(), so each cell is repr of a Python float
     table = np.empty((points.shape[0], 2 * n + 1))
     table[:, 0:2 * n:2] = points.real
     table[:, 1:2 * n:2] = points.imag
     table[:, -1] = values
+    # Each cell is repr of a Python float, computed once per distinct bit
+    # pattern in its column (a grid column holds a few); keying on the
+    # bits keeps -0.0 apart from 0.0.
+    cells = []
+    for col in table.T:
+        bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+        text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+        cells.append(text[inverse].tolist())
     lines = [",".join(cols)]
-    lines += [f"{idx}," + ",".join(map(repr, row))
-              for idx, row in enumerate(table.tolist())]
+    lines += [f"{idx}," + ",".join(row) for idx, row in enumerate(zip(*cells))]
     return "\n".join(lines) + "\n"
 
 

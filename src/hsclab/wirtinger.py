@@ -21,12 +21,14 @@ every rule below is written with numpy broadcasting over that batch.
 
 `fd_jet` builds the same data from central finite differences of a plain
 batch evaluator, which receives the whole stencil at every point in one
-call.  It is the independent oracle the algebraic rules are tested
-against, so it must never share code with them.
+call; the stencil's step-free part is built once per n.  It is the
+independent oracle the algebraic rules are tested against, so it must
+never share code with them.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -199,6 +201,29 @@ def seed(n: int, point, index: int, conjugate: bool = False) -> Jet2:
                 np.zeros(batch + (n, n), dtype=complex))
 
 
+@functools.cache
+def _stencil(n: int) -> tuple:
+    """The step-free part of fd_jet's stencil for n complex coordinates,
+    built once per n: the unit offsets as (K, 2n) interleaved real and
+    imaginary parts, the upper-triangle axis pairs (ia, ib) of the 2n
+    real axes, the Hessian diagonal indices, and the slices that cut the
+    off-centre samples into the +h, -h and four corner groups.
+    Every call shares these arrays, so they are read-only."""
+    m = 2 * n
+    axes = np.concatenate([np.eye(n), 1j * np.eye(n)])
+    ia, ib = np.triu_indices(m, 1)
+    unit = np.concatenate([
+        np.zeros((1, n)), axes, -axes,
+        axes[ia] + axes[ib], axes[ia] - axes[ib],
+        -axes[ia] + axes[ib], -axes[ia] - axes[ib]])
+    arrays = (unit.view(np.float64), ia, ib, np.arange(m))
+    for a in arrays:
+        a.flags.writeable = False
+    ends = np.cumsum([1, m, m, ia.size, ia.size, ia.size, ia.size]).tolist()
+    cuts = tuple(slice(lo, hi) for lo, hi in zip(ends[:-1], ends[1:]))
+    return arrays + (cuts,)
+
+
 def fd_jet(f: Callable[[np.ndarray], np.ndarray], points,
            step: float = FD_STEP) -> Jet2:
     """Second-order central-difference jets of a batch evaluator.
@@ -215,7 +240,10 @@ def fd_jet(f: Callable[[np.ndarray], np.ndarray], points,
     `f` maps complex points (..., n) to values (...), or to a scalar that
     is broadcast; `points` has shape (..., n) and `step` is the real step
     h.  The whole stencil (the centre, +-h along each real axis, and the
-    four corners of each pair of axes) goes to `f` in one call.  This is
+    four corners of each pair of axes) goes to `f` in one call.  Its unit
+    offsets and index arrays come from `_stencil(n)`, built once per n;
+    each call scales the offsets' real and imaginary parts by h as reals,
+    which keeps every signed zero a per-call build would give.  This is
     the oracle implementation: it touches only `f` and the stencil, never
     the algebraic propagation rules above.
     """
@@ -223,21 +251,15 @@ def fd_jet(f: Callable[[np.ndarray], np.ndarray], points,
     n = pts.shape[-1]
     m = 2 * n
     h = float(step)
-    axes = h * np.concatenate([np.eye(n), 1j * np.eye(n)])
-    ia, ib = np.triu_indices(m, 1)
-    offsets = np.concatenate([
-        np.zeros((1, n)), axes, -axes,
-        axes[ia] + axes[ib], axes[ia] - axes[ib],
-        -axes[ia] + axes[ib], -axes[ia] - axes[ib]])
+    unit, ia, ib, diag, cuts = _stencil(n)
+    offsets = (h * unit).view(complex)
     vals = np.broadcast_to(np.asarray(f(pts[..., None, :] + offsets), dtype=complex),
                            pts.shape[:-1] + offsets.shape[:1])
     f0 = vals[..., 0]
-    fp, fm, fpp, fpm, fmp, fmm = np.split(
-        vals[..., 1:], np.cumsum([m, m, ia.size, ia.size, ia.size]), axis=-1)
+    fp, fm, fpp, fpm, fmp, fmm = (vals[..., c] for c in cuts)
 
     grad = (fp - fm) / (2 * h)
     hess = np.empty(pts.shape[:-1] + (m, m), dtype=complex)
-    diag = np.arange(m)
     hess[..., diag, diag] = (fp - 2 * f0[..., None] + fm) / (h * h)
     hess[..., ia, ib] = hess[..., ib, ia] = (fpp - fpm - fmp + fmm) / (4 * h * h)
 

@@ -1,6 +1,7 @@
 """Split-bound certification constants, block tensors, and 1-D pencils."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hsclab.certify import (ThresholdNotReachedError, check_block_hypotheses,
                             product_inequality_slacks, random_block_tensor,
                             split_bound_check, threshold_search,
                             weight_identities)
+from hsclab.curvature import PointOutsideBoxError
 
 
 # -- weight constants -------------------------------------------------------
@@ -202,6 +204,23 @@ def test_pencil_formula_matches_direct_curvature():
         assert closed == pytest.approx(direct, rel=1e-11, abs=1e-11)
 
 
+def test_pencil_batch_equals_per_point_calls():
+    g, h = dsl.catalog("poincare"), dsl.catalog("paper_base")
+    pts = dsl.box_sample(pencil_spec(g, h, 1.0).box, np.random.default_rng(43), 6)[:, 0]
+    kh, phi = pencil_at(g, h, pts)
+    assert kh.shape == (6,)
+    for lam in (1e-3, 0.1, 1.0, 17.0):
+        vals = phi(lam)
+        assert vals.shape == (6,)
+        for k, z in enumerate(pts):
+            kh_one, phi_one = pencil_at(g, h, z)
+            assert type(kh_one) is float and type(phi_one(lam)) is float
+            assert np.float64(kh_one).tobytes() == kh[k].tobytes()
+            assert np.float64(phi_one(lam)).tobytes() == vals[k].tobytes()
+    with pytest.raises(PointOutsideBoxError, match=re.escape("[(2+0j)]")):
+        pencil_at(g, h, np.append(pts, 2.0))
+
+
 def test_pencil_spec_refuses_disjoint_boxes():
     g = dsl.catalog("poincare")
     far = dsl.MetricSpec("far", 1, g.entries, (dsl.Rect(2.0, 3.0, 2.0, 3.0),))
@@ -286,9 +305,10 @@ def test_pencil_suite_reads_each_point_once(monkeypatch):
 
     monkeypatch.setattr(dsl, "eval_jet", counting)
     assert acceptance.check_pencil_suite(0)["ok"]
-    # 50 pairs x 5 points: both entry jets once, plus the summed metric
-    # at each of 4 lams; then 2 + 2 + 2 for the root, threshold and decay
-    assert len(calls) == 50 * 5 * (2 + 4) + 6
+    # 50 pairs, each a batch of 5 points: both entry jets once, plus the
+    # summed metric at each of 4 lams; then 2 + 2 + 2 for the root,
+    # threshold and decay
+    assert len(calls) == 50 * (2 + 4) + 6
 
 
 def test_threshold_search_exact_bracket():

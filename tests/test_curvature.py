@@ -17,6 +17,8 @@ import numpy as np
 import pytest
 
 from hsclab import dsl
+from hsclab.acceptance import ONE_DIM_CATALOG
+from hsclab.certify import pencil_spec
 from hsclab.curvature import (QUARTIC_BLOCK, IllConditionedError,
                               PointOutsideBoxError, curvature, curvature_at,
                               entry_jet_1d, gaussian_curvature_1d, hsc_dirs,
@@ -305,6 +307,37 @@ def test_one_coordinate_jet_checks_the_box():
         with pytest.raises(PointOutsideBoxError):
             gaussian_curvature_1d(spec, z)
     assert gaussian_curvature_1d(spec, 0.3 + 0j) == pytest.approx(-4.0, abs=1e-9)
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x).tobytes()
+
+
+@pytest.mark.parametrize("name", ONE_DIM_CATALOG + ("poincare+0.37*fs_affine",))
+def test_one_coordinate_batch_equals_per_point_calls(name):
+    if "+" in name:
+        spec = pencil_spec(dsl.catalog("poincare"), dsl.catalog("fs_affine"), 0.37)
+    else:
+        spec = dsl.catalog(name)
+    pts = dsl.box_sample(spec.box, np.random.default_rng(19), 12)[:, 0].reshape(3, 4)
+    jet = entry_jet_1d(spec, pts)
+    gauss = gaussian_curvature_1d(spec, pts)
+    assert gauss.shape == (3, 4) and all(s.shape == (3, 4) for s in jet)
+    for idx in np.ndindex(3, 4):
+        one = entry_jet_1d(spec, pts[idx])
+        assert all(type(v) is complex for v in one)
+        assert [_bits(s[idx]) for s in jet] == [_bits(v) for v in one]
+        alone = gaussian_curvature_1d(spec, pts[idx])
+        assert type(alone) is float and _bits(gauss[idx]) == _bits(alone)
+
+
+def test_one_coordinate_batch_names_the_point_outside_the_box():
+    spec = dsl.catalog("poincare")
+    batch = np.array([0.1 + 0j, 0.2j, -0.3 + 0.1j, 5.0 + 0.5j, 0.4 + 0j])
+    for helper in (entry_jet_1d, gaussian_curvature_1d):
+        with pytest.raises(PointOutsideBoxError,
+                           match=re.escape("point [(5+0.5j)] outside box of poincare")):
+            helper(spec, batch)
 
 
 def test_ill_conditioned_metric_rejected():

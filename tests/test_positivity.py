@@ -63,12 +63,43 @@ def test_csv_cells_are_float_reprs(name):
     vals[:2] = (-0.0, 1.0 / 3.0)
     rep = dataclasses.replace(rep, per_point_min=vals)
     rows = scan_to_csv(rep).splitlines()[1:]
-    assert len(rows) == rep.points_scanned
-    for idx, (row, pt, val) in enumerate(zip(rows, rep.points, vals)):
+    assert rows == _reference_rows(rep.points, vals)
+
+
+def _reference_rows(points, values) -> list:
+    """The CSV rows built one cell at a time with repr."""
+    rows = []
+    for idx, (pt, val) in enumerate(zip(points, values)):
         cells = [str(idx)]
         for z in pt:
             cells += [repr(float(z.real)), repr(float(z.imag))]
-        assert row == ",".join(cells + [repr(float(val))])
+        rows.append(",".join(cells + [repr(float(val))]))
+    return rows
+
+
+def test_csv_cells_keep_signed_zeros_and_nonfinite_values():
+    # cells repeat within a column, so each distinct bit pattern's text
+    # is shared: -0.0 must not take the text of 0.0, nor NaN that of inf
+    edge = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf,
+                     5e-324, -5e-324, 1.0 / 3.0, 1e300])
+    rng = np.random.default_rng(8)
+    # set the parts apart: re + 1j * im would turn a -0.0 real part into 0.0
+    points = np.empty((40, 2), dtype=complex)
+    points.real, points.imag = rng.choice(edge, (40, 2)), rng.choice(edge, (40, 2))
+    values = rng.choice(edge, 40)
+    csv = positivity.points_to_csv(points, values, "v")
+    lines = csv.splitlines()
+    assert lines[0] == "index,re1,im1,re2,im2,v"
+    assert lines[1:] == _reference_rows(points, values)
+    assert csv.endswith("\n") and "-0.0" in csv and "-inf" in csv and "nan" in csv
+
+
+def test_scan_reports_compare_by_reported_fields():
+    # the array fields stay out of ==, which would otherwise raise on them
+    a = scan_chart(dsl.catalog("poincare"), grid_per_axis=3)
+    b = scan_chart(dsl.catalog("poincare"), grid_per_axis=3)
+    assert a == b
+    assert a != dataclasses.replace(b, min_hsc=b.min_hsc + 1.0)
 
 
 def test_descent_needs_a_direction_or_a_start():

@@ -160,6 +160,68 @@ def test_fd_jet_batch_matches_per_point_calls():
                                               getattr(one, name), err_msg=name)
 
 
+def _fd_jet_per_call_stencil(f, points, step):
+    """fd_jet as it was before its stencil was cached: every call builds
+    the offsets, axis pairs and split points at step h."""
+    pts = np.asarray(points, dtype=complex)
+    n = pts.shape[-1]
+    m = 2 * n
+    h = float(step)
+    axes = h * np.concatenate([np.eye(n), 1j * np.eye(n)])
+    ia, ib = np.triu_indices(m, 1)
+    offsets = np.concatenate([
+        np.zeros((1, n)), axes, -axes,
+        axes[ia] + axes[ib], axes[ia] - axes[ib],
+        -axes[ia] + axes[ib], -axes[ia] - axes[ib]])
+    vals = np.broadcast_to(np.asarray(f(pts[..., None, :] + offsets), dtype=complex),
+                           pts.shape[:-1] + offsets.shape[:1])
+    f0 = vals[..., 0]
+    fp, fm, fpp, fpm, fmp, fmm = np.split(
+        vals[..., 1:], np.cumsum([m, m, ia.size, ia.size, ia.size]), axis=-1)
+    grad = (fp - fm) / (2 * h)
+    hess = np.empty(pts.shape[:-1] + (m, m), dtype=complex)
+    diag = np.arange(m)
+    hess[..., diag, diag] = (fp - 2 * f0[..., None] + fm) / (h * h)
+    hess[..., ia, ib] = hess[..., ib, ia] = (fpp - fpm - fmp + fmm) / (4 * h * h)
+    dx, dy = grad[..., :n], grad[..., n:]
+    d = (dx - 1j * dy) / 2.0
+    dbar = (dx + 1j * dy) / 2.0
+    ddbar = (hess[..., :n, :n] + hess[..., n:, n:]
+             + 1j * (hess[..., :n, n:] - hess[..., n:, :n])) / 4.0
+    return Jet2(n, f0.copy(), d, dbar, ddbar)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fd_jet_matches_the_per_call_stencil_bit_for_bit(n):
+    rng = np.random.default_rng([23, n])
+    # the stencil points themselves, so a signed zero in an offset that
+    # meets a -0.0 coordinate would show in the values
+    seen = []
+
+    def f(z):
+        seen.append(z)
+        return np.exp(z.sum(-1) * np.conjugate(z[..., 0])) / (2.0 + (z * z).sum(-1))
+
+    for shape in ((), (7,)):
+        pts = rng.uniform(-0.5, 0.5, shape + (n,)) + 1j * rng.uniform(-0.5, 0.5, shape + (n,))
+        pts.real[..., 0] = -0.0
+        for step in (1e-3, 5e-4):  # the two Richardson steps of the jets check
+            got = fd_jet(f, pts, step=step)
+            want = _fd_jet_per_call_stencil(f, pts, step)
+            assert seen[-2].tobytes() == seen[-1].tobytes()
+            for name in ("value", "d", "dbar", "ddbar"):
+                assert getattr(got, name).shape == getattr(want, name).shape
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def test_fd_stencil_arrays_are_read_only():
+    arrays = [part for part in wirtinger._stencil(2) if isinstance(part, np.ndarray)]
+    assert len(arrays) == 4
+    for part in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            part[0] = 1
+
+
 def test_oracle_never_calls_jet_arithmetic(monkeypatch):
     from hsclab import dsl
     from hsclab.curvature import metric_jet_from_fd
