@@ -22,6 +22,13 @@ from .curvature import (MetricJet, curvature, entry_jet_1d, gaussian_curvature_1
 ONE_DIM_CATALOG = ("flat(1)", "poincare", "fs_affine", "paper_base")
 
 
+def _worst(values) -> float:
+    """The largest of values, NaN if any is NaN.  Python's max keeps its
+    running value against a NaN, so a NaN in a compared route would pass
+    a check; here it fails the check's `<=` test."""
+    return float(np.max(values))
+
+
 def _hsc_at(spec, rng, count):
     pts = dsl.box_sample(spec.box, rng, count)
     mj = metric_jet(spec, pts)
@@ -38,7 +45,7 @@ def check_constant_curvature(seed: int) -> dict:
     for name, target in (("poincare", -4.0), ("fs_affine", 4.0)):
         vals = _hsc_at(dsl.catalog(name), rng, 100)
         errs[name] = float(np.abs(vals - target).max())
-    return {"ok": bool(max(errs.values()) <= 1e-8), "max_abs_error": errs,
+    return {"ok": bool(_worst(list(errs.values())) <= 1e-8), "max_abs_error": errs,
             "tolerance": 1e-8, "points": 100}
 
 
@@ -65,10 +72,18 @@ def check_counterexample_family(seed: int) -> dict:
     return {"ok": rep["ok"], "report": rep}
 
 
-def _random_jet_case(rng):
-    """A random expression/point pair whose exact jet is finite and of
-    moderate size; wild draws (overflow, near-singular) are redrawn."""
-    while True:
+# Draws per round of the jet oracle.  A round stacks its draws into one
+# fd_jet call per (n, step); the cap bounds what a round holds at once
+# (its jets, expressions and stencil samples) at no cost in speed.
+JET_ROUND = 128
+
+
+def _draw_jet_cases(rng, count: int) -> dict:
+    """`count` raw (n, expr, point) draws from rng, in order, grouped by n
+    as (expr, point, arithmetic jet) triples.  A draw whose jet raises is
+    dropped; every draw consumes the same rng calls either way."""
+    by_n = {}
+    for _ in range(count):
         n = int(rng.integers(1, 4))
         expr = dsl.random_expr(rng, n)
         pts = (rng.uniform(-0.8, 0.8, (1, n))
@@ -78,19 +93,50 @@ def _random_jet_case(rng):
                 jet = dsl.eval_jet(expr, n, pts)
         except (wirtinger.SingularPointError, ZeroDivisionError, OverflowError):
             continue
-        parts = [jet.value, jet.d, jet.dbar, jet.ddbar]
-        scale = max(float(np.abs(p).max()) for p in parts)
-        if not all(np.isfinite(p).all() for p in parts) or scale > 1e6:
-            continue
-        return expr, n, pts, jet, max(1.0, scale)
+        by_n.setdefault(n, []).append((expr, pts, jet))
+    return by_n
 
 
-def _jet_slots(jet):
-    return (jet.value, jet.d, jet.dbar, jet.ddbar)
+def _flat_slots(jet) -> np.ndarray:
+    """A batch of jets' four slots side by side, one row per point."""
+    rows = len(jet.value)
+    return np.concatenate([s.reshape(rows, -1)
+                           for s in (jet.value, jet.d, jet.dbar, jet.ddbar)], axis=1)
 
 
-def _slots_gap(a, b) -> float:
-    return max(float(np.abs(x - y).max()) for x, y in zip(_jet_slots(a), _jet_slots(b)))
+def _stacked_fd_jet(exprs, points, step):
+    """fd_jet of expression b at point b, for every row b, in one call:
+    the batch evaluator sends stencil row b to expression b."""
+    def f(z):
+        return np.stack([np.broadcast_to(dsl.eval_value(e, zb), zb.shape[:-1])
+                         for e, zb in zip(exprs, z)])
+    return wirtinger.fd_jet(f, points, step=step)
+
+
+def _check_jet_group(cases) -> tuple:
+    """Oracle check of one round's draws of one n: (the number of draws
+    checked, the worst tolerance ratio among them, 0 for none).
+
+    Draws whose jet is not finite or exceeds 1e6 in modulus are dropped;
+    the oracle runs on the rest at both steps, and a draw whose two steps
+    disagree beyond 1e-5 of its scale, or give NaN, is dropped too."""
+    exprs, pts, jets = zip(*cases)
+    arith = np.concatenate([_flat_slots(jet) for jet in jets])
+    scale = np.abs(arith).max(axis=1)
+    keep = np.flatnonzero(scale <= 1e6)  # a NaN or inf slot fails too
+    if not keep.size:
+        return 0, 0.0
+    scale = np.maximum(1.0, scale[keep])
+    fd1, fd2 = (_flat_slots(_stacked_fd_jet([exprs[i] for i in keep],
+                                            np.concatenate(pts)[keep], step))
+                for step in (1e-3, 5e-4))
+    agree = np.abs(fd1 - fd2).max(axis=1) <= 1e-5 * scale  # NaN disagrees
+    if not agree.any():
+        return 0, 0.0
+    a, f1, f2 = arith[keep][agree], fd1[agree], fd2[agree]
+    refined = (4.0 * f2 - f1) / 3.0
+    allowed = np.maximum(1e-6 * np.abs(a), 1e-8 * scale[agree, None])
+    return int(agree.sum()), float((np.abs(a - refined) / allowed).max())
 
 
 def check_jet_vs_divided_differences(seed: int) -> dict:
@@ -102,29 +148,26 @@ def check_jet_vs_divided_differences(seed: int) -> dict:
     The oracle side is Richardson-extrapolated from steps 1e-3 and 5e-4,
     which removes the leading truncation term while keeping roundoff an
     order of magnitude under the floor.  Draws where the two raw steps
-    disagree beyond 1e-5 of the jet scale are redrawn: divided
-    differences cannot certify anything there.  The redraw looks only at
-    the oracle, so a genuine arithmetic-rule defect can never hide
-    behind it.
+    disagree beyond 1e-5 of the jet scale, or give NaN, are redrawn:
+    divided differences cannot certify anything there.  The redraw looks
+    only at the oracle, so a genuine arithmetic-rule defect can never
+    hide behind it.
+
+    Draws come in rounds of at most JET_ROUND, each exactly the number
+    still missing, so no round overshoots and the draw stream is the one
+    a draw-by-draw loop would consume.  Each round makes one fd_jet call
+    per (n, step) on its stacked points.
     """
     rng = np.random.default_rng([seed, 3])
-    worst_ratio = 0.0
+    ratios = [0.0]
     checked = 0
     while checked < 1000:
-        expr, n, pts, jet, scale = _random_jet_case(rng)
-        fd1 = wirtinger.fd_jet(lambda z: dsl.eval_value(expr, z), pts[0],
-                               step=1e-3)
-        fd2 = wirtinger.fd_jet(lambda z: dsl.eval_value(expr, z), pts[0],
-                               step=5e-4)
-        if _slots_gap(fd1, fd2) > 1e-5 * scale:
-            continue
-        checked += 1
-        floor = 1e-8 * scale
-        for a, f1, f2 in zip(_jet_slots(jet), _jet_slots(fd1), _jet_slots(fd2)):
-            refined = (4.0 * f2 - f1) / 3.0
-            allowed = np.maximum(1e-6 * np.abs(a), floor)
-            worst_ratio = max(worst_ratio,
-                              float((np.abs(a - refined) / allowed).max()))
+        by_n = _draw_jet_cases(rng, min(1000 - checked, JET_ROUND))
+        for cases in by_n.values():
+            count, ratio = _check_jet_group(cases)
+            checked += count
+            ratios.append(ratio)
+    worst_ratio = _worst(ratios)
 
     # fs(n) and ball(n), closed-form fixtures (K = +4, -4) with their own
     # tests, are left out; the fiber of paper_G is its slice z2 = 0.3+0.1i
@@ -132,7 +175,7 @@ def check_jet_vs_divided_differences(seed: int) -> dict:
                                 "paper_base")),
              restrict(dsl.catalog("paper_G(1)"), {2: 0.3 + 0.1j}),
              *map(dsl.catalog, ("paper_G(1)", "paper_G(5)", "warp_demo"))]
-    worst_curv = 0.0
+    curv_errors = [0.0]
     for spec in specs:
         pts = dsl.box_sample(spec.box, rng, 100)
         r_arith = curvature(metric_jet(spec, pts)).R
@@ -145,8 +188,8 @@ def check_jet_vs_divided_differences(seed: int) -> dict:
         # finite-difference error alone breaks the 1e-10 pair symmetry here
         r_fd = curvature(refined, check=False).R
         scale = max(1.0, float(np.abs(r_arith).max()))
-        worst_curv = max(worst_curv,
-                         float(np.abs(r_arith - r_fd).max()) / scale)
+        curv_errors.append(float(np.abs(r_arith - r_fd).max()) / scale)
+    worst_curv = _worst(curv_errors)
     ok = worst_ratio <= 1.0 and worst_curv <= 1e-6
     return {"ok": bool(ok), "worst_jet_tolerance_ratio": worst_ratio,
             "worst_curvature_rel_error": worst_curv,
@@ -157,7 +200,7 @@ def check_one_dim_equivalence(seed: int) -> dict:
     """For one-coordinate metrics the sectional value is the Gaussian
     curvature: both routes agree within 1e-9 on 100 points per metric."""
     rng = np.random.default_rng([seed, 4])
-    worst = 0.0
+    diffs = [0.0]
     for name in ONE_DIM_CATALOG:
         spec = dsl.catalog(name)
         pts = dsl.box_sample(spec.box, rng, 100)
@@ -165,7 +208,8 @@ def check_one_dim_equivalence(seed: int) -> dict:
         dirs = rng.standard_normal((100, 1, 1)) + 1j * rng.standard_normal((100, 1, 1))
         via_hsc = hsc_dirs(mj.g, curvature(mj).R, dirs)[:, 0]
         via_gauss = gaussian_curvature_1d(spec, pts[:, 0])
-        worst = max(worst, float(np.abs(via_hsc - via_gauss).max()))
+        diffs.append(float(np.abs(via_hsc - via_gauss).max()))
+    worst = _worst(diffs)
     return {"ok": bool(worst <= 1e-9), "worst_abs_difference": worst,
             "tolerance": 1e-9, "points_per_metric": 100}
 
@@ -227,22 +271,31 @@ def check_pencil_suite(seed: int) -> dict:
     metric (50 pairs x 5 points x 4 lams, 1e-9); the positivity threshold
     of the hyperbolic/projective pair at 0 matches the positive root of
     the pencil numerator within 1e-6; lam * K approaches the second
-    metric's curvature within 1% at lam = 1e4."""
+    metric's curvature within 1% at lam = 1e4.
+
+    All 50 pairs are drawn first; the points of pairs with the same
+    ordered (g, h) then share one pencil_at call and, per lam, one
+    pencil_spec and one gaussian_curvature_1d call."""
     rng = np.random.default_rng([seed, 6])
-    worst = 0.0
+    groups = {}  # ordered (g, h) name pair -> its pairs' points, in draw order
     for _ in range(50):
-        gs = dsl.catalog(ONE_DIM_CATALOG[rng.integers(0, len(ONE_DIM_CATALOG))])
-        hs = dsl.catalog(ONE_DIM_CATALOG[rng.integers(0, len(ONE_DIM_CATALOG))])
-        box = certify.pencil_spec(gs, hs, 1.0).box[0]
-        pts = np.array([complex(rng.uniform(box.re_min, box.re_max),
-                                rng.uniform(box.im_min, box.im_max))
-                        for _ in range(5)])
+        names = tuple(ONE_DIM_CATALOG[rng.integers(0, len(ONE_DIM_CATALOG))]
+                      for _ in range(2))
+        box = certify.pencil_spec(*map(dsl.catalog, names), 1.0).box[0]
+        groups.setdefault(names, []).extend(
+            complex(rng.uniform(box.re_min, box.re_max),
+                    rng.uniform(box.im_min, box.im_max)) for _ in range(5))
+    errors = [0.0]
+    for names, pts in groups.items():
+        gs, hs = map(dsl.catalog, names)
+        pts = np.array(pts)
         phi = certify.pencil_at(gs, hs, pts)[1]
         for lam in (1e-3, 0.1, 1.0, 17.0):
             closed = phi(lam)
             direct = gaussian_curvature_1d(certify.pencil_spec(gs, hs, lam), pts)
-            worst = max(worst, float((np.abs(closed - direct)
-                                      / np.maximum(1.0, np.abs(direct))).max()))
+            errors.append(float((np.abs(closed - direct)
+                                 / np.maximum(1.0, np.abs(direct))).max()))
+    worst = _worst(errors)
 
     gs, hs = dsl.catalog("poincare"), dsl.catalog("fs_affine")
     g, gz, gzbar, gzz = entry_jet_1d(gs, 0j)
@@ -367,7 +420,7 @@ def check_exact_direction_minimum(seed: int) -> dict:
     multi-start descent at scan defaults, and no one of 2000 random
     directions per point goes below it, both within 1e-12 relative."""
     rng = np.random.default_rng([seed, 8])
-    above_descent = below_exact = -np.inf
+    excess_descent, excess_brute = [-np.inf], [-np.inf]
     for spec in exact_minimum_specs():
         pts = dsl.box_sample(spec.box, rng, 16)
         mj = metric_jet(spec, pts)
@@ -378,11 +431,12 @@ def check_exact_direction_minimum(seed: int) -> dict:
             mj.g, R, positivity.DEFAULT_DIRS, positivity.DEFAULT_STARTS,
             positivity.DEFAULT_ITERS, seed, idx)
         scale = np.maximum(1.0, np.abs(exact))
-        above_descent = max(above_descent, float(((exact - descent) / scale).max()))
+        excess_descent.append(float(((exact - descent) / scale).max()))
         dirs = rng.standard_normal((len(pts), 2000, 2)) \
             + 1j * rng.standard_normal((len(pts), 2000, 2))
         brute = hsc_dirs(mj.g, R, dirs).min(axis=1)
-        below_exact = max(below_exact, float(((exact - brute) / scale).max()))
+        excess_brute.append(float(((exact - brute) / scale).max()))
+    above_descent, below_exact = _worst(excess_descent), _worst(excess_brute)
     ok = above_descent <= 1e-12 and below_exact <= 1e-12
     return {"ok": bool(ok), "worst_rel_excess_over_descent": above_descent,
             "worst_rel_excess_over_brute_force": below_exact,

@@ -8,11 +8,19 @@ weight identities, and scan-based searches against frozen closed-form
 minima.  This module only asserts the outcomes.
 """
 
+import importlib
 import json
 
+import numpy as np
 import pytest
 
-from hsclab import acceptance
+from hsclab import acceptance, certify, dsl, positivity, wirtinger
+from hsclab.acceptance import ONE_DIM_CATALOG
+from hsclab.curvature import (MetricJet, curvature, entry_jet_1d,
+                              gaussian_curvature_1d, gaussian_from_jet,
+                              metric_jet, metric_jet_from_fd, restrict)
+
+curvature_module = importlib.import_module("hsclab.curvature")
 
 
 @pytest.fixture(scope="module")
@@ -38,3 +46,302 @@ def test_overall_verdict(suite):
 def test_report_is_canonically_serializable(suite):
     blob = acceptance.canonical_bytes(suite)
     assert json.loads(blob) == suite
+
+
+# -- the jet oracle and pencil suite against their draw-by-draw loops ----
+
+def _reference_random_jet_case(rng):
+    """The draw-by-draw jet oracle's case draw, kept verbatim."""
+    while True:
+        n = int(rng.integers(1, 4))
+        expr = dsl.random_expr(rng, n)
+        pts = (rng.uniform(-0.8, 0.8, (1, n))
+               + 1j * rng.uniform(-0.8, 0.8, (1, n)))
+        try:
+            with np.errstate(all="ignore"):
+                jet = dsl.eval_jet(expr, n, pts)
+        except (wirtinger.SingularPointError, ZeroDivisionError, OverflowError):
+            continue
+        parts = [jet.value, jet.d, jet.dbar, jet.ddbar]
+        scale = max(float(np.abs(p).max()) for p in parts)
+        if not all(np.isfinite(p).all() for p in parts) or scale > 1e6:
+            continue
+        return expr, n, pts, jet, max(1.0, scale)
+
+
+def _reference_jet_slots(jet):
+    return (jet.value, jet.d, jet.dbar, jet.ddbar)
+
+
+def _reference_slots_gap(a, b) -> float:
+    return max(float(np.abs(x - y).max())
+               for x, y in zip(_reference_jet_slots(a), _reference_jet_slots(b)))
+
+
+def _reference_jet_check(seed: int) -> dict:
+    """check_jet_vs_divided_differences as a draw-by-draw loop, kept
+    verbatim: two fd_jet calls per expression."""
+    rng = np.random.default_rng([seed, 3])
+    worst_ratio = 0.0
+    checked = 0
+    while checked < 1000:
+        expr, n, pts, jet, scale = _reference_random_jet_case(rng)
+        fd1 = wirtinger.fd_jet(lambda z: dsl.eval_value(expr, z), pts[0],
+                               step=1e-3)
+        fd2 = wirtinger.fd_jet(lambda z: dsl.eval_value(expr, z), pts[0],
+                               step=5e-4)
+        if _reference_slots_gap(fd1, fd2) > 1e-5 * scale:
+            continue
+        checked += 1
+        floor = 1e-8 * scale
+        for a, f1, f2 in zip(_reference_jet_slots(jet), _reference_jet_slots(fd1),
+                             _reference_jet_slots(fd2)):
+            refined = (4.0 * f2 - f1) / 3.0
+            allowed = np.maximum(1e-6 * np.abs(a), floor)
+            worst_ratio = max(worst_ratio,
+                              float((np.abs(a - refined) / allowed).max()))
+
+    specs = [*map(dsl.catalog, ("flat(1)", "flat(2)", "poincare", "fs_affine",
+                                "paper_base")),
+             restrict(dsl.catalog("paper_G(1)"), {2: 0.3 + 0.1j}),
+             *map(dsl.catalog, ("paper_G(1)", "paper_G(5)", "warp_demo"))]
+    worst_curv = 0.0
+    for spec in specs:
+        pts = dsl.box_sample(spec.box, rng, 100)
+        r_arith = curvature(metric_jet(spec, pts)).R
+        m1 = metric_jet_from_fd(spec, pts, step=1e-3)
+        m2 = metric_jet_from_fd(spec, pts, step=5e-4)
+        refined = MetricJet(m1.n, (4 * m2.g - m1.g) / 3,
+                            (4 * m2.dg - m1.dg) / 3,
+                            (4 * m2.dbarg - m1.dbarg) / 3,
+                            (4 * m2.ddbarg - m1.ddbarg) / 3, m1.points)
+        r_fd = curvature(refined, check=False).R
+        scale = max(1.0, float(np.abs(r_arith).max()))
+        worst_curv = max(worst_curv,
+                         float(np.abs(r_arith - r_fd).max()) / scale)
+    ok = worst_ratio <= 1.0 and worst_curv <= 1e-6
+    return {"ok": bool(ok), "worst_jet_tolerance_ratio": worst_ratio,
+            "worst_curvature_rel_error": worst_curv,
+            "expressions": 1000, "points_per_metric": 100}
+
+
+def _reference_pencil_check(seed: int) -> dict:
+    """check_pencil_suite with one pencil_at call per pair and one direct
+    curvature read per pair and lam, kept verbatim."""
+    rng = np.random.default_rng([seed, 6])
+    worst = 0.0
+    for _ in range(50):
+        gs = dsl.catalog(ONE_DIM_CATALOG[rng.integers(0, len(ONE_DIM_CATALOG))])
+        hs = dsl.catalog(ONE_DIM_CATALOG[rng.integers(0, len(ONE_DIM_CATALOG))])
+        box = certify.pencil_spec(gs, hs, 1.0).box[0]
+        pts = np.array([complex(rng.uniform(box.re_min, box.re_max),
+                                rng.uniform(box.im_min, box.im_max))
+                        for _ in range(5)])
+        phi = certify.pencil_at(gs, hs, pts)[1]
+        for lam in (1e-3, 0.1, 1.0, 17.0):
+            closed = phi(lam)
+            direct = gaussian_curvature_1d(certify.pencil_spec(gs, hs, lam), pts)
+            worst = max(worst, float((np.abs(closed - direct)
+                                      / np.maximum(1.0, np.abs(direct))).max()))
+
+    gs, hs = dsl.catalog("poincare"), dsl.catalog("fs_affine")
+    g, gz, gzbar, gzz = entry_jet_1d(gs, 0j)
+    h, hz, hzbar, hzz = entry_jet_1d(hs, 0j)
+    kg = gaussian_from_jet(g, gz, gzbar, gzz)
+    kh = gaussian_from_jet(h, hz, hzbar, hzz)
+    a2 = h.real ** 3 * kh
+    a1 = 2 * (-h.real * gzz - g.real * hzz + gz * hzbar + hz * gzbar).real
+    a0 = g.real ** 3 * kg
+    root = float((-a1 + np.sqrt(a1 * a1 - 4 * a2 * a0)) / (2 * a2))
+    thr = certify.pencil_positive_threshold(gs, hs, 0j)
+    thr_err = abs(thr["threshold"] - root)
+
+    try:
+        decay = certify.pencil_decay_check(gs, hs, 0j)
+        decay_ok = True
+    except ArithmeticError as exc:
+        decay = {"error": str(exc)}
+        decay_ok = False
+    ok = worst <= 1e-9 and thr_err <= 1e-6 and decay_ok
+    return {"ok": bool(ok), "worst_formula_rel_error": worst,
+            "numerator_root": root, "threshold": thr["threshold"],
+            "threshold_error": float(thr_err), "decay": decay,
+            "pairs": 50, "points_per_pair": 5}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_jet_oracle_rounds_match_draw_by_draw_loop(seed):
+    assert (acceptance.check_jet_vs_divided_differences(seed)
+            == _reference_jet_check(seed))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pencil_groups_match_per_pair_loop(seed):
+    assert acceptance.check_pencil_suite(seed) == _reference_pencil_check(seed)
+
+
+def test_jet_oracle_calls_fd_jet_once_per_dimension_and_step(monkeypatch):
+    events = []
+    draw, fd_jet = acceptance._draw_jet_cases, wirtinger.fd_jet
+    catalog_fd_jet = curvature_module.fd_jet
+
+    def counting_draw(rng, count):
+        assert count <= acceptance.JET_ROUND
+        events.append(("round", count))
+        return draw(rng, count)
+
+    def counting_fd(f, points, step):
+        events.append(("fd", np.shape(points)[-1], step))
+        return fd_jet(f, points, step=step)
+
+    def counting_catalog_fd(*args, **kwargs):
+        events.append(("catalog",))
+        return catalog_fd_jet(*args, **kwargs)
+
+    monkeypatch.setattr(acceptance, "_draw_jet_cases", counting_draw)
+    monkeypatch.setattr(wirtinger, "fd_jet", counting_fd)
+    monkeypatch.setattr(curvature_module, "fd_jet", counting_catalog_fd)
+    assert acceptance.check_jet_vs_divided_differences(0)["ok"]
+    rounds = [[]]
+    for event in events:
+        if event[0] == "round":
+            rounds.append([])
+        elif event[0] == "fd":
+            rounds[-1].append(event[1:])
+    rounds = rounds[1:]
+    # each round: at most one call per (n, step), so at most 2 x 3
+    assert all(len(set(calls)) == len(calls) <= 6 for calls in rounds)
+    jet_calls = sum(map(len, rounds))
+    assert jet_calls <= 2 * 3 * len(rounds)
+    # 9 catalog metrics, each entry's jet read at both steps
+    assert events.count(("catalog",)) == 42
+    # 1028 draws in 9 rounds at seed 0; one by one they took 2048 calls
+    assert len(rounds) <= 10
+
+
+def _reciprocal_without_second_order_term(self):
+    """Jet2.reciprocal less its 2 d (x) dbar / v^3 term: a rule defect."""
+    v = self.value
+    if np.any(np.abs(v) < wirtinger.DIV_EPS):
+        raise wirtinger.SingularPointError("division by a vanishing jet")
+    inv = 1.0 / v
+    inv2 = inv * inv
+    return wirtinger.Jet2(self.n, inv, -self.d * inv2[..., None],
+                          -self.dbar * inv2[..., None],
+                          -self.ddbar * inv2[..., None, None])
+
+
+def test_jet_oracle_catches_a_reciprocal_rule_defect(monkeypatch):
+    monkeypatch.setattr(wirtinger.Jet2, "reciprocal",
+                        _reciprocal_without_second_order_term)
+    out = acceptance.check_jet_vs_divided_differences(0)
+    assert not out["ok"]
+    assert out["worst_jet_tolerance_ratio"] > 1e6
+
+
+# -- a NaN in a compared route fails the check ---------------------------
+
+def _nan_first(fn):
+    """fn with the first element of each result replaced by NaN."""
+    def wrapped(*args, **kwargs):
+        out = np.array(fn(*args, **kwargs), dtype=float)
+        out.flat[0] = np.nan
+        return out
+    return wrapped
+
+
+def test_constant_curvature_fails_on_nan(monkeypatch):
+    calls = []
+    hsc = acceptance.hsc_dirs
+
+    def nan_on_second_metric(*args):
+        calls.append(None)
+        return _nan_first(hsc)(*args) if len(calls) == 2 else hsc(*args)
+
+    monkeypatch.setattr(acceptance, "hsc_dirs", nan_on_second_metric)
+    out = acceptance.check_constant_curvature(0)
+    assert not out["ok"]
+    assert np.isnan(out["max_abs_error"]["fs_affine"])
+
+
+def test_one_dim_equivalence_fails_on_nan(monkeypatch):
+    monkeypatch.setattr(acceptance, "gaussian_curvature_1d",
+                        _nan_first(acceptance.gaussian_curvature_1d))
+    out = acceptance.check_one_dim_equivalence(0)
+    assert not out["ok"]
+    assert np.isnan(out["worst_abs_difference"])
+
+
+def test_pencil_suite_fails_on_nan_direct_route(monkeypatch):
+    monkeypatch.setattr(acceptance, "gaussian_curvature_1d",
+                        _nan_first(acceptance.gaussian_curvature_1d))
+    out = acceptance.check_pencil_suite(0)
+    assert not out["ok"]
+    assert np.isnan(out["worst_formula_rel_error"])
+
+
+@pytest.mark.parametrize("route", ["descent", "brute_force"])
+def test_exact_direction_minimum_fails_on_nan(monkeypatch, route):
+    if route == "descent":
+        probe = positivity._probe_and_descend
+
+        def nan_descent(*args):
+            vals, rest = probe(*args)
+            vals = vals.copy()
+            vals.flat[0] = np.nan
+            return vals, rest
+
+        monkeypatch.setattr(positivity, "_probe_and_descend", nan_descent)
+        key = "worst_rel_excess_over_descent"
+    else:
+        monkeypatch.setattr(acceptance, "hsc_dirs",
+                            _nan_first(acceptance.hsc_dirs))
+        key = "worst_rel_excess_over_brute_force"
+    out = acceptance.check_exact_direction_minimum(0)
+    assert not out["ok"]
+    assert np.isnan(out[key])
+
+
+def test_jet_oracle_redraws_a_nan_oracle_slot(monkeypatch):
+    draws = []  # one arithmetic jet per draw; the catalog half adds a fixed count
+    eval_jet = dsl.eval_jet
+
+    def counting(*args, **kwargs):
+        draws.append(None)
+        return eval_jet(*args, **kwargs)
+
+    monkeypatch.setattr(dsl, "eval_jet", counting)
+    clean = acceptance.check_jet_vs_divided_differences(0)
+    clean_draws = len(draws)
+    draws.clear()
+    fd_jet = wirtinger.fd_jet
+    poisoned = []
+
+    def nan_in_first_ddbar(f, points, step):
+        jet = fd_jet(f, points, step=step)
+        if not poisoned:
+            # one oracle slot of one draw; its value slot stays finite
+            poisoned.append(None)
+            jet.ddbar.flat[0] = np.nan
+        return jet
+
+    monkeypatch.setattr(wirtinger, "fd_jet", nan_in_first_ddbar)
+    out = acceptance.check_jet_vs_divided_differences(0)
+    # the poisoned draw counts as a disagreement: one more draw is needed
+    assert len(draws) > clean_draws
+    assert out["ok"] and np.isfinite(out["worst_jet_tolerance_ratio"])
+    assert clean["ok"]
+
+
+def test_jet_oracle_fails_on_nan_catalog_curvature(monkeypatch):
+    from_fd = acceptance.metric_jet_from_fd
+
+    def nan_second_derivative(spec, pts, step):
+        mj = from_fd(spec, pts, step=step)
+        mj.ddbarg[0, 0, 0, 0, 0] = np.nan
+        return mj
+
+    monkeypatch.setattr(acceptance, "metric_jet_from_fd", nan_second_derivative)
+    out = acceptance.check_jet_vs_divided_differences(0)
+    assert not out["ok"]
+    assert np.isnan(out["worst_curvature_rel_error"])

@@ -305,10 +305,18 @@ def test_pencil_suite_reads_each_point_once(monkeypatch):
 
     monkeypatch.setattr(dsl, "eval_jet", counting)
     assert acceptance.check_pencil_suite(0)["ok"]
-    # 50 pairs, each a batch of 5 points: both entry jets once, plus the
-    # summed metric at each of 4 lams; then 2 + 2 + 2 for the root,
-    # threshold and decay
-    assert len(calls) == 50 * (2 + 4) + 6
+    # the suite's 50 draws of an ordered (g, h) pair and 5 points; the
+    # points' draws consume the stream whatever the box
+    rng = np.random.default_rng([0, 6])
+    groups = set()
+    for _ in range(50):
+        groups.add((rng.integers(0, 4), rng.integers(0, 4)))
+        rng.uniform(size=10)
+    # per ordered pair, one batch of its points: both entry jets once,
+    # plus the summed metric at each of 4 lams; then 2 + 2 + 2 for the
+    # root, threshold and decay
+    assert len(groups) == 15
+    assert len(calls) == len(groups) * (2 + 4) + 6 == 96
 
 
 def test_threshold_search_exact_bracket():
