@@ -73,8 +73,10 @@ def check_counterexample_family(seed: int) -> dict:
 
 
 # Draws per round of the jet oracle.  A round stacks its draws into one
-# fd_jet call per (n, step); the cap bounds what a round holds at once
-# (its jets, expressions and stencil samples) at no cost in speed.
+# fd_jet call per (n, step); the cap bounds the stencil samples a round
+# holds at once.  On the oracle_certify workload, uncapped rounds (up to
+# 1000 draws) raised peak RSS by about 2.5% and this cap by about 0.3%,
+# at the same speed.
 JET_ROUND = 128
 
 
