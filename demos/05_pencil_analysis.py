@@ -32,15 +32,16 @@ out = hsclab.pencil_positive_threshold(g, h, 0j)
 print(f"\npositivity threshold at the origin: lam* = {out['threshold']:.9f}")
 print("  (numerator there is 4 lam^2 - 4: the mixed term vanishes,"
       " so the root is exactly 1)")
-print(f"  curvature at lam*: {out['curvature_at_threshold']:.3e}, "
-      f"{len(out['persistence'])} persistence samples all positive")
+print(f"  curvature at lam*: {out['curvature_at_threshold']:.3e}; the"
+      " numerator's leading coefficient h^3 K_h is positive, so the"
+      " curvature stays positive for every larger lam")
 
 decay = hsclab.pencil_decay_check(g, h, 0j)
 print(f"\nlarge-lam decay: lam*K -> K_h = {decay['limit_curvature']:g}, "
       f"top ratio {decay['top_ratio']:.6f}, "
       f"log-log tail slope {decay['tail_slope']:+.4f}")
 
-print("\nthe search refuses a second metric that cannot cure negativity:")
+print("\nthe threshold refuses a second metric that cannot cure negativity:")
 try:
     hsclab.pencil_positive_threshold(h, g, 0j)
 except ValueError as exc:

@@ -18,24 +18,6 @@ spec = hsclab.assemble(f, 1.0)
 print(f"assembled at lam=1: entries "
       f"{[[hsclab.to_source(e) for e in row] for row in spec.entries]}")
 
-mu0 = hsclab.mu0_search(f)
-print(f"smallest power-of-two base offset that validates alone: {mu0:g}")
-
-# block inverse asymptotics as lam grows (Schur complement rates), shown
-# on a dense coupled matrix
-rng = np.random.default_rng(6)
-a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-asym = hsclab.inverse_asymptotics(a @ a.conj().T + 4.0 * np.eye(4), 2)
-for key in ("fiber_error", "base_diag_error", "cross_value",
-            "base_offdiag_value"):
-    entry = asym[key]
-    print(f"  {key:20s} slope {entry['slope']:+.4f} "
-          f"(expected {entry['expected_slope']})")
-
-det = hsclab.determinant_split_check(trials=500)
-print(f"block determinant identity over {det['trials']} random matrices: "
-      f"worst relative error {det['worst_rel_error']:.2e}")
-
 growth = hsclab.base_growth_check(f)
 print(f"curvature numerator along base directions grows with slope "
       f"{growth['slope']:.4f} in lam (expected 1)")

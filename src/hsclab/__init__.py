@@ -23,11 +23,10 @@ subcommands; ``hsc-lab selftest`` runs the acceptance suite.
 __version__ = "0.1.0"
 
 from .acceptance import CHECK_NAMES, canonical_bytes, run_all, run_core
-from .certify import (BoundedBlockTensor, ThresholdNotReachedError,
-                      WeightChoice, check_block_hypotheses, choose_weights,
-                      pencil_at, pencil_decay_check,
-                      pencil_positive_threshold, pencil_spec,
-                      product_inequality_check,
+from .certify import (BoundedBlockTensor, WeightChoice,
+                      check_block_hypotheses, choose_weights, pencil_at,
+                      pencil_decay_check, pencil_positive_threshold,
+                      pencil_spec, product_inequality_check,
                       product_inequality_slacks, random_block_tensor,
                       split_bound_check, weight_identities)
 from .curvature import (CurvatureTensor, MetricJet, PointOutsideBoxError,
@@ -39,11 +38,10 @@ from .dsl import (CATALOG_NAMES, MetricError, MetricSpec, ParseError, Rect,
 from .positivity import (NegativeWitness, ScanReport, find_negative_witness,
                          min_hsc_at_point, scan_chart, scan_to_csv)
 from .warp import (FibrationSpec, HypothesisViolationError,
-                   LambdaSearchResult, assemble, base_growth_check,
-                   check_hypotheses, determinant_split_check,
-                   family_negativity_report, inverse_asymptotics,
-                   lambda_search, load_fibration,
-                   mu0_search, paper_G_fibration, save_fibration,
+                   LambdaSearchResult, ThresholdNotReachedError, assemble,
+                   base_growth_check, check_hypotheses,
+                   family_negativity_report, lambda_search, load_fibration,
+                   paper_G_fibration, save_fibration,
                    submanifold_decreasing_check, warp_demo_fibration)
 from .wirtinger import Jet2, SingularPointError, fd_jet
 
@@ -68,13 +66,11 @@ __all__ = [
     "BoundedBlockTensor", "random_block_tensor", "check_block_hypotheses",
     "split_bound_check", "pencil_at", "pencil_spec",
     "pencil_positive_threshold", "pencil_decay_check",
-    "ThresholdNotReachedError",
     # warped products
-    "FibrationSpec", "warp_demo_fibration", "assemble", "mu0_search",
+    "FibrationSpec", "warp_demo_fibration", "assemble",
     "check_hypotheses", "lambda_search", "LambdaSearchResult",
-    "HypothesisViolationError", "inverse_asymptotics",
-    "determinant_split_check", "paper_G_fibration",
-    "submanifold_decreasing_check", "base_growth_check",
+    "HypothesisViolationError", "ThresholdNotReachedError",
+    "paper_G_fibration", "submanifold_decreasing_check", "base_growth_check",
     "family_negativity_report", "save_fibration", "load_fibration",
     # acceptance suite
     "run_core", "run_all", "CHECK_NAMES", "canonical_bytes",

@@ -271,7 +271,7 @@ def check_split_bound_suite(seed: int) -> dict:
 def check_pencil_suite(seed: int) -> dict:
     """Closed pencil formula matches direct curvature of the summed
     metric (50 pairs x 5 points x 4 lams, 1e-9); the positivity threshold
-    of the hyperbolic/projective pair at 0 matches the positive root of
+    of the hyperbolic/projective pair at 0 matches the textbook root of
     the pencil numerator within 1e-6; lam * K approaches the second
     metric's curvature within 1% at lam = 1e4.
 
@@ -305,7 +305,7 @@ def check_pencil_suite(seed: int) -> dict:
     kg = gaussian_from_jet(g, gz, gzbar, gzz)
     kh = gaussian_from_jet(h, hz, hzbar, hzz)
     # Pencil numerator as a quadratic in lam; its positive root is the
-    # independently computed threshold the search must reproduce.
+    # independently computed threshold the closed form must reproduce.
     a2 = h.real ** 3 * kh
     a1 = 2 * (-h.real * gzz - g.real * hzz + gz * hzbar + hz * gzbar).real
     a0 = g.real ** 3 * kg
@@ -327,32 +327,17 @@ def check_pencil_suite(seed: int) -> dict:
 
 
 def check_warp_suite(seed: int) -> dict:
-    """Block determinant identity on 1000 random matrices; inverse block
-    asymptotics slopes within 0.2 of their orders; curvature never
-    increases on coordinate slices (1000 trials on the counterexample
-    family and on the assembled warp product); curvature numerator grows
-    along base directions; the positivity search returns a finite lam
-    with a positive scanned minimum, negative at lam = 1e-3, persisting
-    at twice and four times the threshold.  The assembled route
-    (scan_chart of assemble(f, lam)) confirms the threshold: its grid
-    minimum is negative at lambda_star * (1 - 1e-6) and positive at
-    lambda_star.  The proof of persistence holds: the base rows of the
-    tensor have no fiber entries and the base curvature is >= 0 on the
-    grid, so no larger lam loses positivity."""
-    det = warp.determinant_split_check(trials=1000, seed=seed)
-
-    rng = np.random.default_rng([seed, 7])
-    asym_ok = True
-    slopes = []
-    for _ in range(5):
-        n = int(rng.integers(3, 7)); s = int(rng.integers(1, n - 1))
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        rep = warp.inverse_asymptotics(a @ a.conj().T + n * np.eye(n), s)
-        asym_ok = asym_ok and rep["ok"]
-        slopes.append({k: rep[k]["slope"] for k in
-                       ("fiber_error", "base_diag_error", "cross_value",
-                        "base_offdiag_value")})
-
+    """Curvature never increases on coordinate slices (500 trials each on
+    two slices of the counterexample family and of the assembled warp
+    product; a NaN margin counts as a violation and as the worst margin);
+    the curvature numerator grows along base directions; the positivity
+    search returns a finite lam with a positive scanned minimum, negative
+    at lam = 1e-3, persisting at twice and four times the threshold.  The
+    assembled route (scan_chart of assemble(f, lam)) confirms the
+    threshold: its grid minimum is negative at lambda_star * (1 - 1e-6)
+    and positive at lambda_star.  The proof of persistence holds: the
+    base rows of the tensor have no fiber entries and the base curvature
+    is >= 0 on the grid, so no larger lam loses positivity."""
     f = warp.warp_demo_fibration()
     dec_violations = 0
     dec_worst = np.inf
@@ -361,7 +346,7 @@ def check_warp_suite(seed: int) -> dict:
             rep = warp.submanifold_decreasing_check(spec, fixed, trials=500,
                                                     seed=seed)
             dec_violations += rep["violations"]
-            dec_worst = min(dec_worst, rep["worst_margin"])
+            dec_worst = np.min([dec_worst, rep["worst_margin"]])
 
     try:
         growth = warp.base_growth_check(f, seed=seed)
@@ -394,10 +379,8 @@ def check_warp_suite(seed: int) -> dict:
                          if l < star / 2)
                  and below < 0 < at_star
                  and base_rows_pure and base_min >= 0)
-    ok = (det["ok"] and asym_ok and dec_violations == 0
-          and growth_ok and search_ok)
-    return {"ok": bool(ok), "determinant": det,
-            "asymptotics_ok": bool(asym_ok), "asymptotics_slopes": slopes,
+    ok = dec_violations == 0 and growth_ok and search_ok
+    return {"ok": bool(ok),
             "decreasing_violations": int(dec_violations),
             "decreasing_worst_margin": float(dec_worst),
             "growth": growth, "search": search.as_dict(),

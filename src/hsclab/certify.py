@@ -19,8 +19,8 @@ the exact identity
       = g^3 K(g) + lam^2 h^3 K(h)
         + 2 lam (-h g_zzbar - g h_zzbar + g_z h_zbar + h_z g_zbar),
 
-which yields positivity thresholds in lam and the large-lam decay
-lam*K -> K(h).
+so the positivity threshold in lam is the larger root of a quadratic,
+and the large-lam decay is lam*K -> K(h).
 """
 
 from __future__ import annotations
@@ -323,6 +323,29 @@ def split_bound_check(t: BoundedBlockTensor, w: WeightChoice,
 # 1-D pencils g + lam*h
 
 
+def _pencil_terms(gspec: dsl.MetricSpec, hspec: dsl.MetricSpec, points):
+    """Per point (g, h, K(g), K(h), cross) of the closed form (module
+    docstring), from one batched entry_jet_1d call per metric."""
+    terms = []
+    for gj, hj in zip(_per_point(entry_jet_1d(gspec, points)),
+                      _per_point(entry_jet_1d(hspec, points))):
+        kg, kh = gaussian_from_jet(*gj), gaussian_from_jet(*hj)
+        (g, gz, gzbar, gzz), (h, hz, hzbar, hzz) = gj, hj
+        if g.real <= 0 or h.real <= 0:
+            raise ValueError("metric values must be positive")
+        g, h = g.real, h.real
+        cross = (-h * gzz - g * hzz + gz * hzbar + hz * gzbar).real
+        terms.append((g, h, kg, kh, cross))
+    return terms
+
+
+def _pencil_value(term, lam) -> float:
+    """K(g + lam*h) at one point from its _pencil_terms entry."""
+    g, h, kg, kh, cross = term
+    return float((g**3 * kg + lam**2 * h**3 * kh + 2 * lam * cross)
+                 / (g + lam * h) ** 3)
+
+
 def pencil_at(gspec: dsl.MetricSpec, hspec: dsl.MetricSpec, points):
     """(K(h), phi) at points, where phi(lam) = K(g + lam*h) in closed form
     (exact as an algebraic identity).
@@ -334,22 +357,11 @@ def pencil_at(gspec: dsl.MetricSpec, hspec: dsl.MetricSpec, points):
     point and float arrays of the points' shape otherwise; the closed form
     runs per point on Python scalars.
     """
-    terms = []
-    for gj, hj in zip(_per_point(entry_jet_1d(gspec, points)),
-                      _per_point(entry_jet_1d(hspec, points))):
-        kg, kh = gaussian_from_jet(*gj), gaussian_from_jet(*hj)
-        (g, gz, gzbar, gzz), (h, hz, hzbar, hzz) = gj, hj
-        if g.real <= 0 or h.real <= 0:
-            raise ValueError("metric values must be positive")
-        g, h = g.real, h.real
-        cross = (-h * gzz - g * hzz + gz * hzbar + hz * gzbar).real
-        terms.append((g, h, kg, kh, cross))
+    terms = _pencil_terms(gspec, hspec, points)
     shape = np.shape(points)
 
     def phi(lam):
-        return _shaped([float((g**3 * kg + lam**2 * h**3 * kh + 2 * lam * cross)
-                              / (g + lam * h) ** 3)
-                        for g, h, kg, kh, cross in terms], shape)
+        return _shaped([_pencil_value(t, lam) for t in terms], shape)
 
     return _shaped([t[3] for t in terms], shape), phi
 
@@ -371,70 +383,36 @@ def pencil_spec(gspec: dsl.MetricSpec, hspec: dsl.MetricSpec, lam: float,
     return dsl.MetricSpec(name, 1, ((entry,),), box)
 
 
-PENCIL_SCHEDULE_START = 1e-6
-PENCIL_BISECTIONS = 40
-PENCIL_PERSISTENCE_SAMPLES = 10
 PENCIL_DECAY_LAMBDAS = (1.0, 10.0, 100.0, 1e3, 1e4)
 
 
-class ThresholdNotReachedError(RuntimeError):
-    """No positive value on a doubling schedule up to its cap."""
-
-
-def threshold_search(phi, start: float, cap: float, bisections: int):
-    """Smallest lam with phi(lam) > 0: double lam from start > 0 until phi
-    is positive (ThresholdNotReachedError rather than evaluate a lam above
-    cap), then halve the bracket (lo, hi] `bisections` times, keeping hi
-    positive.  Returns (hi, phi(hi), every (lam, phi(lam)) in evaluation
-    order, positive_at_start); phi(start) > 0 leaves no bracket, and hi =
-    start only bounds the threshold from above."""
-    lam = float(start)
-    val = phi(lam)
-    history = [(lam, val)]
-    lo = 0.0
-    while val <= 0:
-        lo = lam
-        lam *= 2
-        if lam > cap:
-            raise ThresholdNotReachedError(f"no positive value up to lam = {cap:g}")
-        val = phi(lam)
-        history.append((lam, val))
-    hi, hi_val = lam, val
-    for _ in range(bisections if lo > 0.0 else 0):
-        mid = 0.5 * (lo + hi)
-        mval = phi(mid)
-        history.append((mid, mval))
-        if mval > 0:
-            hi, hi_val = mid, mval
-        else:
-            lo = mid
-    return hi, hi_val, history, lo == 0.0
-
-
 def pencil_positive_threshold(gspec: dsl.MetricSpec, hspec: dsl.MetricSpec,
-                              point, lam_max: float = 2.0 ** 30) -> dict:
-    """Smallest lam (threshold_search from PENCIL_SCHEDULE_START) with
-    positive pencil curvature at the point, the curvature there, and
-    persistence samples above it.  Requires K(h) > 0 at the point.  With
-    positive_at_start the threshold is only known to be <= the start.
+                              point) -> dict:
+    """The lam above which the pencil curvature at the point stays
+    positive, and the curvature there, in closed form.
+
+    The numerator K(g + lam*h) * (g + lam*h)^3 is a2*lam^2 + a1*lam + a0
+    with a2 = h^3 K(h) > 0 (required), a1 = 2*cross and a0 = g^3 K(g), so
+    it is positive above its larger root r+, taken cancellation-free.
+    With no real root or r+ <= 0 the threshold is 0.0 and
+    positive_at_start: the curvature is positive for every lam > 0.
     """
-    kh, phi = pencil_at(gspec, hspec, point)
-    if kh <= 0:
+    (term,) = _pencil_terms(gspec, hspec, point)
+    g, h, kg, kh, cross = term
+    if not kh > 0:
         raise ValueError(f"second metric has nonpositive curvature {kh:.6g} at the point")
-    hi, hi_val, _, at_start = threshold_search(phi, PENCIL_SCHEDULE_START,
-                                               lam_max, PENCIL_BISECTIONS)
-    samples = np.geomspace(min(hi * (1 + 1e-9), lam_max), lam_max,
-                           PENCIL_PERSISTENCE_SAMPLES)
-    persist = [(float(l), phi(float(l))) for l in samples]
-    bad = [p for p in persist if p[1] <= 0]
-    if bad:
-        raise ArithmeticError(f"positivity not persistent above threshold: {bad[:3]}")
+    a2, a1, a0 = h**3 * kh, 2 * cross, g**3 * kg
+    disc = a1 * a1 - 4 * a2 * a0
+    if disc < 0 or (a1 >= 0 and a0 >= 0):  # no real root, or none above 0
+        thr = 0.0
+    elif a1 < 0:
+        thr = float((-a1 + np.sqrt(disc)) / (2 * a2))
+    else:
+        thr = float(2 * a0 / (-a1 - np.sqrt(disc)))
     return {
-        "threshold": float(hi),
-        "curvature_at_threshold": hi_val,
-        "lam_max": float(lam_max),
-        "persistence": persist,
-        "positive_at_start": at_start,
+        "threshold": thr,
+        "curvature_at_threshold": _pencil_value(term, thr),
+        "positive_at_start": thr == 0.0,
     }
 
 

@@ -262,12 +262,11 @@ def cmd_lemma2(args) -> int:
             direct = gaussian_curvature_1d(
                 certify.pencil_spec(gspec, hspec, lam), point)
             worst = max(worst, abs(closed - direct) / max(1.0, abs(direct)))
-        thr = certify.pencil_positive_threshold(gspec, hspec, point,
-                                                lam_max=args.lam_max)
+        thr = certify.pencil_positive_threshold(gspec, hspec, point)
         decay = certify.pencil_decay_check(gspec, hspec, point)
     except PointOutsideBoxError:
         raise  # a usage error: main exits 2
-    except (ValueError, ArithmeticError, certify.ThresholdNotReachedError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         payload["error"] = str(exc)
         payload["ok"] = False
         _emit(args, "lemma2", payload)
@@ -300,12 +299,9 @@ def cmd_warp(args) -> int:
         "lam": args.lam,
         "assembled": dsl.spec_to_dict(assembled),
         "validation": validation,
-        "mu0_search": warp.mu0_search(f, seed=args.seed),
-        "determinant": warp.determinant_split_check(trials=args.trials,
-                                                    seed=args.seed),
         "growth": warp.base_growth_check(f, seed=args.seed),
     }
-    ok = payload["determinant"]["ok"] and payload["growth"]["ok"]
+    ok = payload["growth"]["ok"]
     if args.search:
         try:
             res = warp.lambda_search(f, seed=args.seed)
@@ -321,7 +317,7 @@ def cmd_warp(args) -> int:
                 "hypothesis_violation": {"side": exc.side, "value": exc.value,
                                          "witness": exc.witness}}
             ok = False
-        except certify.ThresholdNotReachedError as exc:
+        except warp.ThresholdNotReachedError as exc:
             payload["lambda_search"] = {"threshold_not_reached": str(exc)}
             ok = False
     payload["ok"] = bool(ok)
@@ -433,8 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", default="0,0", help="chart point")
     p.add_argument("--lambdas", default="0.001,0.1,1,17",
                    help="lams for the formula cross-check")
-    p.add_argument("--lam-max", type=finite_float, default=warp.LAMBDA_MAX,
-                   dest="lam_max")
     p.set_defaults(func=cmd_lemma2)
 
     p = sub.add_parser("warp", help="assemble a warped product and run its "
@@ -442,8 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed(p)
     p.add_argument("--file", help="fibration JSON (default: bundled demo)")
     p.add_argument("--lam", type=finite_float, default=1.0)
-    p.add_argument("--trials", type=positive_int, default=1000,
-                   help="determinant identity trials")
     p.add_argument("--search", action="store_true",
                    help="run the lam positivity search")
     p.add_argument("--csv", help="with --search, also write each grid "

@@ -7,11 +7,10 @@ the assembled family
 
     g(lam) = blockdiag(fiber, (mu0 + lam) * base)
 
-is studied as lam grows: inverse block asymptotics, growth of the
-curvature numerator along base directions, curvature decrease on
-coordinate submanifolds, and the smallest lam making the holomorphic
-sectional curvature positive at every grid point of the chart
-(lambda_search).
+is studied as lam grows: growth of the curvature numerator along base
+directions, curvature decrease on coordinate submanifolds, and the
+smallest lam making the holomorphic sectional curvature positive at
+every grid point of the chart (lambda_search).
 
 The family is affine in its scale c = mu0 + lam, and so is its curvature
 tensor R[i,j,k,l] (curvature module docstring).  The off-diagonal blocks
@@ -48,14 +47,12 @@ fibrations are defined once, in dsl.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import dsl
-from .certify import ThresholdNotReachedError, threshold_search
 from .curvature import (check_tensor, curvature, gaussian_curvature_1d,
                         hsc_dirs, metric_jet, metric_norm2, quartic, restrict)
 from .dsl import FibrationSpec
@@ -70,10 +67,8 @@ LAMBDA_MAX = float(2 ** 30)
 # threshold times 1 + STAR_MARGIN.
 NEWTON_RTOL = 1e-13
 STAR_MARGIN = 1e-9
-MU0_MAX_EXPONENT = 40
 HYPOTHESIS_MARGIN = 1e-8
-# The lams of inverse_asymptotics and base_growth_check.
-ASYMPTOTICS_LAMBDAS = tuple(np.geomspace(1e2, 1e6, 5))
+# The lams of base_growth_check.
 GROWTH_LAMBDAS = (1e2, 1e3, 1e4)
 
 
@@ -152,21 +147,6 @@ def assemble(f: FibrationSpec, lam: float, name: str | None = None) -> dsl.Metri
     return dsl.MetricSpec(name, f.n, f.warped_entries(scale), f.box)
 
 
-def mu0_search(f: FibrationSpec, samples: int = 300, seed: int = 0) -> float:
-    """Smallest mu0 in 2^0, 2^1, ..., 2^MU0_MAX_EXPONENT (threshold_search
-    with no bisection) such that the assembled metric at lam = 0 validates
-    on sampled points."""
-    def validates(mu0: float) -> float:
-        try:
-            dsl.validate(assemble(dataclasses.replace(f, mu0=mu0), 0.0),
-                         samples=samples, seed=seed)
-            return 1.0
-        except dsl.MetricError:
-            return -1.0
-
-    return threshold_search(validates, 1.0, 2.0 ** MU0_MAX_EXPONENT, 0)[0]
-
-
 def _unit_scale(f: FibrationSpec) -> dsl.MetricSpec:
     """blockdiag(fiber, base): the assembled metric at scale mu0 + lam = 1."""
     return dsl.MetricSpec(f.name, f.n, f.warped_entries(1.0), f.box)
@@ -218,6 +198,10 @@ class HypothesisViolationError(RuntimeError):
         self.witness = witness
         super().__init__(
             f"{side} curvature hypothesis fails: min {value:.6g} at {witness}")
+
+
+class ThresholdNotReachedError(RuntimeError):
+    """A grid point of lambda_search is never positive up to LAMBDA_MAX."""
 
 
 @dataclass(frozen=True)
@@ -410,91 +394,6 @@ def lambda_search(f: FibrationSpec, bisections: int = 6,
 
 
 # ---------------------------------------------------------------------------
-# Inverse block asymptotics
-
-
-def _fit_or_zero(lams, vals):
-    """Log-log slope, or None when the series is exactly zero (below
-    1e-14): decoupled blocks produce identically zero entries."""
-    v = np.asarray(vals, dtype=float)
-    if np.all(v < 1e-14):
-        return None
-    if np.any(v <= 0):
-        raise ArithmeticError("cannot fit a slope through zero values")
-    return float(np.polyfit(np.log(np.asarray(lams, dtype=float)), np.log(v), 1)[0])
-
-
-def inverse_asymptotics(h0, s: int) -> dict:
-    """Large-lam block structure of inv(h0 + lam * blockdiag(0, I)).
-
-    The fiber block of the inverse tends to inv(fiber block of h0) with
-    error O(1/lam); lam times the base diagonal of the inverse tends to 1
-    with error O(1/lam); mixed entries are O(1/lam) and base off-diagonal
-    entries O(1/lam^2).  Reports the fitted log-log slopes (None for
-    identically zero series, which occur when the blocks decouple) and
-    whether each is within 0.2 of its expected order, over
-    ASYMPTOTICS_LAMBDAS.
-    """
-    h0 = np.asarray(h0, dtype=complex)
-    n = h0.shape[0]
-    if not (0 < s < n):
-        raise ValueError("need 0 < s < n")
-    if np.abs(h0 - h0.conj().T).max() > 1e-12 * max(1.0, np.abs(h0).max()):
-        raise ValueError("h0 must be Hermitian")
-    lams = [float(l) for l in ASYMPTOTICS_LAMBDAS]
-    bump = np.zeros((n, n))
-    bump[s:, s:] = np.eye(n - s)
-    fiber_inv = np.linalg.inv(h0[:s, :s])
-    off_base = ~np.eye(n - s, dtype=bool)
-    err_fiber, err_base_diag, val_cross, val_base_off = [], [], [], []
-    for lam in lams:
-        hinv = np.linalg.inv(h0 + lam * bump)
-        err_fiber.append(np.abs(hinv[:s, :s] - fiber_inv).max())
-        err_base_diag.append(np.abs(lam * np.diagonal(hinv[s:, s:]) - 1).max())
-        val_cross.append(np.abs(hinv[:s, s:]).max())
-        val_base_off.append(np.abs(hinv[s:, s:][off_base]).max()
-                            if n - s > 1 else 0.0)
-    series = {
-        "fiber_error": (err_fiber, -1.0),
-        "base_diag_error": (err_base_diag, -1.0),
-        "cross_value": (val_cross, -1.0),
-        "base_offdiag_value": (val_base_off, -2.0),
-    }
-    out = {"lam_values": lams, "s": s, "n": n}
-    ok = True
-    for key, (vals, expected) in series.items():
-        slope = _fit_or_zero(lams, vals)
-        within = slope is None or abs(slope - expected) <= 0.2
-        ok = ok and within
-        out[key] = {"values": [float(v) for v in vals],
-                    "slope": slope, "expected_slope": expected,
-                    "within_0.2": within}
-    out["ok"] = ok
-    return out
-
-
-def determinant_split_check(dim: int = 6, trials: int = 1000, seed: int = 0) -> dict:
-    """det(H) = det(P) * det(S - R inv(P) Q) for the 2x2 block partition
-    of random Hermitian positive definite matrices; relative error must
-    stay below 1e-9."""
-    _require_positive(trials=trials)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        n = int(rng.integers(2, dim + 1))
-        s = int(rng.integers(1, n))
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        h = a @ a.conj().T + n * np.eye(n)
-        p, q = h[:s, :s], h[:s, s:]
-        r, t = h[s:, :s], h[s:, s:]
-        lhs = np.linalg.det(h)
-        rhs = np.linalg.det(p) * np.linalg.det(t - r @ np.linalg.solve(p, q))
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
-    return {"trials": trials, "seed": seed, "worst_rel_error": float(worst),
-            "ok": bool(worst <= 1e-9)}
-
-
-# ---------------------------------------------------------------------------
 # Curvature decrease on coordinate submanifolds
 
 
@@ -503,6 +402,7 @@ def submanifold_decreasing_check(spec: dsl.MetricSpec, fixed: dict,
     """Holomorphic sectional curvature does not increase when restricting
     to a coordinate slice: for tangent directions of the slice, the
     restricted curvature is at most the ambient one (slack 1e-9 relative).
+    A NaN margin counts as a violation.
     """
     _require_positive(trials=trials)
     sub = restrict(spec, fixed)
@@ -529,7 +429,7 @@ def submanifold_decreasing_check(spec: dsl.MetricSpec, fixed: dict,
     margin = (k_amb - k_sub) / scale
     return {
         "trials": trials, "seed": seed,
-        "violations": int(np.sum(margin < -1e-9)),
+        "violations": int(np.sum(~(margin >= -1e-9))),
         "worst_margin": float(margin.min()),
         "fixed": {str(k): _c2pair(complex(v)) for k, v in fixed.items()},
     }

@@ -14,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from hsclab import acceptance, certify, dsl, positivity, wirtinger
+from hsclab import acceptance, certify, dsl, positivity, warp, wirtinger
 from hsclab.acceptance import ONE_DIM_CATALOG
 from hsclab.curvature import (MetricJet, curvature, entry_jet_1d,
                               gaussian_curvature_1d, gaussian_from_jet,
@@ -278,6 +278,27 @@ def test_pencil_suite_fails_on_nan_direct_route(monkeypatch):
     out = acceptance.check_pencil_suite(0)
     assert not out["ok"]
     assert np.isnan(out["worst_formula_rel_error"])
+
+
+def test_warp_suite_fails_on_nan_slice_margin(monkeypatch):
+    """One NaN in the ambient curvature of the first slice check (500
+    two-coordinate trials; the lam search's calls have at most 25 rows)
+    is a violation, and the suite's worst margin keeps it."""
+    hsc = warp.hsc_dirs
+    done = []
+
+    def one_nan(g, R, dirs):
+        out = hsc(g, R, dirs)
+        if not done and out.shape[0] == 500 and np.shape(g)[-1] == 2:
+            out[7, 0] = np.nan
+            done.append(True)
+        return out
+
+    monkeypatch.setattr(warp, "hsc_dirs", one_nan)
+    out = acceptance.check_warp_suite(0)
+    assert done and not out["ok"]
+    assert out["decreasing_violations"] >= 1
+    assert np.isnan(out["decreasing_worst_margin"])
 
 
 @pytest.mark.parametrize("route", ["descent", "brute_force"])

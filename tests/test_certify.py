@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 from hsclab import acceptance, certify, dsl
-from hsclab.certify import (ThresholdNotReachedError, check_block_hypotheses,
-                            choose_weights, pencil_at,
-                            pencil_decay_check, pencil_positive_threshold,
-                            pencil_spec, product_inequality_check,
+from hsclab.certify import (check_block_hypotheses, choose_weights,
+                            pencil_at, pencil_decay_check,
+                            pencil_positive_threshold, pencil_spec,
+                            product_inequality_check,
                             product_inequality_slacks, random_block_tensor,
-                            split_bound_check, threshold_search,
-                            weight_identities)
-from hsclab.curvature import PointOutsideBoxError
+                            split_bound_check, weight_identities)
+from hsclab.curvature import PointOutsideBoxError, gaussian_curvature_1d
 
 
 # -- weight constants -------------------------------------------------------
@@ -233,9 +232,8 @@ def test_pencil_threshold_reference_pair():
     4*lam^2 - 4, so positivity starts exactly at lam = 1."""
     out = pencil_positive_threshold(dsl.catalog("poincare"),
                                     dsl.catalog("fs_affine"), 0j)
-    assert out["threshold"] == pytest.approx(1.0, abs=1e-6)
-    assert abs(out["curvature_at_threshold"]) < 1e-9
-    assert all(v > 0 for _, v in out["persistence"])
+    assert out == {"threshold": 1.0, "curvature_at_threshold": 0.0,
+                   "positive_at_start": False}
 
 
 @pytest.mark.xfail(reason="a sign slip on the doubled mixed term would give "
@@ -256,26 +254,96 @@ def test_pencil_threshold_requires_positive_second_metric():
 
 def test_pencil_threshold_unreachable_within_cap_raises():
     # this pair turns positive at lam = 2 (numerator 2*lam^2 - 2*lam - 4
-    # at the origin), so a cap below that must be reported as unreachable
-    with pytest.raises(ThresholdNotReachedError):
-        pencil_positive_threshold(dsl.catalog("poincare"),
-                                  dsl.catalog("paper_base"), 0j, lam_max=1.5)
+    # at the origin)
     out = pencil_positive_threshold(dsl.catalog("poincare"),
                                     dsl.catalog("paper_base"), 0j)
-    assert out["threshold"] == pytest.approx(2.0, abs=1e-6)
+    assert out["threshold"] == pytest.approx(2.0, rel=1e-15)
 
 
 def test_pencil_threshold_positive_at_schedule_start():
-    """fs_affine + lam*fs_affine has curvature 4/(1+lam) > 0 for every lam,
-    so the threshold is not the schedule start but only at most it."""
+    """fs_affine + lam*fs_affine has curvature 4/(1+lam) > 0 for every
+    lam, so the numerator has no root above 0 and the threshold is 0."""
     fs = dsl.catalog("fs_affine")
     out = pencil_positive_threshold(fs, fs, 0j)
-    assert out["positive_at_start"] is True
-    assert out["threshold"] == certify.PENCIL_SCHEDULE_START
-    assert out["curvature_at_threshold"] == pytest.approx(
-        4.0 / (1.0 + certify.PENCIL_SCHEDULE_START))
+    assert out == {"threshold": 0.0, "curvature_at_threshold": 4.0,
+                   "positive_at_start": True}
     ref = pencil_positive_threshold(dsl.catalog("poincare"), fs, 0j)
     assert ref["positive_at_start"] is False
+
+
+def _bisection_threshold(phi, start=1e-6, cap=2.0 ** 30, bisections=40):
+    """The doubling-then-bisection search the closed form replaced, kept
+    as its reference: (hi, positive_at_start)."""
+    lam = float(start)
+    val = phi(lam)
+    lo = 0.0
+    while val <= 0:
+        lo = lam
+        lam *= 2
+        if lam > cap:
+            raise RuntimeError(f"no positive value up to lam = {cap:g}")
+        val = phi(lam)
+    hi = lam
+    for _ in range(bisections if lo > 0.0 else 0):
+        mid = 0.5 * (lo + hi)
+        if phi(mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+    return hi, lo == 0.0
+
+
+PENCIL_PAIR_NAMES = ("poincare", "fs_affine", "paper_base", "flat(1)")
+
+
+def test_pencil_threshold_matches_bisection_and_direct_sign_change():
+    """Over all 16 ordered catalog pairs at random points: the closed form
+    matches the bisection to 1e-9 relative, and the curvature of the
+    summed metric changes sign across it.  Points where K(h) <= 0 (every
+    point of poincare and flat(1) as h) are refused."""
+    rng = np.random.default_rng(61)
+    compared = refused = at_start = 0
+    for gname in PENCIL_PAIR_NAMES:
+        for hname in PENCIL_PAIR_NAMES:
+            g, h = dsl.catalog(gname), dsl.catalog(hname)
+            pts = dsl.box_sample(pencil_spec(g, h, 1.0).box, rng, 4)[:, 0]
+            for z, kh in zip(pts, pencil_at(g, h, pts)[0]):
+                if kh <= 0:
+                    with pytest.raises(ValueError, match="nonpositive"):
+                        pencil_positive_threshold(g, h, z)
+                    refused += 1
+                    continue
+                out = pencil_positive_threshold(g, h, z)
+                thr = out["threshold"]
+                hi, hi_at_start = _bisection_threshold(pencil_at(g, h, z)[1])
+                assert out["positive_at_start"] is hi_at_start is (thr == 0.0)
+                if thr == 0.0:
+                    # the bisection only bounds such a threshold from above
+                    assert out["curvature_at_threshold"] >= 0
+                    assert gaussian_curvature_1d(pencil_spec(g, h, hi), z) > 0
+                    at_start += 1
+                    continue
+                assert thr == pytest.approx(hi, rel=1e-9, abs=0)
+                below, above = (gaussian_curvature_1d(pencil_spec(g, h, lam), z)
+                                for lam in (thr * (1 - 1e-6), thr * (1 + 1e-6)))
+                assert below < 0 < above, (gname, hname, z, thr)
+                compared += 1
+    assert (compared, at_start, refused) == (9, 23, 32)
+
+
+def test_pencil_threshold_larger_root_keeps_its_digits(monkeypatch):
+    """a2 = 1, a1 = 1e8, a0 = -1: the larger root is 1e-8 to 1e-16
+    relative; the textbook (-a1 + sqrt(D)) / (2*a2) loses most of those
+    digits to cancellation."""
+    # (g, h, K(g), K(h), cross) with g^3 K(g) = -1, h^3 K(h) = 1, 2*cross = 1e8
+    monkeypatch.setattr(certify, "_pencil_terms",
+                        lambda *args: [(1.0, 1.0, -1.0, 1.0, 5e7)])
+    out = pencil_positive_threshold(dsl.catalog("poincare"),
+                                    dsl.catalog("fs_affine"), 0j)
+    assert out["threshold"] == pytest.approx(1e-8, rel=1e-12)
+    assert out["curvature_at_threshold"] == pytest.approx(0.0, abs=1e-15)
+    textbook = (-1e8 + math.sqrt(1e16 + 4)) / 2
+    assert abs(textbook / 1e-8 - 1) > 1e-3
 
 
 def test_pencil_reads_each_entry_jet_once(monkeypatch):
@@ -317,41 +385,6 @@ def test_pencil_suite_reads_each_point_once(monkeypatch):
     # root, threshold and decay
     assert len(groups) == 15
     assert len(calls) == len(groups) * (2 + 4) + 6 == 96
-
-
-def test_threshold_search_exact_bracket():
-    """phi(lam) = lam - 0.75 from 0.25: doublings 0.25, 0.5, 1.0, then the
-    first midpoint lands on the root (phi = 0 is not positive), so every
-    later bracket is (0.75, 0.75 + 0.5 * 2^-k] exactly."""
-    seen = []
-
-    def phi(lam):
-        seen.append(lam)
-        return lam - 0.75
-
-    hi, hi_val, history, at_start = threshold_search(phi, 0.25, 8.0, 10)
-    assert hi == 0.75 + 0.5 * 2.0 ** -10
-    assert hi_val == hi - 0.75 and not at_start
-    assert [l for l, _ in history] == seen
-    assert seen[:5] == [0.25, 0.5, 1.0, 0.75, 0.875]
-    assert len(seen) == 3 + 10
-    assert all(v == l - 0.75 for l, v in history)
-
-    hi, hi_val, history, at_start = threshold_search(lambda lam: 1.0, 0.25, 8.0, 10)
-    assert (hi, hi_val, history, at_start) == (0.25, 1.0, [(0.25, 1.0)], True)
-
-
-def test_threshold_search_cap_raises_before_evaluating():
-    seen = []
-
-    def never_positive(lam):
-        seen.append(lam)
-        return -1.0
-
-    with pytest.raises(ThresholdNotReachedError):
-        threshold_search(never_positive, 1.0, 8.0, 5)
-    assert seen == [1.0, 2.0, 4.0, 8.0]
-    assert issubclass(ThresholdNotReachedError, RuntimeError)
 
 
 def test_pencil_decay_toward_rescaled_limit():

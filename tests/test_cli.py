@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+import hsclab
 from hsclab import cli, dsl, warp
 
 
@@ -63,7 +64,7 @@ def test_lemma1_below_requirement_skips_bound(capsys):
 def test_lemma2_defaults(capsys):
     code, rep = run_cli(capsys, "lemma2")
     assert code == 0
-    assert rep["threshold"]["threshold"] == pytest.approx(1.0, abs=1e-6)
+    assert rep["threshold"]["threshold"] == 1.0
     assert rep["formula_worst_rel_error"] <= 1e-9
     assert rep["decay"]["limit_curvature"] == pytest.approx(4.0)
 
@@ -123,10 +124,10 @@ def test_scan_writes_csv(tmp_path, capsys):
 
 
 def test_warp_demo_checks(capsys):
-    code, rep = run_cli(capsys, "warp", "--lam", "4", "--trials", "100")
+    code, rep = run_cli(capsys, "warp", "--lam", "4")
     assert code == 0
-    assert rep["mu0_search"] == 1.0
-    assert rep["determinant"]["ok"] and rep["growth"]["ok"]
+    assert "mu0_search" not in rep and "determinant" not in rep
+    assert rep["ok"] and rep["growth"]["ok"]
     assert rep["validation"]["min_eigenvalue"] > 0
 
 
@@ -149,6 +150,13 @@ def test_reports_are_byte_identical(capsys):
     cli.main(list(args))
     second = capsys.readouterr().out
     assert first == second and first
+
+
+def test_public_names_resolve():
+    assert all(hasattr(hsclab, name) for name in hsclab.__all__)
+    for gone in ("mu0_search", "inverse_asymptotics",
+                 "determinant_split_check", "threshold_search"):
+        assert gone not in hsclab.__all__ and not hasattr(hsclab, gone)
 
 
 def test_version_flag(capsys):
@@ -233,14 +241,12 @@ def test_warp_usage_error_writes_no_demo_file(tmp_path, capsys):
     ("warp", "--lam", "inf"),
     ("curvature", "--catalog", "poincare", "--point", "0,0", "--dir", "nan,0"),
     ("witness", "--catalog", "poincare", "--threshold", "nan"),
-    ("lemma2", "--lam-max", "nan"),
     ("lemma2", "--lambdas", "1,nan"),
     ("warp", "--seed", "-1"),
     ("lemma1", "--k0", "8", "--k1", "1", "--n", "2", "--s", "1", "--seed", "-1"),
     ("selftest", "--seed", "-1"),
     ("scan", "--catalog", "ball(3)", "--seed", "-1"),
     ("example1", "--seed", "-1"),
-    ("warp", "--trials", "0"),
     ("example1", "--fibers", "0"),
     ("scan", "--catalog", "poincare", "--dirs", "-2"),
     ("scan", "--catalog", "poincare", "--starts", "-1"),

@@ -10,15 +10,13 @@ import numpy as np
 import pytest
 
 from hsclab import dsl, warp
-from hsclab.certify import ThresholdNotReachedError
 from hsclab.curvature import (IllConditionedError, curvature,
                               gaussian_curvature_1d, metric_jet, restrict)
 from hsclab.positivity import min_hsc_at_point
-from hsclab.warp import (FibrationSpec, HypothesisViolationError, assemble,
-                         base_growth_check, check_hypotheses,
-                         determinant_split_check, inverse_asymptotics,
-                         lambda_search, load_fibration, mu0_search,
-                         paper_G_fibration, save_fibration,
+from hsclab.warp import (FibrationSpec, HypothesisViolationError,
+                         ThresholdNotReachedError, assemble,
+                         base_growth_check, check_hypotheses, lambda_search,
+                         load_fibration, paper_G_fibration, save_fibration,
                          submanifold_decreasing_check, warp_demo_fibration,
                          warped_curvature)
 
@@ -98,10 +96,6 @@ def test_fibration_shape_validation():
             dataclasses.replace(_flat_flat(), mu0=mu0)
 
 
-def test_mu0_search_on_demo():
-    assert mu0_search(warp_demo_fibration(), samples=100) == 1.0
-
-
 def test_hypotheses_pass_on_demo():
     rep = check_hypotheses(warp_demo_fibration(), fiber_samples=3,
                            grid_per_axis=5, dirs=8, starts=1, iters=40)
@@ -119,27 +113,29 @@ def test_hypotheses_refuse_degenerate_fiber():
     assert err.value.value <= warp.HYPOTHESIS_MARGIN
 
 
-def test_inverse_block_asymptotics_random_hermitian():
-    rng = np.random.default_rng(51)
-    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    h0 = a @ a.conj().T + 4.0 * np.eye(4)
-    rep = inverse_asymptotics(h0, 2)
-    assert rep["ok"]
-    for series in ("fiber_error", "base_diag_error", "cross_value",
-                   "base_offdiag_value"):
-        assert rep[series]["within_0.2"]
-
-
-def test_determinant_splits_into_blocks():
-    rep = determinant_split_check(dim=5, trials=300, seed=2)
-    assert rep["ok"]
-    assert rep["worst_rel_error"] <= 1e-9
-
-
 def test_coordinate_slices_do_not_increase_curvature():
     rep = submanifold_decreasing_check(dsl.catalog("paper_G(1)"),
                                        {2: 0.3 + 0.2j}, trials=400, seed=3)
     assert rep["violations"] == 0
+
+
+def test_nan_margin_counts_as_slice_violation(monkeypatch):
+    """One NaN in the ambient (two-coordinate) curvature is a violation."""
+    hsc = warp.hsc_dirs
+    done = []
+
+    def one_nan(g, R, dirs):
+        out = hsc(g, R, dirs)
+        if not done and np.shape(g)[-1] == 2:
+            out[7, 0] = np.nan
+            done.append(True)
+        return out
+
+    monkeypatch.setattr(warp, "hsc_dirs", one_nan)
+    rep = submanifold_decreasing_check(dsl.catalog("paper_G(1)"),
+                                       {2: 0.3 + 0.2j}, trials=400, seed=3)
+    assert done and rep["violations"] >= 1
+    assert np.isnan(rep["worst_margin"])
 
 
 def test_base_direction_numerator_grows_linearly():
@@ -316,14 +312,6 @@ def test_lambda_search_cap_is_threshold_not_reached():
         lambda_search(_flat_flat(), grid_per_axis=2, skip_hypotheses=True)
 
 
-def test_mu0_search_cap_is_threshold_not_reached():
-    box = (dsl.Rect(-0.5, 0.5, -0.5, 0.5),) * 2
-    f = FibrationSpec("negative_base", 1, 1, ((dsl.parse("1", 2),),),
-                      ((dsl.parse("-1", 1),),), 0.0, box)
-    with pytest.raises(ThresholdNotReachedError):
-        mu0_search(f, samples=4)
-
-
 def test_family_negativity_report_small():
     rep = warp.family_negativity_report(lam_values=(0.5, 2.0),
                                         fiber_samples=4, budget=3000)
@@ -354,8 +342,6 @@ def test_zero_counts_are_refused_before_any_work(monkeypatch):
         raise AssertionError("scanned before checking the count")
 
     monkeypatch.setattr(warp, "scan_chart", no_scan)
-    with pytest.raises(ValueError, match="trials must be at least 1, got 0"):
-        determinant_split_check(trials=0)
     with pytest.raises(ValueError, match="fiber_samples must be at least 1, got 0"):
         warp.family_negativity_report(fiber_samples=0)
     with pytest.raises(ValueError, match="fiber_samples must be at least 1, got 0"):
