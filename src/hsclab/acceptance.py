@@ -220,7 +220,9 @@ def check_split_bound_suite(seed: int) -> dict:
     """Weight identities are exact, the reference constant equals 312,
     the three product inequalities never fail on 1e5 random trials, and
     the certified quartic lower bound holds on 100 random tensors with
-    the base bound at its certified minimum, 1e4 directions each."""
+    the base bound at its certified minimum, 1e4 directions each.  A
+    NaN slack or margin counts as a violation, and a NaN margin is the
+    reported worst margin."""
     ident_ok = True
     rng = np.random.default_rng([seed, 5])
     for _ in range(30):
@@ -253,7 +255,7 @@ def check_split_bound_suite(seed: int) -> dict:
         rep = certify.split_bound_check(tensor, w, trials=10000,
                                         seed=int(rng.integers(0, 2**31)))
         bound_violations += rep["violations"]
-        worst_margin = min(worst_margin, rep["worst_margin"])
+        worst_margin = np.min([worst_margin, rep["worst_margin"]])
         all_positive = all_positive and rep["all_strictly_positive"]
     ok = (ident_ok and scale_ok and anchor_ok and prod["violations"] == 0
           and bound_violations == 0 and all_positive)
@@ -268,12 +270,50 @@ def check_split_bound_suite(seed: int) -> dict:
             "tensors": 100, "directions_per_tensor": 10000}
 
 
+# The lams of the pencil suite's formula check.
+PENCIL_SUITE_LAMBDAS = (1e-3, 0.1, 1.0, 17.0)
+
+
+def _pencil_coefficients(gspec, hspec, point) -> tuple:
+    """(a2, a1, a0) of the pencil numerator a2*lam^2 + a1*lam + a0 at the
+    point, from the entry jets read here, independently of certify."""
+    g, gz, gzbar, gzz = entry_jet_1d(gspec, point)
+    h, hz, hzbar, hzz = entry_jet_1d(hspec, point)
+    a2 = h.real ** 3 * gaussian_from_jet(h, hz, hzbar, hzz)
+    a1 = 2 * (-h.real * gzz - g.real * hzz + gz * hzbar + hz * gzbar).real
+    a0 = g.real ** 3 * gaussian_from_jet(g, gz, gzbar, gzz)
+    return a2, a1, a0
+
+
+def _threshold_check(gspec, hspec, point, a1, direct=None) -> tuple:
+    """(threshold, closed-form branch, confirmed) of
+    pencil_positive_threshold at the point.  The branch is "zero" without
+    a root above 0, else "a1_negative" or "a1_nonnegative" by the sign of
+    a1.  A positive threshold is confirmed when the direct curvature of
+    pencil_spec is negative at thr * (1 - 1e-6) and positive at
+    thr * (1 + 1e-6); a zero one when positive_at_start holds and every
+    value of direct, the direct curvature at the point at the suite's
+    lams, is positive."""
+    thr = certify.pencil_positive_threshold(gspec, hspec, point)
+    t = thr["threshold"]
+    if t == 0.0:
+        return t, "zero", bool(thr["positive_at_start"] and direct is not None
+                               and np.all(direct > 0))
+    below, above = (gaussian_curvature_1d(certify.pencil_spec(gspec, hspec, lam), point)
+                    for lam in (t * (1 - 1e-6), t * (1 + 1e-6)))
+    branch = "a1_negative" if a1 < 0 else "a1_nonnegative"
+    return t, branch, bool(below < 0 < above)
+
+
 def check_pencil_suite(seed: int) -> dict:
     """Closed pencil formula matches direct curvature of the summed
     metric (50 pairs x 5 points x 4 lams, 1e-9); the positivity threshold
     of the hyperbolic/projective pair at 0 matches the textbook root of
     the pencil numerator within 1e-6; lam * K approaches the second
-    metric's curvature within 1% at lam = 1e4.
+    metric's curvature within 1% at lam = 1e4.  The closed-form threshold
+    is confirmed on the direct route (_threshold_check) at that point and
+    at the first point with K(h) > 0 of each ordered pair; the report
+    counts the closed-form branches these points took.
 
     All 50 pairs are drawn first; the points of pairs with the same
     ordered (g, h) then share one pencil_at call and, per lam, one
@@ -287,42 +327,48 @@ def check_pencil_suite(seed: int) -> dict:
         groups.setdefault(names, []).extend(
             complex(rng.uniform(box.re_min, box.re_max),
                     rng.uniform(box.im_min, box.im_max)) for _ in range(5))
+    ref = dsl.catalog("poincare"), dsl.catalog("fs_affine")
+    # Pencil numerator as a quadratic in lam; its positive root is the
+    # independently computed threshold the closed form must reproduce.
+    a2, a1, a0 = _pencil_coefficients(*ref, 0j)
+    root = float((-a1 + np.sqrt(a1 * a1 - 4 * a2 * a0)) / (2 * a2))
+    thr, *check = _threshold_check(*ref, 0j, a1)
+    thr_err = abs(thr - root)
+    checks = [check]
+
     errors = [0.0]
     for names, pts in groups.items():
         gs, hs = map(dsl.catalog, names)
         pts = np.array(pts)
-        phi = certify.pencil_at(gs, hs, pts)[1]
-        for lam in (1e-3, 0.1, 1.0, 17.0):
+        kh, phi = certify.pencil_at(gs, hs, pts)
+        direct = np.empty((len(PENCIL_SUITE_LAMBDAS), len(pts)))
+        for row, lam in enumerate(PENCIL_SUITE_LAMBDAS):
             closed = phi(lam)
-            direct = gaussian_curvature_1d(certify.pencil_spec(gs, hs, lam), pts)
-            errors.append(float((np.abs(closed - direct)
-                                 / np.maximum(1.0, np.abs(direct))).max()))
+            direct[row] = gaussian_curvature_1d(certify.pencil_spec(gs, hs, lam), pts)
+            errors.append(float((np.abs(closed - direct[row])
+                                 / np.maximum(1.0, np.abs(direct[row]))).max()))
+        first = np.flatnonzero(kh > 0)[:1]
+        for i in first:
+            a1 = _pencil_coefficients(gs, hs, pts[i])[1]
+            checks.append(_threshold_check(gs, hs, pts[i], a1, direct[:, i])[1:])
     worst = _worst(errors)
-
-    gs, hs = dsl.catalog("poincare"), dsl.catalog("fs_affine")
-    g, gz, gzbar, gzz = entry_jet_1d(gs, 0j)
-    h, hz, hzbar, hzz = entry_jet_1d(hs, 0j)
-    kg = gaussian_from_jet(g, gz, gzbar, gzz)
-    kh = gaussian_from_jet(h, hz, hzbar, hzz)
-    # Pencil numerator as a quadratic in lam; its positive root is the
-    # independently computed threshold the closed form must reproduce.
-    a2 = h.real ** 3 * kh
-    a1 = 2 * (-h.real * gzz - g.real * hzz + gz * hzbar + hz * gzbar).real
-    a0 = g.real ** 3 * kg
-    root = float((-a1 + np.sqrt(a1 * a1 - 4 * a2 * a0)) / (2 * a2))
-    thr = certify.pencil_positive_threshold(gs, hs, 0j)
-    thr_err = abs(thr["threshold"] - root)
+    branches = {b: sum(c[0] == b for c in checks)
+                for b in ("a1_negative", "a1_nonnegative", "zero")}
+    confirmed = sum(c[1] for c in checks)
 
     try:
-        decay = certify.pencil_decay_check(gs, hs, 0j)
+        decay = certify.pencil_decay_check(*ref, 0j)
         decay_ok = True
     except ArithmeticError as exc:
         decay = {"error": str(exc)}
         decay_ok = False
-    ok = worst <= 1e-9 and thr_err <= 1e-6 and decay_ok
+    ok = (worst <= 1e-9 and thr_err <= 1e-6 and confirmed == len(checks)
+          and decay_ok)
     return {"ok": bool(ok), "worst_formula_rel_error": worst,
-            "numerator_root": root, "threshold": thr["threshold"],
-            "threshold_error": float(thr_err), "decay": decay,
+            "numerator_root": root, "threshold": thr,
+            "threshold_error": float(thr_err),
+            "threshold_points": len(checks), "threshold_branches": branches,
+            "thresholds_confirmed": int(confirmed), "decay": decay,
             "pairs": 50, "points_per_pair": 5}
 
 

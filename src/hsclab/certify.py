@@ -163,8 +163,10 @@ def product_inequality_slacks(a, b, c, d, moduli) -> np.ndarray:
 
 def product_inequality_check(a: float, b: float, c: float, d: float,
                              trials: int, seed: int = 0) -> dict:
-    """Random nonnegative moduli trials; reports violations and worst slack."""
-    if min(a, b, c, d) <= 0:
+    """Random nonnegative moduli trials; reports violations and worst slack.
+    A weight that is not > 0 (NaN included) is refused; a NaN slack counts
+    as a violation."""
+    if not all(w > 0 for w in (a, b, c, d)):
         raise ValueError("weights must be positive")
     rng = np.random.default_rng(seed)
     moduli = rng.uniform(0.0, 3.0, size=(trials, 6))
@@ -173,7 +175,7 @@ def product_inequality_check(a: float, b: float, c: float, d: float,
     return {
         "trials": trials,
         "seed": seed,
-        "violations": int(np.sum(slacks < -BOUND_TOL)),
+        "violations": int(np.sum(~(slacks >= -BOUND_TOL))),
         "worst_slack": worst,
     }
 
@@ -290,9 +292,10 @@ def split_bound_check(t: BoundedBlockTensor, w: WeightChoice,
     positive, where S_fiber and S_base are the squared coordinate masses
     of the two blocks.  Requires base_lower >= required_ratio *
     mixed_bound.  The slack is relative to the magnitude of the compared
-    quantities (plain 1e-9 at unit scale).
+    quantities (plain 1e-9 at unit scale); a NaN margin counts as a
+    violation.
     """
-    if t.base_lower < w.required_ratio * t.mixed_bound * (1 - 1e-12):
+    if not t.base_lower >= w.required_ratio * t.mixed_bound * (1 - 1e-12):
         raise ValueError("base_lower below the certified requirement")
     n, s = t.n, t.s
     rng = np.random.default_rng(seed)
@@ -311,7 +314,7 @@ def split_bound_check(t: BoundedBlockTensor, w: WeightChoice,
     worst = int(np.argmin(margin))
     return {
         "trials": trials, "seed": seed,
-        "violations": int(np.sum(margin < -BOUND_TOL)),
+        "violations": int(np.sum(~(margin >= -BOUND_TOL))),
         "worst_margin": float(margin.min()),
         "min_quartic": float(num.min()),
         "all_strictly_positive": bool(np.all(num > 0)),

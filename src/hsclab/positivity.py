@@ -25,7 +25,9 @@ The direction minimizer is chosen by the metric dimension d alone:
 
 On every path the reported per-point value is hsc_dirs at the returned
 direction, so each value is attained by its direction and passes the
-kernel's imaginary-part and vanishing-norm guards.
+kernel's imaginary-part and vanishing-norm guards.  The one exception is
+the d = 2 route of _affine_min_over_dirs, which serves the Newton passes
+of warp.lambda_search: its values are read off the Bloch quadratic.
 """
 
 from __future__ import annotations
@@ -250,6 +252,42 @@ def _min_over_dirs(g, R, dirs, starts, iters, seed, point_indices):
             raise ValueError("descent needs at least one probe direction or start")
         return _probe_and_descend(g, R, dirs, starts, iters, seed, point_indices)
     return _exact_min(g, R, point_indices)
+
+
+def _affine_min_over_dirs(g, R_fixed, R_rate, dirs, starts, iters, seed):
+    """Direction minima of the affine tensor family R_fixed + c * R_rate
+    over g-unit directions, for g (P, d, d) fixed and per-point scales c.
+
+    Returns solve(c, rows) -> (values, slopes, dirs) on the points rows
+    (an index array into the P points) at their scales c (len(rows),):
+    the minimum m of K over g-unit xi, the slope K(R_rate) at the
+    minimizing xi, and xi.  For minimizer_for(d) == "exact" (d = 2) the
+    frame of g and the Bloch quadratics Q_fixed and Q_rate of both
+    tensors are built once, here: _sphere_quadratic is linear in R, so
+    the quadratic at c is Q_fixed + c * Q_rate, and m and the slope are
+    its value and Q_rate's at the minimizing r (the Bloch form carries
+    the factor 2 of hsc_dirs).  Any other d runs _min_over_dirs on the
+    assembled tensor, with rows seeding the descent, and reads the slope
+    through hsc_dirs.
+    """
+    if minimizer_for(g.shape[-1]) != "exact":
+        def solve(c, rows):
+            R = R_fixed[rows] + c[:, None, None, None, None] * R_rate[rows]
+            m, xi = _min_over_dirs(g[rows], R, dirs, starts, iters, seed, rows)
+            return m, hsc_dirs(g[rows], R_rate[rows], xi[:, None])[:, 0], xi
+        return solve
+
+    T = _orthonormal_frame(g, range(g.shape[0]))
+    Q_fixed, Q_rate = _sphere_quadratic(T, R_fixed), _sphere_quadratic(T, R_rate)
+
+    def solve(c, rows):
+        Q = Q_fixed[rows] + c[:, None, None] * Q_rate[rows]
+        r = _sphere_minimizer(Q)
+        r1 = np.concatenate([np.ones((r.shape[0], 1)), r], axis=1)
+        xi = np.einsum("pij,pj->pi", T[rows], _bloch_to_unit(r))
+        return (np.einsum("pi,pij,pj->p", r1, Q, r1),
+                np.einsum("pi,pij,pj->p", r1, Q_rate[rows], r1), xi)
+    return solve
 
 
 def _probe_and_descend(g, R, dirs, starts, iters, seed, point_indices):

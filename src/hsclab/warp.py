@@ -31,11 +31,16 @@ growth independently.
 So along a direction xi the numerator at scale c is A(xi) + c * B(xi),
 with B from the base rows alone.  lambda_search solves for each grid
 point's threshold by Newton on the concave minimum over xi of that
-numerator, from the scale-1 tensor.  Base rows have no fiber k or l
-entries, so B is the base block's own numerator: where the base
-curvature is positive, B >= 0 and positivity at a point's threshold
-persists for every larger lam; where a fiber direction has a numerator
-<= 0, no lam makes the point positive.
+numerator, from the scale-1 tensor.  For d = 2 the numerator over
+g1-unit directions is a quadratic on the Bloch sphere (positivity
+module docstring) that is affine in c too, so each pass reads the
+minimum and its slope off two quadratics built once per search; for
+d >= 3 a pass runs descent on the rescaled tensor and reads both
+through hsc_dirs.  Base rows have no fiber k or l entries, so B is
+the base block's own numerator: where the base curvature is positive,
+B >= 0 and positivity at a point's threshold persists for every larger
+lam; where a fiber direction has a numerator <= 0, no lam makes the
+point positive.
 
 The search refuses charts that fail its standing hypotheses (positive
 base curvature, positive fiber curvature on sampled fibers), and then
@@ -56,9 +61,9 @@ from . import dsl
 from .curvature import (check_tensor, curvature, gaussian_curvature_1d,
                         hsc_dirs, metric_jet, metric_norm2, quartic, restrict)
 from .dsl import FibrationSpec
-from .positivity import (NEG_THRESHOLD, _c2pair, _min_over_dirs, _vec_dict,
-                         check_witness_budget, find_negative_witness,
-                         scan_chart)
+from .positivity import (NEG_THRESHOLD, _affine_min_over_dirs, _c2pair,
+                         _min_over_dirs, _vec_dict, check_witness_budget,
+                         find_negative_witness, scan_chart)
 
 LAMBDA_START = 1e-3
 LAMBDA_MAX = float(2 ** 30)
@@ -306,12 +311,16 @@ def lambda_search(f: FibrationSpec, bisections: int = 6,
     concave m then stays <= 0; the proof is tried first at each point's
     best fiber direction, where B = 0, which checks the fiber hypothesis
     at every grid point.  The other points start at LAMBDA_START; each
-    pass computes m and xi* on the points still active (both through
-    hsc_dirs, which carries the factor 2) and steps c <- c - m / B(xi*),
-    so the iterates rise monotonically to the point's threshold.  A point
-    leaves when it is positive, when its step is at most NEWTON_RTOL of
-    its iterate, when it is proved never positive, or when its iterate
-    passes LAMBDA_MAX.  Points of the last two kinds raise
+    pass computes m, B(xi*) and xi* on the points still active
+    (positivity._affine_min_over_dirs) and steps c <- c - m / B(xi*), so
+    the iterates rise monotonically to the point's threshold.  For d = 2
+    the frame of g1 and the Bloch-sphere quadratics of the fiber and base
+    rows are built once per search, and m and B(xi*) are values of the
+    quadratic at the pass's scale and of the base rows' quadratic at the
+    minimizing sphere point; for d >= 3 both come through hsc_dirs.  A
+    point leaves when it is positive, when its step is at most
+    NEWTON_RTOL of its iterate, when it is proved never positive, or when
+    its iterate passes LAMBDA_MAX.  Points of the last two kinds raise
     ThresholdNotReachedError naming the first of them in grid order and
     its witness direction.
 
@@ -323,7 +332,7 @@ def lambda_search(f: FibrationSpec, bisections: int = 6,
     minimum) and, unless positive_at_start, (lambda_star, min_hsc_at_star);
     persistence holds the grid minima at 2*lambda_star and 4*lambda_star.
 
-    For d <= 2 every pass is the exact direction minimum.  For d >= 3 it is
+    For d = 2 every pass is the exact direction minimum.  For d >= 3 it is
     probe plus descent (dirs, starts, iters, seed), an upper bound, so the
     thresholds are only as good as descent.  bisections is ignored; it is
     accepted so that existing callers keep working.
@@ -333,7 +342,8 @@ def lambda_search(f: FibrationSpec, bisections: int = 6,
     pts = dsl.box_grid(f.box, grid_per_axis)
     g1, R1 = _unit_curvature(f, pts)
     s = f.s
-    R_base = np.zeros_like(R1)
+    R_fiber, R_base = R1.copy(), np.zeros_like(R1)
+    R_fiber[:, s:, s:] = 0
     R_base[:, s:, s:] = R1[:, s:, s:]
     P = pts.shape[0]
     # the proof of failure at each point's best fiber direction, where B = 0
@@ -346,13 +356,11 @@ def lambda_search(f: FibrationSpec, bisections: int = 6,
     lam = np.full(P, LAMBDA_START)
     active = np.flatnonzero(~never)
     at_start, passes = False, 0
+    solve = _affine_min_over_dirs(g1, R_fiber, R_base, dirs, starts, iters, seed)
     while active.size:
         passes += 1
         old = lam[active]
-        R = R1[active]  # a copy: integer indexing
-        R[:, s:, s:] *= (f.mu0 + old)[:, None, None, None, None]
-        m, xi = _min_over_dirs(g1[active], R, dirs, starts, iters, seed, active)
-        slope = hsc_dirs(g1[active], R_base[active], xi[:, None])[:, 0]
+        m, slope, xi = solve(f.mu0 + old, active)
         wdir[active] = xi
         if passes == 1:
             at_start = not never.any() and bool(np.all(m > 0))

@@ -177,7 +177,41 @@ def test_jet_oracle_rounds_match_draw_by_draw_loop(seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_pencil_groups_match_per_pair_loop(seed):
-    assert acceptance.check_pencil_suite(seed) == _reference_pencil_check(seed)
+    """Every field of the per-pair loop; the suite adds only the counts of
+    its threshold confirmations."""
+    out = acceptance.check_pencil_suite(seed)
+    ref = _reference_pencil_check(seed)
+    assert {key: out[key] for key in ref} == ref
+    assert set(out) - set(ref) == {"threshold_points", "threshold_branches",
+                                   "thresholds_confirmed"}
+
+
+def test_pencil_suite_confirms_both_branches_and_a_zero_threshold():
+    """At seed 0 the threshold is confirmed on the direct route at the
+    point 0 of poincare + lam * fs_affine (a1 = 0) and at one point of
+    each of the 8 ordered pairs with K(h) > 0; these take both branches
+    of the closed form and a threshold of 0."""
+    out = acceptance.check_pencil_suite(0)
+    assert out["ok"]
+    assert out["threshold_points"] == out["thresholds_confirmed"] == 9
+    assert out["threshold_branches"] == {"a1_negative": 2, "a1_nonnegative": 1,
+                                         "zero": 6}
+
+
+def test_pencil_suite_fails_on_a_shifted_threshold(monkeypatch):
+    """A closed form 1e-5 above the true root is negative on the direct
+    route at its own thr * (1 + 1e-6), so the suite fails."""
+    threshold = certify.pencil_positive_threshold
+
+    def shifted(*args):
+        out = dict(threshold(*args))
+        out["threshold"] *= 1 + 1e-5
+        return out
+
+    monkeypatch.setattr(certify, "pencil_positive_threshold", shifted)
+    out = acceptance.check_pencil_suite(0)
+    assert not out["ok"]
+    assert out["thresholds_confirmed"] == out["threshold_branches"]["zero"] == 6
 
 
 def test_jet_oracle_calls_fd_jet_once_per_dimension_and_step(monkeypatch):
@@ -280,10 +314,29 @@ def test_pencil_suite_fails_on_nan_direct_route(monkeypatch):
     assert np.isnan(out["worst_formula_rel_error"])
 
 
+def test_split_bound_suite_keeps_a_nan_margin(monkeypatch):
+    """A NaN worst margin from one of the 100 tensors is the suite's
+    worst margin."""
+    check = certify.split_bound_check
+    done = []
+
+    def one_nan(*args, **kwargs):
+        rep = check(*args, **kwargs)
+        if len(done) == 40:
+            rep["worst_margin"] = np.nan
+        done.append(True)
+        return rep
+
+    monkeypatch.setattr(certify, "split_bound_check", one_nan)
+    out = acceptance.check_split_bound_suite(0)
+    assert len(done) == 100
+    assert np.isnan(out["bound_worst_margin"])
+
+
 def test_warp_suite_fails_on_nan_slice_margin(monkeypatch):
     """One NaN in the ambient curvature of the first slice check (500
-    two-coordinate trials; the lam search's calls have at most 25 rows)
-    is a violation, and the suite's worst margin keeps it."""
+    two-coordinate trials) is a violation, and the suite's worst margin
+    keeps it."""
     hsc = warp.hsc_dirs
     done = []
 

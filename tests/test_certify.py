@@ -1,5 +1,6 @@
 """Split-bound certification constants, block tensors, and 1-D pencils."""
 
+import dataclasses
 import math
 import re
 
@@ -110,6 +111,25 @@ def test_product_inequality_rejects_nonpositive_weights():
         product_inequality_check(1.0, 0.0, 1.0, 1.0, trials=10)
 
 
+def test_product_inequality_rejects_a_nan_weight():
+    with pytest.raises(ValueError):
+        product_inequality_check(math.nan, 1.0, 1.0, 1.0, trials=10)
+
+
+def test_product_inequality_counts_a_nan_slack(monkeypatch):
+    slacks = certify.product_inequality_slacks
+
+    def one_nan(*args):
+        out = slacks(*args)
+        out[3, 1] = np.nan
+        return out
+
+    monkeypatch.setattr(certify, "product_inequality_slacks", one_nan)
+    rep = product_inequality_check(1.0, 1.0, 1.0, 1.0, trials=10)
+    assert rep["violations"] == 1
+    assert math.isnan(rep["worst_slack"])
+
+
 # -- block tensors and the certified bound ----------------------------------
 
 
@@ -174,6 +194,17 @@ def test_split_bound_at_required_base_level():
         assert rep["violations"] == 0
         assert rep["all_strictly_positive"]
         assert rep["worst_margin"] >= 0
+
+
+def test_split_bound_counts_nan_margins():
+    w = choose_weights(2.0, 0.8, 4, 2)
+    t = random_block_tensor(2.0, 0.8, w.base_required, 4, 2, seed=3)
+    rep = split_bound_check(dataclasses.replace(t, fiber_lower=math.nan), w,
+                            trials=50, seed=3)
+    assert rep["violations"] == 50
+    assert math.isnan(rep["worst_margin"])
+    with pytest.raises(ValueError, match="base_lower"):
+        split_bound_check(dataclasses.replace(t, base_lower=math.nan), w)
 
 
 def test_split_bound_persists_above_required_level():
@@ -382,9 +413,12 @@ def test_pencil_suite_reads_each_point_once(monkeypatch):
         rng.uniform(size=10)
     # per ordered pair, one batch of its points: both entry jets once,
     # plus the summed metric at each of 4 lams; then 2 + 2 + 2 for the
-    # root, threshold and decay
+    # root, threshold and decay; then the threshold checks at one point
+    # of each of the 8 pairs with K(h) > 0: 2 + 2 for the suite's own
+    # coefficients and the threshold, and the summed metric at 2 lams
+    # for each of the 3 positive thresholds (the point 0 among them)
     assert len(groups) == 15
-    assert len(calls) == len(groups) * (2 + 4) + 6 == 96
+    assert len(calls) == len(groups) * (2 + 4) + 6 + 8 * 4 + 3 * 2 == 134
 
 
 def test_pencil_decay_toward_rescaled_limit():

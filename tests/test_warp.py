@@ -9,10 +9,11 @@ import warnings
 import numpy as np
 import pytest
 
-from hsclab import dsl, warp
+from hsclab import dsl, positivity, warp
 from hsclab.curvature import (IllConditionedError, curvature,
-                              gaussian_curvature_1d, metric_jet, restrict)
-from hsclab.positivity import min_hsc_at_point
+                              gaussian_curvature_1d, hsc_dirs, metric_jet,
+                              restrict)
+from hsclab.positivity import _min_over_dirs, min_hsc_at_point
 from hsclab.warp import (FibrationSpec, HypothesisViolationError,
                          ThresholdNotReachedError, assemble,
                          base_growth_check, check_hypotheses, lambda_search,
@@ -218,20 +219,21 @@ def test_lambda_search_newton_solve_is_exact_per_point(monkeypatch, grid):
     the assembled route."""
     f = warp_demo_fibration()
     pts = dsl.box_grid(f.box, grid)
-    R1 = warped_curvature(f, pts)(1.0)[1]  # mu0 = 0: the scale-1 tensor
     scales = {}
-    inner = warp._min_over_dirs
+    inner = warp._affine_min_over_dirs
 
-    def recording(g, R, *args):
-        idx = args[-1]
-        if isinstance(idx, np.ndarray) and g.shape[-1] == f.n:
-            # a Newton pass: its tensor is R1 with base rows times mu0 + lam
-            for row, p in enumerate(idx):
-                scales.setdefault(int(p), []).append(
-                    (R[row, 1, 1, 1, 1] / R1[p, 1, 1, 1, 1]).real)
-        return inner(g, R, *args)
+    def recording(*args):
+        solve = inner(*args)
 
-    monkeypatch.setattr(warp, "_min_over_dirs", recording)
+        def recorded(c, rows):
+            # a Newton pass at the scales c = mu0 + lam of the points rows
+            for p, scale in zip(rows, c):
+                scales.setdefault(int(p), []).append(scale)
+            return solve(c, rows)
+
+        return recorded
+
+    monkeypatch.setattr(warp, "_affine_min_over_dirs", recording)
     res = lambda_search(f, grid_per_axis=grid, skip_hypotheses=True)
     monkeypatch.undo()
     assert res.newton_passes <= 12
@@ -246,6 +248,123 @@ def test_lambda_search_newton_solve_is_exact_per_point(monkeypatch, grid):
         below = min_hsc_at_point(assemble(f, lam * (1 - 1e-6)), pts[p])[0]
         above = min_hsc_at_point(assemble(f, lam * (1 + 1e-9)), pts[p])[0]
         assert below < 0 < above, (p, lam, below, above)
+
+
+def _per_pass_search(f, grid_per_axis=5, dirs=24, starts=4, iters=120, seed=0):
+    """The pass loop of lambda_search as it was when each pass rescaled
+    the base rows of the scale-1 tensor and ran the direction minimizer
+    and hsc_dirs on the result: the reference for the per-search Bloch
+    quadratics.  Returns (points, thresholds, passes, never, capped)."""
+    pts = dsl.box_grid(f.box, grid_per_axis)
+    g1, R1 = warp._unit_curvature(f, pts)
+    s = f.s
+    R_base = np.zeros_like(R1)
+    R_base[:, s:, s:] = R1[:, s:, s:]
+    P = pts.shape[0]
+    # the proof of failure at each point's best fiber direction, where B = 0
+    fiber_min, fiber_dir = _min_over_dirs(g1[:, :s, :s], R1[:, :s, :s, :s, :s],
+                                          dirs, starts, iters, seed, range(P))
+    never = fiber_min <= 0
+    capped = np.zeros(P, dtype=bool)
+    wdir = np.zeros_like(pts)
+    wdir[:, :s] = fiber_dir
+    lam = np.full(P, warp.LAMBDA_START)
+    active = np.flatnonzero(~never)
+    at_start, passes = False, 0
+    while active.size:
+        passes += 1
+        old = lam[active]
+        R = R1[active]  # a copy: integer indexing
+        R[:, s:, s:] *= (f.mu0 + old)[:, None, None, None, None]
+        m, xi = _min_over_dirs(g1[active], R, dirs, starts, iters, seed, active)
+        slope = hsc_dirs(g1[active], R_base[active], xi[:, None])[:, 0]
+        wdir[active] = xi
+        if passes == 1:
+            at_start = not never.any() and bool(np.all(m > 0))
+        rising = (m <= 0) & (slope > 0)
+        with np.errstate(over="ignore"):
+            new = np.where(rising, old - m / np.where(rising, slope, 1.0), old)
+        never[active[(m <= 0) & ~rising]] = True
+        capped[active[new > warp.LAMBDA_MAX]] = True
+        lam[active] = new
+        active = active[rising & (new <= warp.LAMBDA_MAX)
+                        & (new - old > warp.NEWTON_RTOL * new)]
+    return pts, lam, passes, never, capped
+
+
+@pytest.mark.parametrize("grid", [5, 9])
+def test_bloch_passes_match_the_per_pass_loop(grid):
+    f = warp_demo_fibration()
+    res = lambda_search(f, grid_per_axis=grid, skip_hypotheses=True)
+    _, lam, passes, never, capped = _per_pass_search(f, grid_per_axis=grid)
+    assert not never.any() and not capped.any()
+    assert res.newton_passes == passes
+    np.testing.assert_allclose(res.thresholds, lam, rtol=1e-12, atol=0)
+
+
+def _cornered_fibration() -> FibrationSpec:
+    """Fiber curvature negative at the fiber corners over Re z2 >~ 0.61
+    for every lam (the fibration of the cli test of an unreached
+    threshold)."""
+    fiber = "exp(0.00124*z1*conj(z1)*exp(5*(z2+conj(z2))))/(1+z1*conj(z1))^2"
+    box = (dsl.Rect(-0.67, 0.67, -0.67, 0.67),) * 2
+    return FibrationSpec("cornered", 1, 1, ((dsl.parse(fiber, 2),),),
+                         ((dsl.parse("1/(1+z1*conj(z1))", 1),),), 0.0, box)
+
+
+@pytest.mark.parametrize("make, lam_max", [
+    (paper_G_fibration, warp.LAMBDA_MAX),
+    (_cornered_fibration, warp.LAMBDA_MAX),
+    (warp_demo_fibration, 1.0)])
+def test_bloch_passes_keep_the_failure_verdicts(monkeypatch, make, lam_max):
+    monkeypatch.setattr(warp, "LAMBDA_MAX", lam_max)
+    f = make()
+    pts, _, _, never, capped = _per_pass_search(f)
+    assert never.any() or capped.any()
+    with pytest.raises(ThresholdNotReachedError) as err:
+        lambda_search(f, skip_hypotheses=True)
+    first = int(np.flatnonzero(never | capped)[0])
+    assert str(err.value).startswith(
+        f"{int(never.sum())} grid point(s) never positive and "
+        f"{int(capped.sum())} not positive up to lam = {lam_max:g};")
+    assert _named_point(str(err.value)) == list(pts[first])
+
+
+def test_descent_passes_are_bit_identical_to_the_per_pass_loop():
+    """d = 3 runs probe plus descent on R_fixed + c * R_rate, which
+    equals the rescaled base rows bit for bit."""
+    f = _fs2_base_fibration()
+    options = dict(grid_per_axis=2, dirs=4, starts=1, iters=10)
+    res = lambda_search(f, skip_hypotheses=True, **options)
+    _, lam, passes, never, capped = _per_pass_search(f, **options)
+    assert not never.any() and not capped.any()
+    assert res.newton_passes == passes
+    assert np.array_equal(res.thresholds, lam)
+    assert np.all(lam > warp.LAMBDA_START)
+
+
+def test_default_search_reads_per_search_quadratics(monkeypatch):
+    """The Newton passes share one frame and two Bloch quadratics per
+    search: hsc_dirs runs only in the hypothesis scans (6), the fiber
+    proof (1) and the four reported grid minima, and _sphere_quadratic
+    only for the two quadratics and those minima."""
+    calls = {"hsc_dirs": 0, "_sphere_quadratic": 0}
+
+    def counting(module, name):
+        inner = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(positivity, "hsc_dirs")
+    counting(warp, "hsc_dirs")
+    counting(positivity, "_sphere_quadratic")
+    res = lambda_search(warp_demo_fibration())
+    assert calls == {"hsc_dirs": 11, "_sphere_quadratic": 6}
+    assert res.newton_passes == 6
 
 
 def _named_point(message: str):
