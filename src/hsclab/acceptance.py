@@ -381,9 +381,13 @@ def check_warp_suite(seed: int) -> dict:
     at lam = 1e-3, persisting at twice and four times the threshold.  The
     assembled route (scan_chart of assemble(f, lam)) confirms the
     threshold: its grid minimum is negative at lambda_star * (1 - 1e-6)
-    and positive at lambda_star.  The proof of persistence holds: the
-    base rows of the tensor have no fiber entries and the base curvature
-    is >= 0 on the grid, so no larger lam loses positivity."""
+    and positive at lambda_star.  It confirms the per-point thresholds t:
+    t = LAMBDA_START exactly where the assembled scan there is positive,
+    and at the witness point and every 25th grid point with a larger t the
+    point's minimum is negative at t * (1 - 1e-6), positive at
+    t * (1 + 1e-9).  The proof of persistence holds: the base rows of the
+    tensor have no fiber entries and the base curvature is >= 0 on the
+    grid, so no larger lam loses positivity."""
     f = warp.warp_demo_fibration()
     dec_violations = 0
     dec_worst = np.inf
@@ -409,11 +413,22 @@ def check_warp_suite(seed: int) -> dict:
     below, at_star = (positivity.scan_chart(warp.assemble(f, lam),
                                             grid_per_axis=grid).min_hsc
                       for lam in (star * (1 - 1e-6), star))
+    # each point's threshold on the same route
+    pts, th = search.points, search.thresholds
+    start = positivity.scan_chart(warp.assemble(f, warp.LAMBDA_START),
+                                  grid_per_axis=grid).per_point_min
+    start_match = bool(np.array_equal(th == warp.LAMBDA_START, start > 0))
+    bracketed = [p for p in [int(np.argmax(th))] + list(range(0, len(th), 25))
+                 if th[p] > warp.LAMBDA_START]
+    confirmed = sum(
+        positivity.min_hsc_at_point(warp.assemble(f, th[p] * (1 - 1e-6)), pts[p])[0] < 0
+        < positivity.min_hsc_at_point(warp.assemble(f, th[p] * (1 + 1e-9)), pts[p])[0]
+        for p in bracketed)
     # the proof of persistence: the base rows of the tensor have no fiber
     # k or l entries, so B is the base block's own numerator, which is
     # >= 0 wherever the base metric's curvature is
     s = f.s
-    R1 = curvature(metric_jet(warp.assemble(f, 1.0), search.points)).R
+    R1 = curvature(metric_jet(warp.assemble(f, 1.0), pts)).R
     base_rows_pure = not (np.any(R1[:, s:, s:, :s]) or np.any(R1[:, s:, s:, :, :s]))
     base_min = positivity.scan_chart(f.base_spec(), grid_per_axis=grid).min_hsc
     search_ok = (np.isfinite(star)
@@ -421,9 +436,8 @@ def check_warp_suite(seed: int) -> dict:
                  and search.history[0][0] == 1e-3
                  and search.history[0][1] < -1e-8
                  and all(v > 0 for _, v in search.persistence)
-                 and all(v <= 0 for l, v in search.history
-                         if l < star / 2)
                  and below < 0 < at_star
+                 and start_match and confirmed == len(bracketed)
                  and base_rows_pure and base_min >= 0)
     ok = dec_violations == 0 and growth_ok and search_ok
     return {"ok": bool(ok),
@@ -432,6 +446,10 @@ def check_warp_suite(seed: int) -> dict:
             "growth": growth, "search": search.as_dict(),
             "assembled_min_below_star": below,
             "assembled_min_at_star": at_star,
+            "start_positive_points": int(np.sum(start > 0)),
+            "start_positive_match": start_match,
+            "thresholds_bracketed": len(bracketed),
+            "thresholds_confirmed": int(confirmed),
             "base_rows_pure": bool(base_rows_pure),
             "base_min_hsc": base_min,
             "search_ok": bool(search_ok)}

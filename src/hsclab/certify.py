@@ -31,8 +31,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import dsl
-from .curvature import (_per_point, _shaped, entry_jet_1d, gaussian_from_jet,
-                        pair_symmetry_defect, quartic)
+from .curvature import (PAIR_SYMMETRY_TOL, _shaped, entry_jet_1d,
+                        gaussian_from_jet, pair_symmetry_defect, quartic)
 
 BOUND_TOL = 1e-9
 MIXED_FILL = 0.9
@@ -256,7 +256,9 @@ def check_block_hypotheses(t: BoundedBlockTensor, trials: int = 10000,
 
     Quartic margins are relative to the magnitude of the compared
     quantities, so the 1e-9 slack stays meaningful when the bounds are
-    large; at unit scale it is the plain difference.
+    large; at unit scale it is the plain difference.  They read real
+    parts, which needs pair symmetry: ok also requires the defect within
+    the rule of curvature.check_tensor.
     """
     n, s = t.n, t.s
     rng = np.random.default_rng(seed)
@@ -273,13 +275,15 @@ def check_block_hypotheses(t: BoundedBlockTensor, trials: int = 10000,
                          / np.maximum(1.0, np.abs(t.base_lower) * mb)).min())
 
     mixed_max = float(np.abs(t.R[_strictly_mixed_mask(n, s)]).max())
+    defect = pair_symmetry_defect(t.R)
     ok = (fiber_margin >= -BOUND_TOL and base_margin >= -BOUND_TOL
-          and mixed_max < t.mixed_bound)
+          and mixed_max < t.mixed_bound
+          and defect <= PAIR_SYMMETRY_TOL * max(1.0, float(np.abs(t.R).max())))
     return {
         "trials": trials, "seed": seed, "ok": ok,
         "fiber_margin": fiber_margin, "base_margin": base_margin,
         "mixed_entry_max": mixed_max, "mixed_bound": t.mixed_bound,
-        "pair_symmetry_defect": pair_symmetry_defect(t.R),
+        "pair_symmetry_defect": defect,
     }
 
 
@@ -327,26 +331,23 @@ def split_bound_check(t: BoundedBlockTensor, w: WeightChoice,
 
 
 def _pencil_terms(gspec: dsl.MetricSpec, hspec: dsl.MetricSpec, points):
-    """Per point (g, h, K(g), K(h), cross) of the closed form (module
-    docstring), from one batched entry_jet_1d call per metric."""
-    terms = []
-    for gj, hj in zip(_per_point(entry_jet_1d(gspec, points)),
-                      _per_point(entry_jet_1d(hspec, points))):
-        kg, kh = gaussian_from_jet(*gj), gaussian_from_jet(*hj)
-        (g, gz, gzbar, gzz), (h, hz, hzbar, hzz) = gj, hj
-        if g.real <= 0 or h.real <= 0:
-            raise ValueError("metric values must be positive")
-        g, h = g.real, h.real
-        cross = (-h * gzz - g * hzz + gz * hzbar + hz * gzbar).real
-        terms.append((g, h, kg, kh, cross))
-    return terms
+    """(g, h, K(g), K(h), cross) of the closed form (module docstring) as
+    flat arrays over the points, from one entry_jet_1d call per metric."""
+    flat = np.ravel(points)
+    gj, hj = entry_jet_1d(gspec, flat), entry_jet_1d(hspec, flat)
+    kg, kh = gaussian_from_jet(*gj), gaussian_from_jet(*hj)
+    (g, gz, gzbar, gzz), (h, hz, hzbar, hzz) = gj, hj
+    if np.any((g.real <= 0) | (h.real <= 0)):
+        raise ValueError("metric values must be positive")
+    g, h = g.real, h.real
+    cross = (-h * gzz - g * hzz + gz * hzbar + hz * gzbar).real
+    return g, h, kg, kh, cross
 
 
-def _pencil_value(term, lam) -> float:
-    """K(g + lam*h) at one point from its _pencil_terms entry."""
-    g, h, kg, kh, cross = term
-    return float((g**3 * kg + lam**2 * h**3 * kh + 2 * lam * cross)
-                 / (g + lam * h) ** 3)
+def _pencil_value(terms, lam):
+    """K(g + lam*h) from the _pencil_terms arrays (or their scalars)."""
+    g, h, kg, kh, cross = terms
+    return (g**3 * kg + lam**2 * h**3 * kh + 2 * lam * cross) / (g + lam * h) ** 3
 
 
 def pencil_at(gspec: dsl.MetricSpec, hspec: dsl.MetricSpec, points):
@@ -357,20 +358,14 @@ def pencil_at(gspec: dsl.MetricSpec, hspec: dsl.MetricSpec, points):
     batch of one.  Each metric's entry jets are read in one batched
     entry_jet_1d call here, so callers that need several lams at the same
     points call this once.  K(h) and phi(lam) are floats for a scalar
-    point and float arrays of the points' shape otherwise; the closed form
-    runs per point on Python scalars.
+    point and float arrays of the points' shape otherwise; each phi(lam)
+    is one array expression over the batch.
     """
-    terms = _pencil_terms(gspec, hspec, points)
-    shape = np.shape(points)
-
-    def phi(lam):
-        return _shaped([_pencil_value(t, lam) for t in terms], shape)
-
-    return _shaped([t[3] for t in terms], shape), phi
+    terms, shape = _pencil_terms(gspec, hspec, points), np.shape(points)
+    return _shaped(terms[3], shape), lambda lam: _shaped(_pencil_value(terms, lam), shape)
 
 
-def pencil_spec(gspec: dsl.MetricSpec, hspec: dsl.MetricSpec, lam: float,
-                name: str | None = None) -> dsl.MetricSpec:
+def pencil_spec(gspec: dsl.MetricSpec, hspec: dsl.MetricSpec, lam: float) -> dsl.MetricSpec:
     """The summed 1-D metric g + lam*h as a MetricSpec, for direct
     curvature cross-checks.  Box: intersection of the operand boxes."""
     if gspec.n != 1 or hspec.n != 1:
@@ -381,8 +376,7 @@ def pencil_spec(gspec: dsl.MetricSpec, hspec: dsl.MetricSpec, lam: float,
     # Rect refuses an empty intersection
     box = (dsl.Rect(max(ga.re_min, ha.re_min), min(ga.re_max, ha.re_max),
                     max(ga.im_min, ha.im_min), min(ga.im_max, ha.im_max)),)
-    if name is None:
-        name = f"{gspec.name}+{dsl._fmt_real(float(lam))}*{hspec.name}"
+    name = f"{gspec.name}+{dsl._fmt_real(float(lam))}*{hspec.name}"
     return dsl.MetricSpec(name, 1, ((entry,),), box)
 
 
@@ -400,8 +394,8 @@ def pencil_positive_threshold(gspec: dsl.MetricSpec, hspec: dsl.MetricSpec,
     With no real root or r+ <= 0 the threshold is 0.0 and
     positive_at_start: the curvature is positive for every lam > 0.
     """
-    (term,) = _pencil_terms(gspec, hspec, point)
-    g, h, kg, kh, cross = term
+    terms = _pencil_terms(gspec, hspec, point)
+    g, h, kg, kh, cross = (t.item() for t in terms)
     if not kh > 0:
         raise ValueError(f"second metric has nonpositive curvature {kh:.6g} at the point")
     a2, a1, a0 = h**3 * kh, 2 * cross, g**3 * kg
@@ -414,7 +408,7 @@ def pencil_positive_threshold(gspec: dsl.MetricSpec, hspec: dsl.MetricSpec,
         thr = float(2 * a0 / (-a1 - np.sqrt(disc)))
     return {
         "threshold": thr,
-        "curvature_at_threshold": _pencil_value(term, thr),
+        "curvature_at_threshold": _pencil_value(terms, thr).item(),
         "positive_at_start": thr == 0.0,
     }
 

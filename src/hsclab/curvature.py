@@ -221,60 +221,46 @@ def entry_jet_1d(spec: dsl.MetricSpec, points) -> tuple:
     """(g, g_z, g_zbar, g_zzbar) of a one-coordinate metric at points.
 
     `points` is a complex scalar or an array of any shape; a scalar is a
-    batch of one.  The batch gets one box check and one dsl.eval_jet
-    call.  Each slot is a Python complex for a scalar point and a complex
-    array of the points' shape otherwise.  PointOutsideBoxError names the
-    first point, in C order, that lies outside the box or is not finite.
+    batch of one.  The slots are those of one metric_jet read of the
+    flattened batch, so PointOutsideBoxError is metric_jet's.  Each slot
+    is a Python complex for a scalar point and a complex array of the
+    points' shape otherwise.
     """
     if spec.n != 1:
         raise ValueError("defined for one-coordinate metrics only")
     z = np.asarray(points, dtype=complex)
-    flat = z.reshape(-1, 1)
-    outside = np.flatnonzero(~dsl.box_contains(spec.box, flat))
-    if outside.size:
-        row = flat[outside[0]]
-        raise PointOutsideBoxError(f"point {row.tolist()} outside box of {spec.name}")
-    jet = dsl.eval_jet(spec.entries[0][0], 1, flat)
-    slots = (jet.value, jet.d[:, 0], jet.dbar[:, 0], jet.ddbar[:, 0, 0])
-    if z.ndim == 0:
-        return tuple(complex(s[0]) for s in slots)
-    return tuple(s.reshape(z.shape) for s in slots)
+    mj = metric_jet(spec, z.reshape(-1, 1))
+    return tuple(_shaped(s, z.shape) for s in (mj.g, mj.dg, mj.dbarg, mj.ddbarg))
 
 
-def _per_point(slots: tuple) -> list:
-    """entry_jet_1d's slots as one tuple of Python complex scalars per
-    point, in C order."""
-    return list(zip(*(np.ravel(s).tolist() for s in slots)))
+def _shaped(values: np.ndarray, shape: tuple):
+    """One value per point, in C order, in the points' shape: a Python
+    scalar for a scalar point."""
+    return values.item() if shape == () else values.reshape(shape)
 
 
-def _shaped(vals: list, shape: tuple):
-    """Per-point floats in the points' shape: a float for a scalar point."""
-    return vals[0] if shape == () else np.array(vals).reshape(shape)
-
-
-def gaussian_from_jet(g, gz, gzbar, gzz) -> float:
-    """-(2/g) * (d2 log g / dz dzbar) from the scalars of entry_jet_1d at
-    one point.
+def gaussian_from_jet(g, gz, gzbar, gzz):
+    """-(2/g) * (d2 log g / dz dzbar) from the slots of entry_jet_1d.
 
     The log derivative expands through the jet slots as
     g_zzbar/g - g_z g_zbar/g^2, so no log primitive is needed.  Equals the
-    sectional value of the same metric at the same point.  Callers pass
-    Python complex scalars: numpy's complex division and powers round
-    differently in the last bit.
+    sectional value of the same metric at the same points.  numpy arrays
+    round differently from scalars, so a point whose bits must match a
+    batch's comes as a one-point array.  SingularPointError if any
+    |g| <= DIV_EPS.
     """
-    if abs(g) <= DIV_EPS:
+    if np.any(np.abs(g) <= DIV_EPS):
         raise SingularPointError("metric value vanishes at the point")
-    val = -2.0 * gzz / g ** 2 + 2.0 * gz * gzbar / g ** 3
-    return float(val.real)
+    return (-2.0 * gzz / g ** 2 + 2.0 * gz * gzbar / g ** 3).real
 
 
 def gaussian_curvature_1d(spec: dsl.MetricSpec, points):
     """Gaussian curvature of a one-coordinate metric at points: a float
     for a scalar point, else a float array of the points' shape.  One
-    entry_jet_1d call reads the whole batch; gaussian_from_jet then runs
-    per point."""
-    rows = _per_point(entry_jet_1d(spec, points))
-    return _shaped([gaussian_from_jet(*row) for row in rows], np.shape(points))
+    entry_jet_1d call reads the flattened batch, a scalar as a batch of
+    one, and gaussian_from_jet evaluates it as arrays."""
+    return _shaped(gaussian_from_jet(*entry_jet_1d(spec, np.ravel(points))),
+                   np.shape(points))
 
 
 def restrict(spec: dsl.MetricSpec, fixed: dict, name: str | None = None) -> dsl.MetricSpec:

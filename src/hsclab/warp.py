@@ -142,13 +142,12 @@ def _scale(f: FibrationSpec, lam: float) -> float:
     return scale
 
 
-def assemble(f: FibrationSpec, lam: float, name: str | None = None) -> dsl.MetricSpec:
+def assemble(f: FibrationSpec, lam: float) -> dsl.MetricSpec:
     """The warped product metric at parameter lam:
     blockdiag(fiber, (mu0 + lam) * base), see FibrationSpec.warped_entries."""
     scale = _scale(f, lam)
-    if name is None:
-        name = f.name if (scale == 1.0 and f.mu0 == 0.0) else \
-            f"{f.name}@{dsl._fmt_real(float(lam))}"
+    name = f.name if (scale == 1.0 and f.mu0 == 0.0) else \
+        f"{f.name}@{dsl._fmt_real(float(lam))}"
     return dsl.MetricSpec(name, f.n, f.warped_entries(scale), f.box)
 
 
@@ -213,13 +212,12 @@ class ThresholdNotReachedError(RuntimeError):
 class LambdaSearchResult:
     """The exact grid threshold of lambda_search and the checks around it.
 
-    newton_passes counts the passes of the per-point solve, witness_point
-    is the grid point with the largest threshold, and never_positive
-    counts grid points proved never positive, which a returned result has
-    none of (they raise ThresholdNotReachedError).  thresholds holds each
-    grid point's lam threshold, in the order of points; like
-    ScanReport.per_point_min, both arrays stay out of as_dict, and out of
-    == so that results compare by their reported fields.
+    newton_passes counts the passes of the per-point solve and
+    witness_point is the grid point with the largest threshold.
+    thresholds holds each grid point's lam threshold, in the order of
+    points; like ScanReport.per_point_min, both arrays stay out of
+    as_dict, and out of == so that results compare by their reported
+    fields.
     """
 
     lambda_star: float
@@ -230,7 +228,6 @@ class LambdaSearchResult:
     positive_at_start: bool
     newton_passes: int
     witness_point: tuple
-    never_positive: int
     points: np.ndarray = field(repr=False, compare=False)
     thresholds: np.ndarray = field(repr=False, compare=False)
 
@@ -244,7 +241,6 @@ class LambdaSearchResult:
             "positive_at_start": self.positive_at_start,
             "newton_passes": self.newton_passes,
             "witness_point": _vec_dict(self.witness_point),
-            "never_positive": self.never_positive,
         }
 
 
@@ -335,7 +331,9 @@ def lambda_search(f: FibrationSpec, bisections: int = 6,
     For d = 2 every pass is the exact direction minimum.  For d >= 3 it is
     probe plus descent (dirs, starts, iters, seed), an upper bound, so the
     thresholds are only as good as descent.  bisections is ignored; it is
-    accepted so that existing callers keep working.
+    accepted so that existing callers keep working.  perfbench's
+    LamSearchDemo reads history and persistence and passes bisections=1
+    in smoke mode, so their deletion belongs with a benchmark change.
     """
     if not skip_hypotheses:
         check_hypotheses(f, seed=seed)
@@ -397,7 +395,7 @@ def lambda_search(f: FibrationSpec, bisections: int = 6,
         history=tuple(history),
         persistence=tuple((k * star, scan_min(k * star)) for k in (2.0, 4.0)),
         seed=seed, positive_at_start=at_start, newton_passes=passes,
-        witness_point=tuple(pts[int(np.argmax(lam))]), never_positive=0,
+        witness_point=tuple(pts[int(np.argmax(lam))]),
         points=pts, thresholds=lam)
 
 

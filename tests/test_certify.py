@@ -139,6 +139,20 @@ def test_random_block_tensor_honors_hypotheses():
     assert rep["ok"]
 
 
+def test_block_hypotheses_refuse_a_broken_mirror():
+    """A strictly mixed entry whose mirror (j, i, l, k) is off by 1e-3,
+    still under mixed_bound, breaks the pair symmetry the real quartic
+    margins rely on, so ok is False."""
+    t = random_block_tensor(2.0, 0.8, 700.0, 4, 2, seed=3)
+    R = t.R.copy()
+    R[0, 2, 1, 3] += 1e-3  # mirror of R[2, 0, 3, 1]
+    broken = dataclasses.replace(t, R=R)
+    rep = check_block_hypotheses(broken, trials=3000, seed=3)
+    assert rep["mixed_entry_max"] < t.mixed_bound
+    assert rep["pair_symmetry_defect"] == pytest.approx(1e-3, rel=1e-9)
+    assert not rep["ok"]
+
+
 def _random_block_tensor_loop(fiber_lower, mixed_bound, base_lower, n, s, seed):
     """The entry-by-entry construction random_block_tensor replaced: einsum
     model blocks and mixed mask, then a walk over the strictly mixed
@@ -368,7 +382,7 @@ def test_pencil_threshold_larger_root_keeps_its_digits(monkeypatch):
     digits to cancellation."""
     # (g, h, K(g), K(h), cross) with g^3 K(g) = -1, h^3 K(h) = 1, 2*cross = 1e8
     monkeypatch.setattr(certify, "_pencil_terms",
-                        lambda *args: [(1.0, 1.0, -1.0, 1.0, 5e7)])
+                        lambda *args: tuple(np.array([v]) for v in (1.0, 1.0, -1.0, 1.0, 5e7)))
     out = pencil_positive_threshold(dsl.catalog("poincare"),
                                     dsl.catalog("fs_affine"), 0j)
     assert out["threshold"] == pytest.approx(1e-8, rel=1e-12)

@@ -21,8 +21,8 @@ from hsclab.acceptance import ONE_DIM_CATALOG
 from hsclab.certify import pencil_spec
 from hsclab.curvature import (QUARTIC_BLOCK, IllConditionedError,
                               PointOutsideBoxError, curvature, curvature_at,
-                              entry_jet_1d, gaussian_curvature_1d, hsc_dirs,
-                              metric_jet, metric_jet_from_fd,
+                              entry_jet_1d, gaussian_curvature_1d,
+                              gaussian_from_jet, hsc_dirs, metric_jet, metric_jet_from_fd,
                               pair_symmetry_defect, restrict)
 from hsclab.positivity import scan_chart
 from hsclab.wirtinger import SingularPointError
@@ -329,6 +329,22 @@ def test_one_coordinate_batch_equals_per_point_calls(name):
         assert [_bits(s[idx]) for s in jet] == [_bits(v) for v in one]
         alone = gaussian_curvature_1d(spec, pts[idx])
         assert type(alone) is float and _bits(gauss[idx]) == _bits(alone)
+
+
+def test_gaussian_from_jet_takes_slot_arrays():
+    """The slots of a (3, 4) batch give gaussian_curvature_1d's bits, and
+    one vanishing metric value in a batch is refused."""
+    spec = dsl.catalog("paper_base")
+    pts = dsl.box_sample(spec.box, np.random.default_rng(29), 12)[:, 0].reshape(3, 4)
+    assert _bits(gaussian_from_jet(*entry_jet_1d(spec, pts))) \
+        == _bits(gaussian_curvature_1d(spec, pts))
+    cone = dsl.MetricSpec("cone", 1, ((dsl.parse("z1*conj(z1)", 1),),),
+                          dsl._square_box(1, 0.5))
+    batch = np.array([[0.25 + 0j, 0.1j], [0j, -0.3 + 0j]])
+    with pytest.raises(SingularPointError):
+        gaussian_from_jet(*entry_jet_1d(cone, batch))
+    with pytest.raises(SingularPointError):
+        gaussian_curvature_1d(cone, batch)
 
 
 def test_one_coordinate_batch_names_the_point_outside_the_box():
