@@ -30,11 +30,13 @@ def _worst(values) -> float:
 
 
 def _hsc_at(spec, rng, count):
+    """count box samples of spec and the sectional value at each, in one
+    random direction per point: (points, values)."""
     pts = dsl.box_sample(spec.box, rng, count)
     mj = metric_jet(spec, pts)
     dirs = rng.standard_normal((count, 1, spec.n)) \
         + 1j * rng.standard_normal((count, 1, spec.n))
-    return hsc_dirs(mj.g, curvature(mj).R, dirs)[:, 0]
+    return pts, hsc_dirs(mj.g, curvature(mj).R, dirs)[:, 0]
 
 
 def check_constant_curvature(seed: int) -> dict:
@@ -43,7 +45,7 @@ def check_constant_curvature(seed: int) -> dict:
     rng = np.random.default_rng([seed, 1])
     errs = {}
     for name, target in (("poincare", -4.0), ("fs_affine", 4.0)):
-        vals = _hsc_at(dsl.catalog(name), rng, 100)
+        _, vals = _hsc_at(dsl.catalog(name), rng, 100)
         errs[name] = float(np.abs(vals - target).max())
     return {"ok": bool(_worst(list(errs.values())) <= 1e-8), "max_abs_error": errs,
             "tolerance": 1e-8, "points": 100}
@@ -205,10 +207,7 @@ def check_one_dim_equivalence(seed: int) -> dict:
     diffs = [0.0]
     for name in ONE_DIM_CATALOG:
         spec = dsl.catalog(name)
-        pts = dsl.box_sample(spec.box, rng, 100)
-        mj = metric_jet(spec, pts)
-        dirs = rng.standard_normal((100, 1, 1)) + 1j * rng.standard_normal((100, 1, 1))
-        via_hsc = hsc_dirs(mj.g, curvature(mj).R, dirs)[:, 0]
+        pts, via_hsc = _hsc_at(spec, rng, 100)
         via_gauss = gaussian_curvature_1d(spec, pts[:, 0])
         diffs.append(float(np.abs(via_hsc - via_gauss).max()))
     worst = _worst(diffs)

@@ -31,6 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import dsl
+from .dsl import _vec_dict
 from .curvature import (PAIR_SYMMETRY_TOL, _shaped, entry_jet_1d,
                         gaussian_from_jet, pair_symmetry_defect, quartic)
 
@@ -80,15 +81,7 @@ class WeightChoice:
         return float(np.sqrt(self.d_sq))
 
     def as_dict(self) -> dict:
-        return {
-            "fiber_lower": self.fiber_lower, "mixed_bound": self.mixed_bound,
-            "n": self.n, "s": self.s,
-            "a": self.a, "b": self.b, "c": self.c, "d": self.d,
-            "a_sq": self.a_sq, "b_sq": self.b_sq,
-            "c_sq": self.c_sq, "d_sq": self.d_sq,
-            "required_ratio": self.required_ratio,
-            "base_required": self.base_required,
-        }
+        return {**dsl.report_dict(self), "a": self.a, "b": self.b, "c": self.c, "d": self.d}
 
 
 def _exact_weights(fiber_lower, mixed_bound, n: int, s: int):
@@ -322,7 +315,7 @@ def split_bound_check(t: BoundedBlockTensor, w: WeightChoice,
         "worst_margin": float(margin.min()),
         "min_quartic": float(num.min()),
         "all_strictly_positive": bool(np.all(num > 0)),
-        "worst_direction": [[float(z.real), float(z.imag)] for z in xi[worst]],
+        "worst_direction": _vec_dict(xi[worst]),
     }
 
 

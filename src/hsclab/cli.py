@@ -28,8 +28,10 @@ import numpy as np
 from . import __version__, acceptance, certify, dsl, warp
 from .curvature import (PointOutsideBoxError, curvature, gaussian_curvature_1d,
                         hsc_dirs, metric_jet, pair_symmetry_defect)
-from .positivity import (NEG_THRESHOLD, _c2pair, find_negative_witness,
-                         points_to_csv, scan_chart, scan_to_csv)
+from .dsl import _c2pair, _vec_dict
+from .positivity import (DEFAULT_DIRS, DEFAULT_GRID, DEFAULT_ITERS, DEFAULT_STARTS,
+                         NEG_THRESHOLD, find_negative_witness, points_to_csv,
+                         scan_chart, scan_to_csv)
 from .wirtinger import SingularPointError
 
 
@@ -165,8 +167,8 @@ def cmd_curvature(args) -> int:
     tensor = curvature(mj)
     payload = {
         "metric": spec.name,
-        "point": [_c2pair(z) for z in point],
-        "metric_value": [[_c2pair(z) for z in row] for row in mj.g[0]],
+        "point": _vec_dict(point),
+        "metric_value": [_vec_dict(row) for row in mj.g[0]],
         "tensor_max_abs": float(np.abs(tensor.R[0]).max()),
         "pair_symmetry_defect": pair_symmetry_defect(tensor.R),
     }
@@ -176,7 +178,7 @@ def cmd_curvature(args) -> int:
             val = hsc_dirs(mj.g, tensor.R, d.reshape(1, 1, spec.n))[0, 0]
         except SingularPointError as exc:
             raise SystemExit(_usage(f"--dir {args.dir!r}: {exc}"))
-        payload["direction"] = [_c2pair(z) for z in d]
+        payload["direction"] = _vec_dict(d)
         payload["hsc"] = float(val)
     _emit(args, "curvature", payload)
     return 0
@@ -382,13 +384,13 @@ def build_parser() -> argparse.ArgumentParser:
                        "grid of chart points")
     _add_metric_source(p)
     _add_seed(p)
-    p.add_argument("--grid", type=int, default=9, help="grid points per axis")
-    p.add_argument("--dirs", type=nonnegative_int, default=64, help="probe directions per "
-                   "point (descent minimizer, metrics with d >= 3, only)")
-    p.add_argument("--starts", type=nonnegative_int, default=8, help="descent starts per "
-                   "point (d >= 3 only)")
-    p.add_argument("--iters", type=nonnegative_int, default=200, help="descent iterations "
-                   "(d >= 3 only)")
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID, help="grid points per axis")
+    p.add_argument("--dirs", type=nonnegative_int, default=DEFAULT_DIRS, help="probe "
+                   "directions per point (descent minimizer, metrics with d >= 3, only)")
+    p.add_argument("--starts", type=nonnegative_int, default=DEFAULT_STARTS,
+                   help="descent starts per point (d >= 3 only)")
+    p.add_argument("--iters", type=nonnegative_int, default=DEFAULT_ITERS,
+                   help="descent iterations (d >= 3 only)")
     p.add_argument("--box", help="override box: re_min:re_max:im_min:im_max "
                    "groups, comma-separated per coordinate")
     p.add_argument("--csv", help="also write per-point minima as CSV "

@@ -21,6 +21,11 @@ Wirtinger jets; both evaluators accept a batch of points.
 Also here: chart boxes, metric specs, fibrations (FibrationSpec owns the
 warped block layout) and the bundled catalog, whose fibration metrics
 derive from the bundled PAPER_G_FIBRATION and WARP_DEMO_FIBRATION.
+
+report_dict is the one rule that turns a report dataclass into JSON (its
+compared fields, complex tuples as [re, im] pairs); every report's
+as_dict is built on it, and _c2pair/_vec_dict are the program's one
+[re, im] encoding of complex values.
 """
 
 from __future__ import annotations
@@ -432,29 +437,21 @@ def shift_vars(e: Expr, offset: int) -> Expr:
     return map_vars(e, lambda k: Var(k + offset))
 
 
-def scale_expr(factor: complex | Expr, e: Expr) -> Expr:
-    """Multiply an entry by a scalar factor, folding trivial shapes.
+def scale_expr(factor: float, e: Expr) -> Expr:
+    """Multiply an entry by a real factor, folding trivial shapes.
 
     Keeps c * (a/b) in the form (c*a)/b so that assembled metrics print in
     the same shape as the bundled catalog entries.
     """
-    if not isinstance(factor, tuple(EXPR_TYPES)):
-        factor = Lit(complex(factor))
-    if factor == Lit(complex(1)):
+    c = complex(factor)
+    if c == 1:
         return e
     match e:
         case Lit(v):
-            if isinstance(factor, Lit):
-                return Lit(factor.value * v)
-            return e if v != 1 else factor
+            return Lit(c * v)
         case Div(l, r):
             return Div(scale_expr(factor, l), r)
-    if e == Lit(complex(1)):
-        return factor
-    return Mul(factor, e)
-
-
-EXPR_TYPES = (Lit, Var, Neg, Conj, Exp, Add, Sub, Mul, Div, Pow)
+    return Mul(Lit(c), e)
 
 
 def random_expr(rng: np.random.Generator, n: int, depth: int = 3) -> Expr:
@@ -656,6 +653,34 @@ def metric_values(spec: MetricSpec, points) -> np.ndarray:
     return out
 
 
+# ---------------------------------------------------------------------------
+# Reports as JSON
+
+def _c2pair(z: complex) -> list:
+    return [float(np.real(z)), float(np.imag(z))]
+
+
+def _vec_dict(v) -> list:
+    return [_c2pair(z) for z in np.asarray(v).reshape(-1)]
+
+
+def _json_value(v):
+    if not isinstance(v, tuple):
+        return v
+    if any(isinstance(x, complex) for x in v):
+        return _vec_dict(v)
+    return [_json_value(x) for x in v]
+
+
+def report_dict(report) -> dict:
+    """The fields of a report dataclass that take part in ==, in field
+    order: a tuple holding complex values becomes [re, im] pairs and any
+    other tuple a list.  compare=False fields (per-point arrays) are not
+    reported."""
+    return {f.name: _json_value(getattr(report, f.name))
+            for f in dataclasses.fields(report) if f.compare}
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     name: str
@@ -664,14 +689,7 @@ class ValidationReport:
     hermitian_defect: float
     min_eigenvalue: float
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "samples": self.samples,
-            "seed": self.seed,
-            "hermitian_defect": self.hermitian_defect,
-            "min_eigenvalue": self.min_eigenvalue,
-        }
+    as_dict = report_dict
 
 
 HERMITIAN_TOL = 1e-10

@@ -28,6 +28,9 @@ direction, so each value is attained by its direction and passes the
 kernel's imaginary-part and vanishing-norm guards.  The one exception is
 the d = 2 route of _affine_min_over_dirs, which serves the Newton passes
 of warp.lambda_search: its values are read off the Bloch quadratic.
+
+ScanReport and NegativeWitness reach JSON through dsl.report_dict: their
+compare=False per-point arrays are not reported.
 """
 
 from __future__ import annotations
@@ -314,14 +317,6 @@ def _probe_and_descend(g, R, dirs, starts, iters, seed, point_indices):
     return cand_vals[rows, best], cand_dirs[rows, best]
 
 
-def _c2pair(z: complex):
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def _vec_dict(v) -> list:
-    return [_c2pair(z) for z in np.asarray(v).reshape(-1)]
-
-
 @dataclass(frozen=True)
 class ScanReport:
     """One chart scan.  == compares the reported fields only: the
@@ -344,22 +339,7 @@ class ScanReport:
     points: np.ndarray = field(repr=False, compare=False)
     per_point_min: np.ndarray = field(repr=False, compare=False)
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "n": self.n,
-            "min_hsc": self.min_hsc,
-            "witness_point": _vec_dict(self.witness_point),
-            "witness_dir": _vec_dict(self.witness_dir),
-            "points_scanned": self.points_scanned,
-            "dirs_per_point": self.dirs_per_point,
-            "starts": self.starts,
-            "iters": self.iters,
-            "grid_per_axis": self.grid_per_axis,
-            "margin": self.margin,
-            "seed": self.seed,
-            "minimizer": self.minimizer,
-        }
+    as_dict = dsl.report_dict
 
 
 def scan_to_csv(report: ScanReport) -> str:
@@ -444,16 +424,7 @@ class NegativeWitness:
     seed: int
     stage: int
 
-    def as_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "point": _vec_dict(self.point),
-            "direction": _vec_dict(self.direction),
-            "points_scanned": self.points_scanned,
-            "threshold": self.threshold,
-            "seed": self.seed,
-            "stage": self.stage,
-        }
+    as_dict = dsl.report_dict
 
 
 _WITNESS_STAGES = ((5, 32, 4, 120), (9, 64, 8, 200), (13, 96, 8, 200))

@@ -60,10 +60,9 @@ import numpy as np
 from . import dsl
 from .curvature import (check_tensor, curvature, gaussian_curvature_1d,
                         hsc_dirs, metric_jet, metric_norm2, quartic, restrict)
-from .dsl import FibrationSpec
-from .positivity import (NEG_THRESHOLD, _affine_min_over_dirs, _c2pair,
-                         _min_over_dirs, _vec_dict, check_witness_budget,
-                         find_negative_witness, scan_chart)
+from .dsl import FibrationSpec, _c2pair, _vec_dict
+from .positivity import (NEG_THRESHOLD, _affine_min_over_dirs, _min_over_dirs,
+                         check_witness_budget, find_negative_witness, scan_chart)
 
 LAMBDA_START = 1e-3
 LAMBDA_MAX = float(2 ** 30)
@@ -215,9 +214,9 @@ class LambdaSearchResult:
     newton_passes counts the passes of the per-point solve and
     witness_point is the grid point with the largest threshold.
     thresholds holds each grid point's lam threshold, in the order of
-    points; like ScanReport.per_point_min, both arrays stay out of
-    as_dict, and out of == so that results compare by their reported
-    fields.
+    points; like ScanReport.per_point_min, both arrays are compare=False,
+    which keeps them out of == and out of as_dict (dsl.report_dict), so
+    that results compare by their reported fields.
     """
 
     lambda_star: float
@@ -231,17 +230,7 @@ class LambdaSearchResult:
     points: np.ndarray = field(repr=False, compare=False)
     thresholds: np.ndarray = field(repr=False, compare=False)
 
-    def as_dict(self) -> dict:
-        return {
-            "lambda_star": self.lambda_star,
-            "min_hsc_at_star": self.min_hsc_at_star,
-            "history": [[l, v] for l, v in self.history],
-            "persistence": [[l, v] for l, v in self.persistence],
-            "seed": self.seed,
-            "positive_at_start": self.positive_at_start,
-            "newton_passes": self.newton_passes,
-            "witness_point": _vec_dict(self.witness_point),
-        }
+    as_dict = dsl.report_dict
 
 
 def _sampled_fiber_scans(f: FibrationSpec, count: int, rng, **scan_options):
@@ -273,15 +262,15 @@ def check_hypotheses(f: FibrationSpec, fiber_samples: int = 5, seed: int = 0,
     base_scan = scan_chart(f.base_spec(), **scan_options)
     if base_scan.min_hsc <= HYPOTHESIS_MARGIN:
         raise HypothesisViolationError("base", base_scan.min_hsc,
-                                       [_c2pair(z) for z in base_scan.witness_point])
+                                       _vec_dict(base_scan.witness_point))
     fiber_mins = []
     for c, _, sub_scan in _sampled_fiber_scans(
             f, fiber_samples, np.random.default_rng([seed, 17]), **scan_options):
         if sub_scan.min_hsc <= HYPOTHESIS_MARGIN:
             raise HypothesisViolationError(
                 "fiber", sub_scan.min_hsc,
-                {"base_point": [_c2pair(z) for z in c],
-                 "fiber_point": [_c2pair(z) for z in sub_scan.witness_point]})
+                {"base_point": _vec_dict(c),
+                 "fiber_point": _vec_dict(sub_scan.witness_point)})
         fiber_mins.append(sub_scan.min_hsc)
     return {
         "base_min_hsc": base_scan.min_hsc,
@@ -470,7 +459,7 @@ def base_growth_check(f: FibrationSpec, seed: int = 0) -> dict:
         raise ArithmeticError("curvature numerator not positive along the base")
     slope = float(np.polyfit(np.log(lams), np.log(nums), 1)[0])
     return {
-        "point": [_c2pair(z) for z in point],
+        "point": _vec_dict(point),
         "lam_values": lams, "numerators": nums,
         "slope": slope, "ok": slope >= 0.8, "seed": seed,
     }

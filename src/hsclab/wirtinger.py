@@ -171,15 +171,15 @@ def constant(n: int, value, batch_shape: tuple = ()) -> Jet2:
                 np.zeros(batch_shape + (n, n), dtype=complex))
 
 
-def seed(n: int, point, index: int, conjugate: bool = False) -> Jet2:
-    """Jet of the coordinate function z_index (or conj(z_index)) at `point`.
+def seed(n: int, point, index: int) -> Jet2:
+    """Jet of the coordinate function z_index at `point`; seed(...).conjugate()
+    is the jet of conj(z_index).
 
     Parameters
     ----------
     n : number of complex coordinates.
     point : array-like of shape (..., n); a leading batch shape is kept.
     index : 0-based coordinate index.
-    conjugate : seed conj(z_index) instead of z_index.
     """
     pts = np.asarray(point, dtype=complex)
     if pts.shape == () and n == 1:
@@ -189,15 +189,9 @@ def seed(n: int, point, index: int, conjugate: bool = False) -> Jet2:
     if not 0 <= index < n:
         raise IndexError(f"coordinate index {index} out of range for n={n}")
     batch = pts.shape[:-1]
-    value = pts[..., index].copy()
     d = np.zeros(batch + (n,), dtype=complex)
-    dbar = np.zeros(batch + (n,), dtype=complex)
-    if conjugate:
-        value = np.conjugate(value)
-        dbar[..., index] = 1.0
-    else:
-        d[..., index] = 1.0
-    return Jet2(n, value, d, dbar,
+    d[..., index] = 1.0
+    return Jet2(n, pts[..., index].copy(), d, np.zeros(batch + (n,), dtype=complex),
                 np.zeros(batch + (n, n), dtype=complex))
 
 

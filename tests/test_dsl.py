@@ -90,6 +90,11 @@ def test_scale_expr_folds_into_quotient():
     assert to_source(e) == "3/(1+z1*conj(z1))"
 
 
+def test_scale_expr_folds_literals_and_multiplies_the_rest():
+    assert dsl.scale_expr(2.0, dsl.Lit(3)) == dsl.Lit(6)
+    assert dsl.scale_expr(2.0, parse("z1")) == dsl.Mul(dsl.Lit(2), dsl.Var(1))
+
+
 def test_shift_vars():
     e = dsl.shift_vars(parse("z1*conj(z1)", 1), 1)
     pts = np.array([[0.1 + 0j, 0.5 - 0.5j]])

@@ -36,7 +36,7 @@ def test_seed_jet_slots():
     np.testing.assert_array_equal(z1.d, [1.0, 0.0])
     np.testing.assert_array_equal(z1.dbar, [0.0, 0.0])
     np.testing.assert_array_equal(z1.ddbar, np.zeros((2, 2)))
-    z1bar = seed(2, p, 0, conjugate=True)
+    z1bar = seed(2, p, 0).conjugate()
     np.testing.assert_array_equal(z1bar.dbar, [1.0, 0.0])
     assert z1bar.value == np.conjugate(p[0])
 
