@@ -33,16 +33,16 @@ from .curvature import (CurvatureTensor, MetricJet, PointOutsideBoxError,
                         curvature, curvature_at, gaussian_curvature_1d,
                         hsc_dirs, metric_jet, metric_jet_from_fd,
                         pair_symmetry_defect, restrict)
-from .dsl import (CATALOG_NAMES, MetricError, MetricSpec, ParseError, Rect,
-                  catalog, load_spec, parse, save_spec, to_source, validate)
+from .dsl import (CATALOG_NAMES, FibrationSpec, MetricError, MetricSpec,
+                  ParseError, Rect, catalog, load_fibration, load_spec, parse,
+                  save_fibration, save_spec, to_source, validate)
 from .positivity import (NegativeWitness, ScanReport, find_negative_witness,
                          min_hsc_at_point, scan_chart, scan_to_csv)
-from .warp import (FibrationSpec, HypothesisViolationError,
-                   LambdaSearchResult, ThresholdNotReachedError, assemble,
-                   base_growth_check, check_hypotheses,
-                   family_negativity_report, lambda_search, load_fibration,
-                   paper_G_fibration, save_fibration,
-                   submanifold_decreasing_check, warp_demo_fibration)
+from .warp import (HypothesisViolationError, LambdaSearchResult,
+                   ThresholdNotReachedError, assemble, base_growth_check,
+                   check_hypotheses, family_negativity_report, lambda_search,
+                   paper_G_fibration, submanifold_decreasing_check,
+                   warp_demo_fibration)
 from .wirtinger import Jet2, SingularPointError, fd_jet
 
 __all__ = [

@@ -432,7 +432,7 @@ def check_warp_suite(seed: int) -> dict:
     base_min = positivity.scan_chart(f.base_spec(), grid_per_axis=grid).min_hsc
     search_ok = (np.isfinite(star)
                  and search.min_hsc_at_star > 0
-                 and search.history[0][0] == 1e-3
+                 and search.history[0][0] == warp.LAMBDA_START
                  and search.history[0][1] < -1e-8
                  and all(v > 0 for _, v in search.persistence)
                  and below < 0 < at_star

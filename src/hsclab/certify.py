@@ -32,8 +32,8 @@ import numpy as np
 
 from . import dsl
 from .dsl import _vec_dict
-from .curvature import (PAIR_SYMMETRY_TOL, _shaped, entry_jet_1d,
-                        gaussian_from_jet, pair_symmetry_defect, quartic)
+from .curvature import (_shaped, entry_jet_1d, gaussian_from_jet,
+                        pair_symmetric, pair_symmetry_defect, quartic)
 
 BOUND_TOL = 1e-9
 MIXED_FILL = 0.9
@@ -250,8 +250,8 @@ def check_block_hypotheses(t: BoundedBlockTensor, trials: int = 10000,
     Quartic margins are relative to the magnitude of the compared
     quantities, so the 1e-9 slack stays meaningful when the bounds are
     large; at unit scale it is the plain difference.  They read real
-    parts, which needs pair symmetry: ok also requires the defect within
-    the rule of curvature.check_tensor.
+    parts, which needs pair symmetry: ok also requires
+    curvature.pair_symmetric, the rule of curvature.check_tensor.
     """
     n, s = t.n, t.s
     rng = np.random.default_rng(seed)
@@ -268,15 +268,13 @@ def check_block_hypotheses(t: BoundedBlockTensor, trials: int = 10000,
                          / np.maximum(1.0, np.abs(t.base_lower) * mb)).min())
 
     mixed_max = float(np.abs(t.R[_strictly_mixed_mask(n, s)]).max())
-    defect = pair_symmetry_defect(t.R)
     ok = (fiber_margin >= -BOUND_TOL and base_margin >= -BOUND_TOL
-          and mixed_max < t.mixed_bound
-          and defect <= PAIR_SYMMETRY_TOL * max(1.0, float(np.abs(t.R).max())))
+          and mixed_max < t.mixed_bound and pair_symmetric(t.R))
     return {
         "trials": trials, "seed": seed, "ok": ok,
         "fiber_margin": fiber_margin, "base_margin": base_margin,
         "mixed_entry_max": mixed_max, "mixed_bound": t.mixed_bound,
-        "pair_symmetry_defect": defect,
+        "pair_symmetry_defect": pair_symmetry_defect(t.R),
     }
 
 

@@ -115,11 +115,10 @@ def _metric_arg(text: str, is_file: bool) -> dsl.MetricSpec:
 
 
 def _load_metric(args) -> dsl.MetricSpec:
-    if getattr(args, "catalog", None):
-        return _metric_arg(args.catalog, is_file=False)
-    if getattr(args, "file", None):
-        return _metric_arg(args.file, is_file=True)
-    raise SystemExit(_usage("one of --catalog or --file is required"))
+    """The metric of --file or --catalog, whichever was given (argparse
+    takes exactly one)."""
+    is_file = args.file is not None
+    return _metric_arg(args.file if is_file else args.catalog, is_file)
 
 
 def _parse_box(text: str, n: int):
@@ -283,14 +282,14 @@ def cmd_lemma2(args) -> int:
 def cmd_warp(args) -> int:
     if args.csv and not args.search:
         raise SystemExit(_usage("--csv needs --search"))
-    f = (_loaded(warp.load_fibration, args.file, "fibration") if args.file
+    f = (_loaded(dsl.load_fibration, args.file, "fibration") if args.file
          else warp.warp_demo_fibration())
     try:
         assembled = warp.assemble(f, args.lam)
     except ValueError as exc:
         raise SystemExit(_usage(str(exc)))
     if args.write_demo:
-        warp.save_fibration(warp.warp_demo_fibration(), args.write_demo)
+        dsl.save_fibration(warp.warp_demo_fibration(), args.write_demo)
     try:
         validation = dsl.validate(assembled, seed=args.seed).as_dict()
     except dsl.MetricError as exc:
@@ -352,9 +351,10 @@ def cmd_selftest(args) -> int:
 
 
 def _add_metric_source(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--catalog", help="bundled metric name, e.g. poincare, "
-                   "fs_affine, paper_base, paper_G(1), warp_demo, flat(2)")
-    p.add_argument("--file", help="metric JSON file (see save/load format)")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--catalog", help="bundled metric name, e.g. poincare, "
+                        "fs_affine, paper_base, paper_G(1), warp_demo, flat(2)")
+    source.add_argument("--file", help="metric JSON file (see save/load format)")
 
 
 def _add_seed(p: argparse.ArgumentParser) -> None:
@@ -470,8 +470,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
     except (dsl.MetricError, ArithmeticError) as exc:
         # ArithmeticError covers SingularPointError and IllConditionedError.
         print(f"error: {exc}", file=sys.stderr)

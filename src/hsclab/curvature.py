@@ -123,18 +123,23 @@ def pair_symmetry_defect(R: np.ndarray) -> float:
     return float(np.abs(R - mirror).max())
 
 
+def pair_symmetric(R: np.ndarray) -> bool:
+    """The pair-symmetry rule: the defect of R is at most PAIR_SYMMETRY_TOL
+    times max(1, max |R|).  False when R holds a NaN or an infinity."""
+    scale = float(np.abs(R).max(initial=1.0))
+    return bool(pair_symmetry_defect(R) <= PAIR_SYMMETRY_TOL * scale)
+
+
 def check_tensor(g: np.ndarray, R: np.ndarray) -> None:
     """The checks of curvature() on a metric g (..., n, n) and its tensor
     R (..., n, n, n, n): IllConditionedError when a condition number of g
-    exceeds COND_LIMIT, ArithmeticError when the pair-symmetry defect of R
-    exceeds PAIR_SYMMETRY_TOL times max(1, max |R|)."""
+    exceeds COND_LIMIT, ArithmeticError when R breaks pair_symmetric."""
     worst = float(np.max(np.linalg.cond(g)))
     if not np.isfinite(worst) or worst > COND_LIMIT:
         raise IllConditionedError(f"metric condition number {worst:.3e} exceeds {COND_LIMIT:.0e}")
-    scale = max(1.0, float(np.abs(R).max())) if R.size else 1.0
-    defect = pair_symmetry_defect(R)
-    if defect > PAIR_SYMMETRY_TOL * scale:
-        raise ArithmeticError(f"curvature pair-symmetry defect {defect:.3e} at scale {scale:.3e}")
+    if not pair_symmetric(R):
+        raise ArithmeticError(f"curvature pair-symmetry defect {pair_symmetry_defect(R):.3e} "
+                              f"exceeds {PAIR_SYMMETRY_TOL:.0e} * max(1, max |R|)")
 
 
 def curvature(mj: MetricJet, check: bool = True) -> CurvatureTensor:

@@ -18,9 +18,11 @@ negative ("^-2").
 Expressions evaluate either to plain complex values or to second-order
 Wirtinger jets; both evaluators accept a batch of points.
 
-Also here: chart boxes, metric specs, fibrations (FibrationSpec owns the
-warped block layout) and the bundled catalog, whose fibration metrics
-derive from the bundled PAPER_G_FIBRATION and WARP_DEMO_FIBRATION.
+Also here: chart boxes, metric specs, fibrations (FibrationSpec.metric
+builds every assembled warped metric), the JSON file forms of metrics
+and fibrations (one writer and one reader serve both) and the bundled
+catalog, whose fibration metrics derive from the bundled
+PAPER_G_FIBRATION and WARP_DEMO_FIBRATION.
 
 report_dict is the one rule that turns a report dataclass into JSON (its
 compared fields, complex tuples as [re, im] pairs); every report's
@@ -631,14 +633,17 @@ class FibrationSpec:
         return MetricSpec(f"{self.name}.base", self.m, self.base_entries,
                           self.box[self.s:])
 
-    def warped_entries(self, scale: float) -> tuple:
-        """Entries of blockdiag(fiber, scale * base): the base block is
-        shifted onto z_{s+1}..z_n and the off-diagonal blocks are zero."""
+    def metric(self, scale: float, name: str) -> MetricSpec:
+        """The assembled metric blockdiag(fiber, scale * base) on the whole
+        box, named name: the base block is shifted onto z_{s+1}..z_n and
+        the off-diagonal blocks are zero.  Every warped metric of the
+        program (catalog entries, warp.assemble) is built here."""
         zero = Lit(0j)
         base = [tuple(scale_expr(scale, shift_vars(e, self.s)) for e in row)
                 for row in self.base_entries]
-        return (tuple(tuple(row) + (zero,) * self.m for row in self.fiber_entries)
-                + tuple((zero,) * self.s + row for row in base))
+        entries = (tuple(tuple(row) + (zero,) * self.m for row in self.fiber_entries)
+                   + tuple((zero,) * self.s + row for row in base))
+        return MetricSpec(name, self.n, entries, self.box)
 
 
 def metric_values(spec: MetricSpec, points) -> np.ndarray:
@@ -729,7 +734,7 @@ def validate(spec: MetricSpec, samples: int = 1000, seed: int = 0) -> Validation
 
 
 # ---------------------------------------------------------------------------
-# Metric file format
+# Metric and fibration file formats
 
 def spec_to_dict(spec: MetricSpec) -> dict:
     return {
@@ -749,15 +754,50 @@ def spec_from_dict(data: dict) -> MetricSpec:
     return MetricSpec(str(data["name"]), n, entries, box)
 
 
-def save_spec(spec: MetricSpec, path) -> None:
+def fibration_to_dict(f: FibrationSpec) -> dict:
+    return {
+        "name": f.name, "s": f.s, "m": f.m,
+        "fiber_entries": [[to_source(e) for e in row] for row in f.fiber_entries],
+        "base_entries": [[to_source(e) for e in row] for row in f.base_entries],
+        "mu0": f.mu0,
+        "box": [[r.re_min, r.re_max, r.im_min, r.im_max] for r in f.box],
+    }
+
+
+def fibration_from_dict(d: dict) -> FibrationSpec:
+    s, m = int(d["s"]), int(d["m"])
+    fiber = tuple(tuple(parse(src, s + m) for src in row) for row in d["fiber_entries"])
+    base = tuple(tuple(parse(src, m) for src in row) for row in d["base_entries"])
+    box = tuple(Rect(*map(float, r)) for r in d["box"])
+    return FibrationSpec(str(d["name"]), s, m, fiber, base, float(d["mu0"]), box)
+
+
+def _save_json(data: dict, path) -> None:
+    """The one file writer: UTF-8 JSON, indent 2, sorted keys, newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spec_to_dict(spec), fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def load_spec(path) -> MetricSpec:
+def _load_json(path) -> dict:
     with open(path, encoding="utf-8") as fh:
-        return spec_from_dict(json.load(fh))
+        return json.load(fh)
+
+
+def save_spec(spec: MetricSpec, path) -> None:
+    _save_json(spec_to_dict(spec), path)
+
+
+def load_spec(path) -> MetricSpec:
+    return spec_from_dict(_load_json(path))
+
+
+def save_fibration(f: FibrationSpec, path) -> None:
+    _save_json(fibration_to_dict(f), path)
+
+
+def load_fibration(path) -> FibrationSpec:
+    return fibration_from_dict(_load_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -850,11 +890,9 @@ def catalog(name: str) -> MetricSpec:
             raise KeyError(f"paper_G(lam) needs a real lam > 0, got {arg!r}") from None
         if not 0 < lam < np.inf:
             raise KeyError("paper_G(lam) needs a finite lam > 0")
-        return MetricSpec(f"paper_G({_fmt_real(lam)})", 2,
-                          PAPER_G_FIBRATION.warped_entries(lam), PAPER_G_FIBRATION.box)
+        return PAPER_G_FIBRATION.metric(lam, f"paper_G({_fmt_real(lam)})")
     if head == "warp_demo":
-        return MetricSpec("warp_demo", 2, WARP_DEMO_FIBRATION.warped_entries(1.0),
-                          WARP_DEMO_FIBRATION.box)
+        return WARP_DEMO_FIBRATION.metric(1.0, "warp_demo")
     if head in ("fs", "ball"):
         n = _dimension_arg(head, arg)
         return _projective_spec(f"{head}({n})", n, 1 if head == "fs" else -1)

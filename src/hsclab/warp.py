@@ -23,10 +23,10 @@ mixed (fiber, base) pair vanishes.  Hence, exactly:
     R[i, j, k, l]          = 0 for a mixed pair (i, j).
 
 In the base block both -d2g and dg . g^{-1} . dbarg carry one factor c.
-warped_curvature evaluates the jets and the tensor once, at c = 1, and
-rescales them per lam, while assemble, scan_chart and base_growth_check
-keep the assembled route, so base_growth_check checks the same linear
-growth independently.
+lambda_search evaluates the jets and the tensor once, at c = 1
+(_unit_curvature), and rescales them per lam (_at_scale), while assemble,
+scan_chart and base_growth_check keep the assembled route, so
+base_growth_check checks the same linear growth independently.
 
 So along a direction xi the numerator at scale c is A(xi) + c * B(xi),
 with B from the base rows alone.  lambda_search solves for each grid
@@ -47,12 +47,13 @@ base curvature, positive fiber curvature on sampled fibers), and then
 any grid point proved never positive; the bundled counterexample family
 paper_G_fibration() shows why: its fiber curvature vanishes at one point
 of every fiber, and no lam rescues positivity there.  Both bundled
-fibrations are defined once, in dsl.
+fibrations, the assembled metric (FibrationSpec.metric) and the
+fibration file form are defined once, in dsl; this module holds the
+numerics only.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,37 +81,6 @@ GROWTH_LAMBDAS = (1e2, 1e3, 1e4)
 # Fibration charts
 
 
-def fibration_to_dict(f: FibrationSpec) -> dict:
-    return {
-        "name": f.name, "s": f.s, "m": f.m,
-        "fiber_entries": [[dsl.to_source(e) for e in row] for row in f.fiber_entries],
-        "base_entries": [[dsl.to_source(e) for e in row] for row in f.base_entries],
-        "mu0": f.mu0,
-        "box": [[r.re_min, r.re_max, r.im_min, r.im_max] for r in f.box],
-    }
-
-
-def fibration_from_dict(d: dict) -> FibrationSpec:
-    s, m = int(d["s"]), int(d["m"])
-    fiber = tuple(tuple(dsl.parse(src, s + m) for src in row)
-                  for row in d["fiber_entries"])
-    base = tuple(tuple(dsl.parse(src, m) for src in row)
-                 for row in d["base_entries"])
-    box = tuple(dsl.Rect(*map(float, r)) for r in d["box"])
-    return FibrationSpec(str(d["name"]), s, m, fiber, base, float(d["mu0"]), box)
-
-
-def save_fibration(f: FibrationSpec, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(fibration_to_dict(f), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_fibration(path) -> FibrationSpec:
-    with open(path, encoding="utf-8") as fh:
-        return fibration_from_dict(json.load(fh))
-
-
 def warp_demo_fibration() -> FibrationSpec:
     """Bundled example: one warped fiber coordinate over a positively
     curved one-dimensional base; assembling it at mu0=0, lam=1 reproduces
@@ -134,49 +104,37 @@ def _require_positive(**counts) -> None:
 
 
 def _scale(f: FibrationSpec, lam: float) -> float:
-    """The base block's factor mu0 + lam; ValueError unless positive."""
+    """The base block's factor mu0 + lam; ValueError unless positive and
+    finite."""
     scale = f.mu0 + float(lam)
-    if not scale > 0:
-        raise ValueError("mu0 + lam must be positive")
+    if not 0 < scale < np.inf:
+        raise ValueError("mu0 + lam must be positive and finite")
     return scale
 
 
 def assemble(f: FibrationSpec, lam: float) -> dsl.MetricSpec:
     """The warped product metric at parameter lam:
-    blockdiag(fiber, (mu0 + lam) * base), see FibrationSpec.warped_entries."""
+    blockdiag(fiber, (mu0 + lam) * base), see FibrationSpec.metric."""
     scale = _scale(f, lam)
     name = f.name if (scale == 1.0 and f.mu0 == 0.0) else \
         f"{f.name}@{dsl._fmt_real(float(lam))}"
-    return dsl.MetricSpec(name, f.n, f.warped_entries(scale), f.box)
-
-
-def _unit_scale(f: FibrationSpec) -> dsl.MetricSpec:
-    """blockdiag(fiber, base): the assembled metric at scale mu0 + lam = 1."""
-    return dsl.MetricSpec(f.name, f.n, f.warped_entries(1.0), f.box)
-
-
-def warped_curvature(f: FibrationSpec, points):
-    """lam -> (g, R), the metric and curvature tensor of assemble(f, lam)
-    at points (P, n), from one jet pass and one curvature pass.
-
-    Both are evaluated once, at scale mu0 + lam = 1, and rescaled per lam
-    by the identity of the module docstring: g[..., s:, s:] and
-    R[..., s:, s:, :, :] are multiplied by the scale, every other entry
-    stays.  Each call runs the checks of curvature() (check_tensor) on the
-    rescaled pair and refuses a non-positive mu0 + lam like assemble.
-    """
-    g1, R1 = _unit_curvature(f, points)
-    return lambda lam: _at_scale(f, g1, R1, lam)
+    return f.metric(scale, name)
 
 
 def _unit_curvature(f: FibrationSpec, points):
-    """(g, R) of the scale-1 metric _unit_scale(f) at points, checked."""
-    mj = metric_jet(_unit_scale(f), points)
+    """(g, R) of the scale-1 metric blockdiag(fiber, base) at points
+    (P, n), from one jet pass and one curvature pass, checked."""
+    mj = metric_jet(f.metric(1.0, f.name), points)
     return mj.g, curvature(mj).R
 
 
 def _at_scale(f: FibrationSpec, g1, R1, lam: float):
-    """The scale-1 pair rescaled to lam (warped_curvature), checked."""
+    """The metric and curvature tensor of assemble(f, lam), from the
+    scale-1 pair of _unit_curvature by the identity of the module
+    docstring: g[..., s:, s:] and R[..., s:, s:, :, :] are multiplied by
+    the scale mu0 + lam, every other entry stays.  Runs the checks of
+    curvature() (check_tensor) on the rescaled pair and refuses a scale
+    that is not positive and finite like assemble."""
     scale = _scale(f, lam)
     g, R = g1.copy(), R1.copy()
     g[..., f.s:, f.s:] *= scale
@@ -239,7 +197,7 @@ def _sampled_fiber_scans(f: FibrationSpec, count: int, rng, **scan_options):
     no more.  The fiber metric is the slice of the assembled metric over
     the base point; its block does not depend on the scale, so the scale-1
     metric serves."""
-    total = _unit_scale(f)
+    total = f.metric(1.0, f.name)
     for _ in range(count):
         c = dsl.box_sample(f.box[f.s:], rng, 1)[0]
         sub = restrict(total, {f.s + 1 + a: complex(z) for a, z in enumerate(c)})
@@ -253,20 +211,21 @@ def check_hypotheses(f: FibrationSpec, fiber_samples: int = 5, seed: int = 0,
 
     Base: the base metric must have strictly positive minimal curvature
     on its chart.  Fiber: the induced fiber metric over each sampled base
-    point must too.  Raises HypothesisViolationError naming the failing
-    side with a witness point.
+    point must too.  Each minimum must exceed HYPOTHESIS_MARGIN (a NaN
+    minimum does not); otherwise HypothesisViolationError names the
+    failing side with a witness point.
     """
     _require_positive(fiber_samples=fiber_samples)
     scan_options = dict(grid_per_axis=grid_per_axis, dirs=dirs, seed=seed,
                         starts=starts, iters=iters)
     base_scan = scan_chart(f.base_spec(), **scan_options)
-    if base_scan.min_hsc <= HYPOTHESIS_MARGIN:
+    if not base_scan.min_hsc > HYPOTHESIS_MARGIN:
         raise HypothesisViolationError("base", base_scan.min_hsc,
                                        _vec_dict(base_scan.witness_point))
     fiber_mins = []
     for c, _, sub_scan in _sampled_fiber_scans(
             f, fiber_samples, np.random.default_rng([seed, 17]), **scan_options):
-        if sub_scan.min_hsc <= HYPOTHESIS_MARGIN:
+        if not sub_scan.min_hsc > HYPOTHESIS_MARGIN:
             raise HypothesisViolationError(
                 "fiber", sub_scan.min_hsc,
                 {"base_point": _vec_dict(c),
@@ -312,7 +271,7 @@ def lambda_search(f: FibrationSpec, bisections: int = 6,
     lambda_star is the largest per-point threshold times 1 + STAR_MARGIN,
     or LAMBDA_START when every point is positive there (positive_at_start:
     then it only bounds the threshold from above).  Only the reported
-    minima are evaluated on the rescaled pairs of warped_curvature, each
+    minima are evaluated on the scale-1 pair rescaled by _at_scale, each
     checked like curvature(): history holds (LAMBDA_START, its grid
     minimum) and, unless positive_at_start, (lambda_star, min_hsc_at_star);
     persistence holds the grid minima at 2*lambda_star and 4*lambda_star.

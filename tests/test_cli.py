@@ -133,10 +133,10 @@ def test_warp_demo_checks(capsys):
 
 def test_warp_rejects_indefinite_fibration(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    f = warp.FibrationSpec(
+    f = dsl.FibrationSpec(
         "bad", 1, 1, ((dsl.parse("1", 2),),), ((dsl.parse("-1", 1),),),
         0.0, (dsl.Rect(-0.5, 0.5, -0.5, 0.5),) * 2)
-    warp.save_fibration(f, path)
+    dsl.save_fibration(f, path)
     code, rep = run_cli(capsys, "warp", "--file", str(path))
     assert code == 1
     assert "error" in rep and rep["ok"] is False
@@ -167,7 +167,7 @@ def test_version_flag(capsys):
 
 def _write_bad_files(directory) -> None:
     """Malformed fibration and metric files named by the usage-error cases."""
-    good = warp.fibration_to_dict(warp.warp_demo_fibration())
+    good = dsl.fibration_to_dict(warp.warp_demo_fibration())
     (directory / "not-json.json").write_text("{")
     (directory / "no-s.json").write_text(
         json.dumps({k: v for k, v in good.items() if k != "s"}))
@@ -195,6 +195,47 @@ BAD_SPEC_FILES = [
     ("curvature", "--file", "{tmp}/family.json", "--point", "0,0,0,0"),
     ("warp", "--file", "{tmp}/infinite-mu0.json"),
 ]
+
+
+DEMO_FIBRATION_FILE = """{
+  "base_entries": [
+    [
+      "1/(1+z1*conj(z1))"
+    ]
+  ],
+  "box": [
+    [
+      -0.67175144212722,
+      0.67175144212722,
+      -0.67175144212722,
+      0.67175144212722
+    ],
+    [
+      -0.67175144212722,
+      0.67175144212722,
+      -0.67175144212722,
+      0.67175144212722
+    ]
+  ],
+  "fiber_entries": [
+    [
+      "exp(z2*conj(z2))/(1+z1*conj(z1))^2"
+    ]
+  ],
+  "m": 1,
+  "mu0": 0.0,
+  "name": "warp_demo",
+  "s": 1
+}
+"""
+
+
+def test_fibration_file_form_is_pinned(tmp_path, capsys):
+    """warp --write-demo writes save_fibration(warp_demo_fibration())."""
+    assert cli.main(["warp", "--write-demo", str(tmp_path / "cli.json")]) == 0
+    dsl.save_fibration(warp.warp_demo_fibration(), tmp_path / "lib.json")
+    for name in ("cli.json", "lib.json"):
+        assert (tmp_path / name).read_text(encoding="utf-8") == DEMO_FIBRATION_FILE
 
 
 def test_warp_usage_error_writes_no_demo_file(tmp_path, capsys):
@@ -255,6 +296,7 @@ def test_warp_usage_error_writes_no_demo_file(tmp_path, capsys):
     ("lemma2", "--point", "5,0"),
     *BAD_SPEC_FILES,
     ("warp", "--csv", "{tmp}/thresholds.csv"),  # --csv needs --search
+    ("scan", "--catalog", "poincare", "--file", "{tmp}/missing.json"),
 ])
 def test_usage_errors_exit_two(capsys, tmp_path, argv):
     _write_bad_files(tmp_path)
@@ -298,10 +340,10 @@ def test_warp_search_records_unreached_threshold(tmp_path, capsys):
     search reaches its cap."""
     fiber = "exp(0.00124*z1*conj(z1)*exp(5*(z2+conj(z2))))/(1+z1*conj(z1))^2"
     box = (dsl.Rect(-0.67, 0.67, -0.67, 0.67),) * 2
-    f = warp.FibrationSpec("cornered", 1, 1, ((dsl.parse(fiber, 2),),),
-                           ((dsl.parse("1/(1+z1*conj(z1))", 1),),), 0.0, box)
+    f = dsl.FibrationSpec("cornered", 1, 1, ((dsl.parse(fiber, 2),),),
+                          ((dsl.parse("1/(1+z1*conj(z1))", 1),),), 0.0, box)
     path = tmp_path / "cornered.json"
-    warp.save_fibration(f, path)
+    dsl.save_fibration(f, path)
     code, rep = run_cli(capsys, "warp", "--search", "--file", str(path))
     assert code == 1 and rep["ok"] is False
     assert "up to lam" in rep["lambda_search"]["threshold_not_reached"]

@@ -20,8 +20,8 @@ from hsclab import dsl
 from hsclab.acceptance import ONE_DIM_CATALOG
 from hsclab.certify import pencil_spec
 from hsclab.curvature import (QUARTIC_BLOCK, IllConditionedError,
-                              PointOutsideBoxError, curvature, curvature_at,
-                              entry_jet_1d, gaussian_curvature_1d,
+                              PointOutsideBoxError, check_tensor, curvature,
+                              curvature_at, entry_jet_1d, gaussian_curvature_1d,
                               gaussian_from_jet, hsc_dirs, metric_jet, metric_jet_from_fd,
                               pair_symmetry_defect, restrict)
 from hsclab.positivity import scan_chart
@@ -369,6 +369,23 @@ def test_ill_conditioned_metric_rejected():
                           dsl._square_box(1, 0.5))
     with pytest.raises(IllConditionedError, match="inf"):
         curvature(metric_jet(cone, np.array([[0.25 + 0j], [0j]])))
+
+
+def test_check_tensor_refuses_a_nan_entry():
+    g = np.eye(2, dtype=complex)[None]
+    R = np.zeros((1, 2, 2, 2, 2), dtype=complex)
+    R[0, 0, 1, 0, 1] = np.nan
+    with pytest.raises(ArithmeticError, match="pair-symmetry"):
+        check_tensor(g, R)
+
+
+def test_scan_refuses_a_nan_curvature():
+    """At z = 1, g = 1.01e304 is finite with condition number 1, but its
+    mixed second derivative overflows, so R is NaN there."""
+    hot = dsl.MetricSpec("hot", 1, ((dsl.parse("exp(350*(z1+conj(z1)))", 1),),),
+                         (dsl.Rect(0.99, 1.0, 0.0, 0.01),))
+    with np.errstate(all="ignore"), pytest.raises(ArithmeticError, match="pair-symmetry"):
+        scan_chart(hot, grid_per_axis=2)
 
 
 def test_warp_family_minimum_at_origin():

@@ -194,6 +194,35 @@ def test_spec_save_load_round_trip(tmp_path):
     assert back.box == spec.box
 
 
+POINCARE_FILE = """{
+  "box": [
+    {
+      "im": [
+        -0.67175144212722,
+        0.67175144212722
+      ],
+      "re": [
+        -0.67175144212722,
+        0.67175144212722
+      ]
+    }
+  ],
+  "entries": [
+    [
+      "1/(1-z1*conj(z1))^2"
+    ]
+  ],
+  "n": 1,
+  "name": "poincare"
+}
+"""
+
+
+def test_spec_file_form_is_pinned(tmp_path):
+    save_spec(catalog("poincare"), tmp_path / "poincare.json")
+    assert (tmp_path / "poincare.json").read_text(encoding="utf-8") == POINCARE_FILE
+
+
 def test_spec_from_dict_validates_shape():
     with pytest.raises(ValueError):
         dsl.spec_from_dict({"name": "bad", "n": 1,

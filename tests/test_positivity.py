@@ -232,7 +232,8 @@ def _exact_grid(label):
     name, _, lam = label.partition("@")
     if lam:
         f = warp.warp_demo_fibration()
-        return warp.warped_curvature(f, dsl.box_grid(f.box, 5))(float(lam))
+        return warp._at_scale(f, *warp._unit_curvature(f, dsl.box_grid(f.box, 5)),
+                              float(lam))
     spec = dsl.catalog(name)
     mj = metric_jet(spec, dsl.box_grid(spec.box, 9))
     return mj.g, curvature(mj).R

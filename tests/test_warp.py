@@ -13,13 +13,13 @@ from hsclab import dsl, positivity, warp
 from hsclab.curvature import (IllConditionedError, curvature,
                               gaussian_curvature_1d, hsc_dirs, metric_jet,
                               restrict)
+from hsclab.dsl import FibrationSpec, load_fibration, save_fibration
 from hsclab.positivity import _min_over_dirs, min_hsc_at_point
-from hsclab.warp import (FibrationSpec, HypothesisViolationError,
-                         ThresholdNotReachedError, assemble,
+from hsclab.warp import (HypothesisViolationError, ThresholdNotReachedError,
+                         _at_scale, _unit_curvature, assemble,
                          base_growth_check, check_hypotheses, lambda_search,
-                         load_fibration, paper_G_fibration, save_fibration,
-                         submanifold_decreasing_check, warp_demo_fibration,
-                         warped_curvature)
+                         paper_G_fibration, submanifold_decreasing_check,
+                         warp_demo_fibration)
 
 
 def _flat_flat() -> FibrationSpec:
@@ -85,11 +85,11 @@ def test_fibration_round_trip(tmp_path):
 def test_fibration_shape_validation():
     box = (dsl.Rect(-0.5, 0.5, -0.5, 0.5),) * 2
     with pytest.raises(ValueError):
-        warp.fibration_from_dict({"name": "bad", "s": 1, "m": 1,
-                                  "fiber_entries": [["1", "0"]],
-                                  "base_entries": [["1"]],
-                                  "mu0": 0.0,
-                                  "box": [[-0.5, 0.5, -0.5, 0.5]] * 2})
+        dsl.fibration_from_dict({"name": "bad", "s": 1, "m": 1,
+                                 "fiber_entries": [["1", "0"]],
+                                 "base_entries": [["1"]],
+                                 "mu0": 0.0,
+                                 "box": [[-0.5, 0.5, -0.5, 0.5]] * 2})
     with pytest.raises(ValueError):
         FibrationSpec("bad", 0, 1, (), ((dsl.parse("1", 1),),), 0.0, box)
     for mu0 in (-1, float("inf"), float("nan")):
@@ -112,6 +112,25 @@ def test_hypotheses_refuse_degenerate_fiber():
                          grid_per_axis=5, dirs=8, starts=1, iters=40)
     assert err.value.side == "fiber"
     assert err.value.value <= warp.HYPOTHESIS_MARGIN
+
+
+@pytest.mark.parametrize("side", ["base", "fiber"])
+def test_hypotheses_refuse_a_nan_minimum(monkeypatch, side):
+    """A NaN minimum is not above HYPOTHESIS_MARGIN, so its side fails."""
+    f = warp_demo_fibration()
+    scan = warp.scan_chart
+
+    def nan_on_side(spec, **options):
+        rep = scan(spec, **options)
+        if (spec.name == f.base_spec().name) == (side == "base"):
+            return dataclasses.replace(rep, min_hsc=float("nan"))
+        return rep
+
+    monkeypatch.setattr(warp, "scan_chart", nan_on_side)
+    with pytest.raises(HypothesisViolationError) as err:
+        check_hypotheses(f, fiber_samples=2, grid_per_axis=5, dirs=8,
+                         starts=1, iters=40)
+    assert err.value.side == side and np.isnan(err.value.value)
 
 
 def test_coordinate_slices_do_not_increase_curvature():
@@ -171,7 +190,7 @@ def _block_rel_error(got, want, s):
 def test_warped_curvature_matches_assembled_route(make, lam):
     f = make()
     pts = dsl.box_grid(f.box, 3)
-    g, R = warped_curvature(f, pts)(lam)
+    g, R = _at_scale(f, *_unit_curvature(f, pts), lam)
     mj = metric_jet(assemble(f, lam), pts)
     R_ref = curvature(mj).R
     assert _block_rel_error(g, mj.g, f.s) <= 1e-12
@@ -184,13 +203,17 @@ def test_warped_curvature_matches_assembled_route(make, lam):
 def test_warped_curvature_keeps_the_checks_of_the_assembled_route():
     f = warp_demo_fibration()
     pts = dsl.box_grid(f.box, 5)
-    tensors = warped_curvature(f, pts)
+    g1, R1 = _unit_curvature(f, pts)
     with pytest.raises(IllConditionedError, match="3.620e"):
-        tensors(1e12)
+        _at_scale(f, g1, R1, 1e12)
     with pytest.raises(IllConditionedError, match="3.620e"):
         curvature(metric_jet(assemble(f, 1e12), pts))
-    with pytest.raises(ValueError, match="mu0 \\+ lam"):
-        tensors(0.0)
+    refused = "mu0 \\+ lam must be positive and finite"
+    for lam in (0.0, float("inf")):
+        with pytest.raises(ValueError, match=refused):
+            _at_scale(f, g1, R1, lam)
+        with pytest.raises(ValueError, match=refused):
+            assemble(f, lam)
     with pytest.raises(ValueError, match="grid_per_axis"):
         lambda_search(f, grid_per_axis=1, skip_hypotheses=True)
 
