@@ -118,9 +118,10 @@ def metric_jet_from_fd(spec: dsl.MetricSpec, points, step: float = FD_STEP) -> M
 
 
 def pair_symmetry_defect(R: np.ndarray) -> float:
-    """max |R[i,j,k,l] - conj(R[j,i,l,k])|, the realness obstruction."""
+    """max |R[i,j,k,l] - conj(R[j,i,l,k])|, the realness obstruction; 0 on
+    an empty batch."""
     mirror = np.conjugate(np.swapaxes(np.swapaxes(R, -4, -3), -2, -1))
-    return float(np.abs(R - mirror).max())
+    return float(np.abs(R - mirror).max(initial=0.0))
 
 
 def pair_symmetric(R: np.ndarray) -> bool:
@@ -130,11 +131,43 @@ def pair_symmetric(R: np.ndarray) -> bool:
     return bool(pair_symmetry_defect(R) <= PAIR_SYMMETRY_TOL * scale)
 
 
+def _cond(g: np.ndarray) -> np.ndarray:
+    """2-norm condition number s_max / s_min of each matrix of g (..., n, n):
+    inf where g is singular, NaN where it cannot be computed (a NaN entry).
+
+    n = 1 gives 1, inf where g = 0.  n = 2 is the closed form
+    (F + sqrt(F^2 - 4 D^2)) / (2 D) in F = |g|_F^2 = s1^2 + s2^2 and
+    D = |det g| = s1 s2, since F^2 - 4 D^2 = (s1^2 - s2^2)^2; it is
+    evaluated in q = 2 D / F, so F^2 never forms, and holds while F and D
+    stay in the double range (entries of modulus about 1e-154 to 1e154).
+    n >= 3 runs np.linalg.cond, an SVD per matrix; one that does not
+    converge is NaN.
+    """
+    n = g.shape[-1]
+    if n >= 3:
+        try:
+            return np.linalg.cond(g)
+        except np.linalg.LinAlgError:
+            return np.full(g.shape[:-2], np.nan)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if n == 1:
+            s = np.abs(g[..., 0, 0])
+            return np.where(s == 0, np.inf, s / s)
+        F = (g.real ** 2 + g.imag ** 2).sum((-2, -1))
+        D = np.abs(g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0])
+        q = 2.0 * D / F
+        # rounding can leave 1 - q^2 a few ulps below 0; NaN stays NaN
+        root = np.sqrt(np.maximum((1.0 - q) * (1.0 + q), 0.0))
+        return np.where(D == 0, np.inf, (1.0 + root) / q)
+
+
 def check_tensor(g: np.ndarray, R: np.ndarray) -> None:
     """The checks of curvature() on a metric g (..., n, n) and its tensor
     R (..., n, n, n, n): IllConditionedError when a condition number of g
-    exceeds COND_LIMIT, ArithmeticError when R breaks pair_symmetric."""
-    worst = float(np.max(np.linalg.cond(g)))
+    (_cond: closed form for n <= 2, an SVD for n >= 3) exceeds COND_LIMIT
+    or is not finite, a NaN one from a NaN entry included; ArithmeticError
+    when R breaks pair_symmetric.  An empty batch passes."""
+    worst = float(np.max(_cond(g), initial=1.0))
     if not np.isfinite(worst) or worst > COND_LIMIT:
         raise IllConditionedError(f"metric condition number {worst:.3e} exceeds {COND_LIMIT:.0e}")
     if not pair_symmetric(R):

@@ -109,29 +109,37 @@ def minimizer_for(d: int) -> str:
 
 
 def _orthonormal_frame(g, point_indices):
-    """T (P, d, d) with T = L^{-H} for conj(g) = L L^H, so that xi = T eta
-    has metric norm |eta|.  Raises ArithmeticError naming the first point
-    where g is not positive definite."""
+    """T (P, d, d) with T = L^{-H} for conj(g) = L L^H (d <= 2), so that
+    xi = T eta has metric norm |eta|.
+
+    Closed form, no LAPACK: l11 = sqrt(Re cg_00), l21 = cg_10 / l11 and
+    l22 = sqrt(Re cg_11 - |l21|^2) from the lower triangle of cg = conj(g),
+    as in a Cholesky factorization, give
+    L^{-1} = [[1/l11, 0], [-l21/l11/l22, 1/l22]] ([[1/l11]] at d = 1).
+    Raises ArithmeticError naming the first point where a pivot square
+    Re cg_00 or Re cg_11 - |l21|^2 is not positive (NaN included), that
+    is, where g is not positive definite.
+    """
     cg = np.conjugate(g)
-    try:
-        L = np.linalg.cholesky(cg)
-    except np.linalg.LinAlgError:
-        for row, pidx in enumerate(point_indices):
-            try:
-                np.linalg.cholesky(cg[row])
-            except np.linalg.LinAlgError:
-                raise ArithmeticError(
-                    f"metric is not positive definite at point index {int(pidx)}") from None
-        raise
-    return np.conjugate(np.swapaxes(np.linalg.inv(L), -1, -2))
+    Linv = np.zeros_like(cg)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # sqrt(p) > 0 exactly where the pivot square p > 0; NaN fails
+        l11 = np.sqrt(cg[:, 0, 0].real)
+        Linv[:, 0, 0] = 1.0 / l11
+        good = l11 > 0
+        if g.shape[-1] == 2:
+            l21 = cg[:, 1, 0] / l11
+            l22 = np.sqrt(cg[:, 1, 1].real - (l21.real ** 2 + l21.imag ** 2))
+            Linv[:, 1, 0] = -l21 / l11 / l22
+            Linv[:, 1, 1] = 1.0 / l22
+            good &= l22 > 0
+    if not good.all():
+        row = int(np.argmin(good))
+        raise ArithmeticError(
+            f"metric is not positive definite at point index {int(point_indices[row])}")
+    return np.conjugate(np.swapaxes(Linv, -1, -2))
 
 
-# Columns vec(I), vec(sigma_1), vec(sigma_2), vec(sigma_3) (row-major vec),
-# so that vec((I + r.sigma)/2) = _PAULI @ (1, r) / 2.
-_PAULI = np.array([[1, 0, 0, 1],
-                   [0, 1, -1j, 0],
-                   [0, 1, 1j, 0],
-                   [1, 0, 0, -1]], dtype=complex)
 # Eigenvalues within SECULAR_ULPS ulps of lam_1 (at the scale max(|lam|,
 # |beta|)) form one cluster.  A point's Newton solve ends once its step is
 # below SECULAR_ULPS ulps of lam_1 - mu or its residual |y| - 1 is below
@@ -143,10 +151,22 @@ SECULAR_NEWTON_PASSES = 64
 
 def _sphere_quadratic(T, R):
     """K over unit eta as (1, r)^T Q (1, r) on the Bloch sphere: Q (P, 4, 4)
-    real symmetric, with c = Q[0, 0], b = 2 Q[0, 1:], A = Q[1:, 1:]."""
+    real symmetric, with c = Q[0, 0], b = 2 Q[0, 1:], A = Q[1:, 1:].
+
+    W = T (x) conj(T) maps vec(eta eta^H) to vec(xi xi^H) (row-major vec),
+    and vec((I + r.sigma)/2) = Pauli @ (1, r) / 2 with the columns
+    vec(I) = (1, 0, 0, 1), vec(sigma_1) = (0, 1, 1, 0),
+    vec(sigma_2) = (0, -i, i, 0), vec(sigma_3) = (1, 0, 0, -1).  The
+    basis change B = W @ Pauli is written out column by column, equal to
+    the matrix product, with no per-point BLAS call.
+    """
     P = T.shape[0]
     W = (T[:, :, None, :, None] * np.conjugate(T)[:, None, :, None, :]).reshape(P, 4, 4)
-    B = W @ _PAULI  # vec(xi xi^H) = B @ (1, r) / 2
+    B = np.empty_like(W)  # vec(xi xi^H) = B @ (1, r) / 2
+    B[..., 0] = W[..., 0] + W[..., 3]
+    B[..., 1] = W[..., 1] + W[..., 2]
+    B[..., 2] = 1j * (W[..., 2] - W[..., 1])
+    B[..., 3] = W[..., 0] - W[..., 3]
     H = np.swapaxes(B, -1, -2) @ R.reshape(P, 4, 4) @ B
     # K = 2 vec(X)^T M vec(X) = (1, r)^T (H / 2) (1, r); real by pair symmetry
     return 0.25 * (H + np.swapaxes(H, -1, -2)).real

@@ -334,6 +334,24 @@ def test_numerical_failures_exit_one(capsys, tmp_path, argv):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_nan_metric_entry_exits_one(capsys, tmp_path, n):
+    """exp(900|z1|^2) overflows near the box edge, so the z1 entry is
+    inf - inf = NaN there: a numerical failure of the condition gate."""
+    nan_entry = "1 + exp(900*z1*conj(z1)) - exp(900*z1*conj(z1))"
+    entries = tuple(tuple(dsl.parse(nan_entry if i == j == 0 else str(int(i == j)), n)
+                          for j in range(n)) for i in range(n))
+    box = (dsl.Rect(-0.95, 0.95, -0.5, 0.5),) + (dsl.Rect(-0.5, 0.5, -0.5, 0.5),) * (n - 1)
+    dsl.save_spec(dsl.MetricSpec(f"nan{n}", n, entries, box), tmp_path / "m.json")
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["scan", "--file", str(tmp_path / "m.json"), "--grid", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert not captured.out.strip()
+    assert captured.err.strip().splitlines() == [
+        "error: metric condition number nan exceeds 1e+12"]
+
+
 def test_warp_search_records_unreached_threshold(tmp_path, capsys):
     """The sampled fiber hypotheses pass, but the fiber curvature is
     negative at the fiber corners over Re z2 >~ 0.61 for every lam, so the

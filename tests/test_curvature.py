@@ -12,6 +12,7 @@ K = -(2/g) d2 log g / dz dzbar in one coordinate:
 
 import itertools
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ import pytest
 from hsclab import dsl
 from hsclab.acceptance import ONE_DIM_CATALOG
 from hsclab.certify import pencil_spec
-from hsclab.curvature import (QUARTIC_BLOCK, IllConditionedError,
-                              PointOutsideBoxError, check_tensor, curvature,
+from hsclab.curvature import (COND_LIMIT, QUARTIC_BLOCK, IllConditionedError,
+                              PointOutsideBoxError, _cond, check_tensor, curvature,
                               curvature_at, entry_jet_1d, gaussian_curvature_1d,
                               gaussian_from_jet, hsc_dirs, metric_jet, metric_jet_from_fd,
                               pair_symmetry_defect, restrict)
@@ -377,6 +378,77 @@ def test_check_tensor_refuses_a_nan_entry():
     R[0, 0, 1, 0, 1] = np.nan
     with pytest.raises(ArithmeticError, match="pair-symmetry"):
         check_tensor(g, R)
+
+
+def _random_2x2(count, seed):
+    """General complex 2x2 matrices and Hermitian positive definite ones."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((count, 2, 2)) + 1j * rng.standard_normal((count, 2, 2))
+    return A, A @ np.conjugate(np.swapaxes(A, -1, -2))
+
+
+def test_closed_form_condition_number_matches_the_svd():
+    for g in _random_2x2(100000, 11):
+        np.testing.assert_allclose(_cond(g), np.linalg.cond(g), rtol=1e-9, atol=0)
+    g = np.array([[[2.0]], [[-1e-300j]], [[0.0]]])
+    assert _cond(g).tolist() == [1.0, 1.0, np.inf]
+    assert _cond(np.zeros((3, 2, 2), dtype=complex)).tolist() == [np.inf] * 3
+    assert _cond(np.array([[[1.0, 2.0], [2.0, 4.0]]])).tolist() == [np.inf]
+
+
+def _exceeds_exactly(g, limit) -> bool:
+    """kappa(g) > limit in exact rationals: with F = |g|_F^2 and D = |det g|,
+    (F + sqrt(F^2 - 4 D^2)) / (2 D) > L  <=>  L F > D (1 + L^2)."""
+    q = [[(Fraction(z.real), Fraction(z.imag)) for z in row] for row in g.tolist()]
+    F = sum(re * re + im * im for row in q for re, im in row)
+    (ar, ai), (br, bi) = q[0]
+    (cr, ci), (dr, di) = q[1]
+    det_re = ar * dr - ai * di - (br * cr - bi * ci)
+    det_im = ar * di + ai * dr - (br * ci + bi * cr)
+    L = Fraction(limit)
+    return (L * F) ** 2 > (det_re ** 2 + det_im ** 2) * (1 + L * L) ** 2
+
+
+def test_closed_form_condition_gate_decides_as_the_svd():
+    """u u^H + eps v v^H with eps in [1e-14, 1e-9] straddles COND_LIMIT.
+
+    Near kappa = 1e12 both routes carry a rounding error of order
+    eps * kappa (about 1e-4 relative for the SVD, a few times less for the
+    closed form), so decisions agree outside a 1e-3 band around the
+    limit; inside it, each sample where they differ is decided by the
+    closed form as by exact rational arithmetic."""
+    rng = np.random.default_rng(12)
+    count = 200000
+    u, v = rng.standard_normal((2, count, 2)) + 1j * rng.standard_normal((2, count, 2))
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    eps = 10.0 ** rng.uniform(-14, -9, count)
+    g = (u[:, :, None] * np.conjugate(u)[:, None, :]
+         + eps[:, None, None] * v[:, :, None] * np.conjugate(v)[:, None, :])
+    svd = np.linalg.cond(g)
+    closed = _cond(g) > COND_LIMIT
+    assert 0.1 < closed.mean() < 0.9
+    differ = closed != (svd > COND_LIMIT)
+    assert not np.any(differ & (np.abs(svd / COND_LIMIT - 1) > 1e-3))
+    assert differ.sum() <= 5
+    for row in np.flatnonzero(differ):
+        assert closed[row] == _exceeds_exactly(g[row], COND_LIMIT)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_check_tensor_refuses_a_nan_metric(n):
+    g = np.broadcast_to(np.eye(n, dtype=complex), (4, n, n)).copy()
+    g[2, 0, 0] = np.nan
+    R = np.zeros((4,) + (n,) * 4, dtype=complex)
+    with pytest.raises(IllConditionedError, match="metric condition number nan"):
+        check_tensor(g, R)
+
+
+@pytest.mark.parametrize("name,n", [("poincare", 1), ("paper_G(1)", 2), ("ball(3)", 3)])
+def test_empty_batch_gives_an_empty_tensor(name, n):
+    t = curvature(metric_jet(dsl.catalog(name), np.zeros((0, n), complex)))
+    assert t.R.shape == (0,) + (n,) * 4
+    assert pair_symmetry_defect(t.R) == 0.0
 
 
 def test_scan_refuses_a_nan_curvature():

@@ -330,3 +330,126 @@ def test_witness_budget_is_a_cap(monkeypatch):
         find_negative_witness(dsl.catalog("fs_affine"), budget=24)
     with pytest.raises(ValueError):
         find_negative_witness(warp.assemble(warp.warp_demo_fibration(), 1.0), budget=624)
+
+
+# Columns vec(I), vec(sigma_1), vec(sigma_2), vec(sigma_3) (row-major vec),
+# the matrix form of the basis change that _sphere_quadratic writes out.
+PAULI = np.array([[1, 0, 0, 1],
+                  [0, 1, -1j, 0],
+                  [0, 1, 1j, 0],
+                  [1, 0, 0, -1]], dtype=complex)
+
+
+def _lapack_frame(g):
+    """The factorization route: T = L^{-H} with L = cholesky(conj(g))."""
+    return np.conjugate(np.swapaxes(np.linalg.inv(np.linalg.cholesky(np.conjugate(g))),
+                                    -1, -2))
+
+
+def _random_hpd(count, seed):
+    """Hermitian positive definite 2x2 matrices; the shift keeps their
+    condition number below about 1.4e3 at 20000 draws."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((count, 2, 2)) + 1j * rng.standard_normal((count, 2, 2))
+    return A @ np.conjugate(np.swapaxes(A, -1, -2)) + 0.01 * np.eye(2)
+
+
+def _frame_inputs():
+    rng = np.random.default_rng(4)
+    diagonal = np.zeros((500, 2, 2), dtype=complex)
+    diagonal[:, [0, 1], [0, 1]] = rng.uniform(0.1, 3.0, (500, 2))
+    return [_random_hpd(20000, 3), diagonal, rng.uniform(0.1, 3.0, (500, 1, 1)) + 0j,
+            _exact_grid("paper_G(1)")[0], _exact_grid("warp_demo@2.144")[0]]
+
+
+def test_orthonormal_frame_closed_form():
+    for g in _frame_inputs():
+        d = g.shape[-1]
+        T = positivity._orthonormal_frame(g, range(len(g)))
+        TH = np.conjugate(np.swapaxes(T, -1, -2))
+        np.testing.assert_allclose(TH @ np.conjugate(g) @ T,
+                                   np.broadcast_to(np.eye(d), g.shape), rtol=0, atol=1e-12)
+        assert np.all(T[:, 1:, 0] == 0)
+        diag = T[:, range(d), range(d)]
+        assert np.all(diag.imag == 0) and np.all(diag.real > 0)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64).reshape(len(a), -1)
+
+
+def test_orthonormal_frame_agrees_with_factorization():
+    """Bit for bit, signed zeros included, where LU inside inv does not
+    pivot (|l21| > l11 in the 1-norm of re and im); within 1e-15
+    relative on every row."""
+    pivot_rows = 0
+    for g in _frame_inputs():
+        T = positivity._orthonormal_frame(g, range(len(g)))
+        ref = _lapack_frame(g)
+        rel = np.abs(T - ref).max((-2, -1)) / np.abs(ref).max((-2, -1))
+        assert rel.max() <= 1e-15
+        L = np.linalg.cholesky(np.conjugate(g))
+        l21 = L[:, -1, 0]  # l11 itself at d = 1, which never pivots
+        pivots = np.abs(l21.real) + np.abs(l21.imag) > L[:, 0, 0].real
+        assert np.array_equal(_bits(T[~pivots]), _bits(ref[~pivots]))
+        pivot_rows += int(pivots.sum())
+    assert pivot_rows > 1000  # the random batch has them (about 40 %)
+
+
+@pytest.mark.parametrize("d,bad,first", [
+    (2, {3: [[1.0, 2.0], [2.0, 1.0]], 5: [[-1.0, 0.0], [0.0, 1.0]]}, 3),
+    (2, {4: [[np.nan, 0.0], [0.0, 1.0]], 6: [[1.0, 0.0], [0.0, 0.0]]}, 4),
+    (2, {2: [[1.0, 0.0], [0.0, np.nan]]}, 2),
+    (1, {1: [[0.0]], 4: [[-2.0]]}, 1),
+    (1, {5: [[np.nan]]}, 5),
+])
+def test_orthonormal_frame_names_the_first_bad_point(d, bad, first):
+    """A pivot square <= 0 or NaN, in either pivot, at the first such row."""
+    g = np.broadcast_to(np.eye(d, dtype=complex), (7, d, d)).copy()
+    for row, entries in bad.items():
+        g[row] = entries
+    idx = np.arange(100, 107)
+    with pytest.raises(ArithmeticError,
+                       match=f"not positive definite at point index {100 + first}$"):
+        positivity._orthonormal_frame(g, idx)
+
+
+def _pauli_sphere_quadratic(T, R):
+    """_sphere_quadratic with the basis change as the product W @ PAULI."""
+    P = T.shape[0]
+    W = (T[:, :, None, :, None] * np.conjugate(T)[:, None, :, None, :]).reshape(P, 4, 4)
+    B = W @ PAULI
+    H = np.swapaxes(B, -1, -2) @ R.reshape(P, 4, 4) @ B
+    return 0.25 * (H + np.swapaxes(H, -1, -2)).real
+
+
+@pytest.mark.parametrize("label", EXACT_GRIDS)
+def test_pauli_columns_equal_the_matrix_product(label):
+    g, R = _exact_grid(label)
+    T = positivity._orthonormal_frame(g, range(len(g)))
+    Q = positivity._sphere_quadratic(T, R)
+    assert np.array_equal(Q.view(np.int64), _pauli_sphere_quadratic(T, R).view(np.int64))
+
+
+def test_pauli_columns_equal_the_matrix_product_on_random_input():
+    rng = np.random.default_rng(7)
+    T = rng.standard_normal((5000, 2, 2)) + 1j * rng.standard_normal((5000, 2, 2))
+    R = rng.standard_normal((5000, 2, 2, 2, 2)) + 1j * rng.standard_normal((5000, 2, 2, 2, 2))
+    assert np.array_equal(positivity._sphere_quadratic(T, R).view(np.int64),
+                          _pauli_sphere_quadratic(T, R).view(np.int64))
+
+
+def test_no_per_point_factorization_on_the_d2_path(monkeypatch):
+    """scan_chart on paper_G(1) and lambda_search on warp_demo run with
+    cond, svd, cholesky and inv refusing; eigh and solve stay allowed."""
+    def reports():
+        return (scan_chart(dsl.catalog("paper_G(1)"), grid_per_axis=3).as_dict(),
+                warp.lambda_search(warp.warp_demo_fibration(), grid_per_axis=3).as_dict())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-point factorization on the d <= 2 path")
+
+    expected = reports()
+    for name in ("cond", "svd", "cholesky", "inv"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    assert reports() == expected
