@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import dsl
-from .dsl import _vec_dict
+from .dsl import _require_positive, _vec_dict
 from .curvature import (_shaped, entry_jet_1d, gaussian_from_jet,
                         pair_symmetric, pair_symmetry_defect, quartic)
 
@@ -161,6 +161,7 @@ def product_inequality_check(a: float, b: float, c: float, d: float,
     as a violation."""
     if not all(w > 0 for w in (a, b, c, d)):
         raise ValueError("weights must be positive")
+    _require_positive(trials=trials)
     rng = np.random.default_rng(seed)
     moduli = rng.uniform(0.0, 3.0, size=(trials, 6))
     slacks = product_inequality_slacks(a, b, c, d, moduli)
@@ -253,6 +254,7 @@ def check_block_hypotheses(t: BoundedBlockTensor, trials: int = 10000,
     parts, which needs pair symmetry: ok also requires
     curvature.pair_symmetric, the rule of curvature.check_tensor.
     """
+    _require_positive(trials=trials)
     n, s = t.n, t.s
     rng = np.random.default_rng(seed)
     xf = rng.standard_normal((trials, s)) + 1j * rng.standard_normal((trials, s))
@@ -292,6 +294,7 @@ def split_bound_check(t: BoundedBlockTensor, w: WeightChoice,
     """
     if not t.base_lower >= w.required_ratio * t.mixed_bound * (1 - 1e-12):
         raise ValueError("base_lower below the certified requirement")
+    _require_positive(trials=trials)
     n, s = t.n, t.s
     rng = np.random.default_rng(seed)
     xi = rng.standard_normal((trials, n)) + 1j * rng.standard_normal((trials, n))
@@ -361,8 +364,8 @@ def pencil_spec(gspec: dsl.MetricSpec, hspec: dsl.MetricSpec, lam: float) -> dsl
     curvature cross-checks.  Box: intersection of the operand boxes."""
     if gspec.n != 1 or hspec.n != 1:
         raise ValueError("pencil_spec takes one-coordinate metrics")
-    entry = dsl.Add(gspec.entries[0][0],
-                    dsl.scale_expr(lam, hspec.entries[0][0]))
+    entry = dsl.Binary("+", gspec.entries[0][0],
+                       dsl.scale_expr(lam, hspec.entries[0][0]))
     ga, ha = gspec.box[0], hspec.box[0]
     # Rect refuses an empty intersection
     box = (dsl.Rect(max(ga.re_min, ha.re_min), min(ga.re_max, ha.re_max),

@@ -469,7 +469,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # overflow and NaN are judged by the numerical gates, which
+        # report them as one error line; numpy's warnings stay silent
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (dsl.MetricError, ArithmeticError) as exc:
         # ArithmeticError covers SingularPointError and IllConditionedError.
         print(f"error: {exc}", file=sys.stderr)

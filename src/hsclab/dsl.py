@@ -2,12 +2,11 @@
 
 Grammar (byte offsets reported on errors)::
 
-    expr   := term (("+"|"-") term)*
-    term   := factor (("*"|"/") factor)*
+    expr   := factor (("+" | "-" | "*" | "/") factor)*
     factor := base ("^" integer)?
     base   := number | "i" | "z" digits
-            | ("conj" | "exp") "(" expr ")"
-            | "(" expr ")" | "-" base
+            | func "(" expr ")" | "(" expr ")" | "-" base
+    func   := "conj" | "exp"
 
 Binary operators are left-associative; "^" binds tighter than "*" and "/",
 which bind tighter than "+" and "-".  `number` is a non-negative integer or
@@ -15,8 +14,12 @@ decimal literal, "i" is the imaginary unit, and variables are z1..zn
 (1-based, as written in source).  Exponents are integers and may be
 negative ("^-2").
 
-Expressions evaluate either to plain complex values or to second-order
-Wirtinger jets; both evaluators accept a batch of points.
+An expression is a tree of five node shapes: Lit, Var, Unary(op, arg),
+Binary(op, lhs, rhs) and Pow(base, exponent).  It evaluates to plain
+complex values or to second-order Wirtinger jets, over a batch of points.
+BINARY_OPS holds each binary operator's level and action, UNARY_OPS the
+actions of "-" and each func on values and on jets; the parser, the
+printer and both evaluators read these tables, so an operator is one row.
 
 Also here: chart boxes, metric specs, fibrations (FibrationSpec.metric
 builds every assembled warped metric), the JSON file forms of metrics
@@ -27,13 +30,15 @@ PAPER_G_FIBRATION and WARP_DEMO_FIBRATION.
 report_dict is the one rule that turns a report dataclass into JSON (its
 compared fields, complex tuples as [re, im] pairs); every report's
 as_dict is built on it, and _c2pair/_vec_dict are the program's one
-[re, im] encoding of complex values.
+[re, im] encoding of complex values.  _require_positive is the one rule
+for the trial and sample counts of every sampled check.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import re as _re
 import dataclasses
 from dataclasses import dataclass
@@ -44,7 +49,7 @@ import numpy as np
 from .wirtinger import Jet2, constant, seed
 
 # ---------------------------------------------------------------------------
-# AST
+# AST and operator table
 
 
 @dataclass(frozen=True)
@@ -58,40 +63,14 @@ class Var:
 
 
 @dataclass(frozen=True)
-class Neg:
+class Unary:
+    op: str  # a key of UNARY_OPS
     arg: "Expr"
 
 
 @dataclass(frozen=True)
-class Conj:
-    arg: "Expr"
-
-
-@dataclass(frozen=True)
-class Exp:
-    arg: "Expr"
-
-
-@dataclass(frozen=True)
-class Add:
-    lhs: "Expr"
-    rhs: "Expr"
-
-
-@dataclass(frozen=True)
-class Sub:
-    lhs: "Expr"
-    rhs: "Expr"
-
-
-@dataclass(frozen=True)
-class Mul:
-    lhs: "Expr"
-    rhs: "Expr"
-
-
-@dataclass(frozen=True)
-class Div:
+class Binary:
+    op: str  # a key of BINARY_OPS
     lhs: "Expr"
     rhs: "Expr"
 
@@ -102,7 +81,26 @@ class Pow:
     exponent: int
 
 
-Expr = Union[Lit, Var, Neg, Conj, Exp, Add, Sub, Mul, Div, Pow]
+Expr = Union[Lit, Var, Unary, Binary, Pow]
+
+# Binding levels: a higher level binds tighter.
+_ATOM, _POW, _MUL, _ADD, _NEG = 40, 30, 20, 10, 5
+
+# symbol -> (level, action); every binary operator is left-associative.
+BINARY_OPS = {
+    "+": (_ADD, operator.add),
+    "-": (_ADD, operator.sub),
+    "*": (_MUL, operator.mul),
+    "/": (_MUL, operator.truediv),
+}
+
+# name -> (action on values, action on jets); "-" is the prefix minus,
+# every other name is written name(expr).
+UNARY_OPS = {
+    "-": (operator.neg, operator.neg),
+    "conj": (np.conjugate, Jet2.conjugate),
+    "exp": (np.exp, Jet2.exp),
+}
 
 
 class ParseError(ValueError):
@@ -149,7 +147,6 @@ def _tokenize(src: str):
 
 class _Parser:
     def __init__(self, src: str, n: int | None):
-        self.src = src
         self.n = n
         self.tokens = _tokenize(src)
         self.idx = 0
@@ -177,27 +174,16 @@ class _Parser:
             raise ParseError(f"unexpected trailing input {text!r}", off)
         return node
 
-    def expr(self) -> Expr:
-        node = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                rhs = self.term()
-                node = Add(node, rhs) if text == "+" else Sub(node, rhs)
-            else:
-                return node
-
-    def term(self) -> Expr:
+    def expr(self, minimum: int = _ADD) -> Expr:
+        """Precedence climbing: fold binary operators of level >= minimum;
+        a right operand takes only tighter ones (left associativity)."""
         node = self.factor()
         while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                rhs = self.factor()
-                node = Mul(node, rhs) if text == "*" else Div(node, rhs)
-            else:
+            text = self.peek()[1]
+            if text not in BINARY_OPS or BINARY_OPS[text][0] < minimum:
                 return node
+            self.advance()
+            node = Binary(text, node, self.expr(BINARY_OPS[text][0] + 1))
 
     def factor(self) -> Expr:
         node = self.base()
@@ -226,11 +212,11 @@ class _Parser:
         if kind == "ident":
             if text == "i":
                 return Lit(1j)
-            if text in ("conj", "exp"):
+            if text in UNARY_OPS:
                 self.expect_op("(")
                 inner = self.expr()
                 self.expect_op(")")
-                return Conj(inner) if text == "conj" else Exp(inner)
+                return Unary(text, inner)
             m = _re.fullmatch(r"z(\d+)", text)
             if m:
                 k = int(m.group(1))
@@ -244,7 +230,7 @@ class _Parser:
             self.expect_op(")")
             return inner
         if kind == "op" and text == "-":
-            return Neg(self.base())
+            return Unary("-", self.base())
         raise ParseError(f"unexpected token {text!r}" if text else "unexpected end of input",
                          off)
 
@@ -257,23 +243,18 @@ def parse(src: str, n: int | None = None) -> Expr:
 # ---------------------------------------------------------------------------
 # Printer
 
-_ATOM, _POW, _MUL, _ADD, _NEG = 40, 30, 20, 10, 5
-
-
 def _level(e: Expr) -> int:
     match e:
         case Lit(v):
             return _ATOM if (v.imag == 0 and v.real >= 0) or v == 1j else _NEG
-        case Var() | Conj() | Exp():
+        case Var():
             return _ATOM
+        case Unary(op):
+            return _NEG if op == "-" else _ATOM
+        case Binary(op):
+            return BINARY_OPS[op][0]
         case Pow():
             return _POW
-        case Mul() | Div():
-            return _MUL
-        case Add() | Sub():
-            return _ADD
-        case Neg():
-            return _NEG
     raise TypeError(f"not an Expr: {e!r}")
 
 
@@ -308,20 +289,13 @@ def to_source(e: Expr) -> str:
             return f"({_fmt_real(v.real)}{sign}{_fmt_real(abs(v.imag))}*i)"
         case Var(k):
             return f"z{k}"
-        case Neg(a):
+        case Unary("-", a):
             return "-" + _wrap(a, _ATOM)
-        case Conj(a):
-            return f"conj({to_source(a)})"
-        case Exp(a):
-            return f"exp({to_source(a)})"
-        case Add(l, r):
-            return f"{_wrap(l, _ADD)}+{_wrap(r, _ADD + 1)}"
-        case Sub(l, r):
-            return f"{_wrap(l, _ADD)}-{_wrap(r, _ADD + 1)}"
-        case Mul(l, r):
-            return f"{_wrap(l, _MUL)}*{_wrap(r, _MUL + 1)}"
-        case Div(l, r):
-            return f"{_wrap(l, _MUL)}/{_wrap(r, _MUL + 1)}"
+        case Unary(op, a):
+            return f"{op}({to_source(a)})"
+        case Binary(op, l, r):
+            level = BINARY_OPS[op][0]
+            return f"{_wrap(l, level)}{op}{_wrap(r, level + 1)}"
         case Pow(b, k):
             return f"{_wrap(b, _POW + 1)}^{k}"
     raise TypeError(f"not an Expr: {e!r}")
@@ -343,20 +317,10 @@ def eval_value(e: Expr, points) -> np.ndarray | complex:
             return v
         case Var(k):
             return pts[..., k - 1]
-        case Neg(a):
-            return -eval_value(a, pts)
-        case Conj(a):
-            return np.conjugate(eval_value(a, pts))
-        case Exp(a):
-            return np.exp(eval_value(a, pts))
-        case Add(l, r):
-            return eval_value(l, pts) + eval_value(r, pts)
-        case Sub(l, r):
-            return eval_value(l, pts) - eval_value(r, pts)
-        case Mul(l, r):
-            return eval_value(l, pts) * eval_value(r, pts)
-        case Div(l, r):
-            return eval_value(l, pts) / eval_value(r, pts)
+        case Unary(op, a):
+            return UNARY_OPS[op][0](eval_value(a, pts))
+        case Binary(op, l, r):
+            return BINARY_OPS[op][1](eval_value(l, pts), eval_value(r, pts))
         case Pow(b, k):
             base = eval_value(b, pts)
             return base ** k if k >= 0 else (1.0 / base) ** (-k)
@@ -378,30 +342,24 @@ def _eval_jet(e: Expr, n: int, pts):
             return v
         case Var(k):
             return seed(n, pts, k - 1)
-        case Neg(a):
-            return -_eval_jet(a, n, pts)
-        case Conj(a):
+        case Unary(op, a):
+            on_value, on_jet = UNARY_OPS[op]
             inner = _eval_jet(a, n, pts)
-            return inner.conjugate() if isinstance(inner, Jet2) else np.conjugate(inner)
-        case Exp(a):
-            inner = _eval_jet(a, n, pts)
-            return inner.exp() if isinstance(inner, Jet2) else np.exp(inner)
-        case Add(l, r):
-            return _eval_jet(l, n, pts) + _eval_jet(r, n, pts)
-        case Sub(l, r):
-            return _eval_jet(l, n, pts) - _eval_jet(r, n, pts)
-        case Mul(l, r):
-            return _eval_jet(l, n, pts) * _eval_jet(r, n, pts)
-        case Div(l, r):
+            return on_jet(inner) if isinstance(inner, Jet2) else on_value(inner)
+        case Binary("/", l, r):
+            # multiplies by the reciprocal, constants included: the table's
+            # truediv would round constant quotients differently
             num, den = _eval_jet(l, n, pts), _eval_jet(r, n, pts)
             if isinstance(den, Jet2):
                 return num * den.reciprocal()
             return num * (1.0 / den)
+        case Binary(op, l, r):
+            return BINARY_OPS[op][1](_eval_jet(l, n, pts), _eval_jet(r, n, pts))
         case Pow(b, k):
             base = _eval_jet(b, n, pts)
-            if isinstance(base, Jet2):
+            if isinstance(base, Jet2) or k >= 0:
                 return base ** k
-            return base ** k if k >= 0 else (1.0 / base) ** (-k)
+            return (1.0 / base) ** (-k)
     raise TypeError(f"not an Expr: {e!r}")
 
 
@@ -415,20 +373,10 @@ def map_vars(e: Expr, fn) -> Expr:
             return e
         case Var(k):
             return fn(k)
-        case Neg(a):
-            return Neg(map_vars(a, fn))
-        case Conj(a):
-            return Conj(map_vars(a, fn))
-        case Exp(a):
-            return Exp(map_vars(a, fn))
-        case Add(l, r):
-            return Add(map_vars(l, fn), map_vars(r, fn))
-        case Sub(l, r):
-            return Sub(map_vars(l, fn), map_vars(r, fn))
-        case Mul(l, r):
-            return Mul(map_vars(l, fn), map_vars(r, fn))
-        case Div(l, r):
-            return Div(map_vars(l, fn), map_vars(r, fn))
+        case Unary(op, a):
+            return Unary(op, map_vars(a, fn))
+        case Binary(op, l, r):
+            return Binary(op, map_vars(l, fn), map_vars(r, fn))
         case Pow(b, k):
             return Pow(map_vars(b, fn), k)
     raise TypeError(f"not an Expr: {e!r}")
@@ -451,9 +399,9 @@ def scale_expr(factor: float, e: Expr) -> Expr:
     match e:
         case Lit(v):
             return Lit(c * v)
-        case Div(l, r):
-            return Div(scale_expr(factor, l), r)
-    return Mul(Lit(c), e)
+        case Binary("/", l, r):
+            return Binary("/", scale_expr(factor, l), r)
+    return Binary("*", Lit(c), e)
 
 
 def random_expr(rng: np.random.Generator, n: int, depth: int = 3) -> Expr:
@@ -467,24 +415,16 @@ def random_expr(rng: np.random.Generator, n: int, depth: int = 3) -> Expr:
             case 2:
                 return Var(int(rng.integers(1, n + 1)))
             case _:
-                return Conj(Var(int(rng.integers(1, n + 1))))
-    match int(rng.integers(8)):
-        case 0:
-            return Add(random_expr(rng, n, depth - 1), random_expr(rng, n, depth - 1))
-        case 1:
-            return Sub(random_expr(rng, n, depth - 1), random_expr(rng, n, depth - 1))
-        case 2 | 3:
-            return Mul(random_expr(rng, n, depth - 1), random_expr(rng, n, depth - 1))
-        case 4:
-            return Div(random_expr(rng, n, depth - 1), random_expr(rng, n, depth - 1))
-        case 5:
-            return Neg(random_expr(rng, n, depth - 1))
-        case 6:
-            return Conj(random_expr(rng, n, depth - 1))
-        case _:
-            if rng.random() < 0.5:
-                return Exp(random_expr(rng, n, depth - 1))
-            return Pow(random_expr(rng, n, depth - 1), int(rng.integers(2, 4)))
+                return Unary("conj", Var(int(rng.integers(1, n + 1))))
+    k = int(rng.integers(8))
+    if k < 5:
+        return Binary("+-**/"[k], random_expr(rng, n, depth - 1),
+                      random_expr(rng, n, depth - 1))
+    if k < 7:
+        return Unary(("-", "conj")[k - 5], random_expr(rng, n, depth - 1))
+    if rng.random() < 0.5:
+        return Unary("exp", random_expr(rng, n, depth - 1))
+    return Pow(random_expr(rng, n, depth - 1), int(rng.integers(2, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -701,6 +641,14 @@ HERMITIAN_TOL = 1e-10
 PD_TOL = 1e-12
 
 
+def _require_positive(**counts) -> None:
+    """ValueError naming the first count below 1: no trials or samples
+    would make a check pass vacuously or leave nothing to take a minimum of."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 def validate(spec: MetricSpec, samples: int = 1000, seed: int = 0) -> ValidationReport:
     """Sample the box and check the entry matrix is Hermitian and positive
     definite everywhere.
@@ -708,8 +656,9 @@ def validate(spec: MetricSpec, samples: int = 1000, seed: int = 0) -> Validation
     The Hermitian tolerance is relative to the matrix scale at the worst
     point (entries of a legal spec may be large near a chart edge).
     Raises HermitianDefectError or NotPositiveDefiniteError with the
-    witness point attached.
+    witness point attached; a NaN defect or eigenvalue fails its gate.
     """
+    _require_positive(samples=samples)
     rng = np.random.default_rng(seed)
     pts = box_sample(spec.box, rng, samples)
     g = metric_values(spec, pts)
@@ -717,7 +666,7 @@ def validate(spec: MetricSpec, samples: int = 1000, seed: int = 0) -> Validation
     scale = np.maximum(1.0, np.abs(g).max(axis=(-1, -2)))
     rel = defect / scale
     worst = int(np.argmax(rel))
-    if rel[worst] > HERMITIAN_TOL:
+    if not rel[worst] <= HERMITIAN_TOL:
         raise HermitianDefectError(
             f"{spec.name}: Hermitian defect {defect[worst]:.3e} at sample {worst}",
             point=pts[worst])
@@ -725,7 +674,7 @@ def validate(spec: MetricSpec, samples: int = 1000, seed: int = 0) -> Validation
     eigs = np.linalg.eigvalsh(sym)
     mins = eigs[..., 0]
     worst = int(np.argmin(mins))
-    if mins[worst] <= PD_TOL:
+    if not mins[worst] > PD_TOL:
         raise NotPositiveDefiniteError(
             f"{spec.name}: min eigenvalue {mins[worst]:.3e} at sample {worst}",
             point=pts[worst])

@@ -61,7 +61,7 @@ import numpy as np
 from . import dsl
 from .curvature import (check_tensor, curvature, gaussian_curvature_1d,
                         hsc_dirs, metric_jet, metric_norm2, quartic, restrict)
-from .dsl import FibrationSpec, _c2pair, _vec_dict
+from .dsl import FibrationSpec, _c2pair, _require_positive, _vec_dict
 from .positivity import (NEG_THRESHOLD, _affine_min_over_dirs, _min_over_dirs,
                          check_witness_budget, find_negative_witness, scan_chart)
 
@@ -93,14 +93,6 @@ def paper_G_fibration() -> FibrationSpec:
     with base paper_base; its fiber over a base point c is
     restrict(catalog("paper_G(1)"), {2: c})."""
     return dsl.PAPER_G_FIBRATION
-
-
-def _require_positive(**counts) -> None:
-    """ValueError naming the first count below 1: no trials or samples
-    would make a check pass vacuously or leave nothing to take a minimum of."""
-    for name, value in counts.items():
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 def _scale(f: FibrationSpec, lam: float) -> float:

@@ -133,6 +133,17 @@ def test_product_inequality_counts_a_nan_slack(monkeypatch):
 # -- block tensors and the certified bound ----------------------------------
 
 
+def test_sampled_checks_refuse_zero_trials():
+    w = choose_weights(2.0, 0.8, 4, 2)
+    t = random_block_tensor(2.0, 0.8, w.base_required, 4, 2, seed=3)
+    checks = (lambda: product_inequality_check(1.0, 1.0, 1.0, 1.0, trials=0),
+              lambda: check_block_hypotheses(t, trials=0),
+              lambda: split_bound_check(t, w, trials=0))
+    for check in checks:
+        with pytest.raises(ValueError, match="trials must be at least 1, got 0"):
+            check()
+
+
 def test_random_block_tensor_honors_hypotheses():
     t = random_block_tensor(2.0, 0.8, 700.0, 4, 2, seed=3)
     rep = check_block_hypotheses(t, trials=3000, seed=3)

@@ -1,13 +1,28 @@
 """Console entry points: report shape, exit codes, and determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hsclab
 from hsclab import cli, dsl, warp
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_cli_process(cwd, *argv):
+    """Run the command line in a fresh interpreter, where numpy warnings
+    would reach stderr; returns the CompletedProcess."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-m", "hsclab.cli", *argv], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=120)
 
 
 def run_cli(capsys, *argv):
@@ -343,13 +358,35 @@ def test_nan_metric_entry_exits_one(capsys, tmp_path, n):
                           for j in range(n)) for i in range(n))
     box = (dsl.Rect(-0.95, 0.95, -0.5, 0.5),) + (dsl.Rect(-0.5, 0.5, -0.5, 0.5),) * (n - 1)
     dsl.save_spec(dsl.MetricSpec(f"nan{n}", n, entries, box), tmp_path / "m.json")
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = cli.main(["scan", "--file", str(tmp_path / "m.json"), "--grid", "2"])
+    code = cli.main(["scan", "--file", str(tmp_path / "m.json"), "--grid", "2"])
     captured = capsys.readouterr()
     assert code == 1
     assert not captured.out.strip()
     assert captured.err.strip().splitlines() == [
         "error: metric condition number nan exceeds 1e+12"]
+
+
+def test_numpy_warnings_stay_off_stderr(tmp_path):
+    """The overflow behind a NaN metric entry is reported by the
+    condition gate as one error line, not by numpy warnings before it."""
+    entry = dsl.parse("1 + exp(900*z1*conj(z1)) - exp(900*z1*conj(z1))", 1)
+    dsl.save_spec(dsl.MetricSpec("nan1", 1, ((entry,),), (dsl.Rect(-1, 1, -1, 1),)),
+                  tmp_path / "m.json")
+    proc = run_cli_process(tmp_path, "scan", "--file", "m.json", "--grid", "2")
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "error: metric condition number nan exceeds 1e+12"]
+
+
+def test_warp_refuses_an_overflowing_lam(tmp_path):
+    """At lam = 1e308 the base block overflows in validation, whose
+    eigenvalue is NaN: a failed check, not a passing report."""
+    proc = run_cli_process(tmp_path, "warp", "--lam", "1e308")
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    rep = json.loads(proc.stdout)
+    assert rep["ok"] is False
+    assert "min eigenvalue nan" in rep["error"]
 
 
 def test_warp_search_records_unreached_threshold(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Every script in demos/ runs to completion against the source tree."""
+"""Every script in demos/ runs to completion against the source tree,
+with no numpy warning and nothing else on stderr."""
 
 import os
 import subprocess
@@ -18,6 +19,8 @@ def test_demos_are_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_exits_zero(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

@@ -38,6 +38,71 @@ def test_parse_rejects_bad_variable_index():
         parse("z3", 2)
 
 
+# z1 op z2 at (Z1, Z2) and op(z1) at Z1, worked by hand: value, d/dz and
+# d/dzbar per coordinate (every second derivative here is zero).
+Z1, Z2 = 1 + 2j, 3 - 1j
+BINARY_CASES = {
+    "+": (4 + 1j, [1, 1], [0, 0]),
+    "-": (-2 + 3j, [1, -1], [0, 0]),
+    "*": (5 + 5j, [Z2, Z1], [0, 0]),
+    "/": (0.1 + 0.7j, [0.3 + 0.1j, 0.04 - 0.22j], [0, 0]),
+}
+EXP_Z1 = -1.1312043837568135 + 2.4717266720048188j  # e * (cos 2 + i sin 2)
+UNARY_CASES = {
+    "-": (-1 - 2j, [-1], [0]),
+    "conj": (1 - 2j, [0], [1]),
+    "exp": (EXP_Z1, [EXP_Z1], [0]),
+}
+
+
+def _check_row(e, args, value, d, dbar):
+    n = len(args)
+    pts = np.array([args])
+    np.testing.assert_allclose(dsl.eval_value(e, pts), [value], rtol=1e-15)
+    jet = dsl.eval_jet(e, n, pts)
+    np.testing.assert_allclose(jet.value, [value], rtol=1e-15)
+    np.testing.assert_allclose(jet.d, [d], rtol=1e-15, atol=1e-15)
+    np.testing.assert_allclose(jet.dbar, [dbar], atol=1e-15)
+    np.testing.assert_array_equal(jet.ddbar, np.zeros((1, n, n)))
+    # the same row on constants: the value route of both evaluators
+    lits = dsl.map_vars(e, lambda k: dsl.Lit(args[k - 1]))
+    np.testing.assert_allclose(dsl.eval_value(lits, pts), value, rtol=1e-15)
+    const = dsl.eval_jet(lits, n, pts)
+    np.testing.assert_allclose(const.value, [value], rtol=1e-15)
+    np.testing.assert_array_equal(const.d, np.zeros((1, n)))
+
+
+@pytest.mark.parametrize("op", BINARY_CASES)
+def test_binary_operator_row(op):
+    assert set(BINARY_CASES) == set(dsl.BINARY_OPS)
+    e = dsl.Binary(op, dsl.Var(1), dsl.Var(2))
+    assert parse(f"z1{op}z2", 2) == e and to_source(e) == f"z1{op}z2"
+    _check_row(e, [Z1, Z2], *BINARY_CASES[op])
+
+
+@pytest.mark.parametrize("op", UNARY_CASES)
+def test_unary_operator_row(op):
+    assert set(UNARY_CASES) == set(dsl.UNARY_OPS)
+    e = dsl.Unary(op, dsl.Var(1))
+    src = "-z1" if op == "-" else f"{op}(z1)"
+    assert parse(src, 1) == e and to_source(e) == src
+    _check_row(e, [Z1], *UNARY_CASES[op])
+
+
+def test_binary_levels_and_left_associativity():
+    z1, z2, z3 = (dsl.Var(k) for k in (1, 2, 3))
+    B = dsl.Binary
+    assert parse("z1-z2-z3") == B("-", B("-", z1, z2), z3)
+    assert parse("z1/z2*z3") == B("*", B("/", z1, z2), z3)
+    assert parse("z1+z2*z3") == B("+", z1, B("*", z2, z3))
+    assert parse("z1*z2-z3/z1") == B("-", B("*", z1, z2), B("/", z3, z1))
+    # prefix minus takes a base, so "^" applies to the negated base
+    assert parse("-z1^2*z2") == B("*", dsl.Pow(dsl.Unary("-", z1), 2), z2)
+    assert to_source(B("-", z1, B("-", z2, z3))) == "z1-(z2-z3)"
+    assert to_source(B("*", B("+", z1, z2), z3)) == "(z1+z2)*z3"
+    assert to_source(B("/", z1, B("*", z2, z3))) == "z1/(z2*z3)"
+
+
 def test_to_source_round_trips():
     # round trip through source must preserve values, not just shape
     rng = np.random.default_rng(11)
@@ -92,7 +157,7 @@ def test_scale_expr_folds_into_quotient():
 
 def test_scale_expr_folds_literals_and_multiplies_the_rest():
     assert dsl.scale_expr(2.0, dsl.Lit(3)) == dsl.Lit(6)
-    assert dsl.scale_expr(2.0, parse("z1")) == dsl.Mul(dsl.Lit(2), dsl.Var(1))
+    assert dsl.scale_expr(2.0, parse("z1")) == dsl.Binary("*", dsl.Lit(2), dsl.Var(1))
 
 
 def test_shift_vars():
@@ -181,6 +246,28 @@ def test_validate_rejects_indefinite():
                       (Rect(-0.5, 0.5, -0.5, 0.5),))
     with pytest.raises(dsl.NotPositiveDefiniteError):
         validate(spec, samples=50)
+
+
+def test_validate_rejects_a_nan_metric():
+    """exp(900|z1|^2) overflows on most of the box, so the entry is
+    inf - inf = NaN there; both gates fail on NaN."""
+    entry = parse("1 + exp(900*z1*conj(z1)) - exp(900*z1*conj(z1))", 1)
+    spec = MetricSpec("nan", 1, ((entry,),), (Rect(-1, 1, -1, 1),))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(dsl.HermitianDefectError, match="defect nan"):
+            validate(spec, samples=50)
+    # 1e308 is finite, but the symmetrized matrix overflows and eigvalsh
+    # returns NaN
+    one, zero, huge = (dsl.Lit(complex(v)) for v in (1, 0, 1e308))
+    big = MetricSpec("big", 2, ((one, zero), (zero, huge)), (Rect(-1, 1, -1, 1),) * 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(dsl.NotPositiveDefiniteError, match="min eigenvalue nan"):
+            validate(big, samples=50)
+
+
+def test_validate_refuses_zero_samples():
+    with pytest.raises(ValueError, match="samples must be at least 1, got 0"):
+        validate(catalog("poincare"), samples=0)
 
 
 def test_spec_save_load_round_trip(tmp_path):
