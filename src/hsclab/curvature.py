@@ -24,6 +24,14 @@ over blocks of QUARTIC_BLOCK directions.  The block is fixed for memory,
 not speed: one unblocked product over 1e4 directions holds two 1e4 x d^2
 temporaries plus per-thread BLAS buffers, and raised the peak memory of
 the minimizer-free acceptance checks from 50.9 to 54.4 MiB.
+
+POINT_BLOCK caps points the same way.  The per-point passes of a scan
+(_checked_curvature here, positivity._min_over_dirs there) and the
+statistics of check_tensor run over blocks of at most POINT_BLOCK
+consecutive points (_point_blocks), so their temporaries are those of
+one block whatever the grid; only g, R and the per-point outputs grow
+with it.  A point's arithmetic does not depend on the other points of
+its batch, so every result is bit for bit that of one unblocked pass.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ COND_LIMIT = 1e12
 PAIR_SYMMETRY_TOL = 1e-10
 IMAG_TOL = 1e-10
 QUARTIC_BLOCK = 1024
+POINT_BLOCK = 1024
 
 
 class IllConditionedError(ArithmeticError):
@@ -96,18 +105,61 @@ def _metric_jet(spec: dsl.MetricSpec, pts: np.ndarray, entry_jet) -> MetricJet:
     return MetricJet(n, g, dg, dbarg, ddbarg, pts)
 
 
-def metric_jet(spec: dsl.MetricSpec, points) -> MetricJet:
-    """Evaluate all entry jets at points (..., n); PointOutsideBoxError
-    names the first point outside the box or not finite."""
+def _in_box(spec: dsl.MetricSpec, points) -> np.ndarray:
+    """points as a complex array; PointOutsideBoxError names the first
+    point outside the box or not finite.  A wrong coordinate count passes
+    here and is refused by _metric_jet."""
     pts = np.asarray(points, dtype=complex)
-    # _metric_jet rejects a wrong coordinate count.
     if pts.shape[-1:] == (spec.n,):
         flat = pts.reshape(-1, spec.n)
         outside = np.flatnonzero(~dsl.box_contains(spec.box, flat))
         if outside.size:
             row = flat[outside[0]]
             raise PointOutsideBoxError(f"point {row.tolist()} outside box of {spec.name}")
+    return pts
+
+
+def metric_jet(spec: dsl.MetricSpec, points) -> MetricJet:
+    """Evaluate all entry jets at points (..., n); PointOutsideBoxError
+    names the first point outside the box or not finite."""
+    pts = _in_box(spec, points)
     return _metric_jet(spec, pts, lambda e: dsl.eval_jet(e, spec.n, pts))
+
+
+def _point_blocks(count: int) -> list:
+    """Slices of at most POINT_BLOCK consecutive points that cover
+    range(count); one empty slice when count is 0, so that a pass over an
+    empty batch still runs once."""
+    return [slice(lo, lo + POINT_BLOCK) for lo in range(0, max(count, 1), POINT_BLOCK)]
+
+
+def _checked_curvature(spec: dsl.MetricSpec, points):
+    """(g, R) at points (P, n), checked like curvature(metric_jet(...)).
+
+    The box is checked on all points first; then the jets and the tensor
+    are evaluated one _point_blocks block at a time into preallocated
+    (P, n, n) and (P, n, n, n, n) arrays, and check_tensor runs on the
+    whole batch at the end.  A block whose solve fails, where g is
+    exactly singular, gets a NaN tensor, and its infinite condition
+    number fails the check, as in curvature().  So the errors, their
+    order and their messages are those of the unblocked pair, except
+    that Jet2.reciprocal's SingularPointError prints the smallest modulus
+    of its block.
+    """
+    pts = _in_box(spec, points)
+    n = spec.n
+    g = np.empty(pts.shape[:1] + (n, n), dtype=complex)
+    R = np.empty(pts.shape[:1] + (n,) * 4, dtype=complex)
+    for rows in _point_blocks(pts.shape[0]):
+        block = pts[rows]
+        mj = _metric_jet(spec, block, lambda e: dsl.eval_jet(e, n, block))
+        g[rows] = mj.g
+        try:
+            R[rows] = curvature(mj, check=False).R
+        except np.linalg.LinAlgError:
+            R[rows] = np.nan
+    check_tensor(g, R)
+    return g, R
 
 
 def metric_jet_from_fd(spec: dsl.MetricSpec, points, step: float = FD_STEP) -> MetricJet:
@@ -124,11 +176,20 @@ def pair_symmetry_defect(R: np.ndarray) -> float:
     return float(np.abs(R - mirror).max(initial=0.0))
 
 
+def _tensor_scale(R: np.ndarray) -> float:
+    """max(1, max |R|), the scale of the pair-symmetry rule."""
+    return float(np.abs(R).max(initial=1.0))
+
+
+def _pair_rule(defect: float, scale: float) -> bool:
+    """The pair-symmetry rule on a defect and a scale; False on a NaN."""
+    return bool(defect <= PAIR_SYMMETRY_TOL * scale)
+
+
 def pair_symmetric(R: np.ndarray) -> bool:
     """The pair-symmetry rule: the defect of R is at most PAIR_SYMMETRY_TOL
     times max(1, max |R|).  False when R holds a NaN or an infinity."""
-    scale = float(np.abs(R).max(initial=1.0))
-    return bool(pair_symmetry_defect(R) <= PAIR_SYMMETRY_TOL * scale)
+    return _pair_rule(pair_symmetry_defect(R), _tensor_scale(R))
 
 
 def _cond(g: np.ndarray) -> np.ndarray:
@@ -161,17 +222,33 @@ def _cond(g: np.ndarray) -> np.ndarray:
         return np.where(D == 0, np.inf, (1.0 + root) / q)
 
 
+def _tensor_stats(g: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """What the rule of check_tensor reads from a batch: its worst
+    condition number (_cond, at least 1), its pair-symmetry defect and
+    _tensor_scale.  Each is a maximum over points, so np.max over the
+    stats of the parts of a batch gives those of the whole, and a NaN in
+    any part stays NaN."""
+    return np.array([np.max(_cond(g), initial=1.0), pair_symmetry_defect(R),
+                     _tensor_scale(R)])
+
+
 def check_tensor(g: np.ndarray, R: np.ndarray) -> None:
     """The checks of curvature() on a metric g (..., n, n) and its tensor
     R (..., n, n, n, n): IllConditionedError when a condition number of g
     (_cond: closed form for n <= 2, an SVD for n >= 3) exceeds COND_LIMIT
     or is not finite, a NaN one from a NaN entry included; ArithmeticError
-    when R breaks pair_symmetric.  An empty batch passes."""
-    worst = float(np.max(_cond(g), initial=1.0))
+    when R breaks pair_symmetric.  An empty batch passes.  The statistics
+    are taken over _point_blocks blocks of the flattened batch, and the
+    messages print the whole batch's maxima."""
+    n = g.shape[-1]
+    g = g.reshape((-1, n, n))
+    R = R.reshape((-1,) + (n,) * 4)
+    worst, defect, scale = np.max(
+        [_tensor_stats(g[rows], R[rows]) for rows in _point_blocks(g.shape[0])], axis=0)
     if not np.isfinite(worst) or worst > COND_LIMIT:
         raise IllConditionedError(f"metric condition number {worst:.3e} exceeds {COND_LIMIT:.0e}")
-    if not pair_symmetric(R):
-        raise ArithmeticError(f"curvature pair-symmetry defect {pair_symmetry_defect(R):.3e} "
+    if not _pair_rule(defect, scale):
+        raise ArithmeticError(f"curvature pair-symmetry defect {defect:.3e} "
                               f"exceeds {PAIR_SYMMETRY_TOL:.0e} * max(1, max |R|)")
 
 

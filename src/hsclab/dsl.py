@@ -3,13 +3,15 @@
 Grammar (byte offsets reported on errors)::
 
     expr   := factor (("+" | "-" | "*" | "/") factor)*
-    factor := base ("^" integer)?
+    factor := "-" factor | base ("^" integer)?
     base   := number | "i" | "z" digits
-            | func "(" expr ")" | "(" expr ")" | "-" base
+            | func "(" expr ")" | "(" expr ")"
     func   := "conj" | "exp"
 
 Binary operators are left-associative; "^" binds tighter than "*" and "/",
-which bind tighter than "+" and "-".  `number` is a non-negative integer or
+which bind tighter than "+" and "-".  A prefix "-" negates the whole
+factor after it, power included: -z1^2 is -(z1^2), and (-z1)^2 needs its
+parentheses.  `number` is a non-negative integer or
 decimal literal, "i" is the imaginary unit, and variables are z1..zn
 (1-based, as written in source).  Exponents are integers and may be
 negative ("^-2").
@@ -186,6 +188,10 @@ class _Parser:
             node = Binary(text, node, self.expr(BINARY_OPS[text][0] + 1))
 
     def factor(self) -> Expr:
+        kind, text, _ = self.peek()
+        if kind == "op" and text == "-":
+            self.advance()
+            return Unary("-", self.factor())
         node = self.base()
         kind, text, _ = self.peek()
         if kind == "op" and text == "^":
@@ -229,8 +235,6 @@ class _Parser:
             inner = self.expr()
             self.expect_op(")")
             return inner
-        if kind == "op" and text == "-":
-            return Unary("-", self.base())
         raise ParseError(f"unexpected token {text!r}" if text else "unexpected end of input",
                          off)
 
@@ -290,7 +294,7 @@ def to_source(e: Expr) -> str:
         case Var(k):
             return f"z{k}"
         case Unary("-", a):
-            return "-" + _wrap(a, _ATOM)
+            return "-" + _wrap(a, _POW)
         case Unary(op, a):
             return f"{op}({to_source(a)})"
         case Binary(op, l, r):

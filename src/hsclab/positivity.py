@@ -29,6 +29,17 @@ kernel's imaginary-part and vanishing-norm guards.  The one exception is
 the d = 2 route of _affine_min_over_dirs, which serves the Newton passes
 of warp.lambda_search: its values are read off the Bloch quadratic.
 
+Per-point passes run over blocks of at most curvature.POINT_BLOCK points:
+scan_chart and min_hsc_at_point take (g, R) from
+curvature._checked_curvature, and _min_over_dirs minimizes one block of
+rows at a time, passing each block its slice of the global point indices,
+so descent's streams and the indices in error messages do not depend on
+the block.  g, R and the per-point outputs grow with the grid; the jets,
+the gate's temporaries, frames, Bloch quadratics, probes and descent
+states are those of one block.  The d = 2 quadratics that
+_affine_min_over_dirs builds once per lam search, a few hundred bytes
+per point, are not blocked.
+
 ScanReport and NegativeWitness reach JSON through dsl.report_dict: their
 compare=False per-point arrays are not reported.
 """
@@ -41,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dsl
-from .curvature import curvature, hsc_dirs, metric_jet, metric_norm2
+from .curvature import _checked_curvature, _point_blocks, hsc_dirs, metric_norm2
 
 NEG_THRESHOLD = -1e-8
 DEFAULT_GRID = 9
@@ -268,13 +279,23 @@ def _min_over_dirs(g, R, dirs, starts, iters, seed, point_indices):
 
     g (P, d, d), R (P, d⁴); returns (values (P,), dirs (P, d)).  dirs,
     starts, iters and seed steer only the d >= 3 descent, which needs
-    dirs + starts >= 1 (else ValueError).
+    dirs + starts >= 1 (else ValueError).  The points run in
+    curvature._point_blocks blocks, each with its slice of the global
+    point_indices, so descent's per-point streams and the point index of
+    _orthonormal_frame's error do not depend on the block.
     """
-    if minimizer_for(g.shape[-1]) == "descent":
-        if dirs + starts == 0:
-            raise ValueError("descent needs at least one probe direction or start")
-        return _probe_and_descend(g, R, dirs, starts, iters, seed, point_indices)
-    return _exact_min(g, R, point_indices)
+    descent = minimizer_for(g.shape[-1]) == "descent"
+    if descent and dirs + starts == 0:
+        raise ValueError("descent needs at least one probe direction or start")
+    values = np.empty(g.shape[0])
+    xi = np.empty(g.shape[:2], dtype=complex)
+    for rows in _point_blocks(g.shape[0]):
+        if descent:
+            values[rows], xi[rows] = _probe_and_descend(
+                g[rows], R[rows], dirs, starts, iters, seed, point_indices[rows])
+        else:
+            values[rows], xi[rows] = _exact_min(g[rows], R[rows], point_indices[rows])
+    return values, xi
 
 
 def _affine_min_over_dirs(g, R_fixed, R_rate, dirs, starts, iters, seed):
@@ -396,10 +417,8 @@ def min_hsc_at_point(spec: dsl.MetricSpec, point, starts: int = DEFAULT_STARTS,
                      seed: int = 0, dirs: int = DEFAULT_DIRS,
                      iters: int = DEFAULT_ITERS):
     """Direction minimum at one point: (value, metric-unit witness direction)."""
-    pts = np.asarray(point, dtype=complex).reshape(1, -1)
-    mj = metric_jet(spec, pts)
-    R = curvature(mj)
-    vals, wdirs = _min_over_dirs(mj.g, R.R, dirs, starts, iters, seed, [0])
+    g, R = _checked_curvature(spec, np.asarray(point, dtype=complex).reshape(1, -1))
+    vals, wdirs = _min_over_dirs(g, R, dirs, starts, iters, seed, [0])
     return float(vals[0]), wdirs[0]
 
 
@@ -420,10 +439,8 @@ def scan_chart(spec: dsl.MetricSpec, box=None, grid_per_axis: int = DEFAULT_GRID
     if box is not None:
         spec = dataclasses.replace(spec, box=box)
     pts = dsl.box_grid(spec.box, grid_per_axis)
-    mj = metric_jet(spec, pts)
-    R = curvature(mj)
-    vals, wdirs = _min_over_dirs(mj.g, R.R, dirs, starts, iters, seed,
-                                 range(pts.shape[0]))
+    g, R = _checked_curvature(spec, pts)
+    vals, wdirs = _min_over_dirs(g, R, dirs, starts, iters, seed, range(pts.shape[0]))
     best = int(np.argmin(vals))
     return ScanReport(
         name=spec.name, n=spec.n, min_hsc=float(vals[best]),

@@ -59,8 +59,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dsl
-from .curvature import (check_tensor, curvature, gaussian_curvature_1d,
-                        hsc_dirs, metric_jet, metric_norm2, quartic, restrict)
+from .curvature import (_checked_curvature, check_tensor, curvature,
+                        gaussian_curvature_1d, hsc_dirs, metric_jet, metric_norm2,
+                        quartic, restrict)
 from .dsl import FibrationSpec, _c2pair, _require_positive, _vec_dict
 from .positivity import (NEG_THRESHOLD, _affine_min_over_dirs, _min_over_dirs,
                          check_witness_budget, find_negative_witness, scan_chart)
@@ -115,9 +116,8 @@ def assemble(f: FibrationSpec, lam: float) -> dsl.MetricSpec:
 
 def _unit_curvature(f: FibrationSpec, points):
     """(g, R) of the scale-1 metric blockdiag(fiber, base) at points
-    (P, n), from one jet pass and one curvature pass, checked."""
-    mj = metric_jet(f.metric(1.0, f.name), points)
-    return mj.g, curvature(mj).R
+    (P, n), from one blocked jet and curvature pass, checked."""
+    return _checked_curvature(f.metric(1.0, f.name), points)
 
 
 def _at_scale(f: FibrationSpec, g1, R1, lam: float):

@@ -96,11 +96,51 @@ def test_binary_levels_and_left_associativity():
     assert parse("z1/z2*z3") == B("*", B("/", z1, z2), z3)
     assert parse("z1+z2*z3") == B("+", z1, B("*", z2, z3))
     assert parse("z1*z2-z3/z1") == B("-", B("*", z1, z2), B("/", z3, z1))
-    # prefix minus takes a base, so "^" applies to the negated base
-    assert parse("-z1^2*z2") == B("*", dsl.Pow(dsl.Unary("-", z1), 2), z2)
+    # prefix minus takes a factor, so "^" applies before the negation
+    assert parse("-z1^2*z2") == B("*", dsl.Unary("-", dsl.Pow(z1, 2)), z2)
     assert to_source(B("-", z1, B("-", z2, z3))) == "z1-(z2-z3)"
     assert to_source(B("*", B("+", z1, z2), z3)) == "(z1+z2)*z3"
     assert to_source(B("/", z1, B("*", z2, z3))) == "z1/(z2*z3)"
+
+
+def test_prefix_minus_binds_looser_than_power():
+    z1, z2 = dsl.Var(1), dsl.Var(2)
+    neg, P = dsl.Unary, dsl.Pow
+    assert parse("-z1^2") == neg("-", P(z1, 2))
+    assert parse("(-z1)^2") == P(neg("-", z1), 2)
+    assert parse("2*-z1^2") == dsl.Binary("*", dsl.Lit(2), neg("-", P(z1, 2)))
+    assert parse("-z1^-2") == neg("-", P(z1, -2))
+    assert parse("--z1^3") == neg("-", neg("-", P(z1, 3)))
+    # a second "^" is refused after a prefix minus as without one
+    for src in ("z1^2^3", "-z1^2^3"):
+        with pytest.raises(ParseError, match="trailing input"):
+            parse(src)
+
+
+@pytest.mark.parametrize("src,value", [
+    ("-z1^2", -4), ("(-z1)^2", 4), ("2*-z1^2", -8), ("1-z1^2", -3),
+    ("-z1^3", -8), ("-z1^2*z2", -12), ("-(-z1)^2", -4)])
+def test_prefix_minus_values(src, value):
+    pts = np.array([[2.0 + 0j, 3.0 + 0j]])
+    e = parse(src, 2)
+    assert dsl.eval_value(e, pts) == value
+    assert dsl.eval_jet(e, 2, pts).value == value
+
+
+def test_prefix_minus_round_trips_node_for_node():
+    z1 = dsl.Var(1)
+    neg, P = dsl.Unary, dsl.Pow
+    cases = {
+        neg("-", P(z1, 2)): "-z1^2",
+        P(neg("-", z1), 2): "(-z1)^2",
+        neg("-", P(neg("-", z1), 2)): "-(-z1)^2",
+        neg("-", neg("-", z1)): "-(-z1)",
+        dsl.Binary("*", dsl.Lit(2), neg("-", P(z1, 2))): "2*(-z1^2)",
+        dsl.Binary("-", dsl.Lit(1), neg("-", P(z1, 2))): "1-(-z1^2)",
+    }
+    for e, src in cases.items():
+        assert to_source(e) == src
+        assert parse(src) == e
 
 
 def test_to_source_round_trips():

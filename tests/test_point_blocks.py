@@ -1,0 +1,201 @@
+"""Per-point passes run in blocks of at most curvature.POINT_BLOCK points.
+
+The block bounds a scan's working memory and changes no bit of any
+result: every point's arithmetic is independent of the other points of
+its batch, and the gate's statistics are maxima over points.
+"""
+
+import importlib
+import json
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from hsclab import dsl, warp
+from hsclab.curvature import IllConditionedError, check_tensor, metric_jet
+from hsclab.positivity import scan_chart
+from hsclab.wirtinger import SingularPointError
+
+# the package attribute hsclab.curvature is the function curvature
+curvature = importlib.import_module("hsclab.curvature")
+positivity = importlib.import_module("hsclab.positivity")
+
+
+def _record_rows(monkeypatch):
+    """Wrap the four per-point passes; returns {name: [rows per call]}."""
+    seen = {}
+
+    def wrap(module, name, rows_of):
+        inner = getattr(module, name)
+
+        def recording(*args, **kwargs):
+            seen.setdefault(name, []).append(rows_of(*args))
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, recording)
+
+    wrap(curvature, "_metric_jet", lambda spec, pts, *_: math.prod(pts.shape[:-1]))
+    wrap(curvature, "curvature", lambda mj, *_: math.prod(mj.g.shape[:-2]))
+    wrap(positivity, "_exact_min", lambda g, *_: g.shape[0])
+    wrap(positivity, "_probe_and_descend", lambda g, *_: g.shape[0])
+    return seen
+
+
+def test_default_scan_runs_in_blocks(monkeypatch):
+    seen = _record_rows(monkeypatch)
+    rep = scan_chart(dsl.catalog("paper_G(1)"))
+    assert rep.points_scanned == 6561
+    for name in ("_metric_jet", "curvature", "_exact_min"):
+        assert len(seen[name]) == 7 and sum(seen[name]) == 6561, name
+        assert max(seen[name]) <= curvature.POINT_BLOCK, name
+    assert "_probe_and_descend" not in seen
+
+
+def test_descent_scan_runs_in_blocks(monkeypatch):
+    monkeypatch.setattr(curvature, "POINT_BLOCK", 10)
+    seen = _record_rows(monkeypatch)
+    scan_chart(dsl.catalog("fs(3)"), grid_per_axis=2, dirs=4, starts=1, iters=5)
+    for name in ("_metric_jet", "curvature", "_probe_and_descend"):
+        assert len(seen[name]) == 7 and sum(seen[name]) == 64, name
+        assert max(seen[name]) <= 10, name
+
+
+def test_lambda_search_runs_in_blocks(monkeypatch):
+    monkeypatch.setattr(curvature, "POINT_BLOCK", 100)
+    seen = _record_rows(monkeypatch)
+    warp.lambda_search(warp.warp_demo_fibration())
+    assert set(seen) >= {"_metric_jet", "curvature", "_exact_min"}
+    # 625 grid points: the jet pass, the fiber proof and each checked grid
+    # minimum each reach 625 rows in blocks
+    assert seen["_metric_jet"].count(100) >= 6
+    assert all(rows <= 100 for counts in seen.values() for rows in counts)
+
+
+def _scan_bytes(spec, **options):
+    rep = scan_chart(spec, **options)
+    return (rep.per_point_min.tobytes(), np.array(rep.witness_dir).tobytes(),
+            json.dumps(rep.as_dict(), sort_keys=True))
+
+
+@pytest.mark.parametrize("name,options", [
+    ("paper_G(1)", dict(grid_per_axis=5)),
+    ("ball(2)", dict(grid_per_axis=5)),
+    ("fs(3)", dict(grid_per_axis=2, seed=0)),
+])
+def test_block_size_changes_no_bit_of_a_scan(monkeypatch, name, options):
+    spec = dsl.catalog(name)
+    results = []
+    for block in (7, 10 ** 6):
+        monkeypatch.setattr(curvature, "POINT_BLOCK", block)
+        results.append(_scan_bytes(spec, **options))
+    assert results[0] == results[1]
+
+
+def test_block_size_changes_no_bit_of_a_lambda_search(monkeypatch):
+    results = []
+    for block in (7, 10 ** 6):
+        monkeypatch.setattr(curvature, "POINT_BLOCK", block)
+        res = warp.lambda_search(warp.warp_demo_fibration())
+        results.append((res.thresholds.tobytes(),
+                        json.dumps(res.as_dict(), sort_keys=True)))
+    assert results[0] == results[1]
+
+
+def _metric_file(tmp_path, n, entries, box):
+    """Save a diagonal metric of the given entry sources and load it back."""
+    path = tmp_path / "metric.json"
+    rows = tuple(tuple(dsl.parse(src if i == j else "0", n) for j in range(n))
+                 for i, src in enumerate(entries))
+    dsl.save_spec(dsl.MetricSpec("blocked", n, rows, box), path)
+    return dsl.load_spec(path)
+
+
+def _message(monkeypatch, block, error, fn):
+    monkeypatch.setattr(curvature, "POINT_BLOCK", block)
+    with pytest.raises(error) as info:
+        fn()
+    return str(info.value)
+
+
+def test_gate_prints_the_worst_condition_of_the_grid(monkeypatch, tmp_path):
+    # kappa = g22 / g11 grows with re1 and re2; grid order puts re1 = 0.5
+    # (kappa >= e^30 > COND_LIMIT) at indices 54..80, so the first failing
+    # block of 5 is 50..54, and the worst, e^32, lies in later blocks
+    spec = _metric_file(tmp_path, 2, ["1", "exp(30*(z1+conj(z1))+2*(z2+conj(z2)))"],
+                        (dsl.Rect(0, 0.5, 0, 0.5), dsl.Rect(0, 0.5, 0, 0.5)))
+    scan = lambda: scan_chart(spec, grid_per_axis=3)  # noqa: E731
+    unblocked = _message(monkeypatch, 10 ** 6, IllConditionedError, scan)
+    assert _message(monkeypatch, 5, IllConditionedError, scan) == unblocked
+    g = metric_jet(spec, dsl.box_grid(spec.box, 3)).g
+    cond = np.linalg.cond(g)
+    assert np.flatnonzero(cond > 1e12)[0] == 54 and cond[50:55].max() < cond.max()
+    assert unblocked == f"metric condition number {cond.max():.3e} exceeds 1e+12"
+
+
+def test_gate_fails_a_nan_in_a_later_block(monkeypatch):
+    # exp(700) is finite but its mixed derivative overflows: R is NaN at
+    # the five points of re1 = 1, the last of the grid
+    hot = dsl.MetricSpec("hot", 1, ((dsl.parse("exp(350*(z1+conj(z1)))", 1),),),
+                         (dsl.Rect(0.0, 1.0, 0.0, 0.01),))
+    scan = lambda: scan_chart(hot, grid_per_axis=5)  # noqa: E731
+    with np.errstate(all="ignore"):
+        unblocked = _message(monkeypatch, 10 ** 6, ArithmeticError, scan)
+        assert _message(monkeypatch, 4, ArithmeticError, scan) == unblocked
+    assert unblocked.startswith("curvature pair-symmetry defect nan")
+    # a NaN metric entry in the last block of check_tensor
+    g = np.broadcast_to(np.eye(2, dtype=complex), (50, 2, 2)).copy()
+    g[47, 1, 1] = np.nan
+    g[3, 1, 1] = 1e-20  # a huge condition number in an earlier block hides nothing
+    R = np.zeros((50, 2, 2, 2, 2), dtype=complex)
+    msg = _message(monkeypatch, 5, IllConditionedError, lambda: check_tensor(g, R))
+    assert msg == "metric condition number nan exceeds 1e+12"
+
+
+def test_non_positive_point_is_named_by_its_global_index(monkeypatch, tmp_path):
+    # g22 = 0.3 - 2 re1 is negative first at re1 = 0.5, grid index 54
+    spec = _metric_file(tmp_path, 2, ["1", "0.3-(z1+conj(z1))"],
+                        dsl._square_box(2, 0.5))
+    scan = lambda: scan_chart(spec, grid_per_axis=3)  # noqa: E731
+    unblocked = _message(monkeypatch, 10 ** 6, ArithmeticError, scan)
+    assert unblocked == "metric is not positive definite at point index 54"
+    assert _message(monkeypatch, 5, ArithmeticError, scan) == unblocked
+
+
+def test_reciprocal_prints_the_smallest_modulus_of_its_block(monkeypatch):
+    """The one message that follows the block: 1/f with f = 2 re - 2e-13 im
+    is 1e-13 at index 3, 0 at index 4 and -1e-13 at index 5 of the grid.
+    Unblocked, the batch minimum 0 is printed; in blocks of 4 the first
+    block (indices 0..3) raises with its own minimum, 1e-13."""
+    spec = dsl.MetricSpec(
+        "pole", 1,
+        ((dsl.parse("1/(z1+conj(z1)+0.0000000000001*i*(z1-conj(z1)))", 1),),),
+        dsl._square_box(1, 0.5))
+    scan = lambda: scan_chart(spec, grid_per_axis=3)  # noqa: E731
+    assert _message(monkeypatch, 10 ** 6, SingularPointError, scan) == \
+        "division by jet with value modulus 0.000e+00"
+    assert _message(monkeypatch, 4, SingularPointError, scan) == \
+        "division by jet with value modulus 1.000e-13"
+
+
+def _scan_peak_above_kept(grid: int) -> int:
+    """tracemalloc peak of a paper_G(1) scan at the given grid, less the
+    bytes of the per-point arrays the scan keeps to its end: points, g, R,
+    minima and directions."""
+    spec = dsl.catalog("paper_G(1)")
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        rep = scan_chart(spec, grid_per_axis=grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    P, n = rep.points.shape
+    kept = P * 16 * (n + n ** 2 + n ** 4 + n) + P * 8
+    return peak - kept
+
+
+def test_scan_memory_does_not_grow_with_the_grid():
+    """28561 points against 6561: without blocks the difference is about
+    37 MB of jet, tensor, gate and minimizer temporaries."""
+    assert abs(_scan_peak_above_kept(13) - _scan_peak_above_kept(9)) < 1_000_000
