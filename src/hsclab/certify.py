@@ -21,6 +21,15 @@ the exact identity
 
 so the positivity threshold in lam is the larger root of a quadratic,
 and the large-lam decay is lam*K -> K(h).
+
+Of the sampled checks, product_inequality_check draws and evaluates its
+trials one curvature._point_blocks block at a time, so its memory does
+not grow with trials.  split_bound_check and check_block_hypotheses
+hold their whole draws: they draw every real part before any imaginary
+part, so any block of directions needs both draws, and quartic already
+bounds their temporaries by blocking the directions.  Blocking their
+evaluation as well made the split-bound acceptance suite, 100 calls of
+1e4 trials each, about 30% slower.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ import numpy as np
 
 from . import dsl
 from .dsl import _require_positive, _vec_dict
-from .curvature import (_shaped, entry_jet_1d, gaussian_from_jet,
+from .curvature import (_point_blocks, _shaped, entry_jet_1d, gaussian_from_jet,
                         pair_symmetric, pair_symmetry_defect, quartic)
 
 BOUND_TOL = 1e-9
@@ -158,19 +167,28 @@ def product_inequality_check(a: float, b: float, c: float, d: float,
                              trials: int, seed: int = 0) -> dict:
     """Random nonnegative moduli trials; reports violations and worst slack.
     A weight that is not > 0 (NaN included) is refused; a NaN slack counts
-    as a violation."""
+    as a violation and is the reported worst slack.
+
+    The trials are drawn and evaluated one curvature._point_blocks block
+    at a time.  The generator fills uniform doubles in C order, one per
+    value, so the blocks put together are one (trials, 6) draw, and the
+    report is that of one unblocked pass in memory set by the block.
+    """
     if not all(w > 0 for w in (a, b, c, d)):
         raise ValueError("weights must be positive")
     _require_positive(trials=trials)
     rng = np.random.default_rng(seed)
-    moduli = rng.uniform(0.0, 3.0, size=(trials, 6))
-    slacks = product_inequality_slacks(a, b, c, d, moduli)
-    worst = float(slacks.min())
+    violations, worst = 0, np.inf
+    for rows in _point_blocks(trials):
+        moduli = rng.uniform(0.0, 3.0, size=(len(range(trials)[rows]), 6))
+        slacks = product_inequality_slacks(a, b, c, d, moduli)
+        violations += int(np.sum(~(slacks >= -BOUND_TOL)))
+        worst = np.minimum(worst, slacks.min())
     return {
         "trials": trials,
         "seed": seed,
-        "violations": int(np.sum(~(slacks >= -BOUND_TOL))),
-        "worst_slack": worst,
+        "violations": violations,
+        "worst_slack": float(worst),
     }
 
 

@@ -419,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True, help="fiber dimension")
     p.add_argument("--k2", type=finite_float, help="base quartic bound "
                    "(default: the certified requirement)")
-    p.add_argument("--trials", type=positive_int, default=10000)
+    p.add_argument("--trials", type=positive_int, default=10000,
+                   help="random trials per sampled check (default %(default)s)")
     p.set_defaults(func=cmd_lemma1)
 
     p = sub.add_parser("lemma2", help="pencil curvature formula, positivity "

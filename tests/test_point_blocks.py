@@ -2,7 +2,9 @@
 
 The block bounds a scan's working memory and changes no bit of any
 result: every point's arithmetic is independent of the other points of
-its batch, and the gate's statistics are maxima over points.
+its batch, and the gate's statistics are maxima over points.  The
+product-inequality trials and the brute-force directions of the
+acceptance suite run in blocks of the same size.
 """
 
 import importlib
@@ -13,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hsclab import dsl, warp
+from hsclab import acceptance, certify, dsl, warp
 from hsclab.curvature import IllConditionedError, check_tensor, metric_jet
 from hsclab.positivity import scan_chart
 from hsclab.wirtinger import SingularPointError
@@ -199,3 +201,74 @@ def test_scan_memory_does_not_grow_with_the_grid():
     """28561 points against 6561: without blocks the difference is about
     37 MB of jet, tensor, gate and minimizer temporaries."""
     assert abs(_scan_peak_above_kept(13) - _scan_peak_above_kept(9)) < 1_000_000
+
+
+# -- sampled acceptance checks ----------------------------------------------
+
+
+def _unblocked_product_check(a, b, c, d, trials, seed):
+    """product_inequality_check as one (trials, 6) draw and one pass."""
+    rng = np.random.default_rng(seed)
+    slacks = certify.product_inequality_slacks(
+        a, b, c, d, rng.uniform(0.0, 3.0, size=(trials, 6)))
+    return {"trials": trials, "seed": seed,
+            "violations": int(np.sum(~(slacks >= -certify.BOUND_TOL))),
+            "worst_slack": float(slacks.min())}
+
+
+@pytest.mark.parametrize("trials", [1, 1023, 1024, 1025, 2049, 100000])
+def test_product_check_blocks_change_no_bit(trials):
+    w = certify.choose_weights(8.0, 1.0, 2, 1)
+    for seed in (0, 1, 2):
+        assert certify.product_inequality_check(w.a, w.b, w.c, w.d, trials, seed) \
+            == _unblocked_product_check(w.a, w.b, w.c, w.d, trials, seed)
+
+
+def test_product_check_reports_a_nan_in_a_later_block(monkeypatch):
+    slacks, calls = certify.product_inequality_slacks, []
+
+    def nan_in_second(*args):
+        out = slacks(*args)
+        calls.append(len(out))
+        if len(calls) == 2:
+            out[5, 2] = np.nan
+        return out
+
+    monkeypatch.setattr(certify, "product_inequality_slacks", nan_in_second)
+    rep = certify.product_inequality_check(1.0, 1.0, 1.0, 1.0, trials=2500)
+    assert calls == [1024, 1024, 452]
+    assert rep["violations"] == 1
+    assert math.isnan(rep["worst_slack"])
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_product_check_memory_does_not_grow_with_trials():
+    """Holding every trial at once costs 96 bytes a trial: 8.6 MB more
+    at 1e5 trials than at 1e4."""
+    def peak(trials):
+        return _traced_peak(
+            lambda: certify.product_inequality_check(1.0, 1.0, 1.0, 1.0, trials))
+    assert abs(peak(100000) - peak(10000)) < 500_000
+
+
+def test_brute_force_direction_blocks_change_no_bit(monkeypatch):
+    blocked = [acceptance.check_exact_direction_minimum(seed) for seed in (0, 1)]
+    # one block of all 2000 directions at 16 points: the whole-array route
+    monkeypatch.setattr(acceptance, "POINT_BLOCK", 16 * 2000)
+    whole = [acceptance.check_exact_direction_minimum(seed) for seed in (0, 1)]
+    assert blocked == whole
+
+
+def test_brute_force_directions_run_in_bounded_memory():
+    """Evaluated whole, the 16 x 2000 directions and their quartic
+    temporaries peak at 5.4 MB."""
+    assert _traced_peak(lambda: acceptance.check_exact_direction_minimum(0)) < 3_000_000
