@@ -25,11 +25,19 @@ and the large-lam decay is lam*K -> K(h).
 Of the sampled checks, product_inequality_check draws and evaluates its
 trials one curvature._point_blocks block at a time, so its memory does
 not grow with trials.  split_bound_check and check_block_hypotheses
-hold their whole draws: they draw every real part before any imaginary
-part, so any block of directions needs both draws, and quartic already
-bounds their temporaries by blocking the directions.  Blocking their
-evaluation as well made the split-bound acceptance suite, 100 calls of
-1e4 trials each, about 30% slower.
+hold their whole draws of directions, 16 bytes a coordinate: they draw
+every real part before any imaginary part, so any block of directions
+needs both draws.  _complex_normal writes the two draws into one complex
+array, with no a + 1j*b temporaries; split_bound_check normalizes it
+one _point_blocks block at a time, and quartic evaluates it one block
+at a time.  Beside the draw they hold one block of temporaries and a few
+per-trial real arrays (the quartic values and margins): the split-bound
+acceptance suite, 100 calls of 1e4 trials at n <= 5, peaks at 1.81 MB
+traced.  Streaming the imaginary parts and the margins per 1024-row
+block as well gives the same bytes and cuts that peak to 1.44 MB, but
+made the benchmark's oracle_certify operation, six acceptance checks,
+15-30% slower (0.79-0.83 s to 0.91-1.08 s in process), so it is not
+done.
 """
 
 from __future__ import annotations
@@ -256,6 +264,17 @@ def random_block_tensor(fiber_lower: float, mixed_bound: float, base_lower: floa
                               float(mixed_bound), float(base_lower))
 
 
+def _complex_normal(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Standard normal real parts, then standard normal imaginary parts,
+    written into one complex array: the bits of
+    rng.standard_normal(shape) + 1j * rng.standard_normal(shape) without
+    its two whole complex temporaries."""
+    z = np.empty(shape, dtype=complex)
+    z.real = rng.standard_normal(shape)
+    z.imag = rng.standard_normal(shape)
+    return z
+
+
 def check_block_hypotheses(t: BoundedBlockTensor, trials: int = 10000,
                            seed: int = 0) -> dict:
     """Verify the three bounds the certification consumes.
@@ -275,13 +294,13 @@ def check_block_hypotheses(t: BoundedBlockTensor, trials: int = 10000,
     _require_positive(trials=trials)
     n, s = t.n, t.s
     rng = np.random.default_rng(seed)
-    xf = rng.standard_normal((trials, s)) + 1j * rng.standard_normal((trials, s))
+    xf = _complex_normal(rng, (trials, s))
     qf = quartic(t.R[:s, :s, :s, :s], xf).real
     mf = (np.abs(xf) ** 2).sum(axis=1) ** 2
     fiber_margin = float(((qf - t.fiber_lower * mf)
                           / np.maximum(1.0, np.abs(t.fiber_lower) * mf)).min())
 
-    xb = rng.standard_normal((trials, n - s)) + 1j * rng.standard_normal((trials, n - s))
+    xb = _complex_normal(rng, (trials, n - s))
     qb = quartic(t.R[s:, s:, s:, s:], xb).real
     mb = (np.abs(xb) ** 2).sum(axis=1) ** 2
     base_margin = float(((qb - t.base_lower * mb)
@@ -315,8 +334,9 @@ def split_bound_check(t: BoundedBlockTensor, w: WeightChoice,
     _require_positive(trials=trials)
     n, s = t.n, t.s
     rng = np.random.default_rng(seed)
-    xi = rng.standard_normal((trials, n)) + 1j * rng.standard_normal((trials, n))
-    xi /= np.linalg.norm(xi, axis=1, keepdims=True)
+    xi = _complex_normal(rng, (trials, n))
+    for rows in _point_blocks(trials):
+        xi[rows] /= np.linalg.norm(xi[rows], axis=1, keepdims=True)
     num = quartic(t.R, xi)
     scale = np.maximum(1.0, np.abs(num))
     if (np.abs(num.imag) / scale).max() > 1e-9:

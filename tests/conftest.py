@@ -1,0 +1,36 @@
+"""Helpers shared by the test modules: deterministic memory measurements
+with tracemalloc, which counts the allocations of numpy arrays and Python
+objects and reads no RSS."""
+
+import tracemalloc
+
+from hsclab import dsl
+from hsclab.positivity import scan_chart
+
+
+def traced_peak(fn) -> int:
+    """tracemalloc peak, in bytes, of one call of fn()."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def scan_peak_above_kept(grid: int) -> int:
+    """tracemalloc peak of a paper_G(1) scan at the given grid, less the
+    bytes of the per-point arrays the scan keeps to its end: points, g, R,
+    minima and directions."""
+    spec = dsl.catalog("paper_G(1)")
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        rep = scan_chart(spec, grid_per_axis=grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    P, n = rep.points.shape
+    kept = P * 16 * (n + n ** 2 + n ** 4 + n) + P * 8
+    return peak - kept

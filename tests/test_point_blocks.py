@@ -10,11 +10,11 @@ acceptance suite run in blocks of the same size.
 import importlib
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import scan_peak_above_kept, traced_peak
 from hsclab import acceptance, certify, dsl, warp
 from hsclab.curvature import IllConditionedError, check_tensor, metric_jet
 from hsclab.positivity import scan_chart
@@ -180,27 +180,10 @@ def test_reciprocal_prints_the_smallest_modulus_of_its_block(monkeypatch):
         "division by jet with value modulus 1.000e-13"
 
 
-def _scan_peak_above_kept(grid: int) -> int:
-    """tracemalloc peak of a paper_G(1) scan at the given grid, less the
-    bytes of the per-point arrays the scan keeps to its end: points, g, R,
-    minima and directions."""
-    spec = dsl.catalog("paper_G(1)")
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        rep = scan_chart(spec, grid_per_axis=grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    P, n = rep.points.shape
-    kept = P * 16 * (n + n ** 2 + n ** 4 + n) + P * 8
-    return peak - kept
-
-
 def test_scan_memory_does_not_grow_with_the_grid():
     """28561 points against 6561: without blocks the difference is about
     37 MB of jet, tensor, gate and minimizer temporaries."""
-    assert abs(_scan_peak_above_kept(13) - _scan_peak_above_kept(9)) < 1_000_000
+    assert abs(scan_peak_above_kept(13) - scan_peak_above_kept(9)) < 1_000_000
 
 
 # -- sampled acceptance checks ----------------------------------------------
@@ -241,21 +224,11 @@ def test_product_check_reports_a_nan_in_a_later_block(monkeypatch):
     assert math.isnan(rep["worst_slack"])
 
 
-def _traced_peak(fn) -> int:
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_product_check_memory_does_not_grow_with_trials():
     """Holding every trial at once costs 96 bytes a trial: 8.6 MB more
     at 1e5 trials than at 1e4."""
     def peak(trials):
-        return _traced_peak(
+        return traced_peak(
             lambda: certify.product_inequality_check(1.0, 1.0, 1.0, 1.0, trials))
     assert abs(peak(100000) - peak(10000)) < 500_000
 
@@ -271,4 +244,123 @@ def test_brute_force_direction_blocks_change_no_bit(monkeypatch):
 def test_brute_force_directions_run_in_bounded_memory():
     """Evaluated whole, the 16 x 2000 directions and their quartic
     temporaries peak at 5.4 MB."""
-    assert _traced_peak(lambda: acceptance.check_exact_direction_minimum(0)) < 3_000_000
+    assert traced_peak(lambda: acceptance.check_exact_direction_minimum(0)) < 3_000_000
+
+
+def test_point_blocks_hold_no_list_of_slices():
+    """A list of every slice costs about 124 bytes a block: the product
+    check's peak at 1e6 trials would be about 124 KB above its peak at
+    1e4."""
+    def peak(trials):
+        return traced_peak(
+            lambda: certify.product_inequality_check(1.0, 1.0, 1.0, 1.0, trials))
+    peak(10_000)  # a first call's one-time allocations, about 0.9 MB, are not the blocks'
+    assert abs(peak(1_000_000) - peak(10_000)) < 50_000
+
+
+# the sampled direction checks draw every real part, then every imaginary
+# part, into one complex array; the references below join two whole draws
+# as a + 1j*b and normalize with one whole np.linalg.norm
+
+def _whole_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _whole_draw_margins(t, trials, seed):
+    """(fiber_margin, base_margin) of check_block_hypotheses, each half
+    drawn whole."""
+    rng = np.random.default_rng(seed)
+    margins = []
+    for side, lower in ((slice(None, t.s), t.fiber_lower), (slice(t.s, None), t.base_lower)):
+        x = _whole_normal(rng, (trials, len(range(t.n)[side])))
+        q = certify.quartic(t.R[side, side, side, side], x).real
+        m = (np.abs(x) ** 2).sum(axis=1) ** 2
+        margins.append(float(((q - lower * m) / np.maximum(1.0, np.abs(lower) * m)).min()))
+    return margins
+
+
+def _whole_draw_split_check(t, w, trials, seed):
+    """split_bound_check with its directions drawn and normalized whole."""
+    rng = np.random.default_rng(seed)
+    xi = _whole_normal(rng, (trials, t.n))
+    xi /= np.linalg.norm(xi, axis=1, keepdims=True)
+    num = certify.quartic(t.R, xi).real
+    sf = (np.abs(xi[:, :t.s]) ** 2).sum(axis=1) ** 2
+    sb = (np.abs(xi[:, t.s:]) ** 2).sum(axis=1) ** 2
+    rhs = 0.5 * t.fiber_lower * sf + (t.base_lower - t.mixed_bound * w.required_ratio) * sb
+    margin = (num - rhs) / np.maximum(1.0, np.abs(num) + np.abs(rhs))
+    return {
+        "trials": trials, "seed": seed,
+        "violations": int(np.sum(~(margin >= -certify.BOUND_TOL))),
+        "worst_margin": float(margin.min()),
+        "min_quartic": float(num.min()),
+        "all_strictly_positive": bool(np.all(num > 0)),
+        "worst_direction": dsl._vec_dict(xi[int(np.argmin(margin))]),
+    }
+
+
+_DRAW_CASES = [(2, 1, 0), (3, 1, 7), (4, 2, 3), (5, 2, 11), (6, 4, 5)]
+
+
+def _block_tensor(n, s, seed):
+    w = certify.choose_weights(3.0, 1.0, n, s)
+    return certify.random_block_tensor(3.0, 1.0, w.base_required, n, s, seed), w
+
+
+@pytest.mark.parametrize("trials", [1, 1023, 1024, 1025, 10000])
+def test_block_hypotheses_draws_change_no_bit(trials):
+    for n, s, seed in _DRAW_CASES:
+        t, _ = _block_tensor(n, s, seed)
+        rep = certify.check_block_hypotheses(t, trials, seed)
+        assert repr([rep["fiber_margin"], rep["base_margin"]]) == \
+            repr(_whole_draw_margins(t, trials, seed)), (n, s, seed)
+
+
+@pytest.mark.parametrize("trials", [1, 1023, 1024, 1025, 10000])
+def test_split_check_draws_change_no_bit(trials):
+    for n, s, seed in _DRAW_CASES:
+        t, w = _block_tensor(n, s, seed)
+        assert json.dumps(certify.split_bound_check(t, w, trials, seed)) == \
+            json.dumps(_whole_draw_split_check(t, w, trials, seed)), (n, s, seed)
+
+
+def test_split_check_reports_a_nan_margin_in_a_late_row(monkeypatch):
+    quartic, seen = certify.quartic, []
+
+    def nan_at_9500(R, dirs):
+        out = quartic(R, dirs)
+        seen.append(dirs[9500].copy())
+        out[9500] = np.nan
+        return out
+
+    monkeypatch.setattr(certify, "quartic", nan_at_9500)
+    t, w = _block_tensor(5, 2, 0)
+    rep = certify.split_bound_check(t, w, 10000, 0)
+    assert math.isnan(rep["worst_margin"]) and math.isnan(rep["min_quartic"])
+    assert rep["violations"] == 1 and not rep["all_strictly_positive"]
+    assert rep["worst_direction"] == dsl._vec_dict(seen[0])
+
+
+def test_quartic_holds_one_block_of_temporaries():
+    """Each block's X and Y are 410 KB at d = 5; holding the previous
+    block's pair while the next forms peaks at 1.74 MB."""
+    rng = np.random.default_rng(0)
+    R = rng.standard_normal((5,) * 4) + 1j * rng.standard_normal((5,) * 4)
+    dirs = _whole_normal(rng, (10000, 5))
+    assert traced_peak(lambda: curvature.quartic(R, dirs)) < 1_300_000
+
+
+@pytest.mark.parametrize("trials,bound", [(10000, 2_100_000), (100000, 16_000_000)])
+def test_split_check_holds_one_complex_draw(trials, bound):
+    """At n = 5, joining two whole draws as a + 1j*b peaks at 2.54 MB at
+    1e4 trials, and one whole np.linalg.norm at 17.6 MB at 1e5 trials,
+    where the 8 MB draw outweighs the quartic's blocks."""
+    t, w = _block_tensor(5, 2, 0)
+    assert traced_peak(lambda: certify.split_bound_check(t, w, trials, 0)) < bound
+
+
+def test_scan_holds_one_block_of_jets():
+    """Holding the previous block's MetricJet and quartic temporaries
+    while the next block forms its own peaks at 1.875 MB above the kept
+    arrays."""
+    assert scan_peak_above_kept(9) < 1_500_000
