@@ -16,9 +16,9 @@ for name in ("flat(1)", "poincare", "fs_affine", "paper_base"):
     spec = hsclab.catalog(name)
     # three chart points, one random direction per point
     pts = np.array([[0j], [0.3 + 0.2j], [-0.5 - 0.1j]])
-    jet, tensor = hsclab.curvature_at(spec, pts)
+    g, R = hsclab.curvature_at(spec, pts)
     dirs = rng.standard_normal((3, 1, 1)) + 1j * rng.standard_normal((3, 1, 1))
-    vals = hsclab.hsc_dirs(jet.g, tensor.R, dirs)[:, 0]
+    vals = hsclab.hsc_dirs(g, R, dirs)[:, 0]
     shown = ", ".join(f"{v:+.6f}" for v in vals)
     print(f"{name:12s} K at three points: {shown}")
 
@@ -26,12 +26,12 @@ print()
 
 # a genuinely 2-dimensional example: the warped family at lam = 1
 spec = hsclab.catalog("paper_G(1)")
-jet, tensor = hsclab.curvature_at(spec, np.zeros((1, 2)))
-print(f"{spec.name}: tensor shape {tensor.R.shape}, "
-      f"pair-symmetry defect {hsclab.pair_symmetry_defect(tensor.R):.2e}")
+g, R = hsclab.curvature_at(spec, np.zeros((1, 2)))
+print(f"{spec.name}: tensor shape {R.shape}, "
+      f"pair-symmetry defect {hsclab.pair_symmetry_defect(R):.2e}")
 
 dirs = rng.standard_normal((1, 2000, 2)) + 1j * rng.standard_normal((1, 2000, 2))
-vals = hsclab.hsc_dirs(jet.g, tensor.R, dirs)[0]
+vals = hsclab.hsc_dirs(g, R, dirs)[0]
 print(f"  K over 2000 random directions at the origin: "
       f"min {vals.min():+.6f}, max {vals.max():+.6f}")
 print("  (the minimum sits at -2/3: mixed fiber/base directions are "

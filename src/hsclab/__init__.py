@@ -13,8 +13,8 @@ Quick start::
 
     import hsclab
     spec = hsclab.catalog("poincare")
-    jet, tensor = hsclab.curvature_at(spec, [[0j]])
-    hsclab.hsc_dirs(jet.g, tensor.R, [[1.0]])   # -> array([[-4.]])
+    g, R = hsclab.curvature_at(spec, [[0j]])
+    hsclab.hsc_dirs(g, R, [[1.0]])   # -> array([[-4.]])
 
 The ``hsc-lab`` console script exposes the same functionality as
 subcommands; ``hsc-lab selftest`` runs the acceptance suite.

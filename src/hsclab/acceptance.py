@@ -15,9 +15,9 @@ import json
 import numpy as np
 
 from . import __version__, certify, dsl, positivity, warp, wirtinger
-from .curvature import (POINT_BLOCK, MetricJet, curvature, entry_jet_1d,
+from .curvature import (POINT_BLOCK, MetricJet, curvature, curvature_at, entry_jet_1d,
                         gaussian_curvature_1d, gaussian_from_jet, hsc_dirs,
-                        metric_jet, metric_jet_from_fd, restrict)
+                        metric_jet_from_fd, restrict)
 
 ONE_DIM_CATALOG = ("flat(1)", "poincare", "fs_affine", "paper_base")
 
@@ -33,10 +33,9 @@ def _hsc_at(spec, rng, count):
     """count box samples of spec and the sectional value at each, in one
     random direction per point: (points, values)."""
     pts = dsl.box_sample(spec.box, rng, count)
-    mj = metric_jet(spec, pts)
-    dirs = rng.standard_normal((count, 1, spec.n)) \
-        + 1j * rng.standard_normal((count, 1, spec.n))
-    return pts, hsc_dirs(mj.g, curvature(mj).R, dirs)[:, 0]
+    g, R = curvature_at(spec, pts)
+    dirs = dsl._complex_normal(rng, (count, 1, spec.n))
+    return pts, hsc_dirs(g, R, dirs)[:, 0]
 
 
 def check_constant_curvature(seed: int) -> dict:
@@ -57,9 +56,8 @@ def check_base_formula(seed: int) -> dict:
     rng = np.random.default_rng([seed, 2])
     spec = dsl.catalog("paper_base")
     pts = dsl.box_sample(spec.box, rng, 100)
-    mj = metric_jet(spec, pts)
     dirs = np.ones((100, 1, 1), dtype=complex)
-    vals = hsc_dirs(mj.g, curvature(mj).R, dirs)[:, 0]
+    vals = hsc_dirs(*curvature_at(spec, pts), dirs)[:, 0]
     target = 2.0 / (1.0 + np.abs(pts[:, 0]) ** 2)
     err = float(np.abs(vals - target).max())
     return {"ok": bool(err <= 1e-8 and vals.min() > 0),
@@ -182,13 +180,13 @@ def check_jet_vs_divided_differences(seed: int) -> dict:
     curv_errors = [0.0]
     for spec in specs:
         pts = dsl.box_sample(spec.box, rng, 100)
-        r_arith = curvature(metric_jet(spec, pts)).R
+        _, r_arith = curvature_at(spec, pts)
         m1 = metric_jet_from_fd(spec, pts, step=1e-3)
         m2 = metric_jet_from_fd(spec, pts, step=5e-4)
         refined = MetricJet(m1.n, (4 * m2.g - m1.g) / 3,
                             (4 * m2.dg - m1.dg) / 3,
                             (4 * m2.dbarg - m1.dbarg) / 3,
-                            (4 * m2.ddbarg - m1.ddbarg) / 3, m1.points)
+                            (4 * m2.ddbarg - m1.ddbarg) / 3)
         # finite-difference error alone breaks the 1e-10 pair symmetry here
         r_fd = curvature(refined, check=False).R
         scale = max(1.0, float(np.abs(r_arith).max()))
@@ -427,7 +425,7 @@ def check_warp_suite(seed: int) -> dict:
     # k or l entries, so B is the base block's own numerator, which is
     # >= 0 wherever the base metric's curvature is
     s = f.s
-    R1 = curvature(metric_jet(warp.assemble(f, 1.0), pts)).R
+    _, R1 = curvature_at(warp.assemble(f, 1.0), pts)
     base_rows_pure = not (np.any(R1[:, s:, s:, :s]) or np.any(R1[:, s:, s:, :, :s]))
     base_min = positivity.scan_chart(f.base_spec(), grid_per_axis=grid).min_hsc
     search_ok = (np.isfinite(star)
@@ -468,29 +466,26 @@ def check_exact_direction_minimum(seed: int) -> dict:
     multi-start descent at scan defaults, and no one of 2000 random
     directions per point goes below it, both within 1e-12 relative.
 
-    The two normal draws of the directions are held whole (all real parts
-    are drawn before any imaginary part), and the complex directions are
-    formed and evaluated in blocks of at most POINT_BLOCK (point,
-    direction) pairs, folding each block's minimum into a running one."""
+    The random directions are drawn whole (dsl._complex_normal: all real
+    parts before any imaginary part) and evaluated in blocks of at most
+    POINT_BLOCK (point, direction) pairs, folding each block's minimum
+    into a running one."""
     rng = np.random.default_rng([seed, 8])
     excess_descent, excess_brute = [-np.inf], [-np.inf]
     for spec in exact_minimum_specs():
         pts = dsl.box_sample(spec.box, rng, 16)
-        mj = metric_jet(spec, pts)
-        R = curvature(mj).R
+        g, R = curvature_at(spec, pts)
         idx = range(len(pts))
-        exact, _ = positivity._exact_min(mj.g, R, idx)
+        exact, _ = positivity._exact_min(g, R, idx)
         descent, _ = positivity._probe_and_descend(
-            mj.g, R, positivity.DEFAULT_DIRS, positivity.DEFAULT_STARTS,
+            g, R, positivity.DEFAULT_DIRS, positivity.DEFAULT_STARTS,
             positivity.DEFAULT_ITERS, seed, idx)
         scale = np.maximum(1.0, np.abs(exact))
         excess_descent.append(float(((exact - descent) / scale).max()))
-        re = rng.standard_normal((len(pts), 2000, 2))
-        im = rng.standard_normal((len(pts), 2000, 2))
+        dirs = dsl._complex_normal(rng, (len(pts), 2000, 2))
         brute, step = np.inf, POINT_BLOCK // len(pts)
         for lo in range(0, 2000, step):
-            dirs = re[:, lo:lo + step] + 1j * im[:, lo:lo + step]
-            brute = np.minimum(brute, hsc_dirs(mj.g, R, dirs).min(axis=1))
+            brute = np.minimum(brute, hsc_dirs(g, R, dirs[:, lo:lo + step]).min(axis=1))
         excess_brute.append(float(((exact - brute) / scale).max()))
     above_descent, below_exact = _worst(excess_descent), _worst(excess_brute)
     ok = above_descent <= 1e-12 and below_exact <= 1e-12

@@ -27,7 +27,7 @@ trials one curvature._point_blocks block at a time, so its memory does
 not grow with trials.  split_bound_check and check_block_hypotheses
 hold their whole draws of directions, 16 bytes a coordinate: they draw
 every real part before any imaginary part, so any block of directions
-needs both draws.  _complex_normal writes the two draws into one complex
+needs both draws.  dsl._complex_normal writes the two draws into one complex
 array, with no a + 1j*b temporaries; split_bound_check normalizes it
 one _point_blocks block at a time, and quartic evaluates it one block
 at a time.  Beside the draw they hold one block of temporaries and a few
@@ -264,17 +264,6 @@ def random_block_tensor(fiber_lower: float, mixed_bound: float, base_lower: floa
                               float(mixed_bound), float(base_lower))
 
 
-def _complex_normal(rng: np.random.Generator, shape: tuple) -> np.ndarray:
-    """Standard normal real parts, then standard normal imaginary parts,
-    written into one complex array: the bits of
-    rng.standard_normal(shape) + 1j * rng.standard_normal(shape) without
-    its two whole complex temporaries."""
-    z = np.empty(shape, dtype=complex)
-    z.real = rng.standard_normal(shape)
-    z.imag = rng.standard_normal(shape)
-    return z
-
-
 def check_block_hypotheses(t: BoundedBlockTensor, trials: int = 10000,
                            seed: int = 0) -> dict:
     """Verify the three bounds the certification consumes.
@@ -294,13 +283,13 @@ def check_block_hypotheses(t: BoundedBlockTensor, trials: int = 10000,
     _require_positive(trials=trials)
     n, s = t.n, t.s
     rng = np.random.default_rng(seed)
-    xf = _complex_normal(rng, (trials, s))
+    xf = dsl._complex_normal(rng, (trials, s))
     qf = quartic(t.R[:s, :s, :s, :s], xf).real
     mf = (np.abs(xf) ** 2).sum(axis=1) ** 2
     fiber_margin = float(((qf - t.fiber_lower * mf)
                           / np.maximum(1.0, np.abs(t.fiber_lower) * mf)).min())
 
-    xb = _complex_normal(rng, (trials, n - s))
+    xb = dsl._complex_normal(rng, (trials, n - s))
     qb = quartic(t.R[s:, s:, s:, s:], xb).real
     mb = (np.abs(xb) ** 2).sum(axis=1) ** 2
     base_margin = float(((qb - t.base_lower * mb)
@@ -334,7 +323,7 @@ def split_bound_check(t: BoundedBlockTensor, w: WeightChoice,
     _require_positive(trials=trials)
     n, s = t.n, t.s
     rng = np.random.default_rng(seed)
-    xi = _complex_normal(rng, (trials, n))
+    xi = dsl._complex_normal(rng, (trials, n))
     for rows in _point_blocks(trials):
         xi[rows] /= np.linalg.norm(xi[rows], axis=1, keepdims=True)
     num = quartic(t.R, xi)

@@ -26,8 +26,8 @@ import sys
 import numpy as np
 
 from . import __version__, acceptance, certify, dsl, warp
-from .curvature import (PointOutsideBoxError, curvature, gaussian_curvature_1d,
-                        hsc_dirs, metric_jet, pair_symmetry_defect)
+from .curvature import (PointOutsideBoxError, curvature_at, gaussian_curvature_1d,
+                        hsc_dirs, pair_symmetry_defect)
 from .dsl import _c2pair, _vec_dict
 from .positivity import (DEFAULT_DIRS, DEFAULT_GRID, DEFAULT_ITERS, DEFAULT_STARTS,
                          NEG_THRESHOLD, find_negative_witness, points_to_csv,
@@ -162,19 +162,18 @@ def _emit(args, command: str, payload: dict) -> None:
 def cmd_curvature(args) -> int:
     spec = _load_metric(args)
     point = parse_complex_vector(args.point, spec.n, "--point")
-    mj = metric_jet(spec, point.reshape(1, spec.n))
-    tensor = curvature(mj)
+    g, R = curvature_at(spec, point.reshape(1, spec.n))
     payload = {
         "metric": spec.name,
         "point": _vec_dict(point),
-        "metric_value": [_vec_dict(row) for row in mj.g[0]],
-        "tensor_max_abs": float(np.abs(tensor.R[0]).max()),
-        "pair_symmetry_defect": pair_symmetry_defect(tensor.R),
+        "metric_value": [_vec_dict(row) for row in g[0]],
+        "tensor_max_abs": float(np.abs(R[0]).max()),
+        "pair_symmetry_defect": pair_symmetry_defect(R),
     }
     if args.dir:
         d = parse_complex_vector(args.dir, spec.n, "--dir")
         try:
-            val = hsc_dirs(mj.g, tensor.R, d.reshape(1, 1, spec.n))[0, 0]
+            val = hsc_dirs(g, R, d.reshape(1, 1, spec.n))[0, 0]
         except SingularPointError as exc:
             raise SystemExit(_usage(f"--dir {args.dir!r}: {exc}"))
         payload["direction"] = _vec_dict(d)

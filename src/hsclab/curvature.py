@@ -20,21 +20,26 @@ scaling of xi.  The numerator is evaluated once, in `quartic`, as the
 quadratic form vec(X)^T . R.reshape(d^2, d^2) . vec(X) in the rank-one
 matrix X = xi xi^H, and the denominator once, in `metric_norm2`.
 `quartic` forms it as a BLAS matrix product, the row sums of (X @ R) * X,
-over blocks of QUARTIC_BLOCK directions.  The block is fixed for memory,
+over blocks of POINT_BLOCK directions.  The block is fixed for memory,
 not speed: one unblocked product over 1e4 directions holds two 1e4 x d^2
 temporaries plus per-thread BLAS buffers, and raised the peak memory of
 the minimizer-free acceptance checks from 50.9 to 54.4 MiB.
 
-POINT_BLOCK caps points the same way.  The per-point passes of a scan
-(_checked_curvature here, positivity._min_over_dirs there) and the
-statistics of check_tensor run over blocks of at most POINT_BLOCK
-consecutive points (_point_blocks), so their temporaries are those of
-one block whatever the grid; only g, R and the per-point outputs grow
-with it.  A point's arithmetic does not depend on the other points of
-its batch, so every result is bit for bit that of one unblocked pass.
+POINT_BLOCK caps points the same way.  curvature_at is the one route
+from a metric and its points to (g, R): it reads the jets and the
+tensor one block of at most POINT_BLOCK consecutive points at a time
+(_point_blocks) and checks the whole batch at the end.
+positivity._min_over_dirs and the statistics of check_tensor run over
+the same blocks, so their temporaries are those of one block whatever
+the grid; only g, R and the per-point outputs grow with it.  A point's
+arithmetic does not depend on the other points of its batch, so every
+result is bit for bit that of one unblocked pass.  metric_jet and
+curvature are its layers, kept for readers of the jets alone
+(entry_jet_1d) and for the finite-difference oracle, which runs
+curvature on its own refined jets.
 
 Each blocked loop holds one block at a time: _point_blocks yields its
-slices one by one, and quartic and _checked_curvature drop a block's
+slices one by one, and quartic and curvature_at drop a block's
 temporaries before the next block forms its own, so the peak of a pass
 is one block's, not two.
 """
@@ -54,7 +59,6 @@ from .wirtinger import DIV_EPS, FD_STEP, SingularPointError, fd_jet
 COND_LIMIT = 1e12
 PAIR_SYMMETRY_TOL = 1e-10
 IMAG_TOL = 1e-10
-QUARTIC_BLOCK = 1024
 POINT_BLOCK = 1024
 
 
@@ -81,14 +85,11 @@ class MetricJet:
     dg: np.ndarray
     dbarg: np.ndarray
     ddbarg: np.ndarray
-    points: np.ndarray
 
 
 @dataclass(frozen=True)
 class CurvatureTensor:
-    n: int
     R: np.ndarray  # (..., n, n, n, n) indexed [i, j, k, l]
-    points: np.ndarray
 
 
 def _metric_jet(spec: dsl.MetricSpec, pts: np.ndarray, entry_jet) -> MetricJet:
@@ -108,20 +109,21 @@ def _metric_jet(spec: dsl.MetricSpec, pts: np.ndarray, entry_jet) -> MetricJet:
             dg[..., i, j, :] = jet.d
             dbarg[..., i, j, :] = jet.dbar
             ddbarg[..., i, j, :, :] = jet.ddbar
-    return MetricJet(n, g, dg, dbarg, ddbarg, pts)
+    return MetricJet(n, g, dg, dbarg, ddbarg)
 
 
 def _in_box(spec: dsl.MetricSpec, points) -> np.ndarray:
-    """points as a complex array; PointOutsideBoxError names the first
-    point outside the box or not finite.  A wrong coordinate count passes
-    here and is refused by _metric_jet."""
+    """points (..., n) as a complex array; ValueError unless the last axis
+    holds n coordinates, and PointOutsideBoxError names the first point
+    outside the box or not finite."""
     pts = np.asarray(points, dtype=complex)
-    if pts.shape[-1:] == (spec.n,):
-        flat = pts.reshape(-1, spec.n)
-        outside = np.flatnonzero(~dsl.box_contains(spec.box, flat))
-        if outside.size:
-            row = flat[outside[0]]
-            raise PointOutsideBoxError(f"point {row.tolist()} outside box of {spec.name}")
+    if pts.shape[-1:] != (spec.n,):
+        raise ValueError(f"points must have {spec.n} coordinates")
+    flat = pts.reshape(-1, spec.n)
+    outside = np.flatnonzero(~dsl.box_contains(spec.box, flat))
+    if outside.size:
+        row = flat[outside[0]]
+        raise PointOutsideBoxError(f"point {row.tolist()} outside box of {spec.name}")
     return pts
 
 
@@ -133,43 +135,12 @@ def metric_jet(spec: dsl.MetricSpec, points) -> MetricJet:
 
 
 def _point_blocks(count: int) -> Iterator[slice]:
-    """Yield slices of at most POINT_BLOCK consecutive points that cover
-    range(count), one at a time, so the loop holds O(1) memory whatever
-    the count; one empty slice when count is 0, so that a pass over an
-    empty batch still runs once."""
+    """Yield slices of at most POINT_BLOCK consecutive rows (points or
+    directions) that cover range(count), one at a time, so the loop holds
+    O(1) memory whatever the count; one empty slice when count is 0, so
+    that a pass over an empty batch still runs once."""
     for lo in range(0, max(count, 1), POINT_BLOCK):
         yield slice(lo, lo + POINT_BLOCK)
-
-
-def _checked_curvature(spec: dsl.MetricSpec, points):
-    """(g, R) at points (P, n), checked like curvature(metric_jet(...)).
-
-    The box is checked on all points first; then the jets and the tensor
-    are evaluated one _point_blocks block at a time into preallocated
-    (P, n, n) and (P, n, n, n, n) arrays, each block's MetricJet dropped
-    before the next block's jets are read, and check_tensor runs on the
-    whole batch at the end.  A block whose solve fails, where g is
-    exactly singular, gets a NaN tensor, and its infinite condition
-    number fails the check, as in curvature().  So the errors, their
-    order and their messages are those of the unblocked pair, except
-    that Jet2.reciprocal's SingularPointError prints the smallest modulus
-    of its block.
-    """
-    pts = _in_box(spec, points)
-    n = spec.n
-    g = np.empty(pts.shape[:1] + (n, n), dtype=complex)
-    R = np.empty(pts.shape[:1] + (n,) * 4, dtype=complex)
-    for rows in _point_blocks(pts.shape[0]):
-        block = pts[rows]
-        mj = _metric_jet(spec, block, lambda e: dsl.eval_jet(e, n, block))
-        g[rows] = mj.g
-        try:
-            R[rows] = curvature(mj, check=False).R
-        except np.linalg.LinAlgError:
-            R[rows] = np.nan
-        del mj  # the next block's jets must not meet this block's
-    check_tensor(g, R)
-    return g, R
 
 
 def metric_jet_from_fd(spec: dsl.MetricSpec, points, step: float = FD_STEP) -> MetricJet:
@@ -278,14 +249,15 @@ def curvature(mj: MetricJet, check: bool = True) -> CurvatureTensor:
     R = -mj.ddbarg + np.einsum("...pq,...ipk,...qjl->...ijkl", ginv, mj.dg, mj.dbarg)
     if check:
         check_tensor(g, R)
-    return CurvatureTensor(mj.n, R, mj.points)
+    return CurvatureTensor(R)
 
 
 def quartic(R: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """R(xi, conj xi, xi, conj xi) per direction: R (..., d, d, d, d),
     dirs (..., m, d) -> (..., m), batch shapes broadcast.
 
-    Each block of at most QUARTIC_BLOCK directions gives X = vec(xi xi^H)
+    Each _point_blocks block of at most POINT_BLOCK directions gives
+    X = vec(xi xi^H)
     of shape (..., block, d^2), and the block's values are the row sums of
     (X @ R.reshape(d^2, d^2)) * X, written into one preallocated output.
     The block bounds the two (..., block, d^2) temporaries and the BLAS
@@ -293,20 +265,20 @@ def quartic(R: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     forms its own, so the peak memory of a long direction list is that
     of one block (1.00 MB traced beyond the inputs for 1e4 directions at
     d = 5, where two blocks' pairs at once would reach 1.74 MB);
-    m <= QUARTIC_BLOCK runs the loop once.
+    m <= POINT_BLOCK runs the loop once.
     """
     d = dirs.shape[-1]
     m = dirs.shape[-2]
     Rm = R.reshape(R.shape[:-4] + (d * d, d * d))
     out = np.empty(np.broadcast_shapes(R.shape[:-4], dirs.shape[:-2]) + (m,),
                    dtype=np.result_type(R, dirs))
-    for lo in range(0, m, QUARTIC_BLOCK):
-        block = dirs[..., lo:lo + QUARTIC_BLOCK, :]
+    for rows in _point_blocks(m):
+        block = dirs[..., rows, :]
         X = (block[..., :, None] * np.conjugate(block)[..., None, :]).reshape(
             block.shape[:-1] + (d * d,))
         Y = X @ Rm
         Y *= X
-        out[..., lo:lo + QUARTIC_BLOCK] = Y.sum(-1)
+        out[..., rows] = Y.sum(-1)
         del X, Y  # the next block's X and Y must not meet these
     return out
 
@@ -341,9 +313,36 @@ def hsc_dirs(g: np.ndarray, R: np.ndarray, dirs: np.ndarray) -> np.ndarray:
 
 
 def curvature_at(spec: dsl.MetricSpec, points):
-    """Convenience: (MetricJet, CurvatureTensor) at points."""
-    mj = metric_jet(spec, points)
-    return mj, curvature(mj)
+    """(g, R) at points (..., n): g (..., n, n) and R (..., n, n, n, n),
+    with the values and checks of curvature(metric_jet(spec, points)).
+
+    The coordinate count and the box are checked on all points first;
+    then the jets and the tensor are evaluated one _point_blocks block of
+    the flattened batch at a time into preallocated arrays, each block's
+    MetricJet dropped before the next block's jets are read, and
+    check_tensor runs on the whole batch at the end.  A block whose solve
+    fails, where g is exactly singular, gets a NaN tensor, and its
+    infinite condition number fails the check, as in curvature().  So
+    the errors, their order and their messages are those of the
+    unblocked pair, except that Jet2.reciprocal's SingularPointError
+    prints the smallest modulus of its block.
+    """
+    pts = _in_box(spec, points)
+    n = spec.n
+    batch, pts = pts.shape[:-1], pts.reshape(-1, n)
+    g = np.empty(pts.shape[:1] + (n, n), dtype=complex)
+    R = np.empty(pts.shape[:1] + (n,) * 4, dtype=complex)
+    for rows in _point_blocks(pts.shape[0]):
+        block = pts[rows]
+        mj = _metric_jet(spec, block, lambda e: dsl.eval_jet(e, n, block))
+        g[rows] = mj.g
+        try:
+            R[rows] = curvature(mj, check=False).R
+        except np.linalg.LinAlgError:
+            R[rows] = np.nan
+        del mj  # the next block's jets must not meet this block's
+    check_tensor(g, R)
+    return g.reshape(batch + (n, n)), R.reshape(batch + (n,) * 4)
 
 
 def entry_jet_1d(spec: dsl.MetricSpec, points) -> tuple:

@@ -482,6 +482,18 @@ def box_sample(box, rng: np.random.Generator, count: int) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
+def _complex_normal(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Standard normal real parts, then standard normal imaginary parts,
+    written into one complex array: the bits of
+    rng.standard_normal(shape) + 1j * rng.standard_normal(shape) without
+    its two whole complex temporaries.  Descent's streams draw their own
+    directions in one call (positivity._complex_dirs)."""
+    z = np.empty(shape, dtype=complex)
+    z.real = rng.standard_normal(shape)
+    z.imag = rng.standard_normal(shape)
+    return z
+
+
 def box_grid(box, per_axis: int) -> np.ndarray:
     """Full grid over all 2n real axes (endpoints included), shape (P, n).
 

@@ -31,7 +31,7 @@ of warp.lambda_search: its values are read off the Bloch quadratic.
 
 Per-point passes run over blocks of at most curvature.POINT_BLOCK points:
 scan_chart and min_hsc_at_point take (g, R) from
-curvature._checked_curvature, and _min_over_dirs minimizes one block of
+curvature.curvature_at, and _min_over_dirs minimizes one block of
 rows at a time, passing each block its slice of the global point indices,
 so descent's streams and the indices in error messages do not depend on
 the block.  g, R and the per-point outputs grow with the grid; the jets,
@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dsl
-from .curvature import _checked_curvature, _point_blocks, hsc_dirs, metric_norm2
+from .curvature import _point_blocks, curvature_at, hsc_dirs, metric_norm2
 
 NEG_THRESHOLD = -1e-8
 DEFAULT_GRID = 9
@@ -417,7 +417,7 @@ def min_hsc_at_point(spec: dsl.MetricSpec, point, starts: int = DEFAULT_STARTS,
                      seed: int = 0, dirs: int = DEFAULT_DIRS,
                      iters: int = DEFAULT_ITERS):
     """Direction minimum at one point: (value, metric-unit witness direction)."""
-    g, R = _checked_curvature(spec, np.asarray(point, dtype=complex).reshape(1, -1))
+    g, R = curvature_at(spec, np.asarray(point, dtype=complex).reshape(1, -1))
     vals, wdirs = _min_over_dirs(g, R, dirs, starts, iters, seed, [0])
     return float(vals[0]), wdirs[0]
 
@@ -439,7 +439,7 @@ def scan_chart(spec: dsl.MetricSpec, box=None, grid_per_axis: int = DEFAULT_GRID
     if box is not None:
         spec = dataclasses.replace(spec, box=box)
     pts = dsl.box_grid(spec.box, grid_per_axis)
-    g, R = _checked_curvature(spec, pts)
+    g, R = curvature_at(spec, pts)
     vals, wdirs = _min_over_dirs(g, R, dirs, starts, iters, seed, range(pts.shape[0]))
     best = int(np.argmin(vals))
     return ScanReport(

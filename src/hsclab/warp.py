@@ -24,9 +24,9 @@ mixed (fiber, base) pair vanishes.  Hence, exactly:
 
 In the base block both -d2g and dg . g^{-1} . dbarg carry one factor c.
 lambda_search evaluates the jets and the tensor once, at c = 1
-(_unit_curvature), and rescales them per lam (_at_scale), while assemble,
-scan_chart and base_growth_check keep the assembled route, so
-base_growth_check checks the same linear growth independently.
+(curvature_at on f.metric(1.0)), and rescales them per lam (_at_scale),
+while scan_chart and base_growth_check read each assembled metric on its
+own, so base_growth_check checks the same linear growth independently.
 
 So along a direction xi the numerator at scale c is A(xi) + c * B(xi),
 with B from the base rows alone.  lambda_search solves for each grid
@@ -59,9 +59,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dsl
-from .curvature import (_checked_curvature, check_tensor, curvature,
-                        gaussian_curvature_1d, hsc_dirs, metric_jet, metric_norm2,
-                        quartic, restrict)
+from .curvature import (check_tensor, curvature_at, gaussian_curvature_1d, hsc_dirs,
+                        metric_jet, metric_norm2, quartic, restrict)
 from .dsl import FibrationSpec, _c2pair, _require_positive, _vec_dict
 from .positivity import (NEG_THRESHOLD, _affine_min_over_dirs, _min_over_dirs,
                          check_witness_budget, find_negative_witness, scan_chart)
@@ -114,19 +113,14 @@ def assemble(f: FibrationSpec, lam: float) -> dsl.MetricSpec:
     return f.metric(scale, name)
 
 
-def _unit_curvature(f: FibrationSpec, points):
-    """(g, R) of the scale-1 metric blockdiag(fiber, base) at points
-    (P, n), from one blocked jet and curvature pass, checked."""
-    return _checked_curvature(f.metric(1.0, f.name), points)
-
-
 def _at_scale(f: FibrationSpec, g1, R1, lam: float):
     """The metric and curvature tensor of assemble(f, lam), from the
-    scale-1 pair of _unit_curvature by the identity of the module
-    docstring: g[..., s:, s:] and R[..., s:, s:, :, :] are multiplied by
-    the scale mu0 + lam, every other entry stays.  Runs the checks of
-    curvature() (check_tensor) on the rescaled pair and refuses a scale
-    that is not positive and finite like assemble."""
+    scale-1 pair curvature_at(f.metric(1.0, f.name), points) by the
+    identity of the module docstring: g[..., s:, s:] and
+    R[..., s:, s:, :, :] are multiplied by the scale mu0 + lam, every
+    other entry stays.  Runs the checks of curvature_at (check_tensor) on
+    the rescaled pair and refuses a scale that is not positive and finite
+    like assemble."""
     scale = _scale(f, lam)
     g, R = g1.copy(), R1.copy()
     g[..., f.s:, f.s:] *= scale
@@ -264,7 +258,7 @@ def lambda_search(f: FibrationSpec, bisections: int = 6,
     or LAMBDA_START when every point is positive there (positive_at_start:
     then it only bounds the threshold from above).  Only the reported
     minima are evaluated on the scale-1 pair rescaled by _at_scale, each
-    checked like curvature(): history holds (LAMBDA_START, its grid
+    checked like curvature_at: history holds (LAMBDA_START, its grid
     minimum) and, unless positive_at_start, (lambda_star, min_hsc_at_star);
     persistence holds the grid minima at 2*lambda_star and 4*lambda_star.
 
@@ -278,7 +272,7 @@ def lambda_search(f: FibrationSpec, bisections: int = 6,
     if not skip_hypotheses:
         check_hypotheses(f, seed=seed)
     pts = dsl.box_grid(f.box, grid_per_axis)
-    g1, R1 = _unit_curvature(f, pts)
+    g1, R1 = curvature_at(f.metric(1.0, f.name), pts)
     s = f.s
     R_fiber, R_base = R1.copy(), np.zeros_like(R1)
     R_fiber[:, s:, s:] = 0
@@ -355,8 +349,7 @@ def submanifold_decreasing_check(spec: dsl.MetricSpec, fixed: dict,
     kept = [k for k in range(1, spec.n + 1) if k not in fixed]
     rng = np.random.default_rng([seed, 23])
     pts_sub = dsl.box_sample(sub.box, rng, trials)
-    dirs_sub = rng.standard_normal((trials, sub.n)) \
-        + 1j * rng.standard_normal((trials, sub.n))
+    dirs_sub = dsl._complex_normal(rng, (trials, sub.n))
 
     pts_amb = np.zeros((trials, spec.n), dtype=complex)
     dirs_amb = np.zeros((trials, spec.n), dtype=complex)
@@ -366,10 +359,8 @@ def submanifold_decreasing_check(spec: dsl.MetricSpec, fixed: dict,
     for k, v in fixed.items():
         pts_amb[:, k - 1] = complex(v)
 
-    mj_sub = metric_jet(sub, pts_sub)
-    k_sub = hsc_dirs(mj_sub.g, curvature(mj_sub).R, dirs_sub[:, None, :])[:, 0]
-    mj_amb = metric_jet(spec, pts_amb)
-    k_amb = hsc_dirs(mj_amb.g, curvature(mj_amb).R, dirs_amb[:, None, :])[:, 0]
+    k_sub = hsc_dirs(*curvature_at(sub, pts_sub), dirs_sub[:, None, :])[:, 0]
+    k_amb = hsc_dirs(*curvature_at(spec, pts_amb), dirs_amb[:, None, :])[:, 0]
 
     scale = np.maximum(1.0, np.abs(k_amb))
     margin = (k_amb - k_sub) / scale
@@ -398,14 +389,14 @@ def base_growth_check(f: FibrationSpec, seed: int = 0) -> dict:
     point = dsl.box_sample(f.box, rng, 1)[0]
     pts = point.reshape(1, f.n)
     xi = np.zeros((1, f.n), dtype=complex)
-    xi[0, f.s:] = rng.standard_normal(f.m) + 1j * rng.standard_normal(f.m)
+    xi[0, f.s:] = dsl._complex_normal(rng, (f.m,))
     g1 = metric_jet(assemble(f, 1.0), pts).g[0]
     xi = xi / np.sqrt(metric_norm2(g1, xi))[:, None]
     lams = list(GROWTH_LAMBDAS)
     nums = []
     for lam in lams:
-        R = curvature(metric_jet(assemble(f, lam), pts)).R[0]
-        nums.append(float(quartic(R, xi)[0].real))
+        _, R = curvature_at(assemble(f, lam), pts)
+        nums.append(float(quartic(R[0], xi)[0].real))
     if min(nums) <= 0:
         raise ArithmeticError("curvature numerator not positive along the base")
     slope = float(np.polyfit(np.log(lams), np.log(nums), 1)[0])

@@ -114,7 +114,7 @@ def _reference_jet_check(seed: int) -> dict:
         refined = MetricJet(m1.n, (4 * m2.g - m1.g) / 3,
                             (4 * m2.dg - m1.dg) / 3,
                             (4 * m2.dbarg - m1.dbarg) / 3,
-                            (4 * m2.ddbarg - m1.ddbarg) / 3, m1.points)
+                            (4 * m2.ddbarg - m1.ddbarg) / 3)
         r_fd = curvature(refined, check=False).R
         scale = max(1.0, float(np.abs(r_arith).max()))
         worst_curv = max(worst_curv,

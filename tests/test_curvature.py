@@ -10,6 +10,7 @@ K = -(2/g) d2 log g / dz dzbar in one coordinate:
   * g = B/(1+|z|^2)^2        ->  K = 4/B                   (B > 0 constant)
 """
 
+import importlib
 import itertools
 import re
 from fractions import Fraction
@@ -20,11 +21,11 @@ import pytest
 from hsclab import dsl
 from hsclab.acceptance import ONE_DIM_CATALOG
 from hsclab.certify import pencil_spec
-from hsclab.curvature import (COND_LIMIT, QUARTIC_BLOCK, IllConditionedError,
+from hsclab.curvature import (COND_LIMIT, POINT_BLOCK, IllConditionedError,
                               PointOutsideBoxError, _cond, check_tensor, curvature,
                               curvature_at, entry_jet_1d, gaussian_curvature_1d,
                               gaussian_from_jet, hsc_dirs, metric_jet, metric_jet_from_fd,
-                              pair_symmetry_defect, restrict)
+                              pair_symmetry_defect, quartic, restrict)
 from hsclab.positivity import scan_chart
 from hsclab.wirtinger import SingularPointError
 
@@ -43,8 +44,8 @@ def _random_dirs(rng, count, n):
 def test_constant_curvature(name, value):
     spec = dsl.catalog(name)
     pts = _sample(spec, 50, 3)
-    mj, tensor = curvature_at(spec, pts)
-    vals = hsc_dirs(mj.g, tensor.R, _random_dirs(np.random.default_rng(4), 50, 1))
+    g, R = curvature_at(spec, pts)
+    vals = hsc_dirs(g, R, _random_dirs(np.random.default_rng(4), 50, 1))
     np.testing.assert_allclose(vals[:, 0], value, atol=1e-9)
 
 
@@ -54,10 +55,10 @@ def test_constant_curvature_non_diagonal(name, value):
     # fs(n) and ball(n) have off-diagonal entries and constant K = +4, -4
     spec = dsl.catalog(name)
     pts = _sample(spec, 40, 3)
-    mj, tensor = curvature_at(spec, pts)
+    g, R = curvature_at(spec, pts)
     rng = np.random.default_rng(4)
     dirs = rng.standard_normal((40, 5, spec.n)) + 1j * rng.standard_normal((40, 5, spec.n))
-    np.testing.assert_allclose(hsc_dirs(mj.g, tensor.R, dirs), value, atol=1e-8)
+    np.testing.assert_allclose(hsc_dirs(g, R, dirs), value, atol=1e-8)
     # n = 2 scans through the exact minimizer, n = 3 through descent
     rep = scan_chart(spec, grid_per_axis=3 if spec.n == 2 else 2, dirs=4,
                      starts=2, iters=40)
@@ -66,9 +67,8 @@ def test_constant_curvature_non_diagonal(name, value):
 
 
 def test_flat_metric_has_zero_tensor():
-    mj, tensor = curvature_at(dsl.catalog("flat(2)"),
-                              _sample(dsl.catalog("flat(2)"), 20, 5))
-    assert np.abs(tensor.R).max() < 1e-14
+    _, R = curvature_at(dsl.catalog("flat(2)"), _sample(dsl.catalog("flat(2)"), 20, 5))
+    assert np.abs(R).max() < 1e-14
 
 
 def test_base_metric_formula():
@@ -83,11 +83,11 @@ def test_base_metric_formula():
 def test_hsc_direction_scale_invariance():
     spec = dsl.catalog("paper_G(1)")
     pts = _sample(spec, 10, 7)
-    mj, tensor = curvature_at(spec, pts)
+    g, R = curvature_at(spec, pts)
     rng = np.random.default_rng(8)
     d = rng.standard_normal((10, 1, 2)) + 1j * rng.standard_normal((10, 1, 2))
-    k1 = hsc_dirs(mj.g, tensor.R, d)
-    k2 = hsc_dirs(mj.g, tensor.R, (0.3 - 1.7j) * d)
+    k1 = hsc_dirs(g, R, d)
+    k2 = hsc_dirs(g, R, (0.3 - 1.7j) * d)
     np.testing.assert_allclose(k1, k2, rtol=1e-10)
 
 
@@ -138,7 +138,7 @@ def test_hsc_dirs_matches_index_reference(d, shared):
 def test_hsc_dirs_blocked_direction_axis(d):
     # more directions than two kernel blocks, with a partial last block
     rng = np.random.default_rng(120 + d)
-    points, m = 3, 2 * QUARTIC_BLOCK + 3
+    points, m = 3, 2 * POINT_BLOCK + 3
     g, R = _random_kernel_inputs(rng, points, d, shared=True)
     _, Rs = _random_kernel_inputs(rng, points, d, shared=False)
     dirs = rng.standard_normal((points, m, d)) + 1j * rng.standard_normal((points, m, d))
@@ -159,6 +159,8 @@ def test_hsc_dirs_blocked_direction_axis(d):
     got = hsc_dirs(g[0], R, dirs[1])
     assert got.shape == (m,)
     close(got, _reference_hsc(g[0], R, dirs[1]))
+    # no directions: the one empty block gives an empty result
+    assert quartic(Rs, dirs[..., :0, :]).shape == (points, 0)
 
 
 def test_hsc_dirs_guards():
@@ -204,9 +206,37 @@ def test_hsc_dirs_imaginary_guard_scales_with_summands():
 def test_pair_symmetry_of_catalog_tensors():
     for name in ("poincare", "paper_base", "paper_G(1)", "warp_demo"):
         spec = dsl.catalog(name)
-        mj, tensor = curvature_at(spec, _sample(spec, 25, 10))
-        scale = max(1.0, float(np.abs(tensor.R).max()))
-        assert pair_symmetry_defect(tensor.R) <= 1e-10 * scale
+        _, R = curvature_at(spec, _sample(spec, 25, 10))
+        scale = max(1.0, float(np.abs(R).max()))
+        assert pair_symmetry_defect(R) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("name", ["fs(3)", "ball(3)", "paper_G(1)", "warp_demo"])
+def test_curvature_at_is_the_blocked_layer_pair(monkeypatch, name):
+    """curvature_at in blocks of 7 points gives the bits of metric_jet and
+    curvature on the whole batch, in the batch's shape, and refuses a
+    point outside the box with metric_jet's message."""
+    curvature_module = importlib.import_module("hsclab.curvature")
+    monkeypatch.setattr(curvature_module, "POINT_BLOCK", 7)
+    spec = dsl.catalog(name)
+    pts = _sample(spec, 30, 14)
+    g, R = curvature_at(spec, pts)
+    mj = metric_jet(spec, pts)
+    assert np.array_equal(g, mj.g)
+    assert np.array_equal(R, curvature(mj).R)
+    # a batch of any shape is read as its flattened points
+    g3, R3 = curvature_at(spec, pts.reshape(3, 10, spec.n))
+    assert np.array_equal(g3, g.reshape(3, 10, *g.shape[1:]))
+    assert np.array_equal(R3, R.reshape(3, 10, *R.shape[1:]))
+    outside = pts.copy()
+    outside[20, 0] = 5.0
+    with pytest.raises(PointOutsideBoxError) as want:
+        metric_jet(spec, outside)
+    with pytest.raises(PointOutsideBoxError, match=re.escape(str(want.value))):
+        curvature_at(spec, outside)
+    for route in (metric_jet, curvature_at):
+        with pytest.raises(ValueError, match=f"must have {spec.n} coordinates"):
+            route(spec, pts.reshape(-1)[:60].reshape(-1, spec.n - 1))
 
 
 def test_jets_vs_divided_difference_jets():
@@ -225,8 +255,8 @@ def test_gaussian_equals_sectional_in_one_dim():
     for name in ("poincare", "fs_affine", "paper_base"):
         spec = dsl.catalog(name)
         pts = dsl.box_sample(spec.box, rng, 20)
-        mj, tensor = curvature_at(spec, pts)
-        sect = hsc_dirs(mj.g, tensor.R, np.ones((20, 1, 1), dtype=complex))[:, 0]
+        g, R = curvature_at(spec, pts)
+        sect = hsc_dirs(g, R, np.ones((20, 1, 1), dtype=complex))[:, 0]
         gauss = np.array([gaussian_curvature_1d(spec, p) for p in pts[:, 0]])
         np.testing.assert_allclose(sect, gauss, atol=1e-11)
 
@@ -279,8 +309,8 @@ def test_every_catalog_name_is_a_metric_with_curvature():
         spec = dsl.catalog(pattern.replace("(n)", "(2)").replace("(lam)", "(1)"))
         centre = [[complex(0.5 * (r.re_min + r.re_max), 0.5 * (r.im_min + r.im_max))
                    for r in spec.box]]
-        tensor = curvature(metric_jet(spec, centre))
-        assert tensor.R.shape == (1,) + (spec.n,) * 4, pattern
+        _, R = curvature_at(spec, centre)
+        assert R.shape == (1,) + (spec.n,) * 4, pattern
 
 
 def test_fd_route_checks_the_coordinate_count():
@@ -364,10 +394,13 @@ def test_ill_conditioned_metric_rejected():
          (dsl.parse("0", 2), dsl.parse("1/100000000000000", 2))),
         dsl._square_box(2, 0.5))
     with pytest.raises(IllConditionedError):
-        curvature(metric_jet(tiny, np.zeros((1, 2))))
-    # exactly singular at the origin: the solve fails, the check names it
+        curvature_at(tiny, np.zeros((1, 2)))
+    # exactly singular at the origin: the solve fails, the check names it,
+    # on the route and on its layers
     cone = dsl.MetricSpec("cone", 1, ((dsl.parse("z1*conj(z1)", 1),),),
                           dsl._square_box(1, 0.5))
+    with pytest.raises(IllConditionedError, match="inf"):
+        curvature_at(cone, np.array([[0.25 + 0j], [0j]]))
     with pytest.raises(IllConditionedError, match="inf"):
         curvature(metric_jet(cone, np.array([[0.25 + 0j], [0j]])))
 
@@ -446,9 +479,9 @@ def test_check_tensor_refuses_a_nan_metric(n):
 
 @pytest.mark.parametrize("name,n", [("poincare", 1), ("paper_G(1)", 2), ("ball(3)", 3)])
 def test_empty_batch_gives_an_empty_tensor(name, n):
-    t = curvature(metric_jet(dsl.catalog(name), np.zeros((0, n), complex)))
-    assert t.R.shape == (0,) + (n,) * 4
-    assert pair_symmetry_defect(t.R) == 0.0
+    g, R = curvature_at(dsl.catalog(name), np.zeros((0, n), complex))
+    assert g.shape == (0, n, n) and R.shape == (0,) + (n,) * 4
+    assert pair_symmetry_defect(R) == 0.0
 
 
 def test_scan_refuses_a_nan_curvature():
@@ -465,9 +498,9 @@ def test_warp_family_minimum_at_origin():
     # -2/(3 lam) at the chart origin
     for lam in (0.5, 1.0, 5.0):
         spec = dsl.catalog(f"paper_G({lam:g})")
-        mj, tensor = curvature_at(spec, np.zeros((1, 2)))
+        g, R = curvature_at(spec, np.zeros((1, 2)))
         rng = np.random.default_rng(13)
         dirs = rng.standard_normal((1, 4096, 2)) + 1j * rng.standard_normal((1, 4096, 2))
-        got = hsc_dirs(mj.g, tensor.R, dirs).min()
+        got = hsc_dirs(g, R, dirs).min()
         assert got == pytest.approx(-2.0 / (3.0 * lam), rel=5e-3)
         assert got >= -2.0 / (3.0 * lam) - 1e-9

@@ -6,7 +6,7 @@ import pytest
 
 from hsclab import dsl, positivity, warp
 from hsclab.acceptance import exact_minimum_specs
-from hsclab.curvature import curvature, hsc_dirs, metric_jet
+from hsclab.curvature import curvature_at, hsc_dirs
 from hsclab.positivity import (_min_over_dirs, _probe_and_descend,
                                find_negative_witness, min_hsc_at_point,
                                scan_chart, scan_to_csv)
@@ -232,11 +232,10 @@ def _exact_grid(label):
     name, _, lam = label.partition("@")
     if lam:
         f = warp.warp_demo_fibration()
-        return warp._at_scale(f, *warp._unit_curvature(f, dsl.box_grid(f.box, 5)),
-                              float(lam))
+        unit = curvature_at(f.metric(1.0, f.name), dsl.box_grid(f.box, 5))
+        return warp._at_scale(f, *unit, float(lam))
     spec = dsl.catalog(name)
-    mj = metric_jet(spec, dsl.box_grid(spec.box, 9))
-    return mj.g, curvature(mj).R
+    return curvature_at(spec, dsl.box_grid(spec.box, 9))
 
 
 @pytest.mark.parametrize("label", EXACT_GRIDS)
@@ -285,8 +284,7 @@ def test_non_positive_metric_names_the_point():
 
 def _grid_tensor(spec):
     pts = dsl.box_grid(spec.box, 3)
-    mj = metric_jet(spec, pts)
-    return mj.g, curvature(mj).R, range(len(pts))
+    return (*curvature_at(spec, pts), range(len(pts)))
 
 
 @pytest.mark.parametrize("spec", exact_minimum_specs(), ids=lambda s: s.name)

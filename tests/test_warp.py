@@ -10,13 +10,12 @@ import numpy as np
 import pytest
 
 from hsclab import dsl, positivity, warp
-from hsclab.curvature import (IllConditionedError, curvature,
-                              gaussian_curvature_1d, hsc_dirs, metric_jet,
-                              restrict)
+from hsclab.curvature import (IllConditionedError, curvature_at,
+                              gaussian_curvature_1d, hsc_dirs, restrict)
 from hsclab.dsl import FibrationSpec, load_fibration, save_fibration
 from hsclab.positivity import _min_over_dirs, min_hsc_at_point
 from hsclab.warp import (HypothesisViolationError, ThresholdNotReachedError,
-                         _at_scale, _unit_curvature, assemble,
+                         _at_scale, assemble,
                          base_growth_check, check_hypotheses, lambda_search,
                          paper_G_fibration, submanifold_decreasing_check,
                          warp_demo_fibration)
@@ -190,10 +189,9 @@ def _block_rel_error(got, want, s):
 def test_warped_curvature_matches_assembled_route(make, lam):
     f = make()
     pts = dsl.box_grid(f.box, 3)
-    g, R = _at_scale(f, *_unit_curvature(f, pts), lam)
-    mj = metric_jet(assemble(f, lam), pts)
-    R_ref = curvature(mj).R
-    assert _block_rel_error(g, mj.g, f.s) <= 1e-12
+    g, R = _at_scale(f, *curvature_at(f.metric(1.0, f.name), pts), lam)
+    g_ref, R_ref = curvature_at(assemble(f, lam), pts)
+    assert _block_rel_error(g, g_ref, f.s) <= 1e-12
     assert _block_rel_error(R, R_ref, f.s) <= 1e-12
     s = f.s
     assert not np.any(g[..., :s, s:]) and not np.any(g[..., s:, :s])
@@ -203,11 +201,11 @@ def test_warped_curvature_matches_assembled_route(make, lam):
 def test_warped_curvature_keeps_the_checks_of_the_assembled_route():
     f = warp_demo_fibration()
     pts = dsl.box_grid(f.box, 5)
-    g1, R1 = _unit_curvature(f, pts)
+    g1, R1 = curvature_at(f.metric(1.0, f.name), pts)
     with pytest.raises(IllConditionedError, match="3.620e"):
         _at_scale(f, g1, R1, 1e12)
     with pytest.raises(IllConditionedError, match="3.620e"):
-        curvature(metric_jet(assemble(f, 1e12), pts))
+        curvature_at(assemble(f, 1e12), pts)
     refused = "mu0 \\+ lam must be positive and finite"
     for lam in (0.0, float("inf")):
         with pytest.raises(ValueError, match=refused):
@@ -279,7 +277,7 @@ def _per_pass_search(f, grid_per_axis=5, dirs=24, starts=4, iters=120, seed=0):
     and hsc_dirs on the result: the reference for the per-search Bloch
     quadratics.  Returns (points, thresholds, passes, never, capped)."""
     pts = dsl.box_grid(f.box, grid_per_axis)
-    g1, R1 = warp._unit_curvature(f, pts)
+    g1, R1 = curvature_at(f.metric(1.0, f.name), pts)
     s = f.s
     R_base = np.zeros_like(R1)
     R_base[:, s:, s:] = R1[:, s:, s:]
