@@ -67,7 +67,8 @@ class WeightChoice:
     fiber_lower (K0) bounds the fiber-block quartic from below, mixed_bound
     (K1) bounds strictly mixed entries, required_ratio (Kcal) is the
     smallest base/mixed ratio the choice certifies, and base_required is
-    required_ratio * mixed_bound.
+    required_ratio * mixed_bound.  a, b, c and d are the square roots of
+    the squared weights a_sq .. d_sq.
     """
 
     fiber_lower: float
@@ -80,25 +81,12 @@ class WeightChoice:
     d_sq: float
     required_ratio: float
     base_required: float
+    a: float
+    b: float
+    c: float
+    d: float
 
-    @property
-    def a(self) -> float:
-        return float(np.sqrt(self.a_sq))
-
-    @property
-    def b(self) -> float:
-        return float(np.sqrt(self.b_sq))
-
-    @property
-    def c(self) -> float:
-        return float(np.sqrt(self.c_sq))
-
-    @property
-    def d(self) -> float:
-        return float(np.sqrt(self.d_sq))
-
-    def as_dict(self) -> dict:
-        return {**dsl.report_dict(self), "a": self.a, "b": self.b, "c": self.c, "d": self.d}
+    as_dict = dsl.report_dict
 
 
 def _exact_weights(fiber_lower, mixed_bound, n: int, s: int):
@@ -124,12 +112,15 @@ def _exact_weights(fiber_lower, mixed_bound, n: int, s: int):
 def choose_weights(fiber_lower: float, mixed_bound: float, n: int, s: int) -> WeightChoice:
     """Equalized weight choice; the constraint identities hold exactly in
     rational arithmetic (see weight_identities)."""
-    (a_sq, b_sq, c_sq, d_sq), _, _, kcal = _exact_weights(fiber_lower, mixed_bound, n, s)
+    squares, _, _, kcal = _exact_weights(fiber_lower, mixed_bound, n, s)
+    a_sq, b_sq, c_sq, d_sq = map(float, squares)
     return WeightChoice(
         fiber_lower=float(fiber_lower), mixed_bound=float(mixed_bound), n=n, s=s,
-        a_sq=float(a_sq), b_sq=float(b_sq), c_sq=float(c_sq), d_sq=float(d_sq),
+        a_sq=a_sq, b_sq=b_sq, c_sq=c_sq, d_sq=d_sq,
         required_ratio=float(kcal),
-        base_required=float(kcal * Fraction(mixed_bound)))
+        base_required=float(kcal * Fraction(mixed_bound)),
+        a=float(np.sqrt(a_sq)), b=float(np.sqrt(b_sq)),
+        c=float(np.sqrt(c_sq)), d=float(np.sqrt(d_sq)))
 
 
 def weight_identities(fiber_lower, mixed_bound, n: int, s: int) -> dict:
@@ -283,18 +274,16 @@ def check_block_hypotheses(t: BoundedBlockTensor, trials: int = 10000,
     _require_positive(trials=trials)
     n, s = t.n, t.s
     rng = np.random.default_rng(seed)
-    xf = dsl._complex_normal(rng, (trials, s))
-    qf = quartic(t.R[:s, :s, :s, :s], xf).real
-    mf = (np.abs(xf) ** 2).sum(axis=1) ** 2
-    fiber_margin = float(((qf - t.fiber_lower * mf)
-                          / np.maximum(1.0, np.abs(t.fiber_lower) * mf)).min())
-
-    xb = dsl._complex_normal(rng, (trials, n - s))
-    qb = quartic(t.R[s:, s:, s:, s:], xb).real
-    mb = (np.abs(xb) ** 2).sum(axis=1) ** 2
-    base_margin = float(((qb - t.base_lower * mb)
-                         / np.maximum(1.0, np.abs(t.base_lower) * mb)).min())
-
+    margins = []
+    for side, lower in ((slice(None, s), t.fiber_lower), (slice(s, None), t.base_lower)):
+        block = t.R[side, side, side, side]
+        # one stream, fiber draws first: the reported margins depend on the order
+        x = dsl._complex_normal(rng, (trials, block.shape[0]))
+        q = quartic(block, x).real
+        mass = (np.abs(x) ** 2).sum(axis=1) ** 2
+        margins.append(float(((q - lower * mass)
+                              / np.maximum(1.0, np.abs(lower) * mass)).min()))
+    fiber_margin, base_margin = margins
     mixed_max = float(np.abs(t.R[_strictly_mixed_mask(n, s)]).max())
     ok = (fiber_margin >= -BOUND_TOL and base_margin >= -BOUND_TOL
           and mixed_max < t.mixed_bound and pair_symmetric(t.R))

@@ -6,6 +6,15 @@ parsed configuration; identical command lines produce byte-identical
 reports.  Human-oriented progress goes to stderr.  Exit codes: 0 on
 success, 1 when a numerical check fails, 2 on usage errors.
 
+main is the only code that turns an exception into an exit code.  Bad
+input -- an option, point, box, metric or fibration file the parsers or
+the library refuse -- raises ValueError, KeyError or OSError, and main
+prints one "error:" line and exits 2.  A --trials or --fibers below 1
+is refused by the library's count rule (dsl._require_positive), as in
+"trials must be at least 1, got 0".  dsl.MetricError and
+ArithmeticError are numerical failures: one "error:" line and exit 1.
+lemma2 and warp write theirs into the report instead.
+
 Points and directions are comma-separated values: either 2n bare reals
 read as (re, im) pairs ("0.5,0.1" is 0.5+0.1i for a one-coordinate
 metric) or n complex literals in a+bi form ("0.5+0.1i,2i").
@@ -39,21 +48,21 @@ def parse_complex_vector(text: str, n: int, what: str) -> np.ndarray:
     """n complex entries from 2n bare reals (re, im pairs) or n literals."""
     toks = [t.strip() for t in text.split(",") if t.strip()]
     has_literal = any(("i" in t) or ("j" in t) for t in toks)
+    pairs = not has_literal and len(toks) == 2 * n
+    if not pairs and len(toks) != n:
+        raise ValueError(f"{what} needs {n} complex entries ({2 * n} reals or {n} "
+                         f"literals), got {len(toks)} values")
     try:
-        if not has_literal and len(toks) == 2 * n:
+        if pairs:
             vals = [float(t) for t in toks]
             vec = np.array([complex(vals[2 * k], vals[2 * k + 1])
                             for k in range(n)])
-        elif len(toks) == n:
-            vec = np.array([complex(t.replace("i", "j")) for t in toks])
         else:
-            raise SystemExit(_usage(
-                f"{what} needs {n} complex entries ({2 * n} reals or {n} "
-                f"literals), got {len(toks)} values"))
+            vec = np.array([complex(t.replace("i", "j")) for t in toks])
     except ValueError as exc:
-        raise SystemExit(_usage(f"could not parse {what} {text!r}: {exc}"))
+        raise ValueError(f"could not parse {what} {text!r}: {exc}") from exc
     if not np.isfinite(vec).all():
-        raise SystemExit(_usage(f"{what} {text!r} has a non-finite entry"))
+        raise ValueError(f"{what} {text!r} has a non-finite entry")
     return vec
 
 
@@ -61,11 +70,11 @@ def parse_float_list(text: str, what: str) -> list[float]:
     try:
         values = [float(t) for t in text.split(",") if t.strip()]
     except ValueError as exc:
-        raise SystemExit(_usage(f"could not parse {what} {text!r}: {exc}"))
+        raise ValueError(f"could not parse {what} {text!r}: {exc}") from exc
     if not values:
-        raise SystemExit(_usage(f"{what} needs at least one value"))
+        raise ValueError(f"{what} needs at least one value")
     if not all(map(math.isfinite, values)):
-        raise SystemExit(_usage(f"{what} {text!r} has a non-finite value"))
+        raise ValueError(f"{what} {text!r} has a non-finite value")
     return values
 
 
@@ -87,26 +96,13 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
-def positive_int(text: str) -> int:
-    """argparse type of trial and sample counts, which a 0 would turn into
-    a vacuous pass."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"needs an integer >= 1, got {text!r}")
-    return value
-
-
-def _usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
 def _loaded(load, text: str, what: str):
-    """load(text); a missing or malformed input is a usage error."""
+    """load(text); a missing or malformed input is a ValueError that
+    names it."""
     try:
         return load(text)
     except (OSError, KeyError, TypeError, ValueError) as exc:
-        raise SystemExit(_usage(f"cannot load {what} {text!r}: {exc!r}"))
+        raise ValueError(f"cannot load {what} {text!r}: {exc!r}") from exc
 
 
 def _metric_arg(text: str, is_file: bool) -> dsl.MetricSpec:
@@ -124,17 +120,16 @@ def _load_metric(args) -> dsl.MetricSpec:
 def _parse_box(text: str, n: int):
     groups = [g for g in text.split(",") if g.strip()]
     if len(groups) != n:
-        raise SystemExit(_usage(f"--box needs {n} groups of "
-                                "re_min:re_max:im_min:im_max"))
+        raise ValueError(f"--box needs {n} groups of re_min:re_max:im_min:im_max")
     rects = []
     for g in groups:
         parts = g.split(":")
         if len(parts) != 4:
-            raise SystemExit(_usage("each --box group is re_min:re_max:im_min:im_max"))
+            raise ValueError("each --box group is re_min:re_max:im_min:im_max")
         try:
             rects.append(dsl.Rect(*map(float, parts)))
         except ValueError as exc:
-            raise SystemExit(_usage(f"--box group {g!r}: {exc}"))
+            raise ValueError(f"--box group {g!r}: {exc}") from exc
     return tuple(rects)
 
 
@@ -175,7 +170,7 @@ def cmd_curvature(args) -> int:
         try:
             val = hsc_dirs(g, R, d.reshape(1, 1, spec.n))[0, 0]
         except SingularPointError as exc:
-            raise SystemExit(_usage(f"--dir {args.dir!r}: {exc}"))
+            raise ValueError(f"--dir {args.dir!r}: {exc}") from exc
         payload["direction"] = _vec_dict(d)
         payload["hsc"] = float(val)
     _emit(args, "curvature", payload)
@@ -185,11 +180,8 @@ def cmd_curvature(args) -> int:
 def cmd_scan(args) -> int:
     spec = _load_metric(args)
     box = _parse_box(args.box, spec.n) if args.box else None
-    try:
-        rep = scan_chart(spec, box=box, grid_per_axis=args.grid, dirs=args.dirs,
-                         seed=args.seed, starts=args.starts, iters=args.iters)
-    except ValueError as exc:
-        raise SystemExit(_usage(str(exc)))
+    rep = scan_chart(spec, box=box, grid_per_axis=args.grid, dirs=args.dirs,
+                     seed=args.seed, starts=args.starts, iters=args.iters)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(scan_to_csv(rep))
@@ -199,21 +191,15 @@ def cmd_scan(args) -> int:
 
 def cmd_witness(args) -> int:
     spec = _load_metric(args)
-    try:
-        w = find_negative_witness(spec, budget=args.budget, seed=args.seed,
-                                  threshold=args.threshold)
-    except ValueError as exc:
-        raise SystemExit(_usage(str(exc)))
+    w = find_negative_witness(spec, budget=args.budget, seed=args.seed,
+                              threshold=args.threshold)
     _emit(args, "witness", {"metric": spec.name, "found": w is not None,
                             "witness": None if w is None else w.as_dict()})
     return 0
 
 
 def cmd_lemma1(args) -> int:
-    try:
-        w = certify.choose_weights(args.k0, args.k1, args.n, args.s)
-    except ValueError as exc:
-        raise SystemExit(_usage(str(exc)))
+    w = certify.choose_weights(args.k0, args.k1, args.n, args.s)
     identities = certify.weight_identities(args.k0, args.k1, args.n, args.s)
     prod = certify.product_inequality_check(w.a, w.b, w.c, w.d,
                                             trials=args.trials, seed=args.seed)
@@ -250,7 +236,7 @@ def cmd_lemma2(args) -> int:
     gspec = _metric_arg(args.g, is_file=args.g.endswith(".json"))
     hspec = _metric_arg(args.h, is_file=args.h.endswith(".json"))
     if gspec.n != 1 or hspec.n != 1:
-        raise SystemExit(_usage("--g and --h must be one-coordinate metrics"))
+        raise ValueError("--g and --h must be one-coordinate metrics")
     point = complex(parse_complex_vector(args.point, 1, "--point")[0])
     lams = parse_float_list(args.lambdas, "--lambdas")
     payload = {"g": gspec.name, "h": hspec.name, "point": _c2pair(point)}
@@ -280,13 +266,10 @@ def cmd_lemma2(args) -> int:
 
 def cmd_warp(args) -> int:
     if args.csv and not args.search:
-        raise SystemExit(_usage("--csv needs --search"))
+        raise ValueError("--csv needs --search")
     f = (_loaded(dsl.load_fibration, args.file, "fibration") if args.file
          else warp.warp_demo_fibration())
-    try:
-        assembled = warp.assemble(f, args.lam)
-    except ValueError as exc:
-        raise SystemExit(_usage(str(exc)))
+    assembled = warp.assemble(f, args.lam)
     if args.write_demo:
         dsl.save_fibration(warp.warp_demo_fibration(), args.write_demo)
     try:
@@ -327,12 +310,8 @@ def cmd_warp(args) -> int:
 
 def cmd_example1(args) -> int:
     lams = tuple(parse_float_list(args.lambdas, "--lambdas"))
-    try:
-        rep = warp.family_negativity_report(lam_values=lams,
-                                            fiber_samples=args.fibers,
-                                            seed=args.seed, budget=args.budget)
-    except (ValueError, KeyError) as exc:  # a budget or a lam it rejects
-        raise SystemExit(_usage(str(exc)))
+    rep = warp.family_negativity_report(lam_values=lams, fiber_samples=args.fibers,
+                                        seed=args.seed, budget=args.budget)
     _emit(args, "example1", {"report": rep, "ok": rep["ok"]})
     return 0 if rep["ok"] else 1
 
@@ -418,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True, help="fiber dimension")
     p.add_argument("--k2", type=finite_float, help="base quartic bound "
                    "(default: the certified requirement)")
-    p.add_argument("--trials", type=positive_int, default=10000,
+    p.add_argument("--trials", type=int, default=10000,
                    help="random trials per sampled check (default %(default)s)")
     p.set_defaults(func=cmd_lemma1)
 
@@ -452,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "directions at every lam")
     _add_seed(p)
     p.add_argument("--lambdas", default="0.5,1,5,50")
-    p.add_argument("--fibers", type=positive_int, default=20,
+    p.add_argument("--fibers", type=int, default=20,
                    help="sampled fibers for the semi-positivity check")
     p.add_argument("--budget", type=int, default=20000,
                    help="witness search budget per lam")
@@ -477,8 +456,9 @@ def main(argv=None) -> int:
         # ArithmeticError covers SingularPointError and IllConditionedError.
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (dsl.ParseError, PointOutsideBoxError, OSError) as exc:
-        raise SystemExit(_usage(str(exc)))
+    except (ValueError, KeyError, OSError) as exc:  # bad input
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
 
 
 if __name__ == "__main__":

@@ -33,9 +33,11 @@ positivity._min_over_dirs and the statistics of check_tensor run over
 the same blocks, so their temporaries are those of one block whatever
 the grid; only g, R and the per-point outputs grow with it.  A point's
 arithmetic does not depend on the other points of its batch, so every
-result is bit for bit that of one unblocked pass.  metric_jet and
-curvature are its layers, kept for readers of the jets alone
-(entry_jet_1d) and for the finite-difference oracle, which runs
+result is bit for bit that of one unblocked pass.  An exactly singular
+metric is turned into a NaN tensor in one place, curvature(), whose
+failed solve gives the whole block NaN; check_tensor then names its
+infinite condition number.  metric_jet and curvature are its layers,
+kept for readers of the jets alone (entry_jet_1d) and for the finite-difference oracle, which runs
 curvature on its own refined jets.
 
 Each blocked loop holds one block at a time: _point_blocks yields its
@@ -235,16 +237,17 @@ def check_tensor(g: np.ndarray, R: np.ndarray) -> None:
 
 def curvature(mj: MetricJet, check: bool = True) -> CurvatureTensor:
     """Curvature components from a MetricJet; see the module docstring.
-    With check, check_tensor runs on the result."""
+    With check, check_tensor runs on the result.
+
+    The package's only singular-metric fallback: where the solve fails,
+    g is exactly singular at some point of the batch, and the whole
+    tensor is NaN; the infinite condition number there fails
+    check_tensor, run here with check and by the caller without."""
     g = mj.g
     eye = np.broadcast_to(np.eye(mj.n, dtype=complex), g.shape)
     try:
         ginv = np.linalg.solve(g, eye)
     except np.linalg.LinAlgError:
-        # g is exactly singular somewhere, so its condition number there is
-        # infinite and check_tensor names it
-        if not check:
-            raise
         ginv = np.full(g.shape, np.nan, dtype=complex)
     R = -mj.ddbarg + np.einsum("...pq,...ipk,...qjl->...ijkl", ginv, mj.dg, mj.dbarg)
     if check:
@@ -320,11 +323,11 @@ def curvature_at(spec: dsl.MetricSpec, points):
     then the jets and the tensor are evaluated one _point_blocks block of
     the flattened batch at a time into preallocated arrays, each block's
     MetricJet dropped before the next block's jets are read, and
-    check_tensor runs on the whole batch at the end.  A block whose solve
-    fails, where g is exactly singular, gets a NaN tensor, and its
-    infinite condition number fails the check, as in curvature().  So
-    the errors, their order and their messages are those of the
-    unblocked pair, except that Jet2.reciprocal's SingularPointError
+    check_tensor runs on the whole batch at the end.  A block where g is
+    exactly singular gets curvature()'s NaN tensor, the only
+    singular-metric fallback, and its infinite condition number fails
+    the check.  So the errors, their order and their messages are those
+    of the unblocked pair, except that Jet2.reciprocal's SingularPointError
     prints the smallest modulus of its block.
     """
     pts = _in_box(spec, points)
@@ -336,10 +339,7 @@ def curvature_at(spec: dsl.MetricSpec, points):
         block = pts[rows]
         mj = _metric_jet(spec, block, lambda e: dsl.eval_jet(e, n, block))
         g[rows] = mj.g
-        try:
-            R[rows] = curvature(mj, check=False).R
-        except np.linalg.LinAlgError:
-            R[rows] = np.nan
+        R[rows] = curvature(mj, check=False).R
         del mj  # the next block's jets must not meet this block's
     check_tensor(g, R)
     return g.reshape(batch + (n, n)), R.reshape(batch + (n,) * 4)

@@ -535,8 +535,8 @@ class NotPositiveDefiniteError(MetricError):
 @dataclass(frozen=True)
 class MetricSpec:
     """A metric given by entry expressions on a box: `entries` is an
-    n x n matrix of Expr in the coordinates z1..zn and `box` has one Rect
-    per coordinate, both checked on construction.  A fiber of a fibration
+    n x n matrix of Expr in the coordinates z1..zn, n >= 1, and `box` has
+    one Rect per coordinate, all checked on construction.  A fiber of a fibration
     is a coordinate slice of the assembled metric (curvature.restrict).
     """
 
@@ -547,6 +547,8 @@ class MetricSpec:
 
     def __post_init__(self):
         n = self.n
+        if n < 1:
+            raise ValueError(f"{self.name}: need at least one coordinate, got n = {n}")
         if len(self.entries) != n or any(len(row) != n for row in self.entries):
             raise ValueError(f"{self.name}: entries must be {n} x {n}")
         if len(self.box) != n:

@@ -1,5 +1,6 @@
 """Console entry points: report shape, exit codes, and determinism."""
 
+import ast
 import json
 import os
 import re
@@ -201,6 +202,9 @@ def _write_bad_files(directory) -> None:
     family = dict(dsl.spec_to_dict(dsl.catalog("paper_G(1)")),
                   entries=[[dsl.to_source(dsl.PAPER_G_FIBRATION.fiber_entries[0][0])]])
     (directory / "family.json").write_text(json.dumps(family))
+    # a metric with no coordinates
+    (directory / "no-coordinates.json").write_text(
+        json.dumps({"name": "z", "n": 0, "entries": [], "box": []}))
 
 
 BAD_SPEC_FILES = [
@@ -209,6 +213,8 @@ BAD_SPEC_FILES = [
     ("warp", "--file", "{tmp}/inverted-box.json"),
     ("curvature", "--file", "{tmp}/family.json", "--point", "0,0,0,0"),
     ("warp", "--file", "{tmp}/infinite-mu0.json"),
+    ("curvature", "--file", "{tmp}/no-coordinates.json", "--point", ","),
+    ("scan", "--file", "{tmp}/no-coordinates.json"),
 ]
 
 
@@ -332,6 +338,33 @@ def test_bad_spec_files_fail_at_load(capsys, tmp_path, argv):
     assert len(lines) == 1 and lines[0].startswith("error: cannot load ")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("lemma1", "--k0", "8", "--k1", "1", "--n", "2", "--s", "1", "--trials", "0"),
+     "error: trials must be at least 1, got 0"),
+    (("example1", "--fibers", "0"), "error: fiber_samples must be at least 1, got 0"),
+])
+def test_counts_below_one_meet_the_library_rule(capsys, argv, message):
+    with pytest.raises(SystemExit) as err:
+        cli.main(list(argv))
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert not captured.out.strip()
+    assert captured.err.strip().splitlines() == [message]
+
+
+def test_only_main_raises_system_exit():
+    """cli.main alone turns an exception into an exit code: SystemExit is
+    named nowhere else in cli.py, so every other function raises the
+    library's exceptions."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    in_main = {id(node) for node in ast.walk(main)}
+    uses = [node for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "SystemExit"]
+    assert uses and all(id(node) in in_main for node in uses)
+
+
 @pytest.mark.parametrize("argv", [
     ("scan", "--file", "{tmp}/neg.json"),
     ("witness", "--file", "{tmp}/neg.json"),
@@ -429,5 +462,5 @@ def test_point_parser_pairs_and_literals():
     np.testing.assert_array_equal(got, [0.5 + 0.1j, 2.0j])
     got = cli.parse_complex_vector("0.25,-0.5", 1, "point")
     np.testing.assert_array_equal(got, [0.25 - 0.5j])
-    with pytest.raises(SystemExit):
+    with pytest.raises(ValueError, match="point needs 2 complex entries"):
         cli.parse_complex_vector("1,2,3", 2, "point")

@@ -405,6 +405,18 @@ def test_ill_conditioned_metric_rejected():
         curvature(metric_jet(cone, np.array([[0.25 + 0j], [0j]])))
 
 
+def test_unchecked_curvature_of_a_singular_batch_is_nan():
+    """curvature() is the one singular-metric fallback: without check, a
+    batch with one exactly singular point gives an all-NaN tensor of the
+    batch shape instead of raising."""
+    cone = dsl.MetricSpec("cone", 1, ((dsl.parse("z1*conj(z1)", 1),),),
+                          dsl._square_box(1, 0.5))
+    pts = np.array([[[0.25 + 0j], [0j]], [[0.1j], [-0.2 + 0j]]])
+    R = curvature(metric_jet(cone, pts), check=False).R
+    assert R.shape == (2, 2, 1, 1, 1, 1)
+    assert np.isnan(R).all()
+
+
 def test_check_tensor_refuses_a_nan_entry():
     g = np.eye(2, dtype=complex)[None]
     R = np.zeros((1, 2, 2, 2, 2), dtype=complex)

@@ -248,6 +248,8 @@ def test_metric_spec_is_n_by_n_on_n_rectangles():
             MetricSpec("bad", 2, entries, box)
     with pytest.raises(ValueError, match="box must have 2 rectangles, got 1"):
         MetricSpec("bad", 2, ((one, zero), (zero, one)), box[:1])
+    with pytest.raises(ValueError, match="need at least one coordinate, got n = 0"):
+        MetricSpec("bad", 0, (), ())
 
 
 def test_catalog_rejects_unknown():
