@@ -2,7 +2,7 @@
 
 Each check runs one advertised guarantee of the package at its stated
 tolerance and returns a JSON-able detail dict.  run_core executes the
-nine numerical checks; run_all additionally reruns the core and
+ten numerical checks; run_all additionally reruns the core and
 byte-compares the canonical reports, so determinism is itself a checked
 guarantee.  Reports carry no timestamps or timings: repeated runs with
 the same seed must be byte-identical.
@@ -495,6 +495,43 @@ def check_exact_direction_minimum(seed: int) -> dict:
             "brute_force_directions": 2000}
 
 
+def _torus_invariance_excess(spec, rng, count: int = 16) -> float:
+    """Largest |K(Up, U xi) - K(p, xi)| / max(1, |K(p, xi)|) over count
+    draws of a point p, a torus element U = diag(e^{i theta}) and a
+    direction xi.  Each coordinate of p is drawn in the disk inscribed in
+    its Rect, a square centred at 0, so Up stays in the box.  Both values
+    come from hsc_dirs on curvature_at, so the symmetry that
+    positivity.scan_chart assumes of a torus_invariant chart is measured,
+    not assumed."""
+    n = spec.n
+    half = np.array([r.re_max for r in spec.box])
+    p = half * np.sqrt(rng.uniform(0.0, 1.0, (count, n))) * np.exp(
+        2j * np.pi * rng.uniform(0.0, 1.0, (count, n)))
+    u = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, (count, n)))
+    xi = dsl._complex_normal(rng, (count, 1, n))
+    k = hsc_dirs(*curvature_at(spec, p), xi)[:, 0]
+    k_rot = hsc_dirs(*curvature_at(spec, u * p), u[:, None, :] * xi)[:, 0]
+    return _worst(np.abs(k_rot - k) / np.maximum(1.0, np.abs(k)))
+
+
+def check_torus_invariance(seed: int) -> dict:
+    """K(Up, U xi) = K(p, xi) within 1e-12 relative, at 16 random p, U
+    and xi, on every bundled metric that dsl.torus_invariant accepts
+    (each catalog name, flat at 2 coordinates and fs and ball at 2 and
+    3): the symmetry that lets scan_chart and warp.lambda_search evaluate
+    one point per grid orbit."""
+    rng = np.random.default_rng([seed, 9])
+    specs = [dsl.catalog(name) for name in
+             ("flat(2)", "poincare", "fs_affine", "paper_base", "paper_G(1)",
+              "warp_demo", "fs(2)", "ball(2)", "fs(3)", "ball(3)")]
+    accepted = [spec for spec in specs if dsl.torus_invariant(spec)]
+    worst = _worst([0.0] + [_torus_invariance_excess(spec, rng) for spec in accepted])
+    return {"ok": bool(accepted and worst <= 1e-12), "worst_rel_excess": worst,
+            "accepted": [spec.name for spec in accepted],
+            "refused": [spec.name for spec in specs if spec not in accepted],
+            "tolerance": 1e-12, "points_per_metric": 16}
+
+
 CORE_CHECKS = (
     ("constant_curvature_models", check_constant_curvature),
     ("positive_base_formula", check_base_formula),
@@ -505,6 +542,7 @@ CORE_CHECKS = (
     ("pencil_analysis", check_pencil_suite),
     ("warped_fibration_suite", check_warp_suite),
     ("exact_direction_minimum", check_exact_direction_minimum),
+    ("torus_invariance", check_torus_invariance),
 )
 
 CHECK_NAMES = tuple(name for name, _ in CORE_CHECKS) + ("deterministic_reports",)

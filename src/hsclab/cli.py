@@ -457,7 +457,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, KeyError, OSError) as exc:  # bad input
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes included
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}",
+              file=sys.stderr)
         raise SystemExit(2)
 
 

@@ -29,6 +29,16 @@ and fibrations (one writer and one reader serve both) and the bundled
 catalog, whose fibration metrics derive from the bundled
 PAPER_G_FIBRATION and WARP_DEMO_FIBRATION.
 
+grid_orbits splits a box grid into torus orbits for charts that
+torus_invariant accepts.  The test reads the syntax alone: each entry
+g_ij must carry the torus charge e_j - e_i under these rules.  z_k has
+charge e_k and a nonzero literal charge 0; a literal 0 takes any charge.
+conj negates a charge, "*" adds and "/" subtracts charges, and "^k"
+multiplies by k ("^0" gives the constant 1, charge 0).  "+" and "-"
+need equal charges, and exp needs charge 0.  Anything else (z1+conj(z1))
+is undecided, and so is an entry whose rules give the wrong charge
+(z1-z1): the chart is then refused and scanned point by point.
+
 report_dict is the one rule that turns a report dataclass into JSON (its
 compared fields, complex tuples as [re, im] pairs); every report's
 as_dict is built on it, and _c2pair/_vec_dict are the program's one
@@ -511,6 +521,97 @@ def box_grid(box, per_axis: int) -> np.ndarray:
     flat = [m.reshape(-1) for m in mesh]
     cols = [flat[2 * k] + 1j * flat[2 * k + 1] for k in range(len(box))]
     return np.stack(cols, axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# Torus orbits of a grid
+
+# The charge of an expression that is literally 0: every charge admits it.
+_ANY = "any"
+
+
+def _charge(e: Expr, n: int):
+    """Torus charge of e by the rules of the module docstring: the q in
+    Z^n with e(Up) = e^{i q.theta} e(p) for U = diag(e^{i theta}), _ANY
+    for an expression that is literally 0, None when the rules cannot
+    decide (z1+conj(z1), 1/0)."""
+    zero = (0,) * n
+    match e:
+        case Lit(v):
+            return _ANY if v == 0 else zero
+        case Var(k):
+            return tuple(int(i == k - 1) for i in range(n))
+        case Unary(op, a):
+            q = _charge(a, n)
+            if op == "exp":
+                return zero if q in (_ANY, zero) else None
+            if op == "conj" and q not in (None, _ANY):
+                return tuple(-x for x in q)
+            return q
+        case Pow(b, k):
+            q = _charge(b, n)
+            if k == 0:
+                return zero
+            if q is None or q == _ANY:
+                return None if k < 0 else q
+            return tuple(k * x for x in q)
+        case Binary(op, l, r):
+            ql, qr = _charge(l, n), _charge(r, n)
+            if ql is None or qr is None:
+                return None
+            if op in "+-":
+                if ql == _ANY or ql == qr:
+                    return qr
+                return ql if qr == _ANY else None
+            if op == "/" and qr == _ANY:
+                return None
+            if _ANY in (ql, qr):
+                return _ANY
+            sign = 1 if op == "*" else -1
+            return tuple(a + sign * b for a, b in zip(ql, qr))
+    raise TypeError(f"not an Expr: {e!r}")
+
+
+def torus_invariant(spec: "MetricSpec") -> bool:
+    """Whether every z -> U z, U = diag(e^{i theta}), is a holomorphic
+    isometry of spec on a box centred for grid_orbits: each entry g_ij
+    has charge e_j - e_i (_charge), so
+    g_ij(Up) = e^{i (theta_j - theta_i)} g_ij(p), and every Rect is a
+    square centred at 0 (re_min == -re_max == im_min == -im_max exactly).
+    Then R(Up) is R(p) transformed by U too, so K(Up, U xi) = K(p, xi),
+    and the condition number and pair-symmetry defect of check_tensor
+    agree at p and Up.  The test is sufficient, not necessary: z1-z1 in
+    an entry is refused."""
+    n = spec.n
+    for i, row in enumerate(spec.entries):
+        for j, e in enumerate(row):
+            want = tuple(int(k == j) - int(k == i) for k in range(n))
+            if _charge(e, n) not in (want, _ANY):
+                return False
+    return all(r.re_min == -r.re_max == r.im_min == -r.im_max for r in spec.box)
+
+
+def grid_orbits(spec: "MetricSpec", per_axis: int):
+    """(reps, inverse) for box_grid(spec.box, per_axis) of a torus_invariant
+    spec, else None.
+
+    Grid points whose coordinates lie on the same circles |z_k| form one
+    torus orbit, and K(p, .) is the same at all of them up to U.  The
+    class key of a point is exact: per coordinate i^2 + j^2 with i and j
+    its re and im grid indices taken as 2k - (per_axis - 1), combined over
+    the coordinates lexicographically.  reps holds the first grid point
+    of each class, in grid order, and inverse the class of every grid
+    point, so values[inverse] spreads one value per class over the grid."""
+    if not torus_invariant(spec):
+        return None
+    c = 2 * np.arange(per_axis) - (per_axis - 1)
+    circle = (c[:, None] ** 2 + c[None, :] ** 2).reshape(-1)
+    keys = circle
+    for _ in range(spec.n - 1):
+        keys = (keys[:, None] * (int(circle.max()) + 1) + circle[None, :]).reshape(-1)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    reps = np.sort(first)
+    return reps, np.searchsorted(reps, first)[inverse]
 
 
 # ---------------------------------------------------------------------------

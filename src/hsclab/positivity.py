@@ -40,6 +40,22 @@ states are those of one block.  The d = 2 quadratics that
 _affine_min_over_dirs builds once per lam search, a few hundred bytes
 per point, are not blocked.
 
+Grid passes run on torus orbits where they can.  When dsl.grid_orbits
+accepts a chart (every entry g_ij has torus charge e_j - e_i and every
+box Rect is a square centred at 0), U = diag(e^{i theta}) is a
+holomorphic isometry: g(Up) is unitarily congruent to g(p), R transforms
+by U too, and K(Up, U xi) = K(p, xi).  Grid points on the same circles
+|z_k| form one orbit, so scan_chart and warp.lambda_search evaluate the
+first point of each orbit in grid order, under its own grid index, and
+spread its value over the orbit (_grid_classes).  A representative's
+value is bit for bit that of a full-grid pass at that point.  For
+d <= 2 the other points of its orbit differ from their full-grid values
+only by rounding; for d >= 3 they take its descent value, an upper
+bound like theirs, where a full-grid pass ran their own streams.  The condition number and pair-symmetry defect that
+check_tensor gates on are the same along an orbit, so gating the
+representatives decides as gating the grid.  A chart the detector
+refuses runs every grid point, with no copy.
+
 ScanReport and NegativeWitness reach JSON through dsl.report_dict: their
 compare=False per-point arrays are not reported.
 """
@@ -298,9 +314,11 @@ def _min_over_dirs(g, R, dirs, starts, iters, seed, point_indices):
     return values, xi
 
 
-def _affine_min_over_dirs(g, R_fixed, R_rate, dirs, starts, iters, seed):
+def _affine_min_over_dirs(g, R_fixed, R_rate, dirs, starts, iters, seed,
+                          point_indices):
     """Direction minima of the affine tensor family R_fixed + c * R_rate
-    over g-unit directions, for g (P, d, d) fixed and per-point scales c.
+    over g-unit directions, for g (P, d, d) fixed and per-point scales c,
+    at the points of global indices point_indices (an array).
 
     Returns solve(c, rows) -> (values, slopes, dirs) on the points rows
     (an index array into the P points) at their scales c (len(rows),):
@@ -311,17 +329,18 @@ def _affine_min_over_dirs(g, R_fixed, R_rate, dirs, starts, iters, seed):
     the quadratic at c is Q_fixed + c * Q_rate, and m and the slope are
     its value and Q_rate's at the minimizing r (the Bloch form carries
     the factor 2 of hsc_dirs).  Any other d runs _min_over_dirs on the
-    assembled tensor, with rows seeding the descent, and reads the slope
-    through hsc_dirs.
+    assembled tensor, with point_indices[rows] seeding the descent, and
+    reads the slope through hsc_dirs.
     """
     if minimizer_for(g.shape[-1]) != "exact":
         def solve(c, rows):
             R = R_fixed[rows] + c[:, None, None, None, None] * R_rate[rows]
-            m, xi = _min_over_dirs(g[rows], R, dirs, starts, iters, seed, rows)
+            m, xi = _min_over_dirs(g[rows], R, dirs, starts, iters, seed,
+                                   point_indices[rows])
             return m, hsc_dirs(g[rows], R_rate[rows], xi[:, None])[:, 0], xi
         return solve
 
-    T = _orthonormal_frame(g, range(g.shape[0]))
+    T = _orthonormal_frame(g, point_indices)
     Q_fixed, Q_rate = _sphere_quadratic(T, R_fixed), _sphere_quadratic(T, R_rate)
 
     def solve(c, rows):
@@ -362,7 +381,9 @@ def _probe_and_descend(g, R, dirs, starts, iters, seed, point_indices):
 class ScanReport:
     """One chart scan.  == compares the reported fields only: the
     per-point arrays `points` and `per_point_min` (the CSV rows) stay out
-    of it and out of repr."""
+    of it and out of repr.  points_scanned counts the grid points and
+    orbits_evaluated the points computed: one per torus orbit on a chart
+    dsl.grid_orbits accepts, else every grid point."""
 
     name: str
     n: int
@@ -370,6 +391,7 @@ class ScanReport:
     witness_point: tuple
     witness_dir: tuple
     points_scanned: int
+    orbits_evaluated: int
     dirs_per_point: int
     starts: int
     iters: int
@@ -422,33 +444,59 @@ def min_hsc_at_point(spec: dsl.MetricSpec, point, starts: int = DEFAULT_STARTS,
     return float(vals[0]), wdirs[0]
 
 
+def _grid_classes(spec: dsl.MetricSpec, per_axis: int):
+    """The box grid of spec and the part of it a per-point pass evaluates:
+    (pts, sub, idx, inverse) with pts (P, n) the grid, sub = pts[idx] the
+    points to evaluate, idx their grid indices in grid order and inverse
+    the map back, so that values[inverse] holds one value per grid point.
+    On a chart dsl.grid_orbits accepts, idx holds one representative per
+    torus orbit; on any other every point, as sub = pts, idx = range(P)
+    and inverse = slice(None), so nothing is copied."""
+    pts = dsl.box_grid(spec.box, per_axis)
+    orbits = dsl.grid_orbits(spec, per_axis)
+    if orbits is None:
+        return pts, pts, range(pts.shape[0]), slice(None)
+    reps, inverse = orbits
+    return pts, pts[reps], reps, inverse
+
+
 def scan_chart(spec: dsl.MetricSpec, box=None, grid_per_axis: int = DEFAULT_GRID,
                dirs: int = DEFAULT_DIRS, seed: int = 0,
                starts: int = DEFAULT_STARTS, iters: int = DEFAULT_ITERS) -> ScanReport:
     """Direction-minimize on a full grid over all 2n real axes of the box:
     spec.box, or `box` in its place.
 
+    On a torus-invariant chart (dsl.grid_orbits, module docstring) the
+    jets, the tensor, its checks and the minimizer run on the first point
+    of each grid orbit, under its own grid index, so its value and
+    direction are bit for bit those of a full-grid pass there, and the
+    rest of the orbit copies its value.  Any other chart runs every grid
+    point.  points, per_point_min and points_scanned cover the whole
+    grid; orbits_evaluated counts the points computed.
+
     dirs, starts, iters and seed steer only the descent minimizer (d >= 3),
     which needs dirs + starts >= 1 (else ValueError); the report names the
     minimizer that ran.  The winner is the first index of np.argmin over
-    the computed per-point values, in grid order (lexicographic in
-    (re_1, im_1, re_2, ...)).  Points that are tied
-    mathematically, such as symmetric grid corners, usually differ in the
-    last ulp, so which of them wins follows rounding, not grid order.
+    the per-point values, in grid order (lexicographic in
+    (re_1, im_1, re_2, ...)); it is always an evaluated point.  Points
+    that are tied mathematically but lie on different orbits usually
+    differ in the last ulp, so which of them wins follows rounding, not
+    grid order.
     """
     if box is not None:
         spec = dataclasses.replace(spec, box=box)
-    pts = dsl.box_grid(spec.box, grid_per_axis)
-    g, R = curvature_at(spec, pts)
-    vals, wdirs = _min_over_dirs(g, R, dirs, starts, iters, seed, range(pts.shape[0]))
+    pts, sub, idx, inverse = _grid_classes(spec, grid_per_axis)
+    g, R = curvature_at(spec, sub)
+    vals, wdirs = _min_over_dirs(g, R, dirs, starts, iters, seed, idx)
     best = int(np.argmin(vals))
     return ScanReport(
         name=spec.name, n=spec.n, min_hsc=float(vals[best]),
-        witness_point=tuple(pts[best]), witness_dir=tuple(wdirs[best]),
-        points_scanned=int(pts.shape[0]), dirs_per_point=dirs, starts=starts,
+        witness_point=tuple(pts[idx[best]]), witness_dir=tuple(wdirs[best]),
+        points_scanned=int(pts.shape[0]), orbits_evaluated=len(idx),
+        dirs_per_point=dirs, starts=starts,
         iters=iters, grid_per_axis=grid_per_axis, margin=abs(float(vals[best])),
         seed=seed, minimizer=minimizer_for(spec.n), points=pts,
-        per_point_min=vals)
+        per_point_min=vals[inverse])
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,13 @@ B >= 0 and positivity at a point's threshold persists for every larger
 lam; where a fiber direction has a numerator <= 0, no lam makes the
 point positive.
 
+Every bundled fibration is torus invariant (dsl.grid_orbits): z_k ->
+e^{i theta_k} z_k is a holomorphic isometry of the assembled metric at
+every scale, so a point's threshold depends only on |z_1|, ..., |z_n|.
+lambda_search then evaluates one grid point per torus orbit, like
+positivity.scan_chart, whose fiber and base scans check_hypotheses
+runs; a chart the detector refuses is searched point by point.
+
 The search refuses charts that fail its standing hypotheses (positive
 base curvature, positive fiber curvature on sampled fibers), and then
 any grid point proved never positive; the bundled counterexample family
@@ -62,8 +69,9 @@ from . import dsl
 from .curvature import (check_tensor, curvature_at, gaussian_curvature_1d, hsc_dirs,
                         metric_jet, metric_norm2, quartic, restrict)
 from .dsl import FibrationSpec, _c2pair, _require_positive, _vec_dict
-from .positivity import (NEG_THRESHOLD, _affine_min_over_dirs, _min_over_dirs,
-                         check_witness_budget, find_negative_witness, scan_chart)
+from .positivity import (NEG_THRESHOLD, _affine_min_over_dirs, _grid_classes,
+                         _min_over_dirs, check_witness_budget, find_negative_witness,
+                         scan_chart)
 
 LAMBDA_START = 1e-3
 LAMBDA_MAX = float(2 ** 30)
@@ -155,12 +163,13 @@ class ThresholdNotReachedError(RuntimeError):
 class LambdaSearchResult:
     """The exact grid threshold of lambda_search and the checks around it.
 
-    newton_passes counts the passes of the per-point solve and
-    witness_point is the grid point with the largest threshold.
-    thresholds holds each grid point's lam threshold, in the order of
-    points; like ScanReport.per_point_min, both arrays are compare=False,
-    which keeps them out of == and out of as_dict (dsl.report_dict), so
-    that results compare by their reported fields.
+    newton_passes counts the passes of the per-point solve,
+    orbits_evaluated the points it ran on (one per torus orbit, or every
+    grid point), and witness_point is the first grid point with the
+    largest threshold.  thresholds holds each grid point's lam threshold,
+    in the order of points; like ScanReport.per_point_min, both arrays
+    are compare=False, which keeps them out of == and out of as_dict
+    (dsl.report_dict), so that results compare by their reported fields.
     """
 
     lambda_star: float
@@ -170,6 +179,7 @@ class LambdaSearchResult:
     seed: int
     positive_at_start: bool
     newton_passes: int
+    orbits_evaluated: int
     witness_point: tuple
     points: np.ndarray = field(repr=False, compare=False)
     thresholds: np.ndarray = field(repr=False, compare=False)
@@ -262,6 +272,21 @@ def lambda_search(f: FibrationSpec, bisections: int = 6,
     minimum) and, unless positive_at_start, (lambda_star, min_hsc_at_star);
     persistence holds the grid minima at 2*lambda_star and 4*lambda_star.
 
+    On a torus-invariant chart (dsl.grid_orbits) the jets, the fiber
+    proof, the Newton passes and the four checked grid minima run on one
+    representative per grid orbit, the first point of the orbit in grid
+    order, under its own grid index (descent's streams included), so its
+    threshold is bit for bit that of a full-grid search there.  U =
+    diag(e^{i theta}) is an isometry at every scale, so the threshold,
+    the condition number and the pair-symmetry defect are the same along
+    an orbit, and the checks on the representatives decide as on the
+    grid.  points and thresholds cover the whole grid, each point taking
+    its representative's threshold; orbits_evaluated counts the
+    representatives (every grid point on a chart the detector refuses).
+    ThresholdNotReachedError counts grid points; the first failing grid
+    point is the first failing representative, since an orbit's first
+    point comes first.
+
     For d = 2 every pass is the exact direction minimum.  For d >= 3 it is
     probe plus descent (dirs, starts, iters, seed), an upper bound, so the
     thresholds are only as good as descent.  bisections is ignored; it is
@@ -271,24 +296,26 @@ def lambda_search(f: FibrationSpec, bisections: int = 6,
     """
     if not skip_hypotheses:
         check_hypotheses(f, seed=seed)
-    pts = dsl.box_grid(f.box, grid_per_axis)
-    g1, R1 = curvature_at(f.metric(1.0, f.name), pts)
+    total = f.metric(1.0, f.name)
+    pts, sub, idx, inverse = _grid_classes(total, grid_per_axis)
+    g1, R1 = curvature_at(total, sub)
     s = f.s
     R_fiber, R_base = R1.copy(), np.zeros_like(R1)
     R_fiber[:, s:, s:] = 0
     R_base[:, s:, s:] = R1[:, s:, s:]
-    P = pts.shape[0]
+    P = len(idx)
     # the proof of failure at each point's best fiber direction, where B = 0
     fiber_min, fiber_dir = _min_over_dirs(g1[:, :s, :s], R1[:, :s, :s, :s, :s],
-                                          dirs, starts, iters, seed, range(P))
+                                          dirs, starts, iters, seed, idx)
     never = fiber_min <= 0
     capped = np.zeros(P, dtype=bool)
-    wdir = np.zeros_like(pts)
+    wdir = np.zeros_like(sub)
     wdir[:, :s] = fiber_dir
     lam = np.full(P, LAMBDA_START)
     active = np.flatnonzero(~never)
     at_start, passes = False, 0
-    solve = _affine_min_over_dirs(g1, R_fiber, R_base, dirs, starts, iters, seed)
+    solve = _affine_min_over_dirs(g1, R_fiber, R_base, dirs, starts, iters, seed,
+                                  np.asarray(idx))
     while active.size:
         passes += 1
         old = lam[active]
@@ -305,17 +332,18 @@ def lambda_search(f: FibrationSpec, bisections: int = 6,
         active = active[rising & (new <= LAMBDA_MAX)
                         & (new - old > NEWTON_RTOL * new)]
     if never.any() or capped.any():
+        # the first failing point in grid order is the first failing
+        # representative, its orbit's first point; the counts are of grid points
         first = int(np.flatnonzero(never | capped)[0])
         raise ThresholdNotReachedError(
-            f"{int(never.sum())} grid point(s) never positive and "
-            f"{int(capped.sum())} not positive up to lam = {LAMBDA_MAX:g}; "
-            f"first at point {_vec_dict(pts[first])}, "
+            f"{int(never[inverse].sum())} grid point(s) never positive and "
+            f"{int(capped[inverse].sum())} not positive up to lam = {LAMBDA_MAX:g}; "
+            f"first at point {_vec_dict(pts[idx[first]])}, "
             f"witness direction {_vec_dict(wdir[first])}")
 
     def scan_min(lam: float) -> float:
         g, R = _at_scale(f, g1, R1, lam)
-        vals, _ = _min_over_dirs(g, R, dirs, starts, iters, seed,
-                                 range(pts.shape[0]))
+        vals, _ = _min_over_dirs(g, R, dirs, starts, iters, seed, idx)
         return float(vals.min())
 
     history = [(LAMBDA_START, scan_min(LAMBDA_START))]
@@ -329,8 +357,8 @@ def lambda_search(f: FibrationSpec, bisections: int = 6,
         history=tuple(history),
         persistence=tuple((k * star, scan_min(k * star)) for k in (2.0, 4.0)),
         seed=seed, positive_at_start=at_start, newton_passes=passes,
-        witness_point=tuple(pts[int(np.argmax(lam))]),
-        points=pts, thresholds=lam)
+        orbits_evaluated=P, witness_point=tuple(pts[idx[int(np.argmax(lam))]]),
+        points=pts, thresholds=lam[inverse])
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ weight identities, and scan-based searches against frozen closed-form
 minima.  This module only asserts the outcomes.
 """
 
+import dataclasses
 import importlib
 import json
 
@@ -419,3 +420,34 @@ def test_jet_oracle_fails_on_nan_catalog_curvature(monkeypatch):
     out = acceptance.check_jet_vs_divided_differences(0)
     assert not out["ok"]
     assert np.isnan(out["worst_curvature_rel_error"])
+
+
+# -- the torus-invariance check -------------------------------------------------
+
+@pytest.mark.parametrize("term", ["0.01*(z1+conj(z1))", "0.01*z1"])
+def test_torus_invariance_fails_on_a_mutated_metric(monkeypatch, term):
+    """warp_demo with term added to its first diagonal entry, passed to
+    the check with the detector bypassed.  The Hermitian term breaks the
+    symmetry, which the check measures; +0.01*z1 also makes the metric
+    non-Hermitian, which curvature_at's pair-symmetry gate refuses before
+    any K is compared."""
+    catalog = dsl.catalog
+
+    def mutated(name):
+        spec = catalog(name)
+        if name != "warp_demo":
+            return spec
+        first = dsl.Binary("+", spec.entries[0][0], dsl.parse(term, spec.n))
+        return dataclasses.replace(
+            spec, entries=((first,) + spec.entries[0][1:],) + spec.entries[1:])
+
+    monkeypatch.setattr(dsl, "catalog", mutated)
+    assert not dsl.torus_invariant(dsl.catalog("warp_demo"))
+    monkeypatch.setattr(dsl, "torus_invariant", lambda spec: True)
+    if term == "0.01*z1":
+        with pytest.raises(ArithmeticError, match="pair-symmetry defect"):
+            acceptance.check_torus_invariance(0)
+        return
+    out = acceptance.check_torus_invariance(0)
+    assert not out["ok"] and out["worst_rel_excess"] > 1e-3
+    assert "warp_demo" in out["accepted"]

@@ -352,6 +352,19 @@ def test_counts_below_one_meet_the_library_rule(capsys, argv, message):
     assert captured.err.strip().splitlines() == [message]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("example1", "--lambdas", "-1"), "error: paper_G(lam) needs a finite lam > 0"),
+    (("scan", "--catalog", "nope"),
+     "error: cannot load metric 'nope': KeyError(\"unknown catalog name 'nope'\")"),
+])
+def test_usage_errors_print_their_message(capsys, argv, message):
+    """A KeyError's message is printed without the quotes of its repr."""
+    with pytest.raises(SystemExit) as err:
+        cli.main(list(argv))
+    assert err.value.code == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1] == message
+
+
 def test_only_main_raises_system_exit():
     """cli.main alone turns an exception into an exit code: SystemExit is
     named nowhere else in cli.py, so every other function raises the

@@ -4,9 +4,12 @@ The block bounds a scan's working memory and changes no bit of any
 result: every point's arithmetic is independent of the other points of
 its batch, and the gate's statistics are maxima over points.  The
 product-inequality trials and the brute-force directions of the
-acceptance suite run in blocks of the same size.
+acceptance suite run in blocks of the same size.  The tests that count
+blocks or measure memory scan their charts on a box moved off centre,
+which dsl.grid_orbits refuses, so every grid point is evaluated.
 """
 
+import dataclasses
 import importlib
 import json
 import math
@@ -14,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import scan_peak_above_kept, traced_peak
+from conftest import off_centre, scan_peak_above_kept, traced_peak
 from hsclab import acceptance, certify, dsl, warp
 from hsclab.curvature import IllConditionedError, check_tensor, metric_jet
 from hsclab.positivity import scan_chart
@@ -46,8 +49,9 @@ def _record_rows(monkeypatch):
 
 def test_default_scan_runs_in_blocks(monkeypatch):
     seen = _record_rows(monkeypatch)
-    rep = scan_chart(dsl.catalog("paper_G(1)"))
-    assert rep.points_scanned == 6561
+    spec = dsl.catalog("paper_G(1)")
+    rep = scan_chart(spec, box=off_centre(spec.box))
+    assert rep.points_scanned == rep.orbits_evaluated == 6561
     for name in ("_metric_jet", "curvature", "_exact_min"):
         assert len(seen[name]) == 7 and sum(seen[name]) == 6561, name
         assert max(seen[name]) <= curvature.POINT_BLOCK, name
@@ -57,7 +61,9 @@ def test_default_scan_runs_in_blocks(monkeypatch):
 def test_descent_scan_runs_in_blocks(monkeypatch):
     monkeypatch.setattr(curvature, "POINT_BLOCK", 10)
     seen = _record_rows(monkeypatch)
-    scan_chart(dsl.catalog("fs(3)"), grid_per_axis=2, dirs=4, starts=1, iters=5)
+    spec = dsl.catalog("fs(3)")
+    scan_chart(spec, box=off_centre(spec.box), grid_per_axis=2, dirs=4, starts=1,
+               iters=5)
     for name in ("_metric_jet", "curvature", "_probe_and_descend"):
         assert len(seen[name]) == 7 and sum(seen[name]) == 64, name
         assert max(seen[name]) <= 10, name
@@ -66,7 +72,9 @@ def test_descent_scan_runs_in_blocks(monkeypatch):
 def test_lambda_search_runs_in_blocks(monkeypatch):
     monkeypatch.setattr(curvature, "POINT_BLOCK", 100)
     seen = _record_rows(monkeypatch)
-    warp.lambda_search(warp.warp_demo_fibration())
+    f = warp.warp_demo_fibration()
+    res = warp.lambda_search(dataclasses.replace(f, box=off_centre(f.box)))
+    assert res.orbits_evaluated == 625
     assert set(seen) >= {"_metric_jet", "curvature", "_exact_min"}
     # 625 grid points: the jet pass, the fiber proof and each checked grid
     # minimum each reach 625 rows in blocks

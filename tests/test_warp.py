@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import off_centre
 from hsclab import dsl, positivity, warp
 from hsclab.curvature import (IllConditionedError, curvature_at,
                               gaussian_curvature_1d, hsc_dirs, restrict)
@@ -353,8 +354,10 @@ def test_bloch_passes_keep_the_failure_verdicts(monkeypatch, make, lam_max):
 
 def test_descent_passes_are_bit_identical_to_the_per_pass_loop():
     """d = 3 runs probe plus descent on R_fixed + c * R_rate, which
-    equals the rescaled base rows bit for bit."""
+    equals the rescaled base rows bit for bit.  The box is moved off
+    centre, so every grid point is evaluated, as in the loop."""
     f = _fs2_base_fibration()
+    f = dataclasses.replace(f, box=off_centre(f.box))
     options = dict(grid_per_axis=2, dirs=4, starts=1, iters=10)
     res = lambda_search(f, skip_hypotheses=True, **options)
     _, lam, passes, never, capped = _per_pass_search(f, **options)
