@@ -96,13 +96,18 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
+def _message(exc: Exception) -> str:
+    """exc's text on an "error:" line: a KeyError's message, not its repr."""
+    return exc.args[0] if isinstance(exc, KeyError) else str(exc)
+
+
 def _loaded(load, text: str, what: str):
     """load(text); a missing or malformed input is a ValueError that
     names it."""
     try:
         return load(text)
     except (OSError, KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"cannot load {what} {text!r}: {exc!r}") from exc
+        raise ValueError(f"cannot load {what} {text!r}: {_message(exc)}") from exc
 
 
 def _metric_arg(text: str, is_file: bool) -> dsl.MetricSpec:
@@ -457,9 +462,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, KeyError, OSError) as exc:  # bad input
-        # str() of a KeyError is the repr of its message, quotes included
-        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}",
-              file=sys.stderr)
+        print(f"error: {_message(exc)}", file=sys.stderr)
         raise SystemExit(2)
 
 

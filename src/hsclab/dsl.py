@@ -31,13 +31,14 @@ PAPER_G_FIBRATION and WARP_DEMO_FIBRATION.
 
 grid_orbits splits a box grid into torus orbits for charts that
 torus_invariant accepts.  The test reads the syntax alone: each entry
-g_ij must carry the torus charge e_j - e_i under these rules.  z_k has
-charge e_k and a nonzero literal charge 0; a literal 0 takes any charge.
-conj negates a charge, "*" adds and "/" subtracts charges, and "^k"
-multiplies by k ("^0" gives the constant 1, charge 0).  "+" and "-"
-need equal charges, and exp needs charge 0.  Anything else (z1+conj(z1))
-is undecided, and so is an entry whose rules give the wrong charge
-(z1-z1): the chart is then refused and scanned point by point.
+g_ij other than the literal 0 must carry the torus charge e_j - e_i
+under these rules.  z_k has charge e_k and every literal charge 0 (a
+constant c is e^{i 0.theta} c, zero included).  conj negates a charge,
+"*" adds and "/" subtracts charges, and "^k" multiplies by k ("^0" gives
+the constant 1, charge 0).  "+" and "-" need equal charges, and exp
+needs charge 0.  Anything else (z1+conj(z1), 0*z1+z2) is undecided, and
+so is an entry whose rules give the wrong charge (z1-z1): the chart is
+then refused and scanned point by point.
 
 report_dict is the one rule that turns a report dataclass into JSON (its
 compared fields, complex tuples as [re, im] pairs); every report's
@@ -526,47 +527,34 @@ def box_grid(box, per_axis: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Torus orbits of a grid
 
-# The charge of an expression that is literally 0: every charge admits it.
-_ANY = "any"
-
-
 def _charge(e: Expr, n: int):
     """Torus charge of e by the rules of the module docstring: the q in
-    Z^n with e(Up) = e^{i q.theta} e(p) for U = diag(e^{i theta}), _ANY
-    for an expression that is literally 0, None when the rules cannot
-    decide (z1+conj(z1), 1/0)."""
+    Z^n with e(Up) = e^{i q.theta} e(p) for U = diag(e^{i theta}), or None
+    when the rules cannot decide (z1+conj(z1), 0*z1+z2)."""
     zero = (0,) * n
     match e:
-        case Lit(v):
-            return _ANY if v == 0 else zero
+        case Lit():
+            return zero
         case Var(k):
             return tuple(int(i == k - 1) for i in range(n))
         case Unary(op, a):
             q = _charge(a, n)
             if op == "exp":
-                return zero if q in (_ANY, zero) else None
-            if op == "conj" and q not in (None, _ANY):
+                return zero if q == zero else None
+            if op == "conj" and q is not None:
                 return tuple(-x for x in q)
             return q
         case Pow(b, k):
-            q = _charge(b, n)
             if k == 0:
                 return zero
-            if q is None or q == _ANY:
-                return None if k < 0 else q
-            return tuple(k * x for x in q)
+            q = _charge(b, n)
+            return None if q is None else tuple(k * x for x in q)
         case Binary(op, l, r):
             ql, qr = _charge(l, n), _charge(r, n)
             if ql is None or qr is None:
                 return None
             if op in "+-":
-                if ql == _ANY or ql == qr:
-                    return qr
-                return ql if qr == _ANY else None
-            if op == "/" and qr == _ANY:
-                return None
-            if _ANY in (ql, qr):
-                return _ANY
+                return ql if ql == qr else None
             sign = 1 if op == "*" else -1
             return tuple(a + sign * b for a, b in zip(ql, qr))
     raise TypeError(f"not an Expr: {e!r}")
@@ -575,18 +563,19 @@ def _charge(e: Expr, n: int):
 def torus_invariant(spec: "MetricSpec") -> bool:
     """Whether every z -> U z, U = diag(e^{i theta}), is a holomorphic
     isometry of spec on a box centred for grid_orbits: each entry g_ij
-    has charge e_j - e_i (_charge), so
+    is the literal 0 (the off-diagonal zeros of FibrationSpec.metric and
+    _diag_spec) or has charge e_j - e_i (_charge), so
     g_ij(Up) = e^{i (theta_j - theta_i)} g_ij(p), and every Rect is a
     square centred at 0 (re_min == -re_max == im_min == -im_max exactly).
     Then R(Up) is R(p) transformed by U too, so K(Up, U xi) = K(p, xi),
     and the condition number and pair-symmetry defect of check_tensor
-    agree at p and Up.  The test is sufficient, not necessary: z1-z1 in
-    an entry is refused."""
+    agree at p and Up.  The test is sufficient, not necessary: z1-z1 and
+    0*z1+z2 in an entry are refused."""
     n = spec.n
     for i, row in enumerate(spec.entries):
         for j, e in enumerate(row):
             want = tuple(int(k == j) - int(k == i) for k in range(n))
-            if _charge(e, n) not in (want, _ANY):
+            if e != Lit(0j) and _charge(e, n) != want:
                 return False
     return all(r.re_min == -r.re_max == r.im_min == -r.im_max for r in spec.box)
 
@@ -847,9 +836,15 @@ def _save_json(data: dict, path) -> None:
         fh.write("\n")
 
 
-def _load_json(path) -> dict:
+def _load_json(path, from_dict):
+    """The one file reader: from_dict of the file's JSON; a key it lacks
+    is a KeyError whose message names it."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    try:
+        return from_dict(data)
+    except KeyError as exc:
+        raise KeyError(f"missing key {exc.args[0]!r}") from exc
 
 
 def save_spec(spec: MetricSpec, path) -> None:
@@ -857,7 +852,7 @@ def save_spec(spec: MetricSpec, path) -> None:
 
 
 def load_spec(path) -> MetricSpec:
-    return spec_from_dict(_load_json(path))
+    return _load_json(path, spec_from_dict)
 
 
 def save_fibration(f: FibrationSpec, path) -> None:
@@ -865,7 +860,7 @@ def save_fibration(f: FibrationSpec, path) -> None:
 
 
 def load_fibration(path) -> FibrationSpec:
-    return fibration_from_dict(_load_json(path))
+    return _load_json(path, fibration_from_dict)
 
 
 # ---------------------------------------------------------------------------

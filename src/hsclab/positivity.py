@@ -435,12 +435,12 @@ def points_to_csv(points, values, column: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def min_hsc_at_point(spec: dsl.MetricSpec, point, starts: int = DEFAULT_STARTS,
-                     seed: int = 0, dirs: int = DEFAULT_DIRS,
-                     iters: int = DEFAULT_ITERS):
-    """Direction minimum at one point: (value, metric-unit witness direction)."""
+def min_hsc_at_point(spec: dsl.MetricSpec, point):
+    """Direction minimum at one point, (value, metric-unit witness
+    direction), with the scan's default budgets and seed 0."""
     g, R = curvature_at(spec, np.asarray(point, dtype=complex).reshape(1, -1))
-    vals, wdirs = _min_over_dirs(g, R, dirs, starts, iters, seed, [0])
+    vals, wdirs = _min_over_dirs(g, R, DEFAULT_DIRS, DEFAULT_STARTS, DEFAULT_ITERS,
+                                 0, [0])
     return float(vals[0]), wdirs[0]
 
 

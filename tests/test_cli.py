@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import hsclab
-from hsclab import cli, dsl, warp
+from hsclab import acceptance, cli, dsl, warp
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -100,6 +100,26 @@ def test_lemma2_reads_pencil_jets_once_per_route(capsys, monkeypatch):
     # closed form 2, summed metric at the 4 default lams 4, threshold 2,
     # decay 2
     assert len(calls) == 10
+
+
+def test_lemma2_reports_a_nonpositive_second_metric(capsys):
+    code, rep = run_cli(capsys, "lemma2", "--h", "poincare")
+    assert code == 1 and rep["ok"] is False
+    assert rep["error"] == "second metric has nonpositive curvature -4 at the point"
+
+
+def test_selftest_reports_a_failing_check(capsys, monkeypatch):
+    """cmd_selftest on a stand-in suite report: a line per check on
+    stderr, the report on stdout and exit 1 when a check fails."""
+    checks = [{"name": "a", "ok": True}, {"name": "b", "ok": False}]
+    monkeypatch.setattr(acceptance, "run_all",
+                        lambda seed: {"checks": checks, "ok": False})
+    code = cli.main(["selftest"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.splitlines() == ["PASS a", "FAIL b"]
+    rep = json.loads(captured.out)
+    assert rep["ok"] is False and rep["suite"]["checks"] == checks
 
 
 def test_example1_reference_invocation(capsys):
@@ -355,14 +375,33 @@ def test_counts_below_one_meet_the_library_rule(capsys, argv, message):
 @pytest.mark.parametrize("argv, message", [
     (("example1", "--lambdas", "-1"), "error: paper_G(lam) needs a finite lam > 0"),
     (("scan", "--catalog", "nope"),
-     "error: cannot load metric 'nope': KeyError(\"unknown catalog name 'nope'\")"),
+     "error: cannot load metric 'nope': unknown catalog name 'nope'"),
+    (("scan", "--file", "{tmp}/missing.json"),
+     "error: cannot load metric '{tmp}/missing.json': "
+     "[Errno 2] No such file or directory: '{tmp}/missing.json'"),
 ])
-def test_usage_errors_print_their_message(capsys, argv, message):
-    """A KeyError's message is printed without the quotes of its repr."""
+def test_usage_errors_print_their_message(capsys, tmp_path, argv, message):
+    """A KeyError's message is printed without the quotes of its repr,
+    and a load failure's cause by its message alone, in main's rule."""
     with pytest.raises(SystemExit) as err:
-        cli.main(list(argv))
+        cli.main([a.replace("{tmp}", str(tmp_path)) for a in argv])
     assert err.value.code == 2
-    assert capsys.readouterr().err.strip().splitlines()[-1] == message
+    assert capsys.readouterr().err.strip().splitlines()[-1] == \
+        message.replace("{tmp}", str(tmp_path))
+
+
+@pytest.mark.parametrize("command, what, data, key", [
+    ("scan", "metric", dsl.spec_to_dict(dsl.catalog("poincare")), "n"),
+    ("warp", "fibration", dsl.fibration_to_dict(dsl.WARP_DEMO_FIBRATION), "mu0"),
+])
+def test_a_missing_file_key_is_named(capsys, tmp_path, command, what, data, key):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({k: v for k, v in data.items() if k != key}),
+                    encoding="utf-8")
+    with pytest.raises(SystemExit):
+        cli.main([command, "--file", str(path)])
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"error: cannot load {what} '{path}': missing key '{key}'"]
 
 
 def test_only_main_raises_system_exit():
@@ -451,6 +490,18 @@ def test_warp_search_records_unreached_threshold(tmp_path, capsys):
     named = re.search(r"first at point (\[.*?\]\]),",
                       rep["lambda_search"]["threshold_not_reached"])[1]
     assert json.loads(named)[1][0] == 0.67  # Re z2
+
+
+def test_warp_search_reports_a_hypothesis_violation(tmp_path, capsys):
+    """paper_G's fiber metric is flat over the base origin, so the fiber
+    hypothesis fails there with curvature 0 at the fiber point 0."""
+    path = tmp_path / "paper_G.json"
+    dsl.save_fibration(dsl.PAPER_G_FIBRATION, path)
+    code, rep = run_cli(capsys, "warp", "--search", "--file", str(path))
+    assert code == 1 and rep["ok"] is False
+    violation = rep["lambda_search"]["hypothesis_violation"]
+    assert (violation["side"], violation["value"]) == ("fiber", 0.0)
+    assert violation["witness"]["fiber_point"] == [[0.0, 0.0]]
 
 
 def test_warp_search_writes_per_point_thresholds(tmp_path, capsys):

@@ -38,6 +38,27 @@ def test_parse_rejects_bad_variable_index():
         parse("z3", 2)
 
 
+@pytest.mark.parametrize("src, message, offset", [
+    ("z1 $ 2", "unexpected character '$'", 3),
+    ("(z1", "expected ')'", 3),
+    ("", "empty expression", 0),
+    ("z1^1.5", "expected integer exponent", 3),
+    ("z1+", "unexpected end of input", 3),
+    ("*z1", "unexpected token '*'", 0),
+    ("exp z1", "expected '('", 4),
+    ("2..5", "unexpected character '.'", 1),
+])
+def test_parse_errors_name_their_byte_offset(src, message, offset):
+    with pytest.raises(ParseError) as err:
+        parse(src)
+    assert str(err.value) == f"{message} (at offset {offset})"
+    assert err.value.offset == offset
+
+
+def test_trailing_whitespace_is_not_input():
+    assert parse("z1 ") == dsl.Var(1)
+
+
 # z1 op z2 at (Z1, Z2) and op(z1) at Z1, worked by hand: value, d/dz and
 # d/dzbar per coordinate (every second derivative here is zero).
 Z1, Z2 = 1 + 2j, 3 - 1j

@@ -72,7 +72,9 @@ def test_detector_accepts_the_fiber_slices_of_the_hypothesis_scans():
     dataclasses.replace(dsl.catalog("paper_G(1)"),
                         box=off_centre(dsl.catalog("paper_G(1)").box)),
     dataclasses.replace(dsl.catalog("poincare"), box=(dsl.Rect(-0.5, 0.5, -0.4, 0.4),)),
-], ids=["z1+conj(z1)", "+0.01*z1", "exp(z1)", "z1-z1", "off-centre", "non-square"])
+    _mutated(dsl.catalog("fs(2)"), "(0*z1+z2)*conj(z2)"),
+], ids=["z1+conj(z1)", "+0.01*z1", "exp(z1)", "z1-z1", "off-centre", "non-square",
+        "zero-in-a-sum"])
 def test_detector_refuses(spec):
     assert not dsl.torus_invariant(spec)
     assert dsl.grid_orbits(spec, 5) is None
@@ -84,24 +86,38 @@ def test_detector_refuses(spec):
     ("conj(z1^-2)", (2, 0)),
     ("(z1+conj(z1))^0", (0, 0)),
     ("0*(z1+conj(z1))", None),
-    ("0*z1+z2", (0, 1)),
+    ("0*z1+z2", None),
     ("exp(z1*conj(z1))*z2", (0, 1)),
     ("-z1+2*z1", (1, 0)),
     ("z1-z1", (1, 0)),
     ("z1+z2", None),
     ("exp(z1)", None),
-    ("1/0", None),
+    ("1/0", (0, 0)),
+    # a constant c is e^{i 0.theta} c, zero included
+    ("0", (0, 0)),
+    ("0*z1", (1, 0)),
+    ("0^0", (0, 0)),
+    ("0^-1", (0, 0)),
 ])
 def test_charge_rules(src, charge):
     assert dsl._charge(dsl.parse(src, 2), 2) == charge
 
 
-def test_literal_zero_takes_any_charge():
-    assert dsl._charge(dsl.parse("0", 2), 2) == dsl._ANY
-    assert dsl._charge(dsl.parse("0*z1", 2), 2) == dsl._ANY
-    assert dsl._charge(dsl.parse("0^2", 2), 2) == dsl._ANY
-    assert dsl._charge(dsl.parse("0^0", 2), 2) == (0, 0)
-    assert dsl._charge(dsl.parse("0^-1", 2), 2) is None
+def test_a_whole_zero_entry_is_exempt():
+    """The off-diagonal zeros of a diagonal metric carry charge 0, not
+    e_j - e_i, and are accepted as they stand."""
+    for name in ("flat(2)", "paper_G(1)"):
+        spec = dsl.catalog(name)
+        assert spec.entries[0][1] == dsl.Lit(0j)
+        assert dsl._charge(spec.entries[0][1], 2) == (0, 0)
+        assert dsl.torus_invariant(spec)
+
+
+@pytest.mark.parametrize("name", ["fs(3)", "ball(3)"])
+def test_detector_accepts_the_slices_at_zero(name):
+    """restrict puts the literal 0 where z3 stood; every summand it lands
+    in is balanced in z3, so no charge changes."""
+    assert dsl.torus_invariant(restrict(dsl.catalog(name), {3: 0j}))
 
 
 # -- the orbit classes --------------------------------------------------------
@@ -186,7 +202,8 @@ def test_three_coordinate_scans_meet_the_closed_form(name, value):
     dataclasses.replace(dsl.catalog("paper_G(1)"),
                         box=off_centre(dsl.catalog("paper_G(1)").box)),
     _mutated(dsl.catalog("warp_demo"), "0.01*(z1+conj(z1))"),
-], ids=["off-centre", "mutated"])
+    _mutated(dsl.catalog("fs(2)"), "(0*z1+z2)*conj(z2)"),
+], ids=["off-centre", "mutated", "zero-in-a-sum"])
 def test_refused_chart_scans_every_point(spec):
     rep = scan_chart(spec, grid_per_axis=5)
     pts, ref, ref_dirs = _full_grid(spec, 5)
