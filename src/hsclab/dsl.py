@@ -803,11 +803,53 @@ def spec_to_dict(spec: MetricSpec) -> dict:
     }
 
 
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _numbers(v, count: int) -> bool:
+    return isinstance(v, list) and len(v) == count and all(map(_number, v))
+
+
+# JSON kind -> (what it must be, test)
+_JSON_KINDS = {
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "number": ("a number", _number),
+    "rows": ("a list of lists of strings",
+             lambda v: isinstance(v, list) and all(
+                 isinstance(row, list) and all(isinstance(x, str) for x in row)
+                 for row in v)),
+    "box": ('a list of {"re": [min, max], "im": [min, max]} objects of numbers',
+            lambda v: isinstance(v, list) and all(
+                isinstance(b, dict) and _numbers(b.get("re"), 2)
+                and _numbers(b.get("im"), 2) for b in v)),
+    "bounds": ("a list of [re_min, re_max, im_min, im_max] lists of numbers",
+               lambda v: isinstance(v, list) and all(_numbers(r, 4) for r in v)),
+}
+
+
+def _json_fields(data, **kinds) -> list:
+    """The values of the keys of a file's top-level object, in the order
+    of kinds, each checked against its _JSON_KINDS kind (a number is an
+    int or a float, and a bool is neither).  ValueError naming the key
+    when data is not an object or a value is not of its kind; a missing
+    key is the KeyError that _load_json names."""
+    if not isinstance(data, dict):
+        raise ValueError("the top level must be a JSON object")
+    values = []
+    for key, kind in kinds.items():
+        what, valid = _JSON_KINDS[kind]
+        if not valid(data[key]):
+            raise ValueError(f"{key!r} must be {what}")
+        values.append(data[key])
+    return values
+
+
 def spec_from_dict(data: dict) -> MetricSpec:
-    n = int(data["n"])
-    entries = tuple(tuple(parse(src, n) for src in row) for row in data["entries"])
+    n, rows, rects = _json_fields(data, n="int", entries="rows", box="box")
+    entries = tuple(tuple(parse(src, n) for src in row) for row in rows)
     box = tuple(Rect(float(b["re"][0]), float(b["re"][1]),
-                     float(b["im"][0]), float(b["im"][1])) for b in data["box"])
+                     float(b["im"][0]), float(b["im"][1])) for b in rects)
     return MetricSpec(str(data["name"]), n, entries, box)
 
 
@@ -822,11 +864,13 @@ def fibration_to_dict(f: FibrationSpec) -> dict:
 
 
 def fibration_from_dict(d: dict) -> FibrationSpec:
-    s, m = int(d["s"]), int(d["m"])
-    fiber = tuple(tuple(parse(src, s + m) for src in row) for row in d["fiber_entries"])
-    base = tuple(tuple(parse(src, m) for src in row) for row in d["base_entries"])
-    box = tuple(Rect(*map(float, r)) for r in d["box"])
-    return FibrationSpec(str(d["name"]), s, m, fiber, base, float(d["mu0"]), box)
+    s, m, fiber_rows, base_rows, mu0, rects = _json_fields(
+        d, s="int", m="int", fiber_entries="rows", base_entries="rows",
+        mu0="number", box="bounds")
+    fiber = tuple(tuple(parse(src, s + m) for src in row) for row in fiber_rows)
+    base = tuple(tuple(parse(src, m) for src in row) for row in base_rows)
+    box = tuple(Rect(*map(float, r)) for r in rects)
+    return FibrationSpec(str(d["name"]), s, m, fiber, base, float(mu0), box)
 
 
 def _save_json(data: dict, path) -> None:

@@ -32,13 +32,17 @@ of warp.lambda_search: its values are read off the Bloch quadratic.
 Per-point passes run over blocks of at most curvature.POINT_BLOCK points:
 scan_chart and min_hsc_at_point take (g, R) from
 curvature.curvature_at, and _min_over_dirs minimizes one block of
-rows at a time, passing each block its slice of the global point indices,
+rows at a time (_min_over_rows, which can also build each block's rows
+on the fly), passing each block its slice of the global point indices,
 so descent's streams and the indices in error messages do not depend on
-the block.  g, R and the per-point outputs grow with the grid; the jets,
-the gate's temporaries, frames, Bloch quadratics, probes and descent
-states are those of one block.  The d = 2 quadratics that
-_affine_min_over_dirs builds once per lam search, a few hundred bytes
-per point, are not blocked.
+the block.  A scan of several charts of one dimension (_scan_stack,
+whose one-chart case is scan_chart) runs one minimizer pass over their
+points stacked, each under its own chart's grid index, so each chart's
+values are bit for bit those of its own scan.  g, R and the per-point
+outputs grow with the grid; the jets, the gate's temporaries, frames,
+Bloch quadratics, probes and descent states are those of one block.
+The d = 2 quadratics that _affine_min_over_dirs builds once per lam
+search, a few hundred bytes per point, are not blocked.
 
 Grid passes run on torus orbits where they can.  When dsl.grid_orbits
 accepts a chart (every entry g_ij has torus charge e_j - e_i and every
@@ -300,17 +304,29 @@ def _min_over_dirs(g, R, dirs, starts, iters, seed, point_indices):
     point_indices, so descent's per-point streams and the point index of
     _orthonormal_frame's error do not depend on the block.
     """
-    descent = minimizer_for(g.shape[-1]) == "descent"
+    return _min_over_rows(lambda rows: (g[rows], R[rows]), g.shape[-1],
+                          dirs, starts, iters, seed, point_indices)
+
+
+def _min_over_rows(rows_at, d, dirs, starts, iters, seed, point_indices):
+    """_min_over_dirs on rows that rows_at(rows) builds one block at a
+    time: (g, R) of the rows of a curvature._point_blocks slice, for
+    len(point_indices) rows of a d x d metric in all.  A caller whose
+    rows are derived from smaller arrays (the rescaled pairs of
+    warp.lambda_search) holds one block of them, not all."""
+    descent = minimizer_for(d) == "descent"
     if descent and dirs + starts == 0:
         raise ValueError("descent needs at least one probe direction or start")
-    values = np.empty(g.shape[0])
-    xi = np.empty(g.shape[:2], dtype=complex)
-    for rows in _point_blocks(g.shape[0]):
+    count = len(point_indices)
+    values = np.empty(count)
+    xi = np.empty((count, d), dtype=complex)
+    for rows in _point_blocks(count):
+        g, R = rows_at(rows)
         if descent:
             values[rows], xi[rows] = _probe_and_descend(
-                g[rows], R[rows], dirs, starts, iters, seed, point_indices[rows])
+                g, R, dirs, starts, iters, seed, point_indices[rows])
         else:
-            values[rows], xi[rows] = _exact_min(g[rows], R[rows], point_indices[rows])
+            values[rows], xi[rows] = _exact_min(g, R, point_indices[rows])
     return values, xi
 
 
@@ -444,15 +460,18 @@ def min_hsc_at_point(spec: dsl.MetricSpec, point):
     return float(vals[0]), wdirs[0]
 
 
-def _grid_classes(spec: dsl.MetricSpec, per_axis: int):
+def _grid_classes(spec: dsl.MetricSpec, per_axis: int, pts=None):
     """The box grid of spec and the part of it a per-point pass evaluates:
     (pts, sub, idx, inverse) with pts (P, n) the grid, sub = pts[idx] the
     points to evaluate, idx their grid indices in grid order and inverse
     the map back, so that values[inverse] holds one value per grid point.
     On a chart dsl.grid_orbits accepts, idx holds one representative per
     torus orbit; on any other every point, as sub = pts, idx = range(P)
-    and inverse = slice(None), so nothing is copied."""
-    pts = dsl.box_grid(spec.box, per_axis)
+    and inverse = slice(None), so nothing is copied.  pts, when given,
+    is that grid, dsl.box_grid(spec.box, per_axis), built once for specs
+    on one box."""
+    if pts is None:
+        pts = dsl.box_grid(spec.box, per_axis)
     orbits = dsl.grid_orbits(spec, per_axis)
     if orbits is None:
         return pts, pts, range(pts.shape[0]), slice(None)
@@ -485,18 +504,52 @@ def scan_chart(spec: dsl.MetricSpec, box=None, grid_per_axis: int = DEFAULT_GRID
     """
     if box is not None:
         spec = dataclasses.replace(spec, box=box)
-    pts, sub, idx, inverse = _grid_classes(spec, grid_per_axis)
-    g, R = curvature_at(spec, sub)
-    vals, wdirs = _min_over_dirs(g, R, dirs, starts, iters, seed, idx)
-    best = int(np.argmin(vals))
-    return ScanReport(
-        name=spec.name, n=spec.n, min_hsc=float(vals[best]),
-        witness_point=tuple(pts[idx[best]]), witness_dir=tuple(wdirs[best]),
-        points_scanned=int(pts.shape[0]), orbits_evaluated=len(idx),
-        dirs_per_point=dirs, starts=starts,
-        iters=iters, grid_per_axis=grid_per_axis, margin=abs(float(vals[best])),
-        seed=seed, minimizer=minimizer_for(spec.n), points=pts,
-        per_point_min=vals[inverse])
+    return _scan_stack([spec], grid_per_axis, dirs, seed, starts, iters)[0]
+
+
+def _joined(parts):
+    """parts[0] when it is the only part, else the parts concatenated."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _scan_stack(specs, grid_per_axis, dirs, seed, starts, iters) -> list:
+    """One ScanReport per spec of specs, in order, each bit for bit that
+    of scan_chart(spec, ...); scan_chart is the case of one spec.
+
+    The specs must share one dimension.  Each spec gets its own grid
+    classes (_grid_classes, one box_grid shared by the specs on a box),
+    curvature_at jets and tensor checks, one spec after the other, so
+    their errors come in spec order.  Then one _min_over_dirs pass runs
+    on the evaluated points of all specs stacked, each point under its
+    own spec's grid index, so descent's streams are those of a scan of
+    its spec alone.
+    """
+    classes, gs, Rs, grids = [], [], [], {}
+    for spec in specs:
+        if spec.box not in grids:
+            grids[spec.box] = dsl.box_grid(spec.box, grid_per_axis)
+        classes.append(_grid_classes(spec, grid_per_axis, grids[spec.box]))
+        g, R = curvature_at(spec, classes[-1][1])
+        gs.append(g)
+        Rs.append(R)
+    g, R = _joined(gs), _joined(Rs)
+    del gs, Rs  # the stacked copies replace the parts
+    vals, wdirs = _min_over_dirs(g, R, dirs, starts, iters, seed,
+                                 _joined([idx for _, _, idx, _ in classes]))
+    reports, lo = [], 0
+    for spec, (pts, _, idx, inverse) in zip(specs, classes):
+        v, w = vals[lo:lo + len(idx)], wdirs[lo:lo + len(idx)]
+        lo += len(idx)
+        best = int(np.argmin(v))
+        reports.append(ScanReport(
+            name=spec.name, n=spec.n, min_hsc=float(v[best]),
+            witness_point=tuple(pts[idx[best]]), witness_dir=tuple(w[best]),
+            points_scanned=int(pts.shape[0]), orbits_evaluated=len(idx),
+            dirs_per_point=dirs, starts=starts,
+            iters=iters, grid_per_axis=grid_per_axis, margin=abs(float(v[best])),
+            seed=seed, minimizer=minimizer_for(spec.n), points=pts,
+            per_point_min=v[inverse]))
+    return reports
 
 
 @dataclass(frozen=True)

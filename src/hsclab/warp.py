@@ -24,9 +24,10 @@ mixed (fiber, base) pair vanishes.  Hence, exactly:
 
 In the base block both -d2g and dg . g^{-1} . dbarg carry one factor c.
 lambda_search evaluates the jets and the tensor once, at c = 1
-(curvature_at on f.metric(1.0)), and rescales them per lam (_at_scale),
-while scan_chart and base_growth_check read each assembled metric on its
-own, so base_growth_check checks the same linear growth independently.
+(curvature_at on f.metric(1.0)), and rescales them per lam
+(_rescaled_rows, checked per lam by _at_scale), while scan_chart and
+base_growth_check read each assembled metric on its own, so
+base_growth_check checks the same linear growth independently.
 
 So along a direction xi the numerator at scale c is A(xi) + c * B(xi),
 with B from the base rows alone.  lambda_search solves for each grid
@@ -46,8 +47,9 @@ Every bundled fibration is torus invariant (dsl.grid_orbits): z_k ->
 e^{i theta_k} z_k is a holomorphic isometry of the assembled metric at
 every scale, so a point's threshold depends only on |z_1|, ..., |z_n|.
 lambda_search then evaluates one grid point per torus orbit, like
-positivity.scan_chart, whose fiber and base scans check_hypotheses
-runs; a chart the detector refuses is searched point by point.
+positivity.scan_chart, whose base scan check_hypotheses runs, and the
+one stacked pass (positivity._scan_stack) over its sampled fiber
+slices; a chart the detector refuses is searched point by point.
 
 The search refuses charts that fail its standing hypotheses (positive
 base curvature, positive fiber curvature on sampled fibers), and then
@@ -70,8 +72,8 @@ from .curvature import (check_tensor, curvature_at, gaussian_curvature_1d, hsc_d
                         metric_jet, metric_norm2, quartic, restrict)
 from .dsl import FibrationSpec, _c2pair, _require_positive, _vec_dict
 from .positivity import (NEG_THRESHOLD, _affine_min_over_dirs, _grid_classes,
-                         _min_over_dirs, check_witness_budget, find_negative_witness,
-                         scan_chart)
+                         _min_over_dirs, _min_over_rows, _scan_stack,
+                         check_witness_budget, find_negative_witness, scan_chart)
 
 LAMBDA_START = 1e-3
 LAMBDA_MAX = float(2 ** 30)
@@ -121,20 +123,51 @@ def assemble(f: FibrationSpec, lam: float) -> dsl.MetricSpec:
     return f.metric(scale, name)
 
 
+def _rescaled_rows(f: FibrationSpec, g1, R1, scales):
+    """rows -> (g, R) on the stacked pairs of the scales in scales: row r
+    is point r % P of the scale-1 pair curvature_at(f.metric(1.0, f.name),
+    points) of P points, at scale scales[r // P].  By the identity of the
+    module docstring, g[:, s:, s:] and R[:, s:, s:, :, :] of each row are
+    multiplied by its scale and every other entry stays.  A call builds
+    the rows of one slice only."""
+    P, scales = g1.shape[0], np.asarray(scales, dtype=float)
+
+    def rows_at(rows):
+        r = np.arange(*rows.indices(len(scales) * P))
+        c = scales[r // P]
+        g, R = g1[r % P], R1[r % P]
+        g[:, f.s:, f.s:] *= c[:, None, None]
+        R[:, f.s:, f.s:, :, :] *= c[:, None, None, None, None]
+        return g, R
+    return rows_at
+
+
 def _at_scale(f: FibrationSpec, g1, R1, lam: float):
-    """The metric and curvature tensor of assemble(f, lam), from the
-    scale-1 pair curvature_at(f.metric(1.0, f.name), points) by the
-    identity of the module docstring: g[..., s:, s:] and
-    R[..., s:, s:, :, :] are multiplied by the scale mu0 + lam, every
-    other entry stays.  Runs the checks of curvature_at (check_tensor) on
+    """The metric and curvature tensor of assemble(f, lam) at the points of
+    the scale-1 pair (P, n, n) and (P, n, n, n, n), rescaled by
+    _rescaled_rows.  Runs the checks of curvature_at (check_tensor) on
     the rescaled pair and refuses a scale that is not positive and finite
     like assemble."""
-    scale = _scale(f, lam)
-    g, R = g1.copy(), R1.copy()
-    g[..., f.s:, f.s:] *= scale
-    R[..., f.s:, f.s:, :, :] *= scale
+    g, R = _rescaled_rows(f, g1, R1, [_scale(f, lam)])(slice(None))
     check_tensor(g, R)
     return g, R
+
+
+def _grid_minima(f: FibrationSpec, g1, R1, lams, dirs, starts, iters, seed,
+                 point_indices) -> list:
+    """The grid minimum of K at each lam of lams, on the scale-1 pair g1, R1
+    at the points of grid indices point_indices.  First each lam's
+    rescaled pair is checked by _at_scale, in lam order, one pair at a
+    time; then one positivity._min_over_rows pass minimizes the pairs of
+    all lams stacked, built one block of rows at a time by
+    _rescaled_rows, every point under its own grid index, so each lam's
+    minimum is bit for bit that of _min_over_dirs on its own pair."""
+    for lam in lams:
+        _at_scale(f, g1, R1, lam)
+    scales = [_scale(f, lam) for lam in lams]
+    vals, _ = _min_over_rows(_rescaled_rows(f, g1, R1, scales), f.n, dirs, starts,
+                             iters, seed, np.tile(point_indices, len(scales)))
+    return [float(v) for v in vals.reshape(len(scales), -1).min(axis=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -187,17 +220,16 @@ class LambdaSearchResult:
     as_dict = dsl.report_dict
 
 
-def _sampled_fiber_scans(f: FibrationSpec, count: int, rng, **scan_options):
-    """Yield (base point, fiber metric, its scan) for count base points
-    drawn one at a time from the base box; lazily, so an early stop draws
-    no more.  The fiber metric is the slice of the assembled metric over
-    the base point; its block does not depend on the scale, so the scale-1
-    metric serves."""
+def _sampled_fibers(f: FibrationSpec, count: int, rng):
+    """(base points, fiber metrics) for count base points drawn one at a
+    time from the base box.  The fiber metric over a base point is the
+    slice of the assembled metric there; its block does not depend on the
+    scale, so the scale-1 metric serves.  All fibers share the fiber box
+    and dimension s, so positivity._scan_stack scans them in one pass."""
     total = f.metric(1.0, f.name)
-    for _ in range(count):
-        c = dsl.box_sample(f.box[f.s:], rng, 1)[0]
-        sub = restrict(total, {f.s + 1 + a: complex(z) for a, z in enumerate(c)})
-        yield c, sub, scan_chart(sub, **scan_options)
+    points = [dsl.box_sample(f.box[f.s:], rng, 1)[0] for _ in range(count)]
+    return points, [restrict(total, {f.s + 1 + a: complex(z) for a, z in enumerate(c)})
+                    for c in points]
 
 
 def check_hypotheses(f: FibrationSpec, fiber_samples: int = 5, seed: int = 0,
@@ -210,6 +242,14 @@ def check_hypotheses(f: FibrationSpec, fiber_samples: int = 5, seed: int = 0,
     point must too.  Each minimum must exceed HYPOTHESIS_MARGIN (a NaN
     minimum does not); otherwise HypothesisViolationError names the
     failing side with a witness point.
+
+    The base scan runs first and alone.  The fiber_samples base points
+    are then drawn up front (_sampled_fibers), their fiber slices are
+    scanned in one stacked pass (positivity._scan_stack), each slice's
+    report bit for bit that of scan_chart on it, and the slices are
+    judged in draw order, so the first failing one is named.  Every
+    slice is scanned before any is judged: an error raised while
+    scanning a slice drawn after the first failing one comes first.
     """
     _require_positive(fiber_samples=fiber_samples)
     scan_options = dict(grid_per_axis=grid_per_axis, dirs=dirs, seed=seed,
@@ -218,9 +258,9 @@ def check_hypotheses(f: FibrationSpec, fiber_samples: int = 5, seed: int = 0,
     if not base_scan.min_hsc > HYPOTHESIS_MARGIN:
         raise HypothesisViolationError("base", base_scan.min_hsc,
                                        _vec_dict(base_scan.witness_point))
+    points, fibers = _sampled_fibers(f, fiber_samples, np.random.default_rng([seed, 17]))
     fiber_mins = []
-    for c, _, sub_scan in _sampled_fiber_scans(
-            f, fiber_samples, np.random.default_rng([seed, 17]), **scan_options):
+    for c, sub_scan in zip(points, _scan_stack(fibers, **scan_options)):
         if not sub_scan.min_hsc > HYPOTHESIS_MARGIN:
             raise HypothesisViolationError(
                 "fiber", sub_scan.min_hsc,
@@ -267,10 +307,14 @@ def lambda_search(f: FibrationSpec, bisections: int = 6,
     lambda_star is the largest per-point threshold times 1 + STAR_MARGIN,
     or LAMBDA_START when every point is positive there (positive_at_start:
     then it only bounds the threshold from above).  Only the reported
-    minima are evaluated on the scale-1 pair rescaled by _at_scale, each
-    checked like curvature_at: history holds (LAMBDA_START, its grid
-    minimum) and, unless positive_at_start, (lambda_star, min_hsc_at_star);
-    persistence holds the grid minima at 2*lambda_star and 4*lambda_star.
+    minima are evaluated on the scale-1 pair rescaled to their lams:
+    history holds (LAMBDA_START, its grid minimum) and, unless
+    positive_at_start, (lambda_star, min_hsc_at_star); persistence holds
+    the grid minima at 2*lambda_star and 4*lambda_star.  _grid_minima
+    first checks each lam's rescaled pair like curvature_at (_at_scale),
+    in lam order, and then minimizes all of them in one stacked pass
+    whose rows are built one block at a time, so a later lam's check
+    can fail before an earlier lam is minimized.
 
     On a torus-invariant chart (dsl.grid_orbits) the jets, the fiber
     proof, the Newton passes and the four checked grid minima run on one
@@ -341,21 +385,14 @@ def lambda_search(f: FibrationSpec, bisections: int = 6,
             f"first at point {_vec_dict(pts[idx[first]])}, "
             f"witness direction {_vec_dict(wdir[first])}")
 
-    def scan_min(lam: float) -> float:
-        g, R = _at_scale(f, g1, R1, lam)
-        vals, _ = _min_over_dirs(g, R, dirs, starts, iters, seed, idx)
-        return float(vals.min())
-
-    history = [(LAMBDA_START, scan_min(LAMBDA_START))]
-    if at_start:
-        star = LAMBDA_START
-    else:
-        star = float(lam.max()) * (1.0 + STAR_MARGIN)
-        history.append((star, scan_min(star)))
+    star = LAMBDA_START if at_start else float(lam.max()) * (1.0 + STAR_MARGIN)
+    lams = [LAMBDA_START] + ([] if at_start else [star]) + [2.0 * star, 4.0 * star]
+    reported = tuple(zip(lams, _grid_minima(f, g1, R1, lams, dirs, starts, iters,
+                                            seed, idx)))
+    history, persistence = reported[:-2], reported[-2:]
     return LambdaSearchResult(
         lambda_star=star, min_hsc_at_star=history[-1][1],
-        history=tuple(history),
-        persistence=tuple((k * star, scan_min(k * star)) for k in (2.0, 4.0)),
+        history=history, persistence=persistence,
         seed=seed, positive_at_start=at_start, newton_passes=passes,
         orbits_evaluated=P, witness_point=tuple(pts[idx[int(np.argmax(lam))]]),
         points=pts, thresholds=lam[inverse])
@@ -448,7 +485,9 @@ def family_negativity_report(lam_values=(0.5, 1.0, 5.0, 50.0),
     (a) The base metric has strictly positive curvature on its chart.
     (b) Induced fiber metrics have nonnegative curvature, vanishing at
         the fiber origin, on sampled fibers (the fiber block does not
-        depend on lam).
+        depend on lam).  The fiber_samples base points are drawn up
+        front and their slices scanned in one stacked pass, as in
+        check_hypotheses.
     (c) Still, for every lam in lam_values the assembled metric admits a
         direction of negative holomorphic sectional curvature.
 
@@ -465,12 +504,11 @@ def family_negativity_report(lam_values=(0.5, 1.0, 5.0, 50.0),
     check_witness_budget(f.n, budget)
     scan_options = dict(grid_per_axis=11, dirs=2, seed=seed, starts=1, iters=1)
     base_scan = scan_chart(f.base_spec(), **scan_options)
+    points, subs = _sampled_fibers(f, fiber_samples, np.random.default_rng([seed, 41]))
     fibers = [{"base_point": _c2pair(c[0]),
                "min_hsc": rep.min_hsc,
                "origin_hsc": gaussian_curvature_1d(sub, 0j)}
-              for c, sub, rep in _sampled_fiber_scans(
-                  f, fiber_samples, np.random.default_rng([seed, 41]),
-                  **scan_options)]
+              for c, sub, rep in zip(points, subs, _scan_stack(subs, **scan_options))]
     witnesses = []
     for lam, spec in zip(lam_values, specs):
         w = find_negative_witness(spec, budget=budget, seed=seed)

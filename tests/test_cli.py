@@ -404,6 +404,46 @@ def test_a_missing_file_key_is_named(capsys, tmp_path, command, what, data, key)
         f"error: cannot load {what} '{path}': missing key '{key}'"]
 
 
+@pytest.mark.parametrize("command, what, data, change, message", [
+    ("scan", "metric", dsl.spec_to_dict(dsl.catalog("poincare")), {"entries": "1"},
+     "'entries' must be a list of lists of strings"),
+    ("scan", "metric", dsl.spec_to_dict(dsl.catalog("poincare")), {"n": 1.7},
+     "'n' must be an integer"),
+    ("scan", "metric", dsl.spec_to_dict(dsl.catalog("poincare")), {"n": True},
+     "'n' must be an integer"),
+    ("scan", "metric", dsl.spec_to_dict(dsl.catalog("poincare")), None,
+     "the top level must be a JSON object"),
+    ("scan", "metric", dsl.spec_to_dict(dsl.catalog("poincare")),
+     {"box": [{"re": "ab", "im": [-0.5, 0.5]}]},
+     "'box' must be a list of {\"re\": [min, max], \"im\": [min, max]} objects of numbers"),
+    ("warp", "fibration", dsl.fibration_to_dict(dsl.WARP_DEMO_FIBRATION), {"s": "1"},
+     "'s' must be an integer"),
+    ("warp", "fibration", dsl.fibration_to_dict(dsl.WARP_DEMO_FIBRATION), {"s": 1.5},
+     "'s' must be an integer"),
+    ("warp", "fibration", dsl.fibration_to_dict(dsl.WARP_DEMO_FIBRATION), {"mu0": "0"},
+     "'mu0' must be a number"),
+    ("warp", "fibration", dsl.fibration_to_dict(dsl.WARP_DEMO_FIBRATION),
+     {"fiber_entries": "exp(z2)"}, "'fiber_entries' must be a list of lists of strings"),
+    ("warp", "fibration", dsl.fibration_to_dict(dsl.WARP_DEMO_FIBRATION),
+     {"box": [[-0.5, 0.5, -0.5, "0.5"]] * 2},
+     "'box' must be a list of [re_min, re_max, im_min, im_max] lists of numbers"),
+])
+def test_a_file_value_of_the_wrong_json_type_is_named(capsys, tmp_path, command,
+                                                      what, data, change, message):
+    """Each value is checked for its JSON type before it is read, so a
+    string, a float or a bool where an integer, a number or a list
+    belongs is a usage error naming its key; a top level that is a list
+    (change None) is refused as a whole."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps([data] if change is None else {**data, **change}),
+                    encoding="utf-8")
+    with pytest.raises(SystemExit) as err:
+        cli.main([command, "--file", str(path)])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"error: cannot load {what} '{path}': {message}"]
+
+
 def test_only_main_raises_system_exit():
     """cli.main alone turns an exception into an exit code: SystemExit is
     named nowhere else in cli.py, so every other function raises the

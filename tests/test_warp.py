@@ -112,21 +112,72 @@ def test_hypotheses_refuse_degenerate_fiber():
                          grid_per_axis=5, dirs=8, starts=1, iters=40)
     assert err.value.side == "fiber"
     assert err.value.value <= warp.HYPOTHESIS_MARGIN
+    # the first sampled fiber fails at its origin, where K vanishes
+    assert repr(err.value.value) == "0.0"
+    assert err.value.witness == {"base_point": [[-0.1871226766349648, 0.5060502167183413]],
+                                 "fiber_point": [[0.0, 0.0]]}
+
+
+def _warped_catalog_fiber(name: str, box=None) -> FibrationSpec:
+    """The catalog metric name as the fiber block, warped by
+    exp(|w|^2 / 4) in one base coordinate w, over the fs(1) base."""
+    fiber = dsl.catalog(name)
+    s = fiber.n
+    factor = f"exp(z{s + 1}*conj(z{s + 1})/4)"
+    entries = tuple(tuple(dsl.parse(f"{factor}*({dsl.to_source(e)})", s + 1) for e in row)
+                    for row in fiber.entries)
+    return FibrationSpec(f"warped_{name}", s, 1, entries,
+                         ((dsl.parse("1/(1+z1*conj(z1))^2", 1),),), 0.0,
+                         (box or fiber.box) + (dsl.Rect(-0.5, 0.5, -0.5, 0.5),))
+
+
+def _scan_bits(rep):
+    return (np.float64(rep.min_hsc).tobytes(), np.array(rep.witness_point).tobytes(),
+            np.array(rep.witness_dir).tobytes(), rep.per_point_min.tobytes())
+
+
+@pytest.mark.parametrize("make, options", [
+    (warp_demo_fibration, dict(grid_per_axis=7, dirs=16, seed=0, starts=2, iters=80)),
+    (paper_G_fibration, dict(grid_per_axis=11, dirs=2, seed=0, starts=1, iters=1)),
+    # d = 2 fibers: the exact minimizer
+    (lambda: _warped_catalog_fiber("fs(2)"),
+     dict(grid_per_axis=5, dirs=16, seed=0, starts=2, iters=80)),
+    # d = 3 fibers off centre, every grid point under its own descent streams
+    (lambda: _warped_catalog_fiber("fs(3)", off_centre(dsl.catalog("fs(3)").box)),
+     dict(grid_per_axis=2, dirs=3, seed=1, starts=1, iters=5)),
+])
+def test_stacked_fiber_scans_are_those_of_each_slice(make, options):
+    """One pass over the sampled fibers reports, for every slice, the
+    bits of a scan of that slice alone, and of its grid classes run
+    through curvature_at and _min_over_dirs by hand."""
+    f = make()
+    _, fibers = warp._sampled_fibers(f, 3, np.random.default_rng([0, 17]))
+    stacked = positivity._scan_stack(fibers, **options)
+    assert len(stacked) == len(fibers)
+    for spec, rep in zip(fibers, stacked):
+        alone = positivity.scan_chart(spec, **options)
+        assert rep == alone and _scan_bits(rep) == _scan_bits(alone)
+        _, sub, idx, inverse = positivity._grid_classes(spec, options["grid_per_axis"])
+        vals, _ = _min_over_dirs(*curvature_at(spec, sub), options["dirs"],
+                                 options["starts"], options["iters"], options["seed"], idx)
+        assert vals[inverse].tobytes() == rep.per_point_min.tobytes()
 
 
 @pytest.mark.parametrize("side", ["base", "fiber"])
 def test_hypotheses_refuse_a_nan_minimum(monkeypatch, side):
-    """A NaN minimum is not above HYPOTHESIS_MARGIN, so its side fails."""
+    """A NaN minimum is not above HYPOTHESIS_MARGIN, so its side fails.
+    The NaN comes through the stacked scan, which the base scan reaches
+    through scan_chart and the fiber slices directly."""
     f = warp_demo_fibration()
-    scan = warp.scan_chart
+    stack = positivity._scan_stack
 
-    def nan_on_side(spec, **options):
-        rep = scan(spec, **options)
-        if (spec.name == f.base_spec().name) == (side == "base"):
-            return dataclasses.replace(rep, min_hsc=float("nan"))
-        return rep
+    def nan_on_side(specs, *args, **options):
+        return [dataclasses.replace(rep, min_hsc=float("nan"))
+                if (spec.name == f.base_spec().name) == (side == "base") else rep
+                for spec, rep in zip(specs, stack(specs, *args, **options))]
 
-    monkeypatch.setattr(warp, "scan_chart", nan_on_side)
+    monkeypatch.setattr(positivity, "_scan_stack", nan_on_side)
+    monkeypatch.setattr(warp, "_scan_stack", nan_on_side)
     with pytest.raises(HypothesisViolationError) as err:
         check_hypotheses(f, fiber_samples=2, grid_per_axis=5, dirs=8,
                          starts=1, iters=40)
@@ -369,9 +420,10 @@ def test_descent_passes_are_bit_identical_to_the_per_pass_loop():
 
 def test_default_search_reads_per_search_quadratics(monkeypatch):
     """The Newton passes share one frame and two Bloch quadratics per
-    search: hsc_dirs runs only in the hypothesis scans (6), the fiber
-    proof (1) and the four reported grid minima, and _sphere_quadratic
-    only for the two quadratics and those minima."""
+    search: hsc_dirs runs only in the base scan, the one pass over the
+    sampled fibers, the fiber proof and the one pass over the four
+    reported grid minima, and _sphere_quadratic only for the two
+    quadratics and those minima."""
     calls = {"hsc_dirs": 0, "_sphere_quadratic": 0}
 
     def counting(module, name):
@@ -387,7 +439,7 @@ def test_default_search_reads_per_search_quadratics(monkeypatch):
     counting(warp, "hsc_dirs")
     counting(positivity, "_sphere_quadratic")
     res = lambda_search(warp_demo_fibration())
-    assert calls == {"hsc_dirs": 11, "_sphere_quadratic": 6}
+    assert calls == {"hsc_dirs": 4, "_sphere_quadratic": 3}
     assert res.newton_passes == 6
 
 
