@@ -27,7 +27,7 @@ print(f"  base chart minimum: {base.min_hsc:+.6f} (positive)")
 g1 = hsclab.catalog("paper_G(1)")
 for c in (0j, 0.4 + 0.3j):
     # the fiber over c: the slice z2 = c of the assembled metric
-    sub = hsclab.restrict(g1, {2: c}, name=f"fiber@{c}")
+    sub = hsclab.restrict(g1, {2: c})
     rep = hsclab.scan_chart(sub, grid_per_axis=7, dirs=8, starts=2, iters=60)
     origin = hsclab.gaussian_curvature_1d(sub, 0j)
     print(f"  fiber over {c}: minimum {rep.min_hsc:+.3e} "

@@ -246,13 +246,14 @@ def cmd_lemma2(args) -> int:
     lams = parse_float_list(args.lambdas, "--lambdas")
     payload = {"g": gspec.name, "h": hspec.name, "point": _c2pair(point)}
     try:
-        worst = 0.0
         phi = certify.pencil_at(gspec, hspec, point)[1]
+        errors = []
         for lam in lams:
             closed = phi(lam)
             direct = gaussian_curvature_1d(
                 certify.pencil_spec(gspec, hspec, lam), point)
-            worst = max(worst, abs(closed - direct) / max(1.0, abs(direct)))
+            errors.append(abs(closed - direct) / max(1.0, abs(direct)))
+        worst = float(np.max(errors))  # NaN if any error is NaN
         thr = certify.pencil_positive_threshold(gspec, hspec, point)
         decay = certify.pencil_decay_check(gspec, hspec, point)
     except PointOutsideBoxError:

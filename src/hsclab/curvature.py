@@ -48,7 +48,6 @@ is one block's, not two.
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import partial
@@ -391,16 +390,18 @@ def gaussian_curvature_1d(spec: dsl.MetricSpec, points):
                    np.shape(points))
 
 
-def restrict(spec: dsl.MetricSpec, fixed: dict, name: str | None = None) -> dsl.MetricSpec:
+def restrict(spec: dsl.MetricSpec, fixed: dict) -> dsl.MetricSpec:
     """The induced metric on a coordinate slice: freeze some coordinates
     to constants and renumber the rest.
 
     The fiber of a fibration over a base point is the slice of the
-    assembled metric that fixes the base coordinates.  Keys of `fixed` are
-    1-based coordinate indices; values must lie in the box slice.
+    assembled metric that fixes the base coordinates; warp reads its
+    metric and tensor as the fiber blocks of the assembled pair.  Keys
+    of `fixed` are 1-based coordinate indices; values must lie in the
+    box slice.
     """
     if not fixed:
-        return spec if name is None else dataclasses.replace(spec, name=name)
+        return spec
     for k, v in fixed.items():
         if not 1 <= k <= spec.n:
             raise ValueError(f"coordinate index z{k} out of range 1..{spec.n}")
@@ -421,8 +422,6 @@ def restrict(spec: dsl.MetricSpec, fixed: dict, name: str | None = None) -> dsl.
         tuple(dsl.map_vars(spec.entries[i - 1][j - 1], replace) for j in kept)
         for i in kept)
     box = tuple(spec.box[k - 1] for k in kept)
-    if name is None:
-        frozen = ",".join(f"z{k}={dsl.to_source(dsl.Lit(complex(fixed[k])))}"
-                          for k in sorted(fixed))
-        name = f"{spec.name}[{frozen}]"
-    return dsl.MetricSpec(name, len(kept), entries, box)
+    frozen = ",".join(f"z{k}={dsl.to_source(dsl.Lit(complex(fixed[k])))}"
+                      for k in sorted(fixed))
+    return dsl.MetricSpec(f"{spec.name}[{frozen}]", len(kept), entries, box)

@@ -626,8 +626,9 @@ class NotPositiveDefiniteError(MetricError):
 class MetricSpec:
     """A metric given by entry expressions on a box: `entries` is an
     n x n matrix of Expr in the coordinates z1..zn, n >= 1, and `box` has
-    one Rect per coordinate, all checked on construction.  A fiber of a fibration
-    is a coordinate slice of the assembled metric (curvature.restrict).
+    one Rect per coordinate, all checked on construction.  A fiber of a
+    fibration is a coordinate slice of the assembled metric (curvature.restrict)
+    and, in warp, the fiber block of the assembled curvature tensor.
     """
 
     name: str

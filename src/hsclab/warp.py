@@ -47,9 +47,15 @@ Every bundled fibration is torus invariant (dsl.grid_orbits): z_k ->
 e^{i theta_k} z_k is a holomorphic isometry of the assembled metric at
 every scale, so a point's threshold depends only on |z_1|, ..., |z_n|.
 lambda_search then evaluates one grid point per torus orbit, like
-positivity.scan_chart, whose base scan check_hypotheses runs, and the
-one stacked pass (positivity._scan_stack) over its sampled fiber
-slices; a chart the detector refuses is searched point by point.
+positivity.scan_chart, whose base scan check_hypotheses runs; a chart
+the detector refuses is searched point by point.
+
+The fiber over a base point c, the slice fixing the base coordinates at
+c (curvature.restrict), has at a fiber point p the metric and tensor
+g[:s, :s] and R[:s, :s, :s, :s] of the assembled pair at (p, c), at every
+scale.  check_hypotheses and the counterexample report read their
+sampled fibers so (_sampled_fiber_minima), and lambda_search its proof
+of failure.
 
 The search refuses charts that fail its standing hypotheses (positive
 base curvature, positive fiber curvature on sampled fibers), and then
@@ -71,9 +77,10 @@ from . import dsl
 from .curvature import (check_tensor, curvature_at, gaussian_curvature_1d, hsc_dirs,
                         metric_jet, metric_norm2, quartic, restrict)
 from .dsl import FibrationSpec, _c2pair, _require_positive, _vec_dict
-from .positivity import (NEG_THRESHOLD, _affine_min_over_dirs, _grid_classes,
-                         _min_over_dirs, _min_over_rows, _scan_stack,
-                         check_witness_budget, find_negative_witness, scan_chart)
+from .positivity import (DEFAULT_DIRS, DEFAULT_ITERS, DEFAULT_STARTS, NEG_THRESHOLD,
+                         _affine_min_over_dirs, _grid_classes, _min_over_dirs,
+                         _min_over_rows, check_witness_budget, find_negative_witness,
+                         scan_chart)
 
 LAMBDA_START = 1e-3
 LAMBDA_MAX = float(2 ** 30)
@@ -220,16 +227,45 @@ class LambdaSearchResult:
     as_dict = dsl.report_dict
 
 
-def _sampled_fibers(f: FibrationSpec, count: int, rng):
-    """(base points, fiber metrics) for count base points drawn one at a
-    time from the base box.  The fiber metric over a base point is the
-    slice of the assembled metric there; its block does not depend on the
-    scale, so the scale-1 metric serves.  All fibers share the fiber box
-    and dimension s, so positivity._scan_stack scans them in one pass."""
-    total = f.metric(1.0, f.name)
-    points = [dsl.box_sample(f.box[f.s:], rng, 1)[0] for _ in range(count)]
-    return points, [restrict(total, {f.s + 1 + a: complex(z) for a, z in enumerate(c)})
-                    for c in points]
+def _fiber(f: FibrationSpec, c) -> dsl.MetricSpec:
+    """The fiber over the base point c (m,), as a slice of the scale-1
+    assembled metric; the fiber block does not depend on the scale."""
+    return restrict(f.metric(1.0, f.name),
+                    {f.s + 1 + a: complex(z) for a, z in enumerate(c)})
+
+
+def _sampled_fiber_minima(f: FibrationSpec, count: int, rng, grid_per_axis: int,
+                          seed: int, dirs: int = DEFAULT_DIRS,
+                          starts: int = DEFAULT_STARTS, iters: int = DEFAULT_ITERS):
+    """(base points (count, m), minima (count,), witness fiber points
+    (count, s)) of the fibers over count base points, drawn one
+    box_sample call at a time and scanned on the grid of f.box[:s]: each
+    is scan_chart's on its slice up to rounding, witness and NaN included.
+
+    The fiber points are the grid classes of the first fiber.  A frozen
+    base coordinate has charge 0, so the detector judges every fiber
+    alike, and on an accepted one (p, c) -> (U p, c) is an isometry of
+    the assembled metric.  One _min_over_rows pass minimizes the fiber
+    blocks of curvature_at(f.metric(1.0, f.name), .) at every (fiber
+    point, base point) pair, evaluated and gated one block at a time."""
+    total, s = f.metric(1.0, f.name), f.s
+    base_points = np.concatenate([dsl.box_sample(f.box[s:], rng, 1)
+                                  for _ in range(count)])
+    pts, sub, idx, _ = _grid_classes(_fiber(f, base_points[0]), grid_per_axis)
+    idx = np.asarray(idx)
+    at = np.empty((count, len(idx), f.n), dtype=complex)
+    at[:, :, :s] = sub
+    at[:, :, s:] = base_points[:, None, :]
+    at = at.reshape(-1, f.n)
+
+    def fiber_rows(rows):
+        g, R = curvature_at(total, at[rows])
+        return g[:, :s, :s], R[:, :s, :s, :s, :s]
+
+    vals = _min_over_rows(fiber_rows, s, dirs, starts, iters, seed,
+                          np.tile(idx, count))[0].reshape(count, -1)
+    best = np.argmin(vals, axis=1)
+    return base_points, vals[np.arange(count), best], pts[idx[best]]
 
 
 def check_hypotheses(f: FibrationSpec, fiber_samples: int = 5, seed: int = 0,
@@ -243,13 +279,10 @@ def check_hypotheses(f: FibrationSpec, fiber_samples: int = 5, seed: int = 0,
     minimum does not); otherwise HypothesisViolationError names the
     failing side with a witness point.
 
-    The base scan runs first and alone.  The fiber_samples base points
-    are then drawn up front (_sampled_fibers), their fiber slices are
-    scanned in one stacked pass (positivity._scan_stack), each slice's
-    report bit for bit that of scan_chart on it, and the slices are
-    judged in draw order, so the first failing one is named.  Every
-    slice is scanned before any is judged: an error raised while
-    scanning a slice drawn after the first failing one comes first.
+    The base scan (scan_chart) runs first.  The fibers are then scanned
+    together (_sampled_fiber_minima), gated by check_tensor on the
+    assembled metric at scale 1, and judged in draw order; an error on a
+    fiber drawn after the first failing one comes first.
     """
     _require_positive(fiber_samples=fiber_samples)
     scan_options = dict(grid_per_axis=grid_per_axis, dirs=dirs, seed=seed,
@@ -258,18 +291,16 @@ def check_hypotheses(f: FibrationSpec, fiber_samples: int = 5, seed: int = 0,
     if not base_scan.min_hsc > HYPOTHESIS_MARGIN:
         raise HypothesisViolationError("base", base_scan.min_hsc,
                                        _vec_dict(base_scan.witness_point))
-    points, fibers = _sampled_fibers(f, fiber_samples, np.random.default_rng([seed, 17]))
-    fiber_mins = []
-    for c, sub_scan in zip(points, _scan_stack(fibers, **scan_options)):
-        if not sub_scan.min_hsc > HYPOTHESIS_MARGIN:
+    points, minima, witnesses = _sampled_fiber_minima(
+        f, fiber_samples, np.random.default_rng([seed, 17]), **scan_options)
+    for c, value, w in zip(points, minima, witnesses):
+        if not value > HYPOTHESIS_MARGIN:
             raise HypothesisViolationError(
-                "fiber", sub_scan.min_hsc,
-                {"base_point": _vec_dict(c),
-                 "fiber_point": _vec_dict(sub_scan.witness_point)})
-        fiber_mins.append(sub_scan.min_hsc)
+                "fiber", float(value),
+                {"base_point": _vec_dict(c), "fiber_point": _vec_dict(w)})
     return {
         "base_min_hsc": base_scan.min_hsc,
-        "fiber_min_hsc": min(fiber_mins),
+        "fiber_min_hsc": float(minima.min()),
         "fiber_samples": fiber_samples,
         "seed": seed,
     }
@@ -333,7 +364,9 @@ def lambda_search(f: FibrationSpec, bisections: int = 6,
 
     For d = 2 every pass is the exact direction minimum.  For d >= 3 it is
     probe plus descent (dirs, starts, iters, seed), an upper bound, so the
-    thresholds are only as good as descent.  bisections is ignored; it is
+    thresholds are only as good as descent.  The hypothesis scans run
+    check_hypotheses at its own grid and descent budgets, not at the
+    search's; only seed is passed on.  bisections is ignored; it is
     accepted so that existing callers keep working.  perfbench's
     LamSearchDemo reads history and persistence and passes bisections=1
     in smoke mode, so their deletion belongs with a benchmark change.
@@ -462,7 +495,7 @@ def base_growth_check(f: FibrationSpec, seed: int = 0) -> dict:
     for lam in lams:
         _, R = curvature_at(assemble(f, lam), pts)
         nums.append(float(quartic(R[0], xi)[0].real))
-    if min(nums) <= 0:
+    if not np.min(nums) > 0:  # a NaN anywhere fails too
         raise ArithmeticError("curvature numerator not positive along the base")
     slope = float(np.polyfit(np.log(lams), np.log(nums), 1)[0])
     return {
@@ -485,13 +518,13 @@ def family_negativity_report(lam_values=(0.5, 1.0, 5.0, 50.0),
     (a) The base metric has strictly positive curvature on its chart.
     (b) Induced fiber metrics have nonnegative curvature, vanishing at
         the fiber origin, on sampled fibers (the fiber block does not
-        depend on lam).  The fiber_samples base points are drawn up
-        front and their slices scanned in one stacked pass, as in
-        check_hypotheses.
+        depend on lam), scanned as in check_hypotheses; the origin
+        values are gaussian_curvature_1d on each slice, a second route.
     (c) Still, for every lam in lam_values the assembled metric admits a
         direction of negative holomorphic sectional curvature.
 
-    "ok" is the verdict on all three (fiber minima >= -1e-8, |K| <= 1e-9 at origins).
+    "ok" is the verdict on all three (fiber minima >= -1e-8, |K| <= 1e-9 at
+    origins); a NaN minimum or origin value anywhere makes it False.
 
     A fiber_samples below 1, a lam the catalog rejects (KeyError) or a
     budget below the first witness stage (ValueError) is refused before
@@ -502,13 +535,13 @@ def family_negativity_report(lam_values=(0.5, 1.0, 5.0, 50.0),
              for lam in lam_values]
     f = paper_G_fibration()
     check_witness_budget(f.n, budget)
-    scan_options = dict(grid_per_axis=11, dirs=2, seed=seed, starts=1, iters=1)
-    base_scan = scan_chart(f.base_spec(), **scan_options)
-    points, subs = _sampled_fibers(f, fiber_samples, np.random.default_rng([seed, 41]))
+    base_scan = scan_chart(f.base_spec(), grid_per_axis=11, seed=seed)
+    points, minima, _ = _sampled_fiber_minima(
+        f, fiber_samples, np.random.default_rng([seed, 41]), grid_per_axis=11, seed=seed)
     fibers = [{"base_point": _c2pair(c[0]),
-               "min_hsc": rep.min_hsc,
-               "origin_hsc": gaussian_curvature_1d(sub, 0j)}
-              for c, sub, rep in zip(points, subs, _scan_stack(subs, **scan_options))]
+               "min_hsc": float(value),
+               "origin_hsc": gaussian_curvature_1d(_fiber(f, c), 0j)}
+              for c, value in zip(points, minima)]
     witnesses = []
     for lam, spec in zip(lam_values, specs):
         w = find_negative_witness(spec, budget=budget, seed=seed)
@@ -516,8 +549,8 @@ def family_negativity_report(lam_values=(0.5, 1.0, 5.0, 50.0),
             "lam": float(lam),
             "witness": None if w is None else w.as_dict(),
         })
-    fiber_min = min(fib["min_hsc"] for fib in fibers)
-    origin_max = max(abs(fib["origin_hsc"]) for fib in fibers)
+    fiber_min = float(np.min([fib["min_hsc"] for fib in fibers]))
+    origin_max = float(np.max(np.abs([fib["origin_hsc"] for fib in fibers])))
     all_negative = all(w["witness"] is not None
                        and w["witness"]["value"] < NEG_THRESHOLD for w in witnesses)
     return {

@@ -102,6 +102,22 @@ def test_lemma2_reads_pencil_jets_once_per_route(capsys, monkeypatch):
     assert len(calls) == 10
 
 
+def test_lemma2_fails_on_a_later_nan_direct_curvature(capsys, monkeypatch):
+    """A NaN direct curvature at the second default lam makes the worst
+    formula error NaN, which fails the check."""
+    inner, calls = cli.gaussian_curvature_1d, []
+
+    def nan_second(*args):
+        calls.append(True)
+        return float("nan") if len(calls) == 2 else inner(*args)
+
+    monkeypatch.setattr(cli, "gaussian_curvature_1d", nan_second)
+    code, rep = run_cli(capsys, "lemma2")
+    assert len(calls) == 4
+    assert code == 1 and rep["ok"] is False
+    assert np.isnan(rep["formula_worst_rel_error"])
+
+
 def test_lemma2_reports_a_nonpositive_second_metric(capsys):
     code, rep = run_cli(capsys, "lemma2", "--h", "poincare")
     assert code == 1 and rep["ok"] is False

@@ -280,18 +280,15 @@ def test_fiber_curvature_vanishes_at_origin_only():
     assert gaussian_curvature_1d(sub, 0.3 + 0j) > 0.1
 
 
-def test_restrict_with_nothing_fixed_renames_only():
+def test_restrict_with_nothing_fixed_is_the_spec():
     spec = dsl.catalog("paper_G(1)")
     assert restrict(spec, {}) is spec
-    renamed = restrict(spec, {}, name="slice")
-    assert renamed.name == "slice"
-    assert (renamed.n, renamed.entries, renamed.box) == (spec.n, spec.entries, spec.box)
 
 
 def test_warp_demo_fiber_is_rescaled_round_sphere():
     family = dsl.catalog("warp_demo")
     for c in (0j, 0.4 + 0.2j):
-        sub = restrict(family, {2: c}, name="slice")
+        sub = restrict(family, {2: c})
         want = 4.0 * np.exp(-abs(c) ** 2)
         for z in (0j, 0.3 - 0.2j):
             assert gaussian_curvature_1d(sub, z) == pytest.approx(want, abs=1e-9)

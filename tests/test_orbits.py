@@ -17,6 +17,7 @@ from hsclab import dsl, positivity, warp
 from hsclab.curvature import curvature_at, restrict
 from hsclab.positivity import (_min_over_dirs, points_to_csv, scan_chart,
                                scan_to_csv)
+from test_warp import _warped_catalog_fiber
 
 
 def _mutated(spec, term: str) -> dsl.MetricSpec:
@@ -57,11 +58,43 @@ def test_detector_accepts_every_bundled_metric(name):
 
 
 def test_detector_accepts_the_fiber_slices_of_the_hypothesis_scans():
-    for f in (warp.paper_G_fibration(), warp.warp_demo_fibration()):
+    """The bundled fibrations and the warped catalog fibers of test_warp:
+    the total, its base and its slices at several base points are
+    accepted, a frozen base coordinate being a constant of charge 0."""
+    for f in (warp.paper_G_fibration(), warp.warp_demo_fibration(),
+              _warped_catalog_fiber("fs(2)"), _warped_catalog_fiber("fs(3)")):
         total = f.metric(1.0, f.name)
-        for c in (0j, 0.3 - 0.2j):
-            assert dsl.torus_invariant(restrict(total, {2: c}))
+        assert dsl.torus_invariant(total)
+        for c in (0j, 0.3 - 0.2j, -0.1 + 0.4j):
+            assert dsl.torus_invariant(restrict(total, {f.s + 1: c}))
         assert dsl.torus_invariant(f.base_spec())
+
+
+def test_a_refused_total_scans_the_orbits_of_its_slices(monkeypatch):
+    """The detector refuses exp(z2+conj(z2)) in the total but accepts
+    each slice, where it is a constant: the sampled fibers evaluate one
+    point per orbit of a slice and still meet the scans of their slices."""
+    fiber = dsl.parse("exp(z2+conj(z2))/(1+z1*conj(z1))^2", 2)
+    f = dsl.FibrationSpec("tilted", 1, 1, ((fiber,),), dsl.catalog("fs_affine").entries,
+                          0.0, (dsl.Rect(-0.5, 0.5, -0.5, 0.5),) * 2)
+    total = f.metric(1.0, f.name)
+    assert not dsl.torus_invariant(total)
+    evaluated = []
+    curvature_at_ = warp.curvature_at
+
+    def counting(spec, points):
+        evaluated.append(len(points))
+        return curvature_at_(spec, points)
+
+    monkeypatch.setattr(warp, "curvature_at", counting)
+    options = dict(grid_per_axis=7, dirs=16, seed=0, starts=2, iters=80)
+    points, minima, _ = warp._sampled_fiber_minima(
+        f, 3, np.random.default_rng([0, 17]), **options)
+    for c, value in zip(points, minima):
+        alone = scan_chart(restrict(total, {2: complex(c[0])}), **options)
+        assert alone.orbits_evaluated < alone.points_scanned == 7 ** 2
+        assert value == pytest.approx(alone.min_hsc, rel=1e-12, abs=0)
+    assert sum(evaluated) == 3 * alone.orbits_evaluated
 
 
 @pytest.mark.parametrize("spec", [

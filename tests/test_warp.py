@@ -131,11 +131,6 @@ def _warped_catalog_fiber(name: str, box=None) -> FibrationSpec:
                          (box or fiber.box) + (dsl.Rect(-0.5, 0.5, -0.5, 0.5),))
 
 
-def _scan_bits(rep):
-    return (np.float64(rep.min_hsc).tobytes(), np.array(rep.witness_point).tobytes(),
-            np.array(rep.witness_dir).tobytes(), rep.per_point_min.tobytes())
-
-
 @pytest.mark.parametrize("make, options", [
     (warp_demo_fibration, dict(grid_per_axis=7, dirs=16, seed=0, starts=2, iters=80)),
     (paper_G_fibration, dict(grid_per_axis=11, dirs=2, seed=0, starts=1, iters=1)),
@@ -146,40 +141,54 @@ def _scan_bits(rep):
     (lambda: _warped_catalog_fiber("fs(3)", off_centre(dsl.catalog("fs(3)").box)),
      dict(grid_per_axis=2, dirs=3, seed=1, starts=1, iters=5)),
 ])
-def test_stacked_fiber_scans_are_those_of_each_slice(make, options):
-    """One pass over the sampled fibers reports, for every slice, the
-    bits of a scan of that slice alone, and of its grid classes run
-    through curvature_at and _min_over_dirs by hand."""
+def test_sampled_fiber_minima_are_those_of_each_slice(make, options):
+    """The fiber blocks of one assembled curvature pass give, for every
+    sampled fiber, the minimum and witness point of a scan of its slice
+    alone, to rounding; on warp_demo bit for bit.  A warped fs(2) fiber
+    has constant curvature, so its grid points tie and rounding picks
+    the witness: there the witness must attain the slice's minimum."""
     f = make()
-    _, fibers = warp._sampled_fibers(f, 3, np.random.default_rng([0, 17]))
-    stacked = positivity._scan_stack(fibers, **options)
-    assert len(stacked) == len(fibers)
-    for spec, rep in zip(fibers, stacked):
-        alone = positivity.scan_chart(spec, **options)
-        assert rep == alone and _scan_bits(rep) == _scan_bits(alone)
-        _, sub, idx, inverse = positivity._grid_classes(spec, options["grid_per_axis"])
-        vals, _ = _min_over_dirs(*curvature_at(spec, sub), options["dirs"],
-                                 options["starts"], options["iters"], options["seed"], idx)
-        assert vals[inverse].tobytes() == rep.per_point_min.tobytes()
+    total = f.metric(1.0, f.name)
+    points, minima, witnesses = warp._sampled_fiber_minima(
+        f, 3, np.random.default_rng([0, 17]), **options)
+    rng = np.random.default_rng([0, 17])
+    for c, value, w in zip(points, minima, witnesses):
+        assert np.array_equal(c, dsl.box_sample(f.box[f.s:], rng, 1)[0])
+        alone = positivity.scan_chart(
+            restrict(total, {f.s + 1 + a: complex(z) for a, z in enumerate(c)}),
+            **options)
+        assert value == pytest.approx(alone.min_hsc, rel=1e-12, abs=0)
+        at_w = alone.per_point_min[np.flatnonzero((alone.points == w).all(axis=1))]
+        assert at_w.tolist() == pytest.approx([alone.min_hsc], rel=1e-12, abs=0)
+        if f is warp_demo_fibration():
+            assert np.float64(value).tobytes() == np.float64(alone.min_hsc).tobytes()
+            assert w.tobytes() == np.array(alone.witness_point).tobytes()
 
 
 @pytest.mark.parametrize("side", ["base", "fiber"])
 def test_hypotheses_refuse_a_nan_minimum(monkeypatch, side):
     """A NaN minimum is not above HYPOTHESIS_MARGIN, so its side fails.
-    The NaN comes through the stacked scan, which the base scan reaches
-    through scan_chart and the fiber slices directly."""
+    The base minimum comes from scan_chart, the fiber minima from
+    _sampled_fiber_minima; the NaN is put in the second fiber."""
     f = warp_demo_fibration()
-    stack = positivity._scan_stack
+    if side == "base":
+        scan = warp.scan_chart
 
-    def nan_on_side(specs, *args, **options):
-        return [dataclasses.replace(rep, min_hsc=float("nan"))
-                if (spec.name == f.base_spec().name) == (side == "base") else rep
-                for spec, rep in zip(specs, stack(specs, *args, **options))]
+        def nan_scan(*args, **options):
+            return dataclasses.replace(scan(*args, **options), min_hsc=float("nan"))
 
-    monkeypatch.setattr(positivity, "_scan_stack", nan_on_side)
-    monkeypatch.setattr(warp, "_scan_stack", nan_on_side)
+        monkeypatch.setattr(warp, "scan_chart", nan_scan)
+    else:
+        fibers = warp._sampled_fiber_minima
+
+        def nan_in_second(*args, **options):
+            points, minima, witnesses = fibers(*args, **options)
+            minima[1] = np.nan
+            return points, minima, witnesses
+
+        monkeypatch.setattr(warp, "_sampled_fiber_minima", nan_in_second)
     with pytest.raises(HypothesisViolationError) as err:
-        check_hypotheses(f, fiber_samples=2, grid_per_axis=5, dirs=8,
+        check_hypotheses(f, fiber_samples=3, grid_per_axis=5, dirs=8,
                          starts=1, iters=40)
     assert err.value.side == side and np.isnan(err.value.value)
 
@@ -518,6 +527,47 @@ def test_family_negativity_report_small():
     vals = [w["witness"]["value"] for w in rep["witnesses"]]
     # negativity shrinks like 1/lam along the family
     assert vals[0] == pytest.approx(4.0 * vals[1], rel=1e-6)
+
+
+def _nan_on_call(monkeypatch, module, name, call, put_nan):
+    """Wrap module.name so that its output on the call-th call (from 1)
+    goes through put_nan before it is returned."""
+    inner = getattr(module, name)
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        calls.append(True)
+        return put_nan(out) if len(calls) == call else out
+
+    monkeypatch.setattr(module, name, wrapped)
+
+
+def _nan_in_third_of_four(out):
+    out = np.array(out, dtype=float)
+    out[2 * len(out) // 4 + 1] = np.nan
+    return out
+
+
+@pytest.mark.parametrize("field", ["fiber_min", "fiber_origin_max_abs"])
+def test_family_report_folds_a_later_nan(monkeypatch, field):
+    """A NaN fiber minimum or origin value in the third of four fibers
+    fails the report: the folds do not skip it."""
+    if field == "fiber_min":
+        # the fibers' minimizer pass comes second, after the base scan;
+        # its rows are the four fibers' points in draw order
+        _nan_on_call(monkeypatch, positivity, "hsc_dirs", 2, _nan_in_third_of_four)
+    else:
+        _nan_on_call(monkeypatch, warp, "gaussian_curvature_1d", 3, lambda out: np.nan)
+    rep = warp.family_negativity_report(lam_values=(0.5, 2.0), fiber_samples=4,
+                                        budget=3000)
+    assert np.isnan(rep[field]) and rep["ok"] is False
+
+
+def test_base_growth_refuses_a_later_nan_numerator(monkeypatch):
+    _nan_on_call(monkeypatch, warp, "quartic", 2, lambda out: np.full_like(out, np.nan))
+    with pytest.raises(ArithmeticError, match="numerator not positive along the base"):
+        base_growth_check(warp_demo_fibration())
 
 
 def test_family_report_refuses_bad_input_before_scanning(monkeypatch):
