@@ -26,8 +26,9 @@ temporaries plus per-thread BLAS buffers, and raised the peak memory of
 the minimizer-free acceptance checks from 50.9 to 54.4 MiB.
 
 POINT_BLOCK caps points the same way.  curvature_at is the one route
-from a metric and its points to (g, R): it reads the jets and the
-tensor one block of at most POINT_BLOCK consecutive points at a time
+from a metric and its points to (g, R): it reads the jets (one pass of
+the derivative tape of all n^2 entries, _metric_jet) and the tensor one
+block of at most POINT_BLOCK consecutive points at a time
 (_point_blocks) and checks the whole batch at the end.
 positivity._min_over_dirs and the statistics of check_tensor run over
 the same blocks, so their temporaries are those of one block whatever
@@ -93,24 +94,12 @@ class CurvatureTensor:
     R: np.ndarray  # (..., n, n, n, n) indexed [i, j, k, l]
 
 
-def _metric_jet(spec: dsl.MetricSpec, pts: np.ndarray, entry_jet) -> MetricJet:
-    """Place entry_jet(expr), a Jet2 over the batch of pts, for every entry."""
-    if pts.shape[-1:] != (spec.n,):
-        raise ValueError(f"points must have {spec.n} coordinates")
-    n = spec.n
-    batch = pts.shape[:-1]
-    g = np.empty(batch + (n, n), dtype=complex)
-    dg = np.empty(batch + (n, n, n), dtype=complex)
-    dbarg = np.empty(batch + (n, n, n), dtype=complex)
-    ddbarg = np.empty(batch + (n, n, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            jet = entry_jet(spec.entries[i][j])
-            g[..., i, j] = jet.value
-            dg[..., i, j, :] = jet.d
-            dbarg[..., i, j, :] = jet.dbar
-            ddbarg[..., i, j, :, :] = jet.ddbar
-    return MetricJet(n, g, dg, dbarg, ddbarg)
+def _metric_jet(spec: dsl.MetricSpec, pts: np.ndarray) -> MetricJet:
+    """The jets of all n^2 entries at points (..., n), from one derivative
+    tape of the spec's entries (dsl._eval_jets)."""
+    n, batch = spec.n, pts.shape[:-1]
+    jet = dsl._eval_jets([e for row in spec.entries for e in row], n, pts.reshape(-1, n))
+    return MetricJet(n, *(s.reshape(batch + (n, n) + s.shape[2:]) for s in jet))
 
 
 def _in_box(spec: dsl.MetricSpec, points) -> np.ndarray:
@@ -131,8 +120,7 @@ def _in_box(spec: dsl.MetricSpec, points) -> np.ndarray:
 def metric_jet(spec: dsl.MetricSpec, points) -> MetricJet:
     """Evaluate all entry jets at points (..., n); PointOutsideBoxError
     names the first point outside the box or not finite."""
-    pts = _in_box(spec, points)
-    return _metric_jet(spec, pts, lambda e: dsl.eval_jet(e, spec.n, pts))
+    return _metric_jet(spec, _in_box(spec, points))
 
 
 def _point_blocks(count: int) -> Iterator[slice]:
@@ -145,10 +133,17 @@ def _point_blocks(count: int) -> Iterator[slice]:
 
 
 def metric_jet_from_fd(spec: dsl.MetricSpec, points, step: float = FD_STEP) -> MetricJet:
-    """Same arrays as metric_jet but via the finite-difference oracle."""
+    """Same arrays as metric_jet but via the finite-difference oracle,
+    one fd_jet call per entry."""
     pts = np.asarray(points, dtype=complex)
-    return _metric_jet(spec, pts,
-                       lambda e: fd_jet(partial(dsl.eval_value, e), pts, step=step))
+    if pts.shape[-1:] != (spec.n,):
+        raise ValueError(f"points must have {spec.n} coordinates")
+    n, b = spec.n, pts.ndim - 1
+    jets = [fd_jet(partial(dsl.eval_value, e), pts, step=step)
+            for row in spec.entries for e in row]
+    # each slot of the n^2 entry jets, stacked row-major after the batch axes
+    return MetricJet(n, *(np.stack(s, b).reshape(pts.shape[:b] + (n, n) + s[0].shape[b:])
+                          for s in zip(*jets)))
 
 
 def pair_symmetry_defect(R: np.ndarray) -> float:
@@ -326,8 +321,9 @@ def curvature_at(spec: dsl.MetricSpec, points):
     exactly singular gets curvature()'s NaN tensor, the only
     singular-metric fallback, and its infinite condition number fails
     the check.  So the errors, their order and their messages are those
-    of the unblocked pair, except that Jet2.reciprocal's SingularPointError
-    prints the smallest modulus of its block.
+    of the unblocked pair, except that the SingularPointError of a
+    divisor in the entries' derivative tape prints the smallest modulus
+    of its block.
     """
     pts = _in_box(spec, points)
     n = spec.n
@@ -336,7 +332,7 @@ def curvature_at(spec: dsl.MetricSpec, points):
     R = np.empty(pts.shape[:1] + (n,) * 4, dtype=complex)
     for rows in _point_blocks(pts.shape[0]):
         block = pts[rows]
-        mj = _metric_jet(spec, block, lambda e: dsl.eval_jet(e, n, block))
+        mj = _metric_jet(spec, block)
         g[rows] = mj.g
         R[rows] = curvature(mj, check=False).R
         del mj  # the next block's jets must not meet this block's

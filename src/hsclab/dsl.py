@@ -20,8 +20,9 @@ An expression is a tree of five node shapes: Lit, Var, Unary(op, arg),
 Binary(op, lhs, rhs) and Pow(base, exponent).  It evaluates to plain
 complex values or to second-order Wirtinger jets, over a batch of points.
 BINARY_OPS holds each binary operator's level and action, UNARY_OPS the
-actions of "-" and each func on values and on jets; the parser, the
-printer and both evaluators read these tables, so an operator is one row.
+action of "-" and of each func; the parser, the printer, eval_value and
+the evaluator of the derivative tape (_Tape) read these tables, so an
+operator is one row plus one derivative rule.
 
 Also here: chart boxes, metric specs, fibrations (FibrationSpec.metric
 builds every assembled warped metric), the JSON file forms of metrics
@@ -59,7 +60,7 @@ from typing import Union
 
 import numpy as np
 
-from .wirtinger import Jet2, constant, seed
+from .wirtinger import DIV_EPS, Jet2, SingularPointError
 
 # ---------------------------------------------------------------------------
 # AST and operator table
@@ -107,12 +108,12 @@ BINARY_OPS = {
     "/": (_MUL, operator.truediv),
 }
 
-# name -> (action on values, action on jets); "-" is the prefix minus,
-# every other name is written name(expr).
+# name -> action on values; "-" is the prefix minus, every other name is
+# written name(expr).
 UNARY_OPS = {
-    "-": (operator.neg, operator.neg),
-    "conj": (np.conjugate, Jet2.conjugate),
-    "exp": (np.exp, Jet2.exp),
+    "-": operator.neg,
+    "conj": np.conjugate,
+    "exp": np.exp,
 }
 
 
@@ -333,7 +334,7 @@ def eval_value(e: Expr, points) -> np.ndarray | complex:
         case Var(k):
             return pts[..., k - 1]
         case Unary(op, a):
-            return UNARY_OPS[op][0](eval_value(a, pts))
+            return UNARY_OPS[op](eval_value(a, pts))
         case Binary(op, l, r):
             return BINARY_OPS[op][1](eval_value(l, pts), eval_value(r, pts))
         case Pow(b, k):
@@ -345,37 +346,167 @@ def eval_value(e: Expr, points) -> np.ndarray | complex:
 def eval_jet(e: Expr, n: int, points) -> Jet2:
     """Evaluate to a second-order Wirtinger jet at points of shape (..., n)."""
     pts = np.asarray(points, dtype=complex)
-    out = _eval_jet(e, n, pts)
-    if not isinstance(out, Jet2):
-        out = constant(n, out, pts.shape[:-1])
-    return out
+    jet = _eval_jets([e], n, pts.reshape(-1, n))
+    return Jet2(*(s.reshape(pts.shape[:-1] + s.shape[2:]) for s in jet))
 
 
-def _eval_jet(e: Expr, n: int, pts):
-    match e:
-        case Lit(v):
-            return v
-        case Var(k):
-            return seed(n, pts, k - 1)
-        case Unary(op, a):
-            on_value, on_jet = UNARY_OPS[op]
-            inner = _eval_jet(a, n, pts)
-            return on_jet(inner) if isinstance(inner, Jet2) else on_value(inner)
-        case Binary("/", l, r):
-            # multiplies by the reciprocal, constants included: the table's
-            # truediv would round constant quotients differently
-            num, den = _eval_jet(l, n, pts), _eval_jet(r, n, pts)
-            if isinstance(den, Jet2):
-                return num * den.reciprocal()
-            return num * (1.0 / den)
-        case Binary(op, l, r):
-            return BINARY_OPS[op][1](_eval_jet(l, n, pts), _eval_jet(r, n, pts))
-        case Pow(b, k):
-            base = _eval_jet(b, n, pts)
-            if isinstance(base, Jet2) or k >= 0:
-                return base ** k
-            return (1.0 / base) ** (-k)
-    raise TypeError(f"not an Expr: {e!r}")
+class _Tape:
+    """The jets of some expressions as one list of interned nodes.
+
+    A node is (op, child ids, constant): ("lit", (), c), ("var", (), k)
+    for the 0-based z_k, (op, (a,), None) and (op, (a, b), None) for the
+    UNARY_OPS and BINARY_OPS rows, and ("^", (b,), p).  Equal nodes get
+    one id, so the entries' shared subexpressions (1 + |z|^2 in fs(n))
+    are one node; a child's id is below its parent's.  Derivatives come
+    from one first-order rule per node shape, memoised per (node, k,
+    bar) and folded at the literals 0 and 1; d2/dz_k dzbar_l is the
+    zbar_l rule applied to the z_k node.  Every divisor a rule writes is
+    one of the source's: (dl - (l/r) dr)/r, and p (b^p/b) db for p < 0,
+    where |b| >= DIV_EPS follows from the check of b^p.
+
+    `outputs` maps a node to its (slot, column) pairs: value, d, dbar
+    and ddbar (slots 0-3) of expression r in columns r, r*n + k and
+    (r*n + k)*n + l.  `last` is each node's last consumer, or itself.
+    """
+
+    def __init__(self, exprs, n: int):
+        self.nodes, self.last, self.outputs, self._ids, self._memo = [], [], {}, {}, {}
+        self.zero, self.one = self._lit(0j), self._lit(1 + 0j)
+        for r, e in enumerate(exprs):
+            v = self._copy(e)
+            d = [self._diff(v, k, False) for k in range(n)]
+            dbar = [self._diff(v, k, True) for k in range(n)]
+            ddbar = [self._diff(dk, l, True) for dk in d for l in range(n)]
+            for slot, ids in enumerate(([v], d, dbar, ddbar)):
+                for col, i in enumerate(ids, start=r * len(ids)):
+                    self.outputs.setdefault(i, []).append((slot, col))
+
+    def _node(self, op: str, args: tuple = (), c=None) -> int:
+        key = (op, args, c)
+        i = self._ids.get(key)
+        if i is None:
+            i = self._ids[key] = len(self.nodes)
+            self.nodes.append(key)
+            self.last.append(i)
+            for a in args:
+                self.last[a] = i
+        return i
+
+    def _lit(self, c) -> int:
+        return self._node("lit", (), complex(c))
+
+    def _copy(self, e: Expr) -> int:
+        match e:
+            case Lit(v):
+                return self._lit(v)
+            case Var(k):
+                return self._node("var", (), k - 1)
+            case Unary(op, a):
+                return self._node(op, (self._copy(a),))
+            case Binary(op, l, r):
+                return self._node(op, (self._copy(l), self._copy(r)))
+            case Pow(b, k):
+                return self._node("^", (self._copy(b),), k)
+        raise TypeError(f"not an Expr: {e!r}")
+
+    def _add(self, a: int, b: int) -> int:
+        return b if a == self.zero else a if b == self.zero else self._node("+", (a, b))
+
+    def _sub(self, a: int, b: int) -> int:
+        return a if b == self.zero else self._neg(b) if a == self.zero else self._node("-", (a, b))
+
+    def _neg(self, a: int) -> int:
+        return a if a == self.zero else self._node("-", (a,))
+
+    def _mul(self, a: int, b: int) -> int:
+        if self.zero in (a, b):
+            return self.zero
+        return b if a == self.one else a if b == self.one else self._node("*", (a, b))
+
+    def _conj(self, a: int) -> int:
+        op, _, c = self.nodes[a]
+        return self._lit(c.conjugate()) if op == "lit" else self._node("conj", (a,))
+
+    def _diff(self, i: int, k: int, bar: bool) -> int:
+        """Id of d node_i / dz_k, or of d node_i / dzbar_k when bar."""
+        key = (i, k, bar)
+        j = self._memo.get(key)
+        if j is None:
+            j = self._memo[key] = self._rule(i, k, bar)
+        return j
+
+    def _rule(self, i: int, k: int, bar: bool) -> int:
+        op, args, c = self.nodes[i]
+        if op == "lit":
+            return self.zero
+        if op == "var":
+            return self.one if c == k and not bar else self.zero
+        if op == "conj":  # d conj(f) = conj(dbar f)
+            return self._conj(self._diff(args[0], k, not bar))
+        da = [self._diff(a, k, bar) for a in args]
+        if op == "exp":
+            return self._mul(i, da[0])
+        if op == "^":  # p b^(p-1) db, written p (b^p/b) db for p < 0
+            if da[0] == self.zero:
+                return self.zero
+            b = args[0]
+            factor = (self._node("/", (i, b)) if c < 0 else self.one if c < 2
+                      else b if c == 2 else self._node("^", (b,), c - 1))
+            return self._mul(self._mul(self._lit(c), factor), da[0])
+        if len(args) == 1:  # the prefix minus
+            return self._neg(da[0])
+        l, r = args
+        if op == "+":
+            return self._add(*da)
+        if op == "-":
+            return self._sub(*da)
+        if op == "*":
+            return self._add(self._mul(da[0], r), self._mul(l, da[1]))
+        # "/": (dl - (l/r) dr) / r
+        num = self._sub(da[0], self._mul(i, da[1]))
+        return self.zero if num == self.zero else self._node("/", (num, r))
+
+
+def _checked_divisor(v):
+    """v, or SingularPointError when some |v| is below DIV_EPS."""
+    if (np.abs(v) < DIV_EPS).any():
+        raise SingularPointError(
+            f"division by jet with value modulus {np.min(np.abs(v)):.3e}")
+    return v
+
+
+def _eval_jets(exprs, n: int, pts: np.ndarray) -> Jet2:
+    """The jets of m exprs at points (P, n), value (P, m), d and dbar
+    (P, m, n), ddbar (P, m, n, n), in one walk of their _Tape: each node
+    is evaluated over the batch by its UNARY_OPS or BINARY_OPS action (a
+    literal stays a Python scalar), written into the columns it fills
+    and dropped after its last consumer.  A "/" node checks its divisor
+    and b^-p checks b^p: SingularPointError below DIV_EPS."""
+    tape = _Tape(exprs, n)
+    P, m = pts.shape[0], len(exprs)
+    slots = [np.empty((P, m * n ** k), dtype=complex) for k in (0, 1, 1, 2)]
+    vals = [None] * len(tape.nodes)
+    for i, (op, args, c) in enumerate(tape.nodes):
+        if op == "lit":
+            v = c
+        elif op == "var":
+            v = pts[:, c]
+        elif op == "^":
+            b = vals[args[0]]
+            v = b ** c if c >= 0 else 1.0 / _checked_divisor(b ** -c)
+        elif len(args) == 1:
+            v = UNARY_OPS[op](vals[args[0]])
+        else:
+            l, r = vals[args[0]], vals[args[1]]
+            v = BINARY_OPS[op][1](l, _checked_divisor(r) if op == "/" else r)
+        for slot, col in tape.outputs.get(i, ()):
+            slots[slot][:, col] = v
+        if tape.last[i] > i:
+            vals[i] = v
+        for a in args:
+            if tape.last[a] == i:
+                vals[a] = None
+    return Jet2(*(s.reshape((P, m) + (n,) * k) for s, k in zip(slots, (0, 1, 1, 2))))
 
 
 # ---------------------------------------------------------------------------

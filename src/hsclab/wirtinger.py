@@ -11,31 +11,23 @@ A function f of n complex variables that is smooth but not holomorphic
 with the Wirtinger operators d/dz = (d/dx - i d/dy)/2 and
 d/dzbar = (d/dx + i d/dy)/2.  Pure second derivatives (d^2/dz_k dz_l and
 its conjugate) are deliberately not carried: the curvature formulas this
-package evaluates only consume the mixed block, and truncating keeps the
-arithmetic O(n^2) per operation.
-
-Jets propagate through +, -, *, /, integer powers, exp and complex
-conjugation.  All slots may carry a leading batch shape so that one jet
-object can represent the same function evaluated at many points at once;
-every rule below is written with numpy broadcasting over that batch.
-
-`fd_jet` builds the same data from central finite differences of a plain
-batch evaluator, which receives the whole stencil at every point in one
-call; the stencil's step-free part is built once per n.  It is the
-independent oracle the algebraic rules are tested against, so it must
-never share code with them.
+package evaluates only consume the mixed block.  `Jet2` is the record of
+these four slots that both jet routes return: the derivative tape of
+`dsl` and `fd_jet` here, which builds them from central finite
+differences of a plain batch evaluator.  fd_jet is the independent
+oracle the tape is tested against, so it must never share code with it:
+this module imports numpy and the standard library only.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-# Division by a jet whose value is closer to 0 than this raises
-# SingularPointError instead of returning garbage derivatives.
+# Division by a value closer to 0 than this, in the derivative tape,
+# raises SingularPointError instead of returning garbage derivatives.
 DIV_EPS = 1e-12
 
 # Default central-difference step for fd_jet.  Second-order stencils at
@@ -44,155 +36,22 @@ FD_STEP = 1e-4
 
 
 class SingularPointError(ArithmeticError):
-    """Jet division hit a value with modulus below the configured epsilon."""
+    """A divisor has modulus below DIV_EPS."""
 
 
-@dataclass(eq=False)
-class Jet2:
+class Jet2(NamedTuple):
     """Truncated second-order Wirtinger jet of one scalar function.
 
-    Fields hold numpy arrays; a leading batch shape (possibly empty) is
+    Fields hold numpy arrays; a leading batch shape B (possibly empty) is
     shared by all four slots.  `value` has shape B, `d` and `dbar` have
     shape B+(n,), `ddbar` has shape B+(n,n) with ddbar[..., k, l] equal
     to d^2 f / dz_k dzbar_l.
     """
 
-    n: int
     value: np.ndarray
     d: np.ndarray
     dbar: np.ndarray
     ddbar: np.ndarray
-
-    @property
-    def batch_shape(self) -> tuple:
-        return self.value.shape
-
-    # -- arithmetic ----------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, Jet2):
-            self._check(other)
-            return Jet2(self.n, self.value + other.value, self.d + other.d,
-                        self.dbar + other.dbar, self.ddbar + other.ddbar)
-        return Jet2(self.n, self.value + other, self.d.copy(),
-                    self.dbar.copy(), self.ddbar.copy())
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return Jet2(self.n, -self.value, -self.d, -self.dbar, -self.ddbar)
-
-    def __mul__(self, other):
-        if isinstance(other, Jet2):
-            self._check(other)
-            f, g = self, other
-            value = f.value * g.value
-            d = f.d * g.value[..., None] + f.value[..., None] * g.d
-            dbar = f.dbar * g.value[..., None] + f.value[..., None] * g.dbar
-            # (fg)_{k lbar} = f_{k lbar} g + f_k g_{lbar} + f_{lbar} g_k + f g_{k lbar}
-            ddbar = (f.ddbar * g.value[..., None, None]
-                     + np.einsum("...k,...l->...kl", f.d, g.dbar)
-                     + np.einsum("...k,...l->...kl", g.d, f.dbar)
-                     + f.value[..., None, None] * g.ddbar)
-            return Jet2(self.n, value, d, dbar, ddbar)
-        c = np.asarray(other, dtype=complex)
-        return Jet2(self.n, self.value * c, self.d * c[..., None],
-                    self.dbar * c[..., None], self.ddbar * c[..., None, None])
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Jet2):
-            return self * other.reciprocal()
-        return self * (1.0 / complex(other))
-
-    def __rtruediv__(self, other):
-        return self.reciprocal() * other
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, (int, np.integer)):
-            raise TypeError("jet exponent must be an integer")
-        if exponent < 0:
-            return (self ** (-exponent)).reciprocal()
-        out = constant(self.n, 1.0, self.batch_shape)
-        for _ in range(int(exponent)):
-            out = out * self
-        return out
-
-    def reciprocal(self) -> "Jet2":
-        """Jet of 1/f.  Raises SingularPointError when |f| < DIV_EPS."""
-        v = self.value
-        if np.any(np.abs(v) < DIV_EPS):
-            raise SingularPointError(
-                f"division by jet with value modulus {np.min(np.abs(v)):.3e}")
-        inv = 1.0 / v
-        inv2 = inv * inv
-        d = -self.d * inv2[..., None]
-        dbar = -self.dbar * inv2[..., None]
-        ddbar = (-self.ddbar * inv2[..., None, None]
-                 + 2.0 * np.einsum("...k,...l->...kl", self.d, self.dbar)
-                 * (inv2 * inv)[..., None, None])
-        return Jet2(self.n, inv, d, dbar, ddbar)
-
-    def conjugate(self) -> "Jet2":
-        """Jet of conj(f): swaps d with dbar and conjugate-transposes ddbar."""
-        return Jet2(self.n, np.conjugate(self.value), np.conjugate(self.dbar),
-                    np.conjugate(self.d),
-                    np.conjugate(self.ddbar.swapaxes(-1, -2)))
-
-    def exp(self) -> "Jet2":
-        e = np.exp(self.value)
-        d = e[..., None] * self.d
-        dbar = e[..., None] * self.dbar
-        ddbar = e[..., None, None] * (
-            self.ddbar + np.einsum("...k,...l->...kl", self.d, self.dbar))
-        return Jet2(self.n, e, d, dbar, ddbar)
-
-    # -- internals -----------------------------------------------------
-
-    def _check(self, other: "Jet2") -> None:
-        if self.n != other.n:
-            raise ValueError(f"jet dimension mismatch: {self.n} vs {other.n}")
-
-
-def constant(n: int, value, batch_shape: tuple = ()) -> Jet2:
-    """Jet of a constant: all derivative slots zero."""
-    v = np.broadcast_to(np.asarray(value, dtype=complex), batch_shape).copy()
-    return Jet2(n,
-                v,
-                np.zeros(batch_shape + (n,), dtype=complex),
-                np.zeros(batch_shape + (n,), dtype=complex),
-                np.zeros(batch_shape + (n, n), dtype=complex))
-
-
-def seed(n: int, point, index: int) -> Jet2:
-    """Jet of the coordinate function z_index at `point`; seed(...).conjugate()
-    is the jet of conj(z_index).
-
-    Parameters
-    ----------
-    n : number of complex coordinates.
-    point : array-like of shape (..., n); a leading batch shape is kept.
-    index : 0-based coordinate index.
-    """
-    pts = np.asarray(point, dtype=complex)
-    if pts.shape == () and n == 1:
-        pts = pts.reshape(1)
-    if pts.shape[-1] != n:
-        raise ValueError(f"point has {pts.shape[-1]} coordinates, expected {n}")
-    if not 0 <= index < n:
-        raise IndexError(f"coordinate index {index} out of range for n={n}")
-    batch = pts.shape[:-1]
-    d = np.zeros(batch + (n,), dtype=complex)
-    d[..., index] = 1.0
-    return Jet2(n, pts[..., index].copy(), d, np.zeros(batch + (n,), dtype=complex),
-                np.zeros(batch + (n, n), dtype=complex))
 
 
 @functools.cache
@@ -239,7 +98,7 @@ def fd_jet(f: Callable[[np.ndarray], np.ndarray], points,
     each call scales the offsets' real and imaginary parts by h as reals,
     which keeps every signed zero a per-call build would give.  This is
     the oracle implementation: it touches only `f` and the stencil, never
-    the algebraic propagation rules above.
+    the derivative tape.
     """
     pts = np.asarray(points, dtype=complex)
     n = pts.shape[-1]
@@ -262,4 +121,4 @@ def fd_jet(f: Callable[[np.ndarray], np.ndarray], points,
     dbar = (dx + 1j * dy) / 2.0
     ddbar = (hess[..., :n, :n] + hess[..., n:, n:]
              + 1j * (hess[..., :n, n:] - hess[..., n:, :n])) / 4.0
-    return Jet2(n, f0.copy(), d, dbar, ddbar)
+    return Jet2(f0.copy(), d, dbar, ddbar)

@@ -2,10 +2,15 @@
 with tracemalloc, which counts the allocations of numpy arrays and Python
 objects and reads no RSS."""
 
+import importlib
+import math
 import tracemalloc
 
 from hsclab import dsl
 from hsclab.positivity import scan_chart
+
+# the package attribute hsclab.curvature is the function curvature
+curvature = importlib.import_module("hsclab.curvature")
 
 
 def traced_peak(fn) -> int:
@@ -17,6 +22,20 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def record_jet_passes(monkeypatch) -> list:
+    """Wrap curvature._metric_jet, the one pass of a spec's derivative
+    tape over a block of points; returns the list that collects (spec
+    name, points) per pass."""
+    inner, passes = curvature._metric_jet, []
+
+    def recording(spec, pts):
+        passes.append((spec.name, math.prod(pts.shape[:-1])))
+        return inner(spec, pts)
+
+    monkeypatch.setattr(curvature, "_metric_jet", recording)
+    return passes
 
 
 def off_centre(box, shift: float = 0.125) -> tuple:

@@ -254,21 +254,58 @@ def test_jet_oracle_calls_fd_jet_once_per_dimension_and_step(monkeypatch):
     assert len(rounds) <= 10
 
 
-def _reciprocal_without_second_order_term(self):
-    """Jet2.reciprocal less its 2 d (x) dbar / v^3 term: a rule defect."""
-    v = self.value
-    if np.any(np.abs(v) < wirtinger.DIV_EPS):
-        raise wirtinger.SingularPointError("division by a vanishing jet")
-    inv = 1.0 / v
-    inv2 = inv * inv
-    return wirtinger.Jet2(self.n, inv, -self.d * inv2[..., None],
-                          -self.dbar * inv2[..., None],
-                          -self.ddbar * inv2[..., None, None])
+def test_jet_oracle_drops_the_same_draws(monkeypatch):
+    """At seed 0 the oracle draws 1028 expressions and drops four of them
+    before the divided differences: those whose jet raises, is not
+    finite or exceeds 1e6.  Pinning them pins the 1000 expressions the
+    oracle checks, so moving a singular point shows here."""
+    drawn, reached = [], set()
+    random_expr, stacked = dsl.random_expr, acceptance._stacked_fd_jet
+
+    def recording_draw(rng, n, *depth):
+        e = random_expr(rng, n, *depth)
+        if not depth:  # a draw, not one of its subtrees
+            drawn.append(e)
+        return e
+
+    def recording_oracle(exprs, points, step):
+        reached.update(map(id, exprs))
+        return stacked(exprs, points, step)
+
+    monkeypatch.setattr(dsl, "random_expr", recording_draw)
+    monkeypatch.setattr(acceptance, "_stacked_fd_jet", recording_oracle)
+    assert acceptance.check_jet_vs_divided_differences(0)["ok"]
+    assert len(drawn) == 1028
+    assert [i for i, e in enumerate(drawn) if id(e) not in reached] == [34, 802, 871, 880]
 
 
-def test_jet_oracle_catches_a_reciprocal_rule_defect(monkeypatch):
-    monkeypatch.setattr(wirtinger.Jet2, "reciprocal",
-                        _reciprocal_without_second_order_term)
+_RULE = dsl._Tape._rule
+
+
+def _conj_without_its_swap(self, i, k, bar):
+    op, args, _ = self.nodes[i]
+    if op == "conj":
+        return self._conj(self._diff(args[0], k, bar))
+    return _RULE(self, i, k, bar)
+
+
+def _quotient_with_plus_for_minus(self, i, k, bar):
+    op, args, _ = self.nodes[i]
+    if op == "/":
+        dl, dr = (self._diff(a, k, bar) for a in args)
+        num = self._add(dl, self._mul(i, dr))
+        return self.zero if num == self.zero else self._node("/", (num, args[1]))
+    return _RULE(self, i, k, bar)
+
+
+def _exp_without_its_chain_factor(self, i, k, bar):
+    return i if self.nodes[i][0] == "exp" else _RULE(self, i, k, bar)
+
+
+@pytest.mark.parametrize("defect", [_conj_without_its_swap, _quotient_with_plus_for_minus,
+                                    _exp_without_its_chain_factor])
+def test_jet_oracle_catches_a_derivative_rule_defect(monkeypatch, defect):
+    monkeypatch.setattr(dsl._Tape, "_rule", defect)
     out = acceptance.check_jet_vs_divided_differences(0)
     assert not out["ok"]
     assert out["worst_jet_tolerance_ratio"] > 1e6

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from conftest import record_jet_passes
 from hsclab import acceptance, certify, dsl
 from hsclab.certify import (check_block_hypotheses, choose_weights,
                             pencil_at, pencil_decay_check,
@@ -14,7 +15,7 @@ from hsclab.certify import (check_block_hypotheses, choose_weights,
                             product_inequality_check,
                             product_inequality_slacks, random_block_tensor,
                             split_bound_check, weight_identities)
-from hsclab.curvature import PointOutsideBoxError, gaussian_curvature_1d
+from hsclab.curvature import POINT_BLOCK, PointOutsideBoxError, gaussian_curvature_1d
 
 
 # -- weight constants -------------------------------------------------------
@@ -403,31 +404,17 @@ def test_pencil_threshold_larger_root_keeps_its_digits(monkeypatch):
 
 
 def test_pencil_reads_each_entry_jet_once(monkeypatch):
-    calls = []
-    eval_jet = dsl.eval_jet
-
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return eval_jet(*args, **kwargs)
-
-    monkeypatch.setattr(dsl, "eval_jet", counting)
+    passes = record_jet_passes(monkeypatch)
     g, h = dsl.catalog("poincare"), dsl.catalog("fs_affine")
     pencil_decay_check(g, h, 0.1j)
-    assert len(calls) == 2
-    calls.clear()
+    assert passes == [("poincare", 1), ("fs_affine", 1)]
+    passes.clear()
     pencil_positive_threshold(g, h, 0.1j)
-    assert len(calls) == 2
+    assert passes == [("poincare", 1), ("fs_affine", 1)]
 
 
 def test_pencil_suite_reads_each_point_once(monkeypatch):
-    calls = []
-    eval_jet = dsl.eval_jet
-
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return eval_jet(*args, **kwargs)
-
-    monkeypatch.setattr(dsl, "eval_jet", counting)
+    passes = record_jet_passes(monkeypatch)
     assert acceptance.check_pencil_suite(0)["ok"]
     # the suite's 50 draws of an ordered (g, h) pair and 5 points; the
     # points' draws consume the stream whatever the box
@@ -443,7 +430,8 @@ def test_pencil_suite_reads_each_point_once(monkeypatch):
     # coefficients and the threshold, and the summed metric at 2 lams
     # for each of the 3 positive thresholds (the point 0 among them)
     assert len(groups) == 15
-    assert len(calls) == len(groups) * (2 + 4) + 6 + 8 * 4 + 3 * 2 == 134
+    assert len(passes) == len(groups) * (2 + 4) + 6 + 8 * 4 + 3 * 2 == 134
+    assert max(points for _, points in passes) <= POINT_BLOCK
 
 
 def test_pencil_decay_toward_rescaled_limit():

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import hsclab
+from conftest import record_jet_passes
 from hsclab import acceptance, cli, dsl, warp
 
 
@@ -86,20 +87,13 @@ def test_lemma2_defaults(capsys):
 
 
 def test_lemma2_reads_pencil_jets_once_per_route(capsys, monkeypatch):
-    calls = []
-    eval_jet = dsl.eval_jet
-
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return eval_jet(*args, **kwargs)
-
-    monkeypatch.setattr(dsl, "eval_jet", counting)
+    passes = record_jet_passes(monkeypatch)
     code, _ = run_cli(capsys, "lemma2", "--g", "poincare", "--h", "fs_affine",
                       "--point", "0.1")
     assert code == 0
     # closed form 2, summed metric at the 4 default lams 4, threshold 2,
-    # decay 2
-    assert len(calls) == 10
+    # decay 2, each one jet pass over the one point
+    assert len(passes) == 10 and all(points == 1 for _, points in passes)
 
 
 def test_lemma2_fails_on_a_later_nan_direct_curvature(capsys, monkeypatch):

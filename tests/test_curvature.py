@@ -18,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from hsclab import dsl
 from hsclab.acceptance import ONE_DIM_CATALOG
 from hsclab.certify import pencil_spec
@@ -513,3 +514,18 @@ def test_warp_family_minimum_at_origin():
         got = hsc_dirs(g, R, dirs).min()
         assert got == pytest.approx(-2.0 / (3.0 * lam), rel=5e-3)
         assert got >= -2.0 / (3.0 * lam) - 1e-9
+
+
+@pytest.mark.parametrize("name,points,bound", [
+    ("fs(3)", lambda spec: _sample(spec, 1024, 0), 4_370_000),
+    ("paper_G(1)", lambda spec: dsl.box_grid(spec.box, 9), 9_060_000),
+], ids=["fs(3)", "paper_G(1)"])
+def test_metric_jet_memory_stays_below_the_per_entry_jets(name, points, bound):
+    """The traced peak of one unblocked metric_jet pass, 1024 points of
+    fs(3) and the 6561-point default grid of paper_G(1), stays within the
+    4.37 and 9.06 MB that per-entry forward-mode jets needed: the tape
+    drops each node after its last consumer."""
+    spec = dsl.catalog(name)
+    pts = points(spec)
+    metric_jet(spec, pts)  # one-time allocations are not the pass's
+    assert traced_peak(lambda: metric_jet(spec, pts)) <= bound

@@ -206,6 +206,27 @@ def test_eval_jet_matches_divided_differences():
         checked += 1
 
 
+def test_a_negative_power_checks_its_own_power_only():
+    """z1^-2 at 2e-6 is finite: |z1^2| = 4e-12 is above DIV_EPS.  A
+    derivative written with a z1^-3 node would check |z1^3| = 8e-18 and
+    raise where the value does not."""
+    jet = dsl.eval_jet(parse("z1^-2", 1), 1, [[2e-6]])
+    for slot in (jet.value, jet.d, jet.dbar, jet.ddbar):
+        assert np.isfinite(slot).all()
+    assert jet.d[0, 0] == pytest.approx(-2 * (2e-6) ** -3, rel=1e-14)
+
+
+@pytest.mark.parametrize("src,point", [
+    ("1/(z1*conj(z1))", 0j),
+    ("z1^-2", 1e-7),  # |z1^2| = 1e-14
+    ("1/0", 0.5),  # constant divisors are checked like every other
+    ("0^-1", 0.5),
+])
+def test_divisors_below_div_eps_raise(src, point):
+    with pytest.raises(wirtinger.SingularPointError):
+        dsl.eval_jet(parse(src, 1), 1, [[point]])
+
+
 def test_scale_expr_unit_factor_is_identity():
     e = parse("1/(1+z1*conj(z1))")
     assert dsl.scale_expr(1.0, e) is e

@@ -9,9 +9,9 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import off_centre
+from conftest import off_centre, record_jet_passes
 from hsclab import dsl, positivity, warp
-from hsclab.curvature import (IllConditionedError, curvature_at,
+from hsclab.curvature import (POINT_BLOCK, IllConditionedError, curvature_at,
                               gaussian_curvature_1d, hsc_dirs, restrict)
 from hsclab.dsl import FibrationSpec, load_fibration, save_fibration
 from hsclab.positivity import _min_over_dirs, min_hsc_at_point
@@ -278,19 +278,13 @@ def test_warped_curvature_keeps_the_checks_of_the_assembled_route():
 
 
 def test_lambda_search_evaluates_jets_once(monkeypatch):
-    """The search reads each entry jet of the scale-1 metric once, not
-    once per lam."""
-    calls = []
-    eval_jet = dsl.eval_jet
-
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return eval_jet(*args, **kwargs)
-
-    monkeypatch.setattr(dsl, "eval_jet", counting)
+    """The search reads the entry jets of the scale-1 metric in one jet
+    pass over its evaluated points, not once per lam."""
+    passes = record_jet_passes(monkeypatch)
     f = warp_demo_fibration()
     res = lambda_search(f, skip_hypotheses=True)
-    assert len(calls) == f.n ** 2
+    assert passes == [(f.name, res.orbits_evaluated)]
+    assert res.orbits_evaluated <= POINT_BLOCK
     assert res.lambda_star == pytest.approx(2.12243686161123, rel=1e-12)
 
 
