@@ -26,10 +26,10 @@ temporaries plus per-thread BLAS buffers, and raised the peak memory of
 the minimizer-free acceptance checks from 50.9 to 54.4 MiB.
 
 POINT_BLOCK caps points the same way.  curvature_at is the one route
-from a metric and its points to (g, R): it reads the jets (one pass of
-the derivative tape of all n^2 entries, _metric_jet) and the tensor one
-block of at most POINT_BLOCK consecutive points at a time
-(_point_blocks) and checks the whole batch at the end.
+from a metric and its points to (g, R): it reads the jets (one
+dsl.eval_jet pass of the derivative tape over the spec's whole entry
+matrix) and the tensor one block of at most POINT_BLOCK consecutive
+points at a time (_point_blocks) and checks the whole batch at the end.
 positivity._min_over_dirs and the statistics of check_tensor run over
 the same blocks, so their temporaries are those of one block whatever
 the grid; only g, R and the per-point outputs grow with it.  A point's
@@ -38,8 +38,10 @@ result is bit for bit that of one unblocked pass.  An exactly singular
 metric is turned into a NaN tensor in one place, curvature(), whose
 failed solve gives the whole block NaN; check_tensor then names its
 infinite condition number.  metric_jet and curvature are its layers,
-kept for readers of the jets alone (entry_jet_1d) and for the finite-difference oracle, which runs
-curvature on its own refined jets.
+kept for readers of the jets alone (entry_jet_1d) and for the
+finite-difference oracle, which runs curvature on its own refined jets.
+Each jet route reads a whole metric in one call (dsl.eval_jet of the
+entries, fd_jet of dsl.metric_values): batch, entry, derivative axes.
 
 Each blocked loop holds one block at a time: _point_blocks yields its
 slices one by one, and quartic and curvature_at drop a block's
@@ -52,6 +54,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,9 +75,8 @@ class PointOutsideBoxError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class MetricJet:
-    """Metric entries and their first/mixed-second derivatives at points.
+class MetricJet(NamedTuple):
+    """The Jet2 of a metric's entry matrix, under metric names.
 
     Arrays carry a leading batch shape: g is (..., n, n), dg and dbarg are
     (..., n, n, n) with the derivative index last, ddbarg is
@@ -82,7 +84,6 @@ class MetricJet:
     derivative of entry (i, j).
     """
 
-    n: int
     g: np.ndarray
     dg: np.ndarray
     dbarg: np.ndarray
@@ -92,14 +93,6 @@ class MetricJet:
 @dataclass(frozen=True)
 class CurvatureTensor:
     R: np.ndarray  # (..., n, n, n, n) indexed [i, j, k, l]
-
-
-def _metric_jet(spec: dsl.MetricSpec, pts: np.ndarray) -> MetricJet:
-    """The jets of all n^2 entries at points (..., n), from one derivative
-    tape of the spec's entries (dsl._eval_jets)."""
-    n, batch = spec.n, pts.shape[:-1]
-    jet = dsl._eval_jets([e for row in spec.entries for e in row], n, pts.reshape(-1, n))
-    return MetricJet(n, *(s.reshape(batch + (n, n) + s.shape[2:]) for s in jet))
 
 
 def _in_box(spec: dsl.MetricSpec, points) -> np.ndarray:
@@ -119,8 +112,9 @@ def _in_box(spec: dsl.MetricSpec, points) -> np.ndarray:
 
 def metric_jet(spec: dsl.MetricSpec, points) -> MetricJet:
     """Evaluate all entry jets at points (..., n); PointOutsideBoxError
-    names the first point outside the box or not finite."""
-    return _metric_jet(spec, _in_box(spec, points))
+    names the first point outside the box or not finite.  All n^2 entries
+    share one dsl.eval_jet pass."""
+    return MetricJet(*dsl.eval_jet(spec.entries, spec.n, _in_box(spec, points)))
 
 
 def _point_blocks(count: int) -> Iterator[slice]:
@@ -133,17 +127,12 @@ def _point_blocks(count: int) -> Iterator[slice]:
 
 
 def metric_jet_from_fd(spec: dsl.MetricSpec, points, step: float = FD_STEP) -> MetricJet:
-    """Same arrays as metric_jet but via the finite-difference oracle,
-    one fd_jet call per entry."""
+    """Same arrays as metric_jet but via the finite-difference oracle:
+    one fd_jet call on the entry matrix (dsl.metric_values)."""
     pts = np.asarray(points, dtype=complex)
     if pts.shape[-1:] != (spec.n,):
         raise ValueError(f"points must have {spec.n} coordinates")
-    n, b = spec.n, pts.ndim - 1
-    jets = [fd_jet(partial(dsl.eval_value, e), pts, step=step)
-            for row in spec.entries for e in row]
-    # each slot of the n^2 entry jets, stacked row-major after the batch axes
-    return MetricJet(n, *(np.stack(s, b).reshape(pts.shape[:b] + (n, n) + s[0].shape[b:])
-                          for s in zip(*jets)))
+    return MetricJet(*fd_jet(partial(dsl.metric_values, spec), pts, step=step))
 
 
 def pair_symmetry_defect(R: np.ndarray) -> float:
@@ -229,21 +218,22 @@ def check_tensor(g: np.ndarray, R: np.ndarray) -> None:
                               f"exceeds {PAIR_SYMMETRY_TOL:.0e} * max(1, max |R|)")
 
 
-def curvature(mj: MetricJet, check: bool = True) -> CurvatureTensor:
-    """Curvature components from a MetricJet; see the module docstring.
-    With check, check_tensor runs on the result.
+def curvature(jet, check: bool = True) -> CurvatureTensor:
+    """Curvature components from the four slots of a metric's jet (a
+    MetricJet, or the Jet2 of an entry matrix), read by position; see
+    the module docstring.  With check, check_tensor runs on the result.
 
     The package's only singular-metric fallback: where the solve fails,
     g is exactly singular at some point of the batch, and the whole
     tensor is NaN; the infinite condition number there fails
     check_tensor, run here with check and by the caller without."""
-    g = mj.g
-    eye = np.broadcast_to(np.eye(mj.n, dtype=complex), g.shape)
+    g, dg, dbarg, ddbarg = jet
+    eye = np.broadcast_to(np.eye(g.shape[-1], dtype=complex), g.shape)
     try:
         ginv = np.linalg.solve(g, eye)
     except np.linalg.LinAlgError:
         ginv = np.full(g.shape, np.nan, dtype=complex)
-    R = -mj.ddbarg + np.einsum("...pq,...ipk,...qjl->...ijkl", ginv, mj.dg, mj.dbarg)
+    R = -ddbarg + np.einsum("...pq,...ipk,...qjl->...ijkl", ginv, dg, dbarg)
     if check:
         check_tensor(g, R)
     return CurvatureTensor(R)
@@ -316,7 +306,7 @@ def curvature_at(spec: dsl.MetricSpec, points):
     The coordinate count and the box are checked on all points first;
     then the jets and the tensor are evaluated one _point_blocks block of
     the flattened batch at a time into preallocated arrays, each block's
-    MetricJet dropped before the next block's jets are read, and
+    jet dropped before the next block's jets are read, and
     check_tensor runs on the whole batch at the end.  A block where g is
     exactly singular gets curvature()'s NaN tensor, the only
     singular-metric fallback, and its infinite condition number fails
@@ -331,11 +321,10 @@ def curvature_at(spec: dsl.MetricSpec, points):
     g = np.empty(pts.shape[:1] + (n, n), dtype=complex)
     R = np.empty(pts.shape[:1] + (n,) * 4, dtype=complex)
     for rows in _point_blocks(pts.shape[0]):
-        block = pts[rows]
-        mj = _metric_jet(spec, block)
-        g[rows] = mj.g
-        R[rows] = curvature(mj, check=False).R
-        del mj  # the next block's jets must not meet this block's
+        jet = dsl.eval_jet(spec.entries, n, pts[rows])
+        g[rows] = jet[0]
+        R[rows] = curvature(jet, check=False).R
+        del jet  # the next block's jets must not meet this block's
     check_tensor(g, R)
     return g.reshape(batch + (n, n)), R.reshape(batch + (n,) * 4)
 
@@ -352,8 +341,7 @@ def entry_jet_1d(spec: dsl.MetricSpec, points) -> tuple:
     if spec.n != 1:
         raise ValueError("defined for one-coordinate metrics only")
     z = np.asarray(points, dtype=complex)
-    mj = metric_jet(spec, z.reshape(-1, 1))
-    return tuple(_shaped(s, z.shape) for s in (mj.g, mj.dg, mj.dbarg, mj.ddbarg))
+    return tuple(_shaped(s, z.shape) for s in metric_jet(spec, z.reshape(-1, 1)))
 
 
 def _shaped(values: np.ndarray, shape: tuple):

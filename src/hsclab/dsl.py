@@ -14,11 +14,15 @@ factor after it, power included: -z1^2 is -(z1^2), and (-z1)^2 needs its
 parentheses.  `number` is a non-negative integer or
 decimal literal, "i" is the imaginary unit, and variables are z1..zn
 (1-based, as written in source).  Exponents are integers and may be
-negative ("^-2").
+negative ("^-2").  A tree deeper than MAX_DEPTH nodes, or more than
+2 * MAX_DEPTH nested parentheses, calls and prefix minuses, is a
+ParseError at the offset where the bound is passed.
 
 An expression is a tree of five node shapes: Lit, Var, Unary(op, arg),
 Binary(op, lhs, rhs) and Pow(base, exponent).  It evaluates to plain
-complex values or to second-order Wirtinger jets, over a batch of points.
+complex values or to second-order Wirtinger jets, over a batch of points;
+eval_jet reads an expression or an array of them, such as a metric's
+entries, in one pass.
 BINARY_OPS holds each binary operator's level and action, UNARY_OPS the
 action of "-" and of each func; the parser, the printer, eval_value and
 the evaluator of the derivative tape (_Tape) read these tables, so an
@@ -159,11 +163,28 @@ def _tokenize(src: str):
     return tokens
 
 
+# The deepest tree the parser builds, in nodes on one path from the root
+# (z1 has depth 1, -z1^2 depth 3, a chain of k binary operators k + 1).
+# The evaluators, the printer, the charge rules and the derivative tape
+# recurse once or a few times per level, so deeper input is a ParseError
+# at its offset, not a RecursionError later: at Python's default
+# recursion limit curvature_at fails past a product chain of 106
+# factors.  Every bundled entry has depth 9 or less (fs(n) has n + 5).
+MAX_DEPTH = 64
+
+
 class _Parser:
+    """Recursive descent over the tokens; expr, factor and base return a
+    node with its depth.  `open` counts the parentheses, calls and prefix
+    minuses around the current position, at most 2 * MAX_DEPTH: to_source
+    writes at most two per node (its own minus or call, and parentheses
+    around a child), so every tree the parser accepts parses again."""
+
     def __init__(self, src: str, n: int | None):
         self.n = n
         self.tokens = _tokenize(src)
         self.idx = 0
+        self.open = 0
 
     def peek(self):
         return self.tokens[self.idx]
@@ -179,37 +200,54 @@ class _Parser:
             raise ParseError(f"expected {op!r}", off)
         return self.advance()
 
+    def deep(self, depth: int, off: int) -> int:
+        """depth, that of the node built at off; ParseError past MAX_DEPTH."""
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression deeper than {MAX_DEPTH} levels", off)
+        return depth
+
+    def enter(self, off: int) -> None:
+        """Open the parenthesis, call or prefix minus at off."""
+        self.open += 1
+        if self.open > 2 * MAX_DEPTH:
+            raise ParseError(f"more than {2 * MAX_DEPTH} nested parentheses, "
+                             "calls and prefix minuses", off)
+
     def parse(self) -> Expr:
         if self.peek()[0] == "end":
             raise ParseError("empty expression", 0)
-        node = self.expr()
+        node, _ = self.expr()
         kind, text, off = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected trailing input {text!r}", off)
         return node
 
-    def expr(self, minimum: int = _ADD) -> Expr:
+    def expr(self, minimum: int = _ADD) -> tuple:
         """Precedence climbing: fold binary operators of level >= minimum;
         a right operand takes only tighter ones (left associativity)."""
-        node = self.factor()
+        node, depth = self.factor()
         while True:
-            text = self.peek()[1]
+            _, text, off = self.peek()
             if text not in BINARY_OPS or BINARY_OPS[text][0] < minimum:
-                return node
+                return node, depth
             self.advance()
-            node = Binary(text, node, self.expr(BINARY_OPS[text][0] + 1))
+            rhs, right = self.expr(BINARY_OPS[text][0] + 1)
+            node, depth = Binary(text, node, rhs), self.deep(max(depth, right) + 1, off)
 
-    def factor(self) -> Expr:
-        kind, text, _ = self.peek()
+    def factor(self) -> tuple:
+        kind, text, off = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            return Unary("-", self.factor())
-        node = self.base()
-        kind, text, _ = self.peek()
+            self.enter(off)
+            node, depth = self.factor()
+            self.open -= 1
+            return Unary("-", node), self.deep(depth + 1, off)
+        node, depth = self.base()
+        kind, text, off = self.peek()
         if kind == "op" and text == "^":
             self.advance()
-            node = Pow(node, self.integer())
-        return node
+            node, depth = Pow(node, self.integer()), self.deep(depth + 1, off)
+        return node, depth
 
     def integer(self) -> int:
         sign = 1
@@ -223,30 +261,35 @@ class _Parser:
         self.advance()
         return sign * int(text)
 
-    def base(self) -> Expr:
+    def group(self, off: int) -> tuple:
+        """expr ")", inside the call or parenthesis opened at off."""
+        self.enter(off)
+        inner = self.expr()
+        self.expect_op(")")
+        self.open -= 1
+        return inner
+
+    def base(self) -> tuple:
         kind, text, off = self.advance()
         if kind == "num":
-            return Lit(complex(float(text)))
+            return Lit(complex(float(text))), 1
         if kind == "ident":
             if text == "i":
-                return Lit(1j)
+                return Lit(1j), 1
             if text in UNARY_OPS:
                 self.expect_op("(")
-                inner = self.expr()
-                self.expect_op(")")
-                return Unary(text, inner)
+                inner, depth = self.group(off)
+                return Unary(text, inner), self.deep(depth + 1, off)
             m = _re.fullmatch(r"z(\d+)", text)
             if m:
                 k = int(m.group(1))
                 if k < 1 or (self.n is not None and k > self.n):
                     raise VariableIndexError(
                         f"variable z{k} out of range 1..{self.n}", off)
-                return Var(k)
+                return Var(k), 1
             raise UnknownIdentifierError(f"unknown identifier {text!r}", off)
         if kind == "op" and text == "(":
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
+            return self.group(off)
         raise ParseError(f"unexpected token {text!r}" if text else "unexpected end of input",
                          off)
 
@@ -341,13 +384,6 @@ def eval_value(e: Expr, points) -> np.ndarray | complex:
             base = eval_value(b, pts)
             return base ** k if k >= 0 else (1.0 / base) ** (-k)
     raise TypeError(f"not an Expr: {e!r}")
-
-
-def eval_jet(e: Expr, n: int, points) -> Jet2:
-    """Evaluate to a second-order Wirtinger jet at points of shape (..., n)."""
-    pts = np.asarray(points, dtype=complex)
-    jet = _eval_jets([e], n, pts.reshape(-1, n))
-    return Jet2(*(s.reshape(pts.shape[:-1] + s.shape[2:]) for s in jet))
 
 
 class _Tape:
@@ -475,22 +511,29 @@ def _checked_divisor(v):
     return v
 
 
-def _eval_jets(exprs, n: int, pts: np.ndarray) -> Jet2:
-    """The jets of m exprs at points (P, n), value (P, m), d and dbar
-    (P, m, n), ddbar (P, m, n, n), in one walk of their _Tape: each node
-    is evaluated over the batch by its UNARY_OPS or BINARY_OPS action (a
+def eval_jet(entries, n: int, points) -> Jet2:
+    """Second-order Wirtinger jets of an Expr, or of an array of them
+    (nested tuples such as MetricSpec.entries), at points (..., n).
+
+    Each slot has the points' batch shape, then the entries' shape, then
+    its derivative axes: value B+E, d and dbar B+E+(n,), ddbar
+    B+E+(n, n).  All entries share one walk of one _Tape: each node is
+    evaluated over the batch by its UNARY_OPS or BINARY_OPS action (a
     literal stays a Python scalar), written into the columns it fills
     and dropped after its last consumer.  A "/" node checks its divisor
     and b^-p checks b^p: SingularPointError below DIV_EPS."""
-    tape = _Tape(exprs, n)
-    P, m = pts.shape[0], len(exprs)
+    grid = np.array(entries, dtype=object)
+    pts = np.asarray(points, dtype=complex)
+    tape = _Tape(grid.ravel().tolist(), n)
+    flat = pts.reshape(-1, n)
+    P, m = flat.shape[0], grid.size
     slots = [np.empty((P, m * n ** k), dtype=complex) for k in (0, 1, 1, 2)]
     vals = [None] * len(tape.nodes)
     for i, (op, args, c) in enumerate(tape.nodes):
         if op == "lit":
             v = c
         elif op == "var":
-            v = pts[:, c]
+            v = flat[:, c]
         elif op == "^":
             b = vals[args[0]]
             v = b ** c if c >= 0 else 1.0 / _checked_divisor(b ** -c)
@@ -506,7 +549,8 @@ def _eval_jets(exprs, n: int, pts: np.ndarray) -> Jet2:
         for a in args:
             if tape.last[a] == i:
                 vals[a] = None
-    return Jet2(*(s.reshape((P, m) + (n,) * k) for s, k in zip(slots, (0, 1, 1, 2))))
+    shape = pts.shape[:-1] + grid.shape
+    return Jet2(*(s.reshape(shape + (n,) * k) for s, k in zip(slots, (0, 1, 1, 2))))
 
 
 # ---------------------------------------------------------------------------

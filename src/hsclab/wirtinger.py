@@ -40,12 +40,14 @@ class SingularPointError(ArithmeticError):
 
 
 class Jet2(NamedTuple):
-    """Truncated second-order Wirtinger jet of one scalar function.
+    """Truncated second-order Wirtinger jets of a function or of an array
+    of them, such as the n x n entries of a metric.
 
-    Fields hold numpy arrays; a leading batch shape B (possibly empty) is
-    shared by all four slots.  `value` has shape B, `d` and `dbar` have
-    shape B+(n,), `ddbar` has shape B+(n,n) with ddbar[..., k, l] equal
-    to d^2 f / dz_k dzbar_l.
+    Fields hold numpy arrays: the points' batch shape B, then the
+    entries' shape E (empty for one function), then the derivative axes.
+    `value` has shape B+E, `d` and `dbar` have shape B+E+(n,), `ddbar`
+    has shape B+E+(n,n) with ddbar[..., k, l] equal to
+    d^2 f / dz_k dzbar_l.
     """
 
     value: np.ndarray
@@ -90,10 +92,12 @@ def fd_jet(f: Callable[[np.ndarray], np.ndarray], points,
         d2/dz_k dzbar_l = (H[x_k,x_l] + H[y_k,y_l]
                            + i (H[x_k,y_l] - H[y_k,x_l])) / 4
 
-    `f` maps complex points (..., n) to values (...), or to a scalar that
-    is broadcast; `points` has shape (..., n) and `step` is the real step
-    h.  The whole stencil (the centre, +-h along each real axis, and the
-    four corners of each pair of axes) goes to `f` in one call.  Its unit
+    `f` maps complex points (..., n) to values (...) + E, E = () for one
+    function and (n, n) for dsl.metric_values, or to a scalar that is
+    broadcast; the slots have Jet2's layout.  `points` has shape (..., n)
+    and `step` is the real step h.  The whole stencil (the centre, +-h
+    along each real axis, and the four corners of each pair of axes)
+    goes to `f` in one call, its sample axis then moved behind E.  Its unit
     offsets and index arrays come from `_stencil(n)`, built once per n;
     each call scales the offsets' real and imaginary parts by h as reals,
     which keeps every signed zero a per-call build would give.  This is
@@ -101,18 +105,19 @@ def fd_jet(f: Callable[[np.ndarray], np.ndarray], points,
     the derivative tape.
     """
     pts = np.asarray(points, dtype=complex)
-    n = pts.shape[-1]
+    n, b = pts.shape[-1], pts.ndim - 1
     m = 2 * n
     h = float(step)
     unit, ia, ib, diag, cuts = _stencil(n)
     offsets = (h * unit).view(complex)
-    vals = np.broadcast_to(np.asarray(f(pts[..., None, :] + offsets), dtype=complex),
-                           pts.shape[:-1] + offsets.shape[:1])
+    vals = np.asarray(f(pts[..., None, :] + offsets), dtype=complex)
+    vals = np.moveaxis(np.broadcast_to(vals, pts.shape[:-1] + offsets.shape[:1]
+                                       + vals.shape[b + 1:]), b, -1)
     f0 = vals[..., 0]
     fp, fm, fpp, fpm, fmp, fmm = (vals[..., c] for c in cuts)
 
     grad = (fp - fm) / (2 * h)
-    hess = np.empty(pts.shape[:-1] + (m, m), dtype=complex)
+    hess = np.empty(vals.shape[:-1] + (m, m), dtype=complex)
     hess[..., diag, diag] = (fp - 2 * f0[..., None] + fm) / (h * h)
     hess[..., ia, ib] = hess[..., ib, ia] = (fpp - fpm - fmp + fmm) / (4 * h * h)
 

@@ -2,15 +2,13 @@
 with tracemalloc, which counts the allocations of numpy arrays and Python
 objects and reads no RSS."""
 
-import importlib
 import math
 import tracemalloc
 
+import numpy as np
+
 from hsclab import dsl
 from hsclab.positivity import scan_chart
-
-# the package attribute hsclab.curvature is the function curvature
-curvature = importlib.import_module("hsclab.curvature")
 
 
 def traced_peak(fn) -> int:
@@ -25,16 +23,16 @@ def traced_peak(fn) -> int:
 
 
 def record_jet_passes(monkeypatch) -> list:
-    """Wrap curvature._metric_jet, the one pass of a spec's derivative
-    tape over a block of points; returns the list that collects (spec
-    name, points) per pass."""
-    inner, passes = curvature._metric_jet, []
+    """Wrap dsl.eval_jet, the one entry point of the derivative tape, run
+    once per block of points on a spec's whole entry matrix; returns the
+    list that collects (entries, points) per pass."""
+    inner, passes = dsl.eval_jet, []
 
-    def recording(spec, pts):
-        passes.append((spec.name, math.prod(pts.shape[:-1])))
-        return inner(spec, pts)
+    def recording(entries, n, points):
+        passes.append((entries, math.prod(np.shape(points)[:-1])))
+        return inner(entries, n, points)
 
-    monkeypatch.setattr(curvature, "_metric_jet", recording)
+    monkeypatch.setattr(dsl, "eval_jet", recording)
     return passes
 
 

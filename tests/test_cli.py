@@ -454,6 +454,27 @@ def test_a_file_value_of_the_wrong_json_type_is_named(capsys, tmp_path, command,
         f"error: cannot load {what} '{path}': {message}"]
 
 
+@pytest.mark.parametrize("entry, message", [
+    ("(" * 3000 + "1+z1*conj(z1)" + ")" * 3000,
+     "more than 128 nested parentheses, calls and prefix minuses (at offset 128)"),
+    ("-" * 3000 + "1", "more than 128 nested parentheses, calls and prefix minuses "
+     "(at offset 128)"),
+    ("+".join(["1"] * 5000), "expression deeper than 64 levels (at offset 127)"),
+])
+def test_a_deep_entry_is_a_usage_error(capsys, tmp_path, entry, message):
+    """Input nested past the parser's depth bound fails as it loads, with
+    one error line and exit 2, instead of a RecursionError in an
+    evaluator."""
+    path = tmp_path / "m.json"
+    data = {**dsl.spec_to_dict(dsl.catalog("poincare")), "entries": [[entry]]}
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(SystemExit) as err:
+        cli.main(["scan", "--file", str(path), "--grid", "2"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"error: cannot load metric '{path}': {message}"]
+
+
 def test_only_main_raises_system_exit():
     """cli.main alone turns an exception into an exit code: SystemExit is
     named nowhere else in cli.py, so every other function raises the

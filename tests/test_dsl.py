@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hsclab import dsl, wirtinger
+from hsclab.curvature import curvature_at
 from hsclab.dsl import (MetricSpec, ParseError, Rect, catalog, load_spec,
                         parse, save_spec, to_source, validate)
 
@@ -53,6 +54,47 @@ def test_parse_errors_name_their_byte_offset(src, message, offset):
         parse(src)
     assert str(err.value) == f"{message} (at offset {offset})"
     assert err.value.offset == offset
+
+
+# Entries at the parser's depth bound, each with the same entry one step
+# past it and the offset where that one is refused: a left-deep product
+# (its "+" passes the bound), a left-deep sum (its last "+"), nested
+# calls, prefix minuses and powers (the outermost), and parentheses, which
+# add no node but count as openers.
+_CHAIN = "1+" + "*".join(["conj(z1)", "z1"] * 31)
+_SUM = "z1*conj(z1)" + "+1" * 61
+_POWERS = "(" * 61 + "1+z1*conj(z1)" + ")^1" * 61
+_AT_THE_DEPTH_BOUND = [
+    (_CHAIN, _CHAIN + "*z1", 1),
+    (_SUM, _SUM + "+1", len(_SUM)),
+    ("conj(" * 60 + "1+z1*conj(z1)" + ")" * 60,
+     "conj(" * 61 + "1+z1*conj(z1)" + ")" * 61, 0),
+    ("-" * 60 + "(1+z1*conj(z1))", "-" * 61 + "(1+z1*conj(z1))", 0),
+    (_POWERS[1:-3], _POWERS, len(_POWERS) - 2),
+    # 127 parentheses and the call of conj are 128 openers
+    ("(" * 127 + "1+z1*conj(z1)" + ")" * 127,
+     "(" * 128 + "1+z1*conj(z1)" + ")" * 128, 128 + len("1+z1*")),
+]
+
+
+@pytest.mark.parametrize("src, deeper, offset", _AT_THE_DEPTH_BOUND)
+def test_an_entry_at_the_depth_bound_runs_everywhere(src, deeper, offset):
+    """Every recursive reader of a tree takes an entry at MAX_DEPTH (or
+    at 2 * MAX_DEPTH openers) under pytest's own stack; one step deeper
+    is a ParseError at the offset where the bound is passed."""
+    e = parse(src, 1)
+    pts = np.array([[0.1 + 0.2j], [-0.3 + 0.1j]])
+    assert np.isfinite(dsl.eval_value(e, pts)).all()
+    assert all(np.isfinite(s).all() for s in dsl.eval_jet(e, 1, pts))
+    assert parse(to_source(e), 1) == e
+    assert dsl._charge(e, 1) == (0,)
+    spec = MetricSpec("deep", 1, ((e,),), (Rect(-0.5, 0.5, -0.5, 0.5),))
+    assert np.isfinite(curvature_at(spec, pts)[1]).all()
+    with pytest.raises(ParseError) as err:
+        parse(deeper, 1)
+    assert err.value.offset == offset
+    assert "expression deeper than 64 levels" in str(err.value) or \
+        "more than 128 nested parentheses, calls and prefix minuses" in str(err.value)
 
 
 def test_trailing_whitespace_is_not_input():

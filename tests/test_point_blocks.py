@@ -40,8 +40,8 @@ def _record_rows(monkeypatch):
             return inner(*args, **kwargs)
         monkeypatch.setattr(module, name, recording)
 
-    wrap(curvature, "_metric_jet", lambda spec, pts, *_: math.prod(pts.shape[:-1]))
-    wrap(curvature, "curvature", lambda mj, *_: math.prod(mj.g.shape[:-2]))
+    wrap(dsl, "eval_jet", lambda entries, n, pts: math.prod(pts.shape[:-1]))
+    wrap(curvature, "curvature", lambda jet, *_: math.prod(jet[0].shape[:-2]))
     wrap(positivity, "_exact_min", lambda g, *_: g.shape[0])
     wrap(positivity, "_probe_and_descend", lambda g, *_: g.shape[0])
     return seen
@@ -52,7 +52,7 @@ def test_default_scan_runs_in_blocks(monkeypatch):
     spec = dsl.catalog("paper_G(1)")
     rep = scan_chart(spec, box=off_centre(spec.box))
     assert rep.points_scanned == rep.orbits_evaluated == 6561
-    for name in ("_metric_jet", "curvature", "_exact_min"):
+    for name in ("eval_jet", "curvature", "_exact_min"):
         assert len(seen[name]) == 7 and sum(seen[name]) == 6561, name
         assert max(seen[name]) <= curvature.POINT_BLOCK, name
     assert "_probe_and_descend" not in seen
@@ -64,7 +64,7 @@ def test_descent_scan_runs_in_blocks(monkeypatch):
     spec = dsl.catalog("fs(3)")
     scan_chart(spec, box=off_centre(spec.box), grid_per_axis=2, dirs=4, starts=1,
                iters=5)
-    for name in ("_metric_jet", "curvature", "_probe_and_descend"):
+    for name in ("eval_jet", "curvature", "_probe_and_descend"):
         assert len(seen[name]) == 7 and sum(seen[name]) == 64, name
         assert max(seen[name]) <= 10, name
 
@@ -75,10 +75,10 @@ def test_lambda_search_runs_in_blocks(monkeypatch):
     f = warp.warp_demo_fibration()
     res = warp.lambda_search(dataclasses.replace(f, box=off_centre(f.box)))
     assert res.orbits_evaluated == 625
-    assert set(seen) >= {"_metric_jet", "curvature", "_exact_min"}
+    assert set(seen) >= {"eval_jet", "curvature", "_exact_min"}
     # 625 grid points: the jet pass, the fiber proof and each checked grid
     # minimum each reach 625 rows in blocks
-    assert seen["_metric_jet"].count(100) >= 6
+    assert seen["eval_jet"].count(100) >= 6
     assert all(rows <= 100 for counts in seen.values() for rows in counts)
 
 

@@ -283,7 +283,7 @@ def test_lambda_search_evaluates_jets_once(monkeypatch):
     passes = record_jet_passes(monkeypatch)
     f = warp_demo_fibration()
     res = lambda_search(f, skip_hypotheses=True)
-    assert passes == [(f.name, res.orbits_evaluated)]
+    assert passes == [(assemble(f, 1.0).entries, res.orbits_evaluated)]
     assert res.orbits_evaluated <= POINT_BLOCK
     assert res.lambda_star == pytest.approx(2.12243686161123, rel=1e-12)
 

@@ -3,6 +3,7 @@ hand jets, and the oracle's own stencil."""
 
 import ast
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +215,38 @@ def test_fd_jet_matches_the_per_call_stencil_bit_for_bit(n):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
+def _per_entry_stack(jets, pts, n):
+    """The n^2 entry jets of a metric, each slot stacked row-major after
+    the batch axes: the layout both jet routes once built entry by entry."""
+    b = pts.ndim - 1
+    return [np.stack(s, b).reshape(pts.shape[:b] + (n, n) + s[0].shape[b:])
+            for s in zip(*jets)]
+
+
+@pytest.mark.parametrize("name", ["fs(3)", "warp_demo", "flat(2)"])
+def test_whole_metric_jets_equal_the_per_entry_stacks(name):
+    """One eval_jet call on a spec's entries, and one fd_jet call on
+    dsl.metric_values, give bit for bit the per-entry jets stacked, for
+    one point (n,) and for a batch (4, 3, n); flat(2)'s entries are
+    literal constants."""
+    spec = dsl.catalog(name)
+    n, rng = spec.n, np.random.default_rng(31)
+    entries = [e for row in spec.entries for e in row]
+    for pts in (dsl.box_sample(spec.box, rng, 1)[0],
+                dsl.box_sample(spec.box, rng, 12).reshape(4, 3, n)):
+        tape = dsl.eval_jet(spec.entries, n, pts)
+        want = _per_entry_stack([dsl.eval_jet(e, n, pts) for e in entries], pts, n)
+        assert all(map(np.array_equal, tape, want)) and len(tape) == len(want)
+        oracle = fd_jet(partial(dsl.metric_values, spec), pts)
+        want = _per_entry_stack([fd_jet(partial(dsl.eval_value, e), pts) for e in entries],
+                                pts, n)
+        assert all(map(np.array_equal, oracle, want)) and len(oracle) == len(want)
+        # a scalar f returning a Python constant still broadcasts
+        const = fd_jet(lambda z: 2.5, pts)
+        assert const.value.shape == pts.shape[:-1] and np.all(const.value == 2.5)
+        assert const.ddbar.shape == pts.shape[:-1] + (n, n) and not const.ddbar.any()
+
+
 def test_fd_stencil_arrays_are_read_only():
     arrays = [part for part in wirtinger._stencil(2) if isinstance(part, np.ndarray)]
     assert len(arrays) == 4
@@ -231,7 +264,7 @@ def test_oracle_never_calls_jet_arithmetic(monkeypatch):
         raise AssertionError("the oracle used the derivative tape")
 
     monkeypatch.setattr(dsl, "_Tape", refuse)
-    monkeypatch.setattr(dsl, "_eval_jets", refuse)
+    monkeypatch.setattr(dsl, "eval_jet", refuse)
     jet = fd_jet(lambda z: z[..., 0] * np.conjugate(z[..., 0]), [0.3 + 0.1j])
     assert abs(jet.ddbar[0, 0] - 1.0) < 1e-6
     spec = dsl.catalog("paper_G(1)")
