@@ -27,17 +27,17 @@ trials one curvature._point_blocks block at a time, so its memory does
 not grow with trials.  split_bound_check and check_block_hypotheses
 hold their whole draws of directions, 16 bytes a coordinate: they draw
 every real part before any imaginary part, so any block of directions
-needs both draws.  dsl._complex_normal writes the two draws into one complex
-array, with no a + 1j*b temporaries; split_bound_check normalizes it
-one _point_blocks block at a time, and quartic evaluates it one block
-at a time.  Beside the draw they hold one block of temporaries and a few
-per-trial real arrays (the quartic values and margins): the split-bound
-acceptance suite, 100 calls of 1e4 trials at n <= 5, peaks at 1.81 MB
-traced.  Streaming the imaginary parts and the margins per 1024-row
-block as well gives the same bytes and cuts that peak to 1.44 MB, but
-made the benchmark's oracle_certify operation, six acceptance checks,
-15-30% slower (0.79-0.83 s to 0.91-1.08 s in process), so it is not
-done.
+needs both draws.  dsl._complex_normal writes the two draws into one
+column-major complex array, with no a + 1j*b temporaries, and quartic
+reads it one block of contiguous rows at a time.  split_bound_check
+normalizes it and forms its masses one _point_blocks block at a time,
+and check_block_hypotheses forms its masses and margins the same way.
+Beside the draw they hold one block of temporaries and a few per-trial
+arrays: the quartic values, and split_bound_check's bound and margins.
+The split-bound acceptance suite, 100 calls of 1e4 trials at n <= 5, peaks at 1.58 MB
+traced; at 1e6 trials and n = 5 split_bound_check peaks at 122 MiB
+traced, 76 MiB of it the draw and most of the rest its whole-batch
+quartic values and margins.
 """
 
 from __future__ import annotations
@@ -280,9 +280,12 @@ def check_block_hypotheses(t: BoundedBlockTensor, trials: int = 10000,
         # one stream, fiber draws first: the reported margins depend on the order
         x = dsl._complex_normal(rng, (trials, block.shape[0]))
         q = quartic(block, x).real
-        mass = (np.abs(x) ** 2).sum(axis=1) ** 2
-        margins.append(float(((q - lower * mass)
-                              / np.maximum(1.0, np.abs(lower) * mass)).min()))
+        worst = []
+        for rows in _point_blocks(trials):
+            mass = (np.abs(x[rows]) ** 2).sum(axis=1) ** 2
+            worst.append(((q[rows] - lower * mass)
+                          / np.maximum(1.0, np.abs(lower) * mass)).min())
+        margins.append(float(np.min(worst)))
     fiber_margin, base_margin = margins
     mixed_max = float(np.abs(t.R[_strictly_mixed_mask(n, s)]).max())
     ok = (fiber_margin >= -BOUND_TOL and base_margin >= -BOUND_TOL
@@ -313,16 +316,19 @@ def split_bound_check(t: BoundedBlockTensor, w: WeightChoice,
     n, s = t.n, t.s
     rng = np.random.default_rng(seed)
     xi = dsl._complex_normal(rng, (trials, n))
+    rhs = np.empty(trials)
     for rows in _point_blocks(trials):
-        xi[rows] /= np.linalg.norm(xi[rows], axis=1, keepdims=True)
+        x = xi[rows]
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        sf = (np.abs(x[:, :s]) ** 2).sum(axis=1) ** 2
+        sb = (np.abs(x[:, s:]) ** 2).sum(axis=1) ** 2
+        rhs[rows] = (0.5 * t.fiber_lower * sf
+                     + (t.base_lower - t.mixed_bound * w.required_ratio) * sb)
     num = quartic(t.R, xi)
     scale = np.maximum(1.0, np.abs(num))
     if (np.abs(num.imag) / scale).max() > 1e-9:
         raise ArithmeticError("quartic of a pair-symmetric tensor must be real")
     num = num.real
-    sf = (np.abs(xi[:, :s]) ** 2).sum(axis=1) ** 2
-    sb = (np.abs(xi[:, s:]) ** 2).sum(axis=1) ** 2
-    rhs = 0.5 * t.fiber_lower * sf + (t.base_lower - t.mixed_bound * w.required_ratio) * sb
     scale = np.maximum(1.0, np.abs(num) + np.abs(rhs))
     margin = (num - rhs) / scale
     worst = int(np.argmin(margin))

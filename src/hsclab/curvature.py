@@ -16,14 +16,22 @@ Sectional values are
               / (sum g[i,j] xi_i conj(xi_j))^2,
 
 real by the pair symmetry R[i,j,k,l] = conj(R[j,i,l,k]) and invariant under
-scaling of xi.  The numerator is evaluated once, in `quartic`, as the
-quadratic form vec(X)^T . R.reshape(d^2, d^2) . vec(X) in the rank-one
-matrix X = xi xi^H, and the denominator once, in `metric_norm2`.
-`quartic` forms it as a BLAS matrix product, the row sums of (X @ R) * X,
-over blocks of POINT_BLOCK directions.  The block is fixed for memory,
-not speed: one unblocked product over 1e4 directions holds two 1e4 x d^2
-temporaries plus per-thread BLAS buffers, and raised the peak memory of
-the minimizer-free acceptance checks from 50.9 to 54.4 MiB.
+scaling of xi.  The numerator is evaluated once, in `quartic`, and the
+denominator once, in `metric_norm2`.  The numerator is a sesquilinear
+form on the symmetric square Sym^2(C^d), Hermitian when R is pair
+symmetric:
+
+    sum R[i,j,k,l] xi_i conj(xi_j) xi_k conj(xi_l)
+      = sum_{p,q} u_p A[p,q] conj(u_q)
+
+in the D = d(d+1)/2 coordinates u_p = xi_i xi_k (p = (i, k), i <= k),
+where A[p, q] sums R[a, b, c, e] over the orderings (a, c) of p and
+(b, e) of q.  `quartic` gathers A^T from R once per call and evaluates
+the form over blocks of POINT_BLOCK directions, the directions on the
+last axis.  The block is fixed for memory, not speed:
+one unblocked pass over 1e4 directions at d = 5 holds 5.1 MB of
+temporaries (0.67 MB blocked, both traced), and the split-bound
+acceptance suite would peak at 9.6 MB instead of 1.58 MB.
 
 POINT_BLOCK caps points the same way.  curvature_at is the one route
 from a metric and its points to (g, R): it reads the jets (one
@@ -53,7 +61,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -239,34 +247,70 @@ def curvature(jet, check: bool = True) -> CurvatureTensor:
     return CurvatureTensor(R)
 
 
+@cache
+def _sym_basis(d: int) -> tuple:
+    """The symmetric-square coordinates of quartic, built once per d.
+
+    pairs lists the D = d(d+1)/2 pairs p = (i, k), i <= k, of
+    u_p = xi_i xi_k, in np.triu_indices order.  Entry R[a, b, c, e]
+    belongs to A^T[q, p] for the pair p of {a, c} and the pair q of
+    {b, e}, so each entry of A^T sums one, two or four entries of R,
+    and each entry of R lands in exactly one of them.  order lists the
+    flat positions in R.reshape(d^4) grouped by their entry of A^T, the
+    groups in the C order of A^T (D, D) and C order within a group, and
+    starts holds where each group begins: A^T is one np.add.reduceat.
+    Every call shares the arrays, so they are read-only.
+    """
+    pairs = tuple((i, k) for i in range(d) for k in range(i, d))
+    pair = np.empty((d, d), dtype=np.intp)
+    for p, (i, k) in enumerate(pairs):
+        pair[i, k] = pair[k, i] = p
+    a, b, c, e = np.indices((d,) * 4).reshape(4, -1)
+    target = pair[b, e] * len(pairs) + pair[a, c]
+    order = np.argsort(target, kind="stable")
+    starts = np.searchsorted(target[order], np.arange(len(pairs) ** 2))
+    for arr in (order, starts):
+        arr.flags.writeable = False
+    return order, starts, pairs
+
+
 def quartic(R: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """R(xi, conj xi, xi, conj xi) per direction: R (..., d, d, d, d),
     dirs (..., m, d) -> (..., m), batch shapes broadcast.
 
-    Each _point_blocks block of at most POINT_BLOCK directions gives
-    X = vec(xi xi^H)
-    of shape (..., block, d^2), and the block's values are the row sums of
-    (X @ R.reshape(d^2, d^2)) * X, written into one preallocated output.
-    The block bounds the two (..., block, d^2) temporaries and the BLAS
-    work buffers, and each block drops its X and Y before the next block
-    forms its own, so the peak memory of a long direction list is that
-    of one block (1.00 MB traced beyond the inputs for 1e4 directions at
-    d = 5, where two blocks' pairs at once would reach 1.74 MB);
-    m <= POINT_BLOCK runs the loop once.
+    The quartic is the form sum_{p,q} u_p A[p,q] conj(u_q) of the module
+    docstring, in u_p = xi_i xi_k (i <= k, D = d(d+1)/2 coordinates).
+    A^T (..., D, D) is gathered once per call from R through the cached
+    _sym_basis(d), each entry of R read once; no symmetry of R is
+    assumed, so a tensor that is not pair symmetric keeps its imaginary
+    part.  The directions are read along the last axis (swapaxes(dirs)),
+    contiguous for a column-major draw such as dsl._complex_normal's.
+    Each _point_blocks block of at most POINT_BLOCK directions forms
+    u (..., D, block) and v = A^T @ u, and writes the sums of
+    v * conj(u) over the D axis into one preallocated output.  Each block
+    drops its u and v before the next block forms its own, so the peak
+    memory of a long direction list is that of one block: 0.67 MB traced
+    beyond the inputs for 1e4 directions at d = 5, where two blocks' u
+    and v at once reach 0.90 MB.  m <= POINT_BLOCK runs the loop once.
     """
     d = dirs.shape[-1]
     m = dirs.shape[-2]
-    Rm = R.reshape(R.shape[:-4] + (d * d, d * d))
-    out = np.empty(np.broadcast_shapes(R.shape[:-4], dirs.shape[:-2]) + (m,),
+    order, starts, pairs = _sym_basis(d)
+    D, batch = len(pairs), R.shape[:-4]
+    At = np.add.reduceat(np.take(R.reshape(batch + (d ** 4,)), order, axis=-1),
+                         starts, axis=-1).reshape(batch + (D, D))
+    cols = np.swapaxes(dirs, -1, -2)
+    out = np.empty(np.broadcast_shapes(batch, dirs.shape[:-2]) + (m,),
                    dtype=np.result_type(R, dirs))
     for rows in _point_blocks(m):
-        block = dirs[..., rows, :]
-        X = (block[..., :, None] * np.conjugate(block)[..., None, :]).reshape(
-            block.shape[:-1] + (d * d,))
-        Y = X @ Rm
-        Y *= X
-        out[..., rows] = Y.sum(-1)
-        del X, Y  # the next block's X and Y must not meet these
+        block = cols[..., rows]
+        u = np.empty(block.shape[:-2] + (D,) + block.shape[-1:], dtype=block.dtype)
+        for p, (i, k) in enumerate(pairs):
+            np.multiply(block[..., i, :], block[..., k, :], out=u[..., p, :])
+        v = At @ u
+        v *= np.conjugate(u, out=u)
+        out[..., rows] = v.sum(-2)
+        del u, v  # the next block's u and v must not meet these
     return out
 
 
@@ -280,10 +324,15 @@ def hsc_dirs(g: np.ndarray, R: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     dirs (..., m, d) -> (..., m); a (1, d) dirs broadcasts over points.
 
     Raises ArithmeticError when a numerator's imaginary part exceeds
-    IMAG_TOL times max(1, |R|_F * |xi|_2^4), the Cauchy-Schwarz bound on
-    the sum of the moduli of its summands, so the rounding of a large sum
-    that cancels stays far below it; SingularPointError when a
-    direction's metric norm is at most DIV_EPS.
+    IMAG_TOL times max(1, |R|_F * |xi|_2^4); SingularPointError when a
+    direction's metric norm is at most DIV_EPS.  The scale bounds the
+    sum of the moduli of quartic's summands u_p A[p, q] conj(u_q) to
+    within a factor 2: by Cauchy-Schwarz that sum is at most
+    |A|_F |u|_2^2, where |A|_F <= 2 |R|_F (each entry of A sums at most
+    four entries of R, each entry of R is used once; the ratio is at most
+    1.67 over the tensors selftest evaluates) and
+    |u|_2^2 = sum_{i<=k} |xi_i|^2 |xi_k|^2 <= |xi|_2^4.  So the rounding
+    of a large sum that cancels stays far below the threshold.
     """
     dirs = np.asarray(dirs, dtype=complex)
     num = quartic(R, dirs)

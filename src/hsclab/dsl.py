@@ -670,11 +670,14 @@ def box_sample(box, rng: np.random.Generator, count: int) -> np.ndarray:
 
 def _complex_normal(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     """Standard normal real parts, then standard normal imaginary parts,
-    written into one complex array: the bits of
-    rng.standard_normal(shape) + 1j * rng.standard_normal(shape) without
-    its two whole complex temporaries.  Descent's streams draw their own
-    directions in one call (positivity._complex_dirs)."""
-    z = np.empty(shape, dtype=complex)
+    written into one complex array: the values of
+    rng.standard_normal(shape) + 1j * rng.standard_normal(shape), bit for
+    bit, without its two whole complex temporaries.  The array is
+    column-major, so for a (trials, d) draw each coordinate's trials are
+    contiguous and curvature.quartic reads the directions along its
+    contiguous axis.  Descent's streams draw their own directions in one
+    call (positivity._complex_dirs)."""
+    z = np.empty(shape, dtype=complex, order="F")
     z.real = rng.standard_normal(shape)
     z.imag = rng.standard_normal(shape)
     return z

@@ -19,11 +19,11 @@ import numpy as np
 import pytest
 
 from conftest import traced_peak
-from hsclab import dsl
+from hsclab import certify, dsl
 from hsclab.acceptance import ONE_DIM_CATALOG
 from hsclab.certify import pencil_spec
 from hsclab.curvature import (COND_LIMIT, POINT_BLOCK, IllConditionedError,
-                              PointOutsideBoxError, _cond, check_tensor, curvature,
+                              PointOutsideBoxError, _cond, _sym_basis, check_tensor, curvature,
                               curvature_at, entry_jet_1d, gaussian_curvature_1d,
                               gaussian_from_jet, hsc_dirs, metric_jet, metric_jet_from_fd,
                               pair_symmetry_defect, quartic, restrict)
@@ -202,6 +202,65 @@ def test_hsc_dirs_imaginary_guard_scales_with_summands():
     g = np.broadcast_to(np.eye(d, dtype=complex), (points, d, d))
     vals = hsc_dirs(g, R, xi)
     assert np.abs(vals).max() <= 1e-12 * np.abs(R).max()
+
+
+def _reference_quartic(R, dirs):
+    """sum R[i,j,k,l] xi_i conj(xi_j) xi_k conj(xi_l), index by index, for
+    R (..., d, d, d, d) and dirs (..., m, d) with broadcast batch shapes."""
+    c = np.conjugate(dirs)
+    num = 0j
+    for i, j, k, l in itertools.product(range(dirs.shape[-1]), repeat=4):
+        num = num + (R[..., i, j, k, l, None]
+                     * dirs[..., i] * c[..., j] * dirs[..., k] * c[..., l])
+    return num
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_quartic_matches_index_contraction(d):
+    # R is not pair symmetric, so the quartic is complex and its
+    # imaginary part must come out as well as its real part
+    rng = np.random.default_rng(140 + d)
+    shape = (3, 1) + (d,) * 4
+    R = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert pair_symmetry_defect(R) > 0.1
+    for m in (0, 1023, POINT_BLOCK, 1025):
+        draw = dsl._complex_normal(rng, (2, m, d))
+        cases = [(R, draw[:1]), (R, draw), (R[0, 0], draw), (R[:, 0], draw[0])]
+        for r, dirs in cases:
+            want = _reference_quartic(r, dirs)
+            atol = 1e-12 * max(1.0, np.abs(want).max(initial=0.0))
+            for layout in (dirs, np.ascontiguousarray(dirs)):
+                got = quartic(r, layout)
+                assert got.shape == want.shape
+                np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+            if m:
+                assert np.abs(got.imag).max() > 0.1 * np.abs(got).max()
+
+
+def test_sym_basis_arrays_are_read_only():
+    arrays = [part for part in _sym_basis(3) if isinstance(part, np.ndarray)]
+    assert len(arrays) == 2
+    for part in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            part[0] = 1
+
+
+def test_kernel_checks_refuse_a_pair_symmetry_defect():
+    # entries of order 1, so the defect is not lost in the tensor's scale
+    w = certify.choose_weights(1.0, 1e-3, 5, 2)
+    t = certify.random_block_tensor(1.0, 1e-3, w.base_required, 5, 2, 0)
+    assert np.abs(t.R).max() == 1.0
+    R = t.R.copy()
+    R[0, 0, 0, 0] += 1e-6j
+    assert 1e-6 <= pair_symmetry_defect(R) <= 1e-5
+    dirs = dsl._complex_normal(np.random.default_rng(5), (1000, 5))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    with pytest.raises(ArithmeticError, match="imaginary"):
+        hsc_dirs(np.eye(5, dtype=complex), R, dirs)
+    broken = certify.BoundedBlockTensor(t.n, t.s, R, t.fiber_lower,
+                                        t.mixed_bound, t.base_lower)
+    with pytest.raises(ArithmeticError, match="must be real"):
+        certify.split_bound_check(broken, w)
 
 
 def test_pair_symmetry_of_catalog_tensors():

@@ -9,6 +9,15 @@ from hsclab.dsl import (MetricSpec, ParseError, Rect, catalog, load_spec,
                         parse, save_spec, to_source, validate)
 
 
+@pytest.mark.parametrize("shape", [(7,), (1025, 3), (4, 5, 2)])
+def test_complex_normal_is_one_column_major_draw(shape):
+    z = dsl._complex_normal(np.random.default_rng(3), shape)
+    rng = np.random.default_rng(3)
+    want = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert z.dtype == complex and z.flags.f_contiguous
+    assert z.tobytes() == want.tobytes()
+
+
 def test_parse_and_eval_basics():
     e = parse("z1*conj(z1) + 2")
     pts = np.array([[0.5 + 0.5j], [1j]])
